@@ -1,7 +1,5 @@
-// B13: block-at-a-time execution vs the tuple-at-a-time scalar executor
-// (DESIGN.md §12).
-//
-// Two join-heavy materializations where the scalar executor pays a deep
+// B13: block-at-a-time execution (DESIGN.md §12) on two join-heavy
+// materializations, where a tuple-at-a-time executor would pay a deep
 // recursive call per binding and a hash-index touch per probe:
 //
 // TcDense: semi-naive transitive closure over a dense expander-ish digraph
@@ -16,10 +14,8 @@
 // insertion cost disappears and what remains is pure per-row executor
 // overhead -- exactly what blocks amortize.
 //
-// Both arms derive identical models, counters, and solution order
-// (tests/equivalence_test.cc); the gap is executor dispatch only. The batch
-// arms sweep EvalOptions::batch_block_rows over {64, 256, 1024} to place the
-// default (256).
+// Both run at the fixed block size kDefaultBlockRows (256); EXPERIMENTS.md
+// B13 records the sweep that chose it.
 #include <string>
 
 #include "base/str_util.h"
@@ -66,14 +62,11 @@ std::string JoinFacts(size_t n) {
   return facts;
 }
 
-// Scalar arm when block_rows == 0; batch arm with the given block size
-// otherwise. Everything else (cost-based planning, semi-naive mode) is the
-// default configuration, so the measured gap is executor dispatch only.
+// Full materialization under the default configuration (cost-based
+// planning, semi-naive mode).
 void RunBatch(benchmark::State& state, const std::string& facts,
-              const char* rules, size_t block_rows, const char* name) {
+              const char* rules, const char* name) {
   ldl::EvalOptions options;
-  options.batch = block_rows > 0;
-  if (block_rows > 0) options.batch_block_rows = block_rows;
   options.profile = ldl_bench::ProfileRequested();
   ldl::EvalStats last;
   ldl::EvalProfile last_profile;
@@ -94,36 +87,19 @@ void RunBatch(benchmark::State& state, const std::string& facts,
       name + ("/" + std::to_string(state.range(0))), last_profile);
 }
 
-void BM_TcDenseScalar(benchmark::State& state) {
+void BM_TcDense(benchmark::State& state) {
   RunBatch(state, TcFacts(static_cast<size_t>(state.range(0))), kTcRules,
-           /*block_rows=*/0, "TcDenseScalar");
+           "TcDense");
 }
-void BM_TcDenseBatch(benchmark::State& state) {
-  RunBatch(state, TcFacts(static_cast<size_t>(state.range(0))), kTcRules,
-           static_cast<size_t>(state.range(1)), "TcDenseBatch");
-}
-void BM_ProjJoinScalar(benchmark::State& state) {
+void BM_ProjJoin(benchmark::State& state) {
   RunBatch(state, JoinFacts(static_cast<size_t>(state.range(0))), kJoinRules,
-           /*block_rows=*/0, "ProjJoinScalar");
-}
-void BM_ProjJoinBatch(benchmark::State& state) {
-  RunBatch(state, JoinFacts(static_cast<size_t>(state.range(0))), kJoinRules,
-           static_cast<size_t>(state.range(1)), "ProjJoinBatch");
+           "ProjJoin");
 }
 
 }  // namespace
 
-BENCHMARK(BM_TcDenseScalar)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TcDenseBatch)
-    ->Args({128, 64})->Args({128, 256})->Args({128, 1024})
-    ->Args({256, 64})->Args({256, 256})->Args({256, 1024})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ProjJoinScalar)->Arg(1 << 14)->Arg(1 << 16)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ProjJoinBatch)
-    ->Args({1 << 14, 64})->Args({1 << 14, 256})->Args({1 << 14, 1024})
-    ->Args({1 << 16, 64})->Args({1 << 16, 256})->Args({1 << 16, 1024})
+BENCHMARK(BM_TcDense)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProjJoin)->Arg(1 << 14)->Arg(1 << 16)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,12 +1,9 @@
-// Block-at-a-time execution core for compiled join plans.
+// Block data structures of the rule executor (RuleEvaluator, rule_eval.h).
 //
-// The scalar executor in rule_eval.cc moves one binding at a time through a
-// recursive ExecStep call per body literal, paying a callback dispatch, a
-// branchy tombstone test, and a per-probe key hash for every candidate row.
-// This file batches that pipeline: bindings travel in TupleBlocks (flat,
-// fixed-capacity chunks of slot rows plus a selection vector), and each
-// LiteralPlan step becomes a kernel that consumes a whole input block before
-// handing its output block downstream:
+// Bindings travel through a compiled join plan in TupleBlocks: flat chunks
+// of slot rows plus a selection vector. Each LiteralPlan step is a kernel
+// that consumes a whole input block before handing its output block
+// downstream (see rule_eval.cc):
 //
 //   * scan kernel      -- gathers the window's live row ids once per input
 //                         block (tombstones filtered in one pass, not per
@@ -18,62 +15,62 @@
 //   * filter kernels   -- output-free comparison built-ins and ground
 //                         negation refine the selection vector in place (no
 //                         row copies);
-//   * scalar fallbacks -- generic unification, output-producing built-ins,
-//                         and residual-variable negation run the exact
-//                         per-row logic of the scalar executor inside the
-//                         block loop, so set/complex terms lose nothing;
-//   * emit kernel      -- head rows for a whole solution block are built
+//   * per-row kernels  -- generic unification, output-producing built-ins,
+//                         and residual-variable negation run per input row
+//                         inside the block loop, so set/complex terms lose
+//                         nothing;
+//   * emit             -- head rows for a whole solution block are built
 //                         straight from plan slots into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the
 //                         engine inserts in bulk at the merge barrier.
 //
-// Determinism and counter parity: kernels enumerate (input row, candidate
-// row) pairs in exactly the scalar executor's depth-first order -- input
-// rows in selection order, candidates in ascending row id -- and blocks
-// drain fully before the next input row group, so the solution stream, the
-// derivation counts (each solution yields exactly one Insert), and every
-// EvalStats/RuleProfile counter (tuples_matched, index_probes, probe_hits,
-// solutions) are identical to the scalar path. tests/equivalence_test.cc
-// asserts this over the corpus; DESIGN.md §12 gives the argument.
+// Determinism: kernels enumerate (input row, candidate row) pairs in
+// depth-first order -- input rows in selection order, candidates in
+// ascending row id -- and blocks drain fully before the next input row
+// group, so the solution stream, the derivation counts (each solution
+// yields exactly one Insert), and every EvalStats/RuleProfile counter are a
+// function of the plan and the database alone. tests/golden_test.cc pins
+// them over the corpus; DESIGN.md §12 gives the argument.
 #ifndef LDL1_EVAL_BATCH_H_
 #define LDL1_EVAL_BATCH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
-#include "base/status.h"
-#include "eval/builtins.h"
-#include "eval/plan.h"
 #include "eval/relation.h"
-#include "program/ir.h"
-#include "term/term_ops.h"
+#include "term/term.h"
 
 namespace ldl {
 
-struct EvalStats;
-struct LiteralWindow;
-
-// Default rows per block: sized so a block of typical width (a handful of
-// slots) stays inside L1/L2 alongside the probe-hash scratch.
+// Rows per block: sized so a block of typical width (a handful of slots)
+// stays inside L1/L2 alongside the probe-hash scratch (EXPERIMENTS.md B13).
 inline constexpr size_t kDefaultBlockRows = 256;
 
-// A fixed-capacity chunk of bound rows. Each row is `width` interned term
-// pointers (one per plan slot); `sel` lists the active rows in enumeration
-// order (filter kernels narrow it without moving rows; an index may repeat
-// when a built-in yields the same binding more than once, preserving the
-// scalar executor's duplicate solutions). Rows carry an implicit derivation
-// count of one -- every selected row is exactly one body solution, which is
-// what keeps Relation's per-row derivation counts exact under batching.
+// A chunk of bound rows. Each row is `width` interned term pointers (one
+// per plan slot); `sel` lists the active rows in enumeration order (filter
+// kernels narrow it without moving rows; an index may repeat when a
+// built-in yields the same binding more than once, preserving duplicate
+// solutions). Rows carry an implicit derivation count of one -- every
+// selected row is exactly one body solution, which is what keeps
+// Relation's per-row derivation counts exact.
+//
+// `capacity` is the row count at which full() reports true (the flush
+// threshold), not an allocation: storage grows as rows are appended and is
+// kept across Reset, so a block reused for many small rule applications
+// allocates only up to the largest row count it has actually held. Row
+// pointers stay valid until the next append.
 class TupleBlock {
  public:
   void Reset(size_t width, size_t capacity) {
     width_ = width;
     capacity_ = capacity;
-    data_.resize(width * capacity);
-    sel_.clear();
-    rows_ = 0;
+    allocated_rows_ = width == 0 ? SIZE_MAX : data_.size() / width;
+    Clear();
   }
   void Clear() {
     sel_.clear();
@@ -81,9 +78,8 @@ class TupleBlock {
   }
 
   size_t width() const { return width_; }
-  size_t capacity() const { return capacity_; }
   size_t row_count() const { return rows_; }
-  bool full() const { return rows_ == capacity_; }
+  bool full() const { return rows_ >= capacity_; }
   bool empty() const { return sel_.empty(); }
 
   const std::vector<uint32_t>& sel() const { return sel_; }
@@ -93,12 +89,16 @@ class TupleBlock {
   const Term* const* row(size_t i) const { return data_.data() + i * width_; }
 
   // Appends a copy of `src` (width terms) as a selected row and returns the
-  // writable copy (kernels bind new slots into it). Caller checks full().
+  // writable copy (kernels bind new slots into it).
   const Term** AppendRow(const Term* const* src) {
-    const Term** dst = row(rows_);
-    for (size_t i = 0; i < width_; ++i) dst[i] = src[i];
-    sel_.push_back(static_cast<uint32_t>(rows_));
-    ++rows_;
+    const Term** dst = Grow();
+    std::copy(src, src + width_, dst);
+    return dst;
+  }
+  // Appends a selected row with every slot unbound.
+  const Term** AppendUnboundRow() {
+    const Term** dst = Grow();
+    std::fill(dst, dst + width_, nullptr);
     return dst;
   }
   // Drops the most recently appended row (a match program that failed
@@ -109,16 +109,26 @@ class TupleBlock {
   }
 
  private:
+  const Term** Grow() {
+    if (rows_ == allocated_rows_) {
+      allocated_rows_ = std::max<size_t>(2 * allocated_rows_, 8);
+      data_.resize(allocated_rows_ * width_);
+    }
+    sel_.push_back(static_cast<uint32_t>(rows_));
+    return row(rows_++);
+  }
+
   std::vector<const Term*> data_;
   std::vector<uint32_t> sel_;
   size_t width_ = 0;
   size_t capacity_ = 0;
   size_t rows_ = 0;
+  size_t allocated_rows_ = 0;  // rows data_ holds at the current width
 };
 
-// Flat accumulator for head tuples of one fixed arity: the batch emit
-// buffer. Replaces std::vector<Tuple> (one heap allocation per solution)
-// with a single growing array the engine inserts from at the merge barrier.
+// Flat accumulator for head tuples of one fixed arity: the emit buffer.
+// Replaces std::vector<Tuple> (one heap allocation per solution) with a
+// single growing array the engine inserts from at the merge barrier.
 class RowBuffer {
  public:
   explicit RowBuffer(size_t width) : width_(width) {}
@@ -151,60 +161,41 @@ class RowBuffer {
 // Receives each block of completed body solutions (all plan slots bound,
 // `sel` in enumeration order). Return false to stop the enumeration; the
 // stop is block-granular (the delivered block was already counted whole),
-// so sinks that need scalar-identical counters must consume every block --
-// the engine's sinks only stop on error, where counters are moot.
+// so sinks that need exact counters must consume every block -- the
+// engine's sinks only stop on error, where counters are moot.
 using BlockFn = std::function<bool(const TupleBlock&)>;
 
-// Drives one compiled (rule, plan) pair block-at-a-time. Construction
-// allocates the per-step blocks and scratch once; Run may be called
-// repeatedly (the engine reuses one executor per rule application).
-class BlockExecutor {
- public:
-  BlockExecutor(TermFactory* factory, const RuleIr* rule, const JoinPlan* plan,
-                BuiltinLimits limits, size_t block_rows = kDefaultBlockRows);
-
-  // Enumerates body solutions against `db`, handing completed blocks to
-  // `sink`. `windows` is indexed by body literal position, as in
-  // RuleEvaluator::ForEachSolution. Counter-for-counter equivalent to the
-  // scalar plan executor (see file comment).
-  Status Run(const Database& db, const std::vector<LiteralWindow>& windows,
-             const BlockFn& sink, EvalStats* stats);
-
- private:
-  // Expands `in`'s selected rows through step `depth` into blocks_[depth],
-  // flushing downstream whenever a block fills; drains fully on return.
-  Status ProcessBlock(const Database& db,
-                      const std::vector<LiteralWindow>& windows, size_t depth,
-                      TupleBlock& in, const BlockFn& sink, EvalStats* stats);
-
-  TermFactory* factory_;
-  const RuleIr* rule_;
-  const JoinPlan* plan_;
-  BuiltinLimits limits_;
-  size_t block_rows_;
-
-  // Per-step working storage. Scratch must be per step, not shared: a flush
-  // re-enters ProcessBlock for the downstream step while the upstream step
-  // is still iterating its own scratch.
+// Working storage of one running RuleEvaluator: the root input block, one
+// output block per plan step, and the kernels' per-step scratch. Scratch is
+// per step, not shared: a flush re-enters the downstream step while the
+// upstream step is still iterating its own scratch.
+struct BlockStorage {
   struct StepScratch {
     std::vector<const Term*> keys;   // probe keys, step.probe.size() per row
     std::vector<uint64_t> hashes;    // precomputed key hash per selected row
     std::vector<uint32_t> live_rows; // gathered live row ids (scan kernel)
     std::vector<uint32_t> sel;       // refined selection (filter kernels)
   };
-
-  bool keep_going_ = true;
-  TupleBlock root_;                  // one all-null row feeding step 0
-  std::vector<TupleBlock> blocks_;   // blocks_[d]: output block of step d
-  std::vector<StepScratch> scratch_;
+  TupleBlock root;
+  std::vector<TupleBlock> blocks;  // blocks[d]: output block of step d
+  std::vector<StepScratch> scratch;
 };
 
-// Emit kernel: builds the head row for every selected solution in `block`
-// straight from plan slots into `out`. Only valid for plans with
-// head_simple(); returns false if a head slot is unbound (an internal
-// error the caller reports).
-bool EmitHeadBlock(const JoinPlan& plan, const TupleBlock& block,
-                   RowBuffer* out);
+// Recycles BlockStorage across rule applications, so the blocks' grown
+// capacity outlives the short-lived evaluators the engine builds per
+// application. An evaluator takes a storage on its first run and returns it
+// when destroyed; a storage belongs to one evaluator at a time, so nested
+// and concurrent evaluators never share one. The free list is guarded by a
+// mutex (worker-pool tasks draw from the same pool).
+class BlockStoragePool {
+ public:
+  std::unique_ptr<BlockStorage> Acquire();
+  void Release(std::unique_ptr<BlockStorage> storage);
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<BlockStorage>> free_;
+};
 
 }  // namespace ldl
 

@@ -35,6 +35,18 @@ std::vector<int> RecursiveOccurrences(const RuleIr& rule,
   return result;
 }
 
+// The syntactic order with body literal `occurrence` evaluated first, or
+// the default order when no evaluable order fronts it. Fronting a pinned
+// occurrence is only a join-order optimization: windows bind to body
+// positions, so any order is correct.
+StatusOr<std::vector<int>> FrontedOrder(const Catalog& catalog,
+                                        const RuleIr& rule, size_t occurrence) {
+  StatusOr<std::vector<int>> fronted =
+      OrderBodyLiterals(catalog, rule, static_cast<int>(occurrence));
+  if (fronted.ok()) return fronted;
+  return OrderBodyLiterals(catalog, rule);
+}
+
 // Rounds a cardinality estimate into a profile counter (est_rows).
 uint64_t EstimateToCounter(double est) {
   if (!(est > 0.0)) return 0;  // also filters NaN
@@ -74,62 +86,6 @@ class ScopedSetInternCounter {
   size_t before_;
 };
 
-// Enumerates `evaluator`'s body solutions into `produced`, one head row per
-// solution, using the batch pipeline when `options.batch` is on and the
-// evaluator has a compiled plan, the scalar executor otherwise. Both paths
-// buffer productions -- inserting while enumerating would invalidate row
-// references for self-recursive rules -- and both skip outside-U heads.
-// Simple heads on the batch path are built straight from plan slots
-// (EmitHeadBlock); complex heads instantiate per row through a SolutionView
-// over the block row, exactly as the scalar path does.
-Status EnumerateIntoRows(RuleEvaluator& evaluator, const Database& db,
-                         const std::vector<LiteralWindow>& windows,
-                         const EvalOptions& options, RowBuffer* produced,
-                         EvalStats* stats) {
-  Status inner;
-  Status status;
-  if (options.batch && evaluator.has_plan()) {
-    const JoinPlan& plan = *evaluator.plan();
-    status = evaluator.ForEachBlock(
-        db, windows,
-        [&](const TupleBlock& block) {
-          if (plan.head_simple()) {
-            if (!EmitHeadBlock(plan, block, produced)) {
-              inner = InternalError("head variable unbound in a body solution");
-              return false;
-            }
-            return true;
-          }
-          for (uint32_t idx : block.sel()) {
-            SolutionView view(&plan, {block.row(idx), block.width()});
-            InstantiationResult inst = evaluator.InstantiateHead(view);
-            if (inst.unbound) {
-              inner = InternalError("head variable unbound in a body solution");
-              return false;
-            }
-            if (!inst.outside_universe) produced->AppendRow(inst.tuple.data());
-          }
-          return true;
-        },
-        stats, options.batch_block_rows);
-  } else {
-    status = evaluator.ForEachSolution(
-        db, windows,
-        [&](const SolutionView& view) {
-          InstantiationResult inst = evaluator.InstantiateHead(view);
-          if (inst.unbound) {
-            inner = InternalError("head variable unbound in a body solution");
-            return false;
-          }
-          if (!inst.outside_universe) produced->AppendRow(inst.tuple.data());
-          return true;
-        },
-        stats);
-  }
-  LDL_RETURN_IF_ERROR(status);
-  return inner;
-}
-
 }  // namespace
 
 RuleProfileEntry* Engine::ProfileEntry(EvalProfile* profile, const RuleIr& rule,
@@ -153,17 +109,15 @@ Status Engine::ApplyRule(const RuleIr& rule, const std::vector<int>& order,
   EvalStats* s = entry != nullptr ? &local_stats : stats;
   ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
 
-  std::shared_ptr<const JoinPlan> plan;
-  if (options.use_compiled_plans) {
-    plan = plans_->Get(rule, order, &s->plan_cache_hits);
-  }
   RuleEvaluator evaluator(factory_, &rule, order, options.builtin_limits,
-                          std::move(plan), options.use_compiled_plans);
+                          plans_->Get(rule, order, &s->plan_cache_hits),
+                          &block_storage_);
   ++s->rule_firings;
 
+  // Heads are buffered, not inserted while enumerating: inserting would
+  // invalidate row references for self-recursive rules.
   RowBuffer produced(rule.head_args.size());
-  LDL_RETURN_IF_ERROR(
-      EnumerateIntoRows(evaluator, *db, windows, options, &produced, s));
+  LDL_RETURN_IF_ERROR(evaluator.CollectHeads(*db, windows, &produced, s));
 
   for (size_t i = 0; i < produced.size(); ++i) {
     if (db->AddFact(rule.head_pred, produced.row(i))) {
@@ -205,16 +159,13 @@ Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
   } else {
     LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
   }
-  std::shared_ptr<const JoinPlan> plan;
-  if (options.use_compiled_plans) {
-    plan = plans_->Get(rule, order, &s->plan_cache_hits);
-  }
-  RuleEvaluator evaluator(factory_, &rule, std::move(order), options.builtin_limits,
-                          std::move(plan), options.use_compiled_plans);
+  std::shared_ptr<const JoinPlan> plan =
+      plans_->Get(rule, order, &s->plan_cache_hits);
+  RuleEvaluator evaluator(factory_, &rule, order, options.builtin_limits,
+                          std::move(plan), &block_storage_);
   ++s->rule_firings;
   LDL_ASSIGN_OR_RETURN(std::vector<GroupResult> groups,
-                       ComputeGroups(*factory_, evaluator, *db, s, nullptr,
-                                     options.batch, options.batch_block_rows));
+                       ComputeGroups(*factory_, evaluator, *db, s));
   for (const GroupResult& group : groups) {
     if (db->AddFact(rule.head_pred, group.fact)) {
       *derived = true;
@@ -267,10 +218,10 @@ Status Engine::RunTasksParallel(const std::vector<RuleTask>& tasks, Database* db
     // variant instead of one per worker); the evaluator itself is task-local.
     RuleEvaluator evaluator(factory_, task.rule, *task.order,
                             options.builtin_limits, task.plan,
-                            options.use_compiled_plans);
+                            &block_storage_);
     ++local.rule_firings;
-    task_status[i] = EnumerateIntoRows(evaluator, snapshot, task.windows,
-                                       options, &produced[i], &local);
+    task_status[i] =
+        evaluator.CollectHeads(snapshot, task.windows, &produced[i], &local);
   });
   // Merge barrier: single-threaded, in task order, so insertion order --
   // hence row ids, delta windows, and the final model -- is deterministic
@@ -412,9 +363,9 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
         c.delta_variants.emplace_back(occurrence, std::move(order).value());
       }
     }
-    if (parallel && options.use_compiled_plans) {
-      // PlanCache is not thread-safe; resolve every plan a worker could need
-      // up front on this thread.
+    if (parallel) {
+      // Resolve every plan a worker could need up front on this thread:
+      // one cache probe per variant instead of one per task.
       c.default_plan =
           plans_->Get(rule, c.default_order, &stats->plan_cache_hits);
       for (const auto& [occurrence, order] : c.delta_variants) {
@@ -577,7 +528,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
               order = std::move(best).value();
               current_cost = best_cost;
               ++stats->replans;
-              if (parallel && options.use_compiled_plans) {
+              if (parallel) {
                 c.delta_plans[v] =
                     plans_->Get(*c.rule, order, &stats->plan_cache_hits);
               }
@@ -762,9 +713,7 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
       } else {
         LDL_ASSIGN_OR_RETURN(task.order, OrderBodyLiterals(*catalog_, rule));
       }
-      if (options.use_compiled_plans) {
-        task.plan = plans_->Get(rule, task.order, &stats->plan_cache_hits);
-      }
+      task.plan = plans_->Get(rule, task.order, &stats->plan_cache_hits);
       tasks.push_back(std::move(task));
     }
     db->Grow();
@@ -778,11 +727,10 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
       ScopedWallTimer timer(task.entry != nullptr ? &task_wall[i] : nullptr);
       RuleEvaluator evaluator(factory_, task.rule, task.order,
                               options.builtin_limits, task.plan,
-                              options.use_compiled_plans);
+                              &block_storage_);
       ++task_stats[i].rule_firings;
       StatusOr<std::vector<GroupResult>> result =
-          ComputeGroups(*factory_, evaluator, snapshot, &task_stats[i], nullptr,
-                        options.batch, options.batch_block_rows);
+          ComputeGroups(*factory_, evaluator, snapshot, &task_stats[i]);
       if (result.ok()) {
         groups[i] = std::move(result).value();
       } else {
@@ -880,23 +828,10 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
   EvalStats* s = entry != nullptr ? &local_stats : stats;
   ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
 
-  // Z = variables of the non-grouped head arguments, exactly as
-  // ComputeGroups partitions (eval/grouping.cc). Instantiation through the
-  // interner makes key -> non-group head values injective, so the key
-  // identifies the one head fact to replace.
-  std::vector<Symbol> z_vars;
-  for (size_t i = 0; i < rule.head_args.size(); ++i) {
-    if (static_cast<int>(i) == rule.group_index) continue;
-    CollectVars(rule.head_args[i], &z_vars);
-  }
-  const Term* group_var_term = factory_->MakeVar(rule.group_var);
-
-  struct DeltaPartition {
-    Tuple head_values;                // instantiated head args (group slot
-                                      // overwritten at reconciliation)
-    TermFactory::SetBuilder members;  // freshly derived Y values
-  };
-  std::unordered_map<Tuple, DeltaPartition, TupleHash> partitions;
+  // Partitions exactly as ComputeGroups keys them (eval/grouping.cc).
+  // Instantiation through the interner makes key -> non-group head values
+  // injective, so the key identifies the one head fact to replace.
+  GroupPartitions partitions;
 
   // Delta enumeration (semi-naive completeness): any body solution that
   // involves at least one inserted row is found by the variant pinning that
@@ -904,8 +839,6 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
   // several variants contributes duplicate members, which the set union
   // absorbs; solutions made only of pre-update rows are already reflected
   // in the materialized groups and are never re-enumerated.
-  Tuple key;
-  Status inner_status;
   for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
     const LiteralIr& occ_literal = rule.body[occurrence];
     if (occ_literal.is_builtin()) continue;  // eligibility bars negation
@@ -918,23 +851,13 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
     const size_t rows = db->relation(pred).row_count();
     if (mark >= rows) continue;
 
-    // Fronting the delta occurrence is only a join-order optimization; fall
-    // back to the default order when no forced order is evaluable.
-    std::vector<int> order;
-    StatusOr<std::vector<int>> forced =
-        OrderBodyLiterals(*catalog_, rule, static_cast<int>(occurrence));
-    if (forced.ok()) {
-      order = std::move(forced).value();
-    } else {
-      LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
-    }
-    std::shared_ptr<const JoinPlan> plan;
-    if (options.use_compiled_plans) {
-      plan = plans_->Get(rule, order, &s->plan_cache_hits);
-    }
-    RuleEvaluator evaluator(factory_, &rule, std::move(order),
+    LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                         FrontedOrder(*catalog_, rule, occurrence));
+    std::shared_ptr<const JoinPlan> plan =
+        plans_->Get(rule, order, &s->plan_cache_hits);
+    RuleEvaluator evaluator(factory_, &rule, order,
                             options.builtin_limits, std::move(plan),
-                            options.use_compiled_plans);
+                            &block_storage_);
     ++s->rule_firings;
 
     std::vector<LiteralWindow> windows(rule.body.size());
@@ -946,64 +869,8 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
     }
     windows[occurrence] = {mark, rows};
     if (entry != nullptr) entry->counters.delta_rows += rows - mark;
-
-    Status status = evaluator.ForEachSolution(
-        *db, windows,
-        [&](const SolutionView& view) {
-          key.clear();
-          key.reserve(z_vars.size());
-          for (Symbol var : z_vars) {
-            const Term* value = view.Lookup(var);
-            if (value == nullptr || !value->ground()) {
-              inner_status = InternalError(
-                  "grouping key variable unbound in a body solution");
-              return false;
-            }
-            key.push_back(value);
-          }
-          const Term* y;
-          if (view.subst() == nullptr) {
-            y = view.Lookup(rule.group_var);
-            if (y == nullptr) {
-              inner_status = InternalError(
-                  "grouped variable unbound in a body solution");
-              return false;
-            }
-          } else {
-            bool y_ground = true;
-            y = InstantiateGround(*factory_, group_var_term, *view.subst(),
-                                  &y_ground);
-            if (y == nullptr) {
-              if (!y_ground) {
-                inner_status = InternalError(
-                    "grouped variable unbound in a body solution");
-                return false;
-              }
-              return true;  // outside U: contributes no element
-            }
-          }
-          auto it = partitions.find(key);
-          if (it == partitions.end()) {
-            InstantiationResult head = evaluator.InstantiateHead(view);
-            if (head.unbound) {
-              inner_status =
-                  InternalError("head variable unbound under grouping");
-              return false;
-            }
-            if (head.outside_universe) return true;
-            DeltaPartition partition{std::move(head.tuple),
-                                     TermFactory::SetBuilder(factory_)};
-            partition.members.Add(y);
-            partitions.emplace(std::move(key), std::move(partition));
-            key = Tuple();
-          } else {
-            it->second.members.Add(y);
-          }
-          return true;
-        },
-        s);
-    LDL_RETURN_IF_ERROR(status);
-    LDL_RETURN_IF_ERROR(inner_status);
+    LDL_RETURN_IF_ERROR(CollectGroupMembers(*factory_, evaluator, *db, windows,
+                                            &partitions, s));
   }
 
   // Reconcile each affected partition against the materialized head fact:
@@ -1241,23 +1108,13 @@ Status Engine::EvaluateStratumShrink(
             !has_deletions(occ_literal.pred)) {
           continue;
         }
-        // Fronting the pinned occurrence is only a join-order optimization;
-        // fall back to the default order when no forced order is evaluable.
-        std::vector<int> order;
-        StatusOr<std::vector<int>> forced =
-            OrderBodyLiterals(*catalog_, rule, static_cast<int>(occurrence));
-        if (forced.ok()) {
-          order = std::move(forced).value();
-        } else {
-          LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
-        }
-        std::shared_ptr<const JoinPlan> plan;
-        if (options.use_compiled_plans) {
-          plan = plans_->Get(rule, order, &stats->plan_cache_hits);
-        }
-        RuleEvaluator evaluator(factory_, &rule, std::move(order),
+        LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                             FrontedOrder(*catalog_, rule, occurrence));
+        std::shared_ptr<const JoinPlan> plan =
+            plans_->Get(rule, order, &stats->plan_cache_hits);
+        RuleEvaluator evaluator(factory_, &rule, order,
                                 options.builtin_limits, std::move(plan),
-                                options.use_compiled_plans);
+                                &block_storage_);
 
         std::vector<std::pair<Relation*, size_t>> revived;
         for (size_t j = 0; j < occurrence; ++j) {
@@ -1286,38 +1143,30 @@ Status Engine::EvaluateStratumShrink(
               (*removed_rows)[occ_literal.pred].size();
         }
         Relation& occ_rel = db->relation(occ_literal.pred);
-        Status inner;
+        RowBuffer lost(rule.head_args.size());
         Status status;
         for (size_t rid : (*removed_rows)[occ_literal.pred]) {
           occ_rel.SetLive(rid, true);
           windows[occurrence] = {rid, rid + 1};
-          status = evaluator.ForEachSolution(
-              *db, windows,
-              [&](const SolutionView& view) {
-                InstantiationResult inst = evaluator.InstantiateHead(view);
-                if (inst.unbound) {
-                  inner = InternalError(
-                      "head variable unbound in a body solution");
-                  return false;
-                }
-                if (inst.outside_universe) return true;
-                size_t head_row = head_rel.Find(inst.tuple);
-                if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
-                  return true;
-                }
-                ++stats->count_decrements;
-                if (head_rel.DecrementDerivation(head_row)) {
-                  (*removed_rows)[rule.head_pred].push_back(head_row);
-                }
-                return true;
-              },
-              stats);
+          lost.Clear();
+          status = evaluator.CollectHeads(*db, windows, &lost, stats);
           occ_rel.SetLive(rid, false);
-          if (!status.ok() || !inner.ok()) break;
+          if (!status.ok()) break;
+          // The stratum is non-recursive, so the head relation is not in
+          // the body and decrementing after the enumeration is equivalent.
+          for (size_t i = 0; i < lost.size(); ++i) {
+            size_t head_row = head_rel.Find(lost.row(i));
+            if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
+              continue;
+            }
+            ++stats->count_decrements;
+            if (head_rel.DecrementDerivation(head_row)) {
+              (*removed_rows)[rule.head_pred].push_back(head_row);
+            }
+          }
         }
         for (auto& [rel, row] : revived) rel->SetLive(row, false);
         LDL_RETURN_IF_ERROR(status);
-        LDL_RETURN_IF_ERROR(inner);
       }
     }
     ++stats->strata_delta;
@@ -1332,10 +1181,8 @@ Status Engine::EvaluateStratumShrink(
     ++stats->strata_overdeleted;
 
     struct ShrinkVariant {
-      const RuleIr* rule;
       size_t occurrence;
-      std::vector<int> order;
-      std::shared_ptr<const JoinPlan> plan;
+      RuleEvaluator evaluator;
       RuleProfileEntry* entry;
     };
     std::unordered_map<PredId, std::vector<ShrinkVariant>> variants_by_pred;
@@ -1351,18 +1198,16 @@ Status Engine::EvaluateStratumShrink(
             !(literal.pred < is_head.size() && is_head[literal.pred])) {
           continue;
         }
-        ShrinkVariant v{&rule, i, {}, nullptr, entry};
-        StatusOr<std::vector<int>> forced =
-            OrderBodyLiterals(*catalog_, rule, static_cast<int>(i));
-        if (forced.ok()) {
-          v.order = std::move(forced).value();
-        } else {
-          LDL_ASSIGN_OR_RETURN(v.order, OrderBodyLiterals(*catalog_, rule));
-        }
-        if (options.use_compiled_plans) {
-          v.plan = plans_->Get(rule, v.order, &stats->plan_cache_hits);
-        }
-        variants_by_pred[literal.pred].push_back(std::move(v));
+        LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                             FrontedOrder(*catalog_, rule, i));
+        std::shared_ptr<const JoinPlan> plan =
+            plans_->Get(rule, order, &stats->plan_cache_hits);
+        variants_by_pred[literal.pred].push_back(ShrinkVariant{
+            i,
+            RuleEvaluator(factory_, &rule, order,
+                          options.builtin_limits, std::move(plan),
+                          &block_storage_),
+            entry});
       }
     }
 
@@ -1396,13 +1241,10 @@ Status Engine::EvaluateStratumShrink(
       auto it = variants_by_pred.find(q);
       if (it == variants_by_pred.end()) continue;
       for (ShrinkVariant& v : it->second) {
-        if (v.rule->body[v.occurrence].pred != q) continue;
-        RuleEvaluator evaluator(factory_, v.rule, v.order,
-                                options.builtin_limits, v.plan,
-                                options.use_compiled_plans);
-        std::vector<LiteralWindow> windows(v.rule->body.size());
-        for (size_t j = 0; j < v.rule->body.size(); ++j) {
-          const LiteralIr& literal = v.rule->body[j];
+        const RuleIr& rule = v.evaluator.rule();
+        std::vector<LiteralWindow> windows(rule.body.size());
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          const LiteralIr& literal = rule.body[j];
           if (!literal.is_builtin() && !literal.negated) {
             windows[j] = {0, watermark_of(literal.pred)};
           }
@@ -1413,30 +1255,21 @@ Status Engine::EvaluateStratumShrink(
           ++v.entry->counters.firings;
           ++v.entry->counters.delta_rows;
         }
-        Relation& head_rel = db->relation(v.rule->head_pred);
-        Status inner;
-        Status status = evaluator.ForEachSolution(
-            *db, windows,
-            [&](const SolutionView& view) {
-              InstantiationResult inst = evaluator.InstantiateHead(view);
-              if (inst.unbound) {
-                inner = InternalError(
-                    "head variable unbound in a body solution");
-                return false;
-              }
-              if (inst.outside_universe) return true;
-              size_t head_row = head_rel.Find(inst.tuple);
-              if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
-                return true;
-              }
-              if (marked[v.rule->head_pred].insert(head_row).second) {
-                worklist.emplace_back(v.rule->head_pred, head_row);
-              }
-              return true;
-            },
-            stats);
-        phase1 = status.ok() ? inner : status;
+        RowBuffer consequences(rule.head_args.size());
+        phase1 = v.evaluator.CollectHeads(*db, windows, &consequences, stats);
         if (!phase1.ok()) break;
+        // Marking keeps rows live, so the enumeration above saw the same
+        // state whether the marks land during or after it.
+        Relation& head_rel = db->relation(rule.head_pred);
+        for (size_t i = 0; i < consequences.size(); ++i) {
+          size_t head_row = head_rel.Find(consequences.row(i));
+          if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
+            continue;
+          }
+          if (marked[rule.head_pred].insert(head_row).second) {
+            worklist.emplace_back(rule.head_pred, head_row);
+          }
+        }
       }
     }
     // Deleted rows go back to being tombstones whether or not phase 1
@@ -1460,13 +1293,13 @@ Status Engine::EvaluateStratumShrink(
     }
 
     // ---- DRed phase 2: rederive over-deleted facts that still have a
-    // derivation from the surviving state. The head tuple seeds the body
-    // evaluation (MatchArgs binds the head variables; the legacy
-    // interpreter honors seeded substitutions), so each candidate costs one
-    // targeted existence check instead of re-running the stratum. Rederived
-    // rows revive in place -- keeping their ids, so downstream deltas are
-    // unaffected -- and can support other candidates, hence the fixpoint
-    // rounds. Fact-rule tuples survive unconditionally.
+    // derivation from the surviving state. Each rule runs a head-seeded plan
+    // (head variables bound before the first step; the unifiers of the head
+    // with the candidate fact form the root input block), so each candidate
+    // costs one targeted existence check instead of re-running the stratum.
+    // Rederived rows revive in place -- keeping their ids, so downstream
+    // deltas are unaffected -- and can support other candidates, hence the
+    // fixpoint rounds. Fact-rule tuples survive unconditionally.
     for (int r : fact_rules) {
       const RuleIr& rule = program.rules[r];
       InstantiationResult inst =
@@ -1489,11 +1322,12 @@ Status Engine::EvaluateStratumShrink(
       } else {
         LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
       }
-      rederivers[rule.head_pred].emplace_back(factory_, &rule, std::move(order),
-                                              options.builtin_limits, nullptr,
-                                              /*use_plan=*/false);
+      std::shared_ptr<const JoinPlan> plan = plans_->Get(
+          rule, order, &stats->plan_cache_hits, /*head_seeded=*/true);
+      rederivers[rule.head_pred].emplace_back(factory_, &rule, order,
+                                              options.builtin_limits,
+                                              std::move(plan), &block_storage_);
     }
-    const std::vector<LiteralWindow> no_windows;
     std::vector<std::pair<PredId, size_t>> dead;
     for (const auto& [h, row] : overdeleted) {
       if (!db->relation(h).IsLive(row)) dead.emplace_back(h, row);
@@ -1509,24 +1343,13 @@ Status Engine::EvaluateStratumShrink(
         auto it = rederivers.find(h);
         if (it != rederivers.end()) {
           for (RuleEvaluator& evaluator : it->second) {
-            Subst subst;
-            Status inner;
-            MatchArgs(*factory_, evaluator.rule().head_args, tuple, &subst,
-                      [&]() {
-                        Status status = evaluator.ForEachSolutionSeeded(
-                            *db, no_windows, &subst,
-                            [&](const SolutionView&) {
-                              found = true;
-                              return false;
-                            },
-                            stats);
-                        if (!status.ok()) {
-                          inner = status;
-                          return false;
-                        }
-                        return !found;
-                      });
-            LDL_RETURN_IF_ERROR(inner);
+            LDL_RETURN_IF_ERROR(evaluator.ForEachBlockDeriving(
+                *db, tuple,
+                [&](const TupleBlock&) {
+                  found = true;
+                  return false;
+                },
+                stats));
             if (found) break;
           }
         }
@@ -1906,12 +1729,9 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
   // and it re-enters Fixpoint once per global round, so cost-based
   // planning would be repaid on every round of every sub-millisecond
   // bound query. `sat_options` turns the planner off for the inner
-  // fixpoints too. Block execution is off for the same reason: magic
-  // rounds push a handful of rows per rule invocation, so block setup
-  // costs more than the per-row dispatch it amortizes (DESIGN.md §12).
+  // fixpoints too.
   EvalOptions sat_options = options;
   sat_options.cost_based = false;
-  sat_options.batch = false;
   std::vector<std::vector<int>> negation_orders;
   for (int r : negation_rules) {
     LDL_ASSIGN_OR_RETURN(std::vector<int> order,
@@ -1950,18 +1770,14 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
       EvalStats* gs = entry != nullptr ? &group_local : stats;
       ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns
                                              : nullptr);
-      std::shared_ptr<const JoinPlan> plan;
-      if (options.use_compiled_plans) {
-        plan = plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits);
-      }
-      RuleEvaluator evaluator(factory_, &rule, grouping_orders[g],
-                              options.builtin_limits, std::move(plan),
-                              options.use_compiled_plans);
+      RuleEvaluator evaluator(
+          factory_, &rule, grouping_orders[g], options.builtin_limits,
+          plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits),
+          &block_storage_);
       ++gs->rule_firings;
       LDL_ASSIGN_OR_RETURN(
           std::vector<GroupResult> groups,
-          ComputeGroups(*factory_, evaluator, *db, gs, &group_caches[g],
-                        sat_options.batch, sat_options.batch_block_rows));
+          ComputeGroups(*factory_, evaluator, *db, gs, &group_caches[g]));
       for (GroupResult& group : groups) {
         auto it = emitted[g].find(group.key);
         if (it == emitted[g].end()) {

@@ -56,9 +56,6 @@ struct EvalOptions {
   size_t max_rounds = 1u << 20;
   size_t max_facts = 1u << 26;
   BuiltinLimits builtin_limits;
-  // Execute rule bodies through compiled join plans (eval/plan.h). Off runs
-  // the legacy substitution interpreter; kept for equivalence testing.
-  bool use_compiled_plans = true;
   // Pick join orders with the statistics-driven cost model (eval/cost.h)
   // instead of the syntactic most-bound-args heuristic, and re-cost the
   // semi-naive delta variants each round against the delta-window sizes
@@ -77,15 +74,6 @@ struct EvalOptions {
   // EvalProfile* the caller passes alongside stats. Off, the engine never
   // reads the clock; the hot-path cost is one null test per application.
   bool profile = false;
-  // Execute compiled plans block-at-a-time through the batch kernels of
-  // eval/batch.h: bindings travel in TupleBlocks and head rows are emitted
-  // in bulk (DESIGN.md §12). Solution order, derivation counts, and every
-  // deterministic counter match the scalar executor exactly. Off forces the
-  // scalar tuple-at-a-time path (the equivalence suite runs both); no
-  // effect when use_compiled_plans is false, which has no plans to batch.
-  bool batch = true;
-  // Rows per TupleBlock on the batch path (0 falls back to the default).
-  size_t batch_block_rows = kDefaultBlockRows;
 };
 
 class Engine {
@@ -319,6 +307,10 @@ class Engine {
   // owned_plans_ unless the constructor was handed a shared cache.
   PlanCache owned_plans_;
   PlanCache* plans_;
+  // Block storage recycled across rule applications (and across the
+  // worker-pool tasks of a parallel round), so the many small applications
+  // of a magic saturation or a delta round do not regrow their blocks.
+  BlockStoragePool block_storage_;
   // Lazily created worker pool for num_threads > 1; persists across rounds
   // and evaluations so round barriers cost a wakeup, not a thread spawn.
   std::unique_ptr<WorkerPool> pool_;

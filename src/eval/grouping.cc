@@ -7,20 +7,88 @@
 
 namespace ldl {
 
-namespace {
+Status CollectGroupMembers(TermFactory& factory, RuleEvaluator& evaluator,
+                           const Database& db,
+                           const std::vector<LiteralWindow>& windows,
+                           GroupPartitions* partitions, EvalStats* stats) {
+  const RuleIr& rule = evaluator.rule();
+  const JoinPlan& plan = evaluator.plan();
 
-struct Partition {
-  Tuple head_values;                // instantiated non-grouped head args
-  TermFactory::SetBuilder members;  // collected Y values (deduped at Build)
-};
-using PartitionMap = std::unordered_map<Tuple, Partition, TupleHash>;
+  // Z = variables of the non-grouped head arguments (§2.2). Z may include
+  // the grouped variable itself, in which case groups are singletons. Their
+  // values are read straight from plan slots resolved once up front; slots
+  // hold evaluated ground terms.
+  std::vector<Symbol> z_vars;
+  for (size_t i = 0; i < rule.head_args.size(); ++i) {
+    if (static_cast<int>(i) == rule.group_index) continue;
+    CollectVars(rule.head_args[i], &z_vars);
+  }
+  std::vector<int> z_slots;
+  z_slots.reserve(z_vars.size());
+  for (Symbol var : z_vars) z_slots.push_back(plan.SlotOf(var));
+  const int group_slot = plan.SlotOf(rule.group_var);
 
-// Canonicalizes the accumulated partitions into GroupResults, consulting
-// the cross-round group cache (see GroupCacheEntry). Shared by the batch
-// and scalar enumerations in ComputeGroups, so the two paths cannot drift.
-std::vector<GroupResult> FinishGroups(const RuleIr& rule,
-                                      PartitionMap partitions, EvalStats* stats,
-                                      GroupCache* cache) {
+  // The key tuple is rebuilt per solution but the buffer is hoisted out of
+  // the hot lambda; it only relocates into the map on a fresh partition.
+  Tuple key;
+  Status inner;
+  LDL_RETURN_IF_ERROR(evaluator.ForEachBlock(
+      db, windows,
+      [&](const TupleBlock& block) {
+        for (uint32_t idx : block.sel()) {
+          const Term* const* src = block.row(idx);
+          key.clear();
+          key.reserve(z_slots.size());
+          for (int slot : z_slots) {
+            const Term* value = slot >= 0 ? src[slot] : nullptr;
+            if (value == nullptr || !value->ground()) {
+              inner = InternalError(
+                  "grouping key variable unbound in a body solution");
+              return false;
+            }
+            key.push_back(value);
+          }
+          const Term* y = group_slot >= 0 ? src[group_slot] : nullptr;
+          if (y == nullptr) {
+            inner = InternalError("grouped variable unbound in a body solution");
+            return false;
+          }
+          auto it = partitions->find(key);
+          if (it != partitions->end()) {
+            it->second.members.Add(y);
+            continue;
+          }
+          InstantiationResult head =
+              evaluator.InstantiateHead(SolutionView(&plan, {src, block.width()}));
+          if (head.unbound) {
+            inner = InternalError("head variable unbound under grouping");
+            return false;
+          }
+          if (head.outside_universe) continue;  // no U-fact for this key
+          GroupPartition partition{std::move(head.tuple),
+                                   TermFactory::SetBuilder(&factory)};
+          partition.members.Add(y);
+          partitions->emplace(std::move(key), std::move(partition));
+          key = Tuple();
+        }
+        return true;
+      },
+      stats));
+  return inner;
+}
+
+StatusOr<std::vector<GroupResult>> ComputeGroups(
+    TermFactory& factory, RuleEvaluator& evaluator, const Database& db,
+    EvalStats* stats, GroupCache* cache) {
+  const RuleIr& rule = evaluator.rule();
+  if (!rule.is_grouping()) {
+    return InternalError("ComputeGroups called on a non-grouping rule");
+  }
+  GroupPartitions partitions;
+  LDL_RETURN_IF_ERROR(
+      CollectGroupMembers(factory, evaluator, db, {}, &partitions, stats));
+
+  // Canonicalize the partitions, consulting the cross-round group cache.
   std::vector<GroupResult> results;
   results.reserve(partitions.size());
   for (auto& [partition_key, partition] : partitions) {
@@ -32,13 +100,13 @@ std::vector<GroupResult> FinishGroups(const RuleIr& rule,
       if (it != cache->end() && it->second.member_count == member_count) {
         // Unchanged member multiset (see GroupCacheEntry): reuse the
         // canonical fact without re-sorting or re-interning.
-        if (stats != nullptr) ++stats->groups_reused;
+        ++stats->groups_reused;
         result.fact = it->second.fact;
         results.push_back(std::move(result));
         continue;
       }
     }
-    if (stats != nullptr) ++stats->groups_built;
+    ++stats->groups_built;
     result.fact = std::move(partition.head_values);
     result.fact[rule.group_index] = partition.members.Build();
     if (cache != nullptr) {
@@ -47,155 +115,6 @@ std::vector<GroupResult> FinishGroups(const RuleIr& rule,
     results.push_back(std::move(result));
   }
   return results;
-}
-
-}  // namespace
-
-StatusOr<std::vector<GroupResult>> ComputeGroups(
-    TermFactory& factory, RuleEvaluator& evaluator, const Database& db,
-    EvalStats* stats, GroupCache* cache, bool batch,
-    size_t batch_block_rows) {
-  const RuleIr& rule = evaluator.rule();
-  if (!rule.is_grouping()) {
-    return InternalError("ComputeGroups called on a non-grouping rule");
-  }
-
-  // Z = variables of the non-grouped head arguments (§2.2). Z may include
-  // the grouped variable itself, in which case groups are singletons.
-  std::vector<Symbol> z_vars;
-  for (size_t i = 0; i < rule.head_args.size(); ++i) {
-    if (static_cast<int>(i) == rule.group_index) continue;
-    CollectVars(rule.head_args[i], &z_vars);
-  }
-  const Term* group_var_term = factory.MakeVar(rule.group_var);
-
-  PartitionMap partitions;
-
-  // The key tuple is rebuilt per solution but the buffer is hoisted out of
-  // the hot lambda; it only relocates into the map on a fresh partition.
-  Tuple key;
-  Status inner_status;
-  Status status;
-  if (batch && evaluator.has_plan()) {
-    // Block path: Z and Y values read straight from plan slots resolved
-    // once up front (the scalar path's per-solution Lookup binary-searches
-    // var_slots every time). Plan-executor slots hold evaluated ground
-    // terms, so the key/ground checks mirror the plan branch below exactly.
-    const JoinPlan* plan = evaluator.plan();
-    std::vector<int> z_slots;
-    z_slots.reserve(z_vars.size());
-    for (Symbol var : z_vars) z_slots.push_back(plan->SlotOf(var));
-    const int group_slot = plan->SlotOf(rule.group_var);
-    status = evaluator.ForEachBlock(
-        db, {},
-        [&](const TupleBlock& block) {
-          for (uint32_t idx : block.sel()) {
-            const Term* const* src = block.row(idx);
-            key.clear();
-            key.reserve(z_slots.size());
-            for (int slot : z_slots) {
-              const Term* value = slot >= 0 ? src[slot] : nullptr;
-              if (value == nullptr || !value->ground()) {
-                inner_status = InternalError(
-                    "grouping key variable unbound in a body solution");
-                return false;
-              }
-              key.push_back(value);
-            }
-            const Term* y = group_slot >= 0 ? src[group_slot] : nullptr;
-            if (y == nullptr) {
-              inner_status =
-                  InternalError("grouped variable unbound in a body solution");
-              return false;
-            }
-            auto it = partitions.find(key);
-            if (it == partitions.end()) {
-              SolutionView view(plan, {src, block.width()});
-              InstantiationResult head = evaluator.InstantiateHead(view);
-              if (head.unbound) {
-                inner_status =
-                    InternalError("head variable unbound under grouping");
-                return false;
-              }
-              if (head.outside_universe) continue;  // no U-fact for this key
-              Partition partition{std::move(head.tuple),
-                                  TermFactory::SetBuilder(&factory)};
-              partition.members.Add(y);
-              partitions.emplace(std::move(key), std::move(partition));
-              key = Tuple();
-            } else {
-              it->second.members.Add(y);
-            }
-          }
-          return true;
-        },
-        stats, batch_block_rows);
-    LDL_RETURN_IF_ERROR(status);
-    LDL_RETURN_IF_ERROR(inner_status);
-    return FinishGroups(rule, std::move(partitions), stats, cache);
-  }
-  status = evaluator.ForEachSolution(
-      db, {},
-      [&](const SolutionView& view) {
-        // Key: the Z-variable values.
-        key.clear();
-        key.reserve(z_vars.size());
-        for (Symbol var : z_vars) {
-          const Term* value = view.Lookup(var);
-          if (value == nullptr || !value->ground()) {
-            inner_status = InternalError(
-                "grouping key variable unbound in a body solution");
-            return false;
-          }
-          key.push_back(value);
-        }
-        // Y: the grouped value. Plan-executor slots hold evaluated ground
-        // terms already; the legacy substitution may still need the pattern
-        // instantiated (scons evaluation, outside-U detection).
-        const Term* y;
-        if (view.subst() == nullptr) {
-          y = view.Lookup(rule.group_var);
-          if (y == nullptr) {
-            inner_status =
-                InternalError("grouped variable unbound in a body solution");
-            return false;
-          }
-        } else {
-          bool y_ground = true;
-          y = InstantiateGround(factory, group_var_term, *view.subst(), &y_ground);
-          if (y == nullptr) {
-            if (!y_ground) {
-              inner_status =
-                  InternalError("grouped variable unbound in a body solution");
-              return false;
-            }
-            return true;  // outside U: contributes no element
-          }
-        }
-
-        auto it = partitions.find(key);
-        if (it == partitions.end()) {
-          // Instantiate the head argument values for this partition.
-          InstantiationResult head = evaluator.InstantiateHead(view);
-          if (head.unbound) {
-            inner_status = InternalError("head variable unbound under grouping");
-            return false;
-          }
-          if (head.outside_universe) return true;  // no U-fact for this key
-          Partition partition{std::move(head.tuple),
-                              TermFactory::SetBuilder(&factory)};
-          partition.members.Add(y);
-          partitions.emplace(std::move(key), std::move(partition));
-          key = Tuple();
-        } else {
-          it->second.members.Add(y);
-        }
-        return true;
-      },
-      stats);
-  LDL_RETURN_IF_ERROR(status);
-  LDL_RETURN_IF_ERROR(inner_status);
-  return FinishGroups(rule, std::move(partitions), stats, cache);
 }
 
 }  // namespace ldl

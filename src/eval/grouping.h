@@ -38,18 +38,30 @@ struct GroupCacheEntry {
 };
 using GroupCache = std::unordered_map<Tuple, GroupCacheEntry, TupleHash>;
 
+// One partition of a grouping rule's body solutions: the instantiated
+// non-grouped head values and the Y values collected so far.
+struct GroupPartition {
+  Tuple head_values;
+  TermFactory::SetBuilder members;  // deduped at Build
+};
+using GroupPartitions = std::unordered_map<Tuple, GroupPartition, TupleHash>;
+
+// Adds the grouped (Y) value of every body solution of `evaluator`'s
+// grouping rule under `windows` to the partition of its Z key, creating the
+// partition (with its instantiated head values) on first sight. Solutions
+// whose head falls outside U open no partition.
+Status CollectGroupMembers(TermFactory& factory, RuleEvaluator& evaluator,
+                           const Database& db,
+                           const std::vector<LiteralWindow>& windows,
+                           GroupPartitions* partitions, EvalStats* stats);
+
 // Evaluates `evaluator`'s rule (which must be a grouping rule) over `db` and
 // returns one GroupResult per non-empty partition. With a non-null `cache`,
 // partitions whose member count matches the cached entry reuse the cached
-// fact instead of re-canonicalizing (see GroupCacheEntry). With `batch` set
-// (and the evaluator holding a compiled plan) the body enumerates
-// block-at-a-time and partitioning reads Z/Y values straight from
-// precomputed plan slots; partitions, member multisets, and counters are
-// identical to the scalar enumeration.
+// fact instead of re-canonicalizing (see GroupCacheEntry).
 StatusOr<std::vector<GroupResult>> ComputeGroups(
     TermFactory& factory, RuleEvaluator& evaluator, const Database& db,
-    EvalStats* stats, GroupCache* cache = nullptr, bool batch = false,
-    size_t batch_block_rows = kDefaultBlockRows);
+    EvalStats* stats, GroupCache* cache = nullptr);
 
 }  // namespace ldl
 

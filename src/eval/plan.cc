@@ -29,7 +29,8 @@ struct SlotTable {
 
 }  // namespace
 
-JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order) {
+JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
+                           bool head_seeded) {
   JoinPlan plan;
 
   // 1. Number every rule variable (body and head) into a dense slot.
@@ -49,7 +50,19 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order) {
   plan.slot_count_ = slots.sorted.size();
 
   // 2. Walk the order propagating static boundness, specializing literals.
+  //    A head-seeded plan starts with the head variables bound.
   std::vector<bool> bound(plan.slot_count_, false);
+  plan.head_seeded_ = head_seeded;
+  if (head_seeded) {
+    std::vector<Symbol> head_vars;
+    for (const Term* arg : rule.head_args) CollectVars(arg, &head_vars);
+    for (Symbol var : head_vars) {
+      int slot = slots.Lookup(var);
+      if (bound[slot]) continue;
+      bound[slot] = true;
+      plan.seeded_slots_.push_back(slot);
+    }
+  }
   plan.steps_.reserve(order.size());
   for (int literal_index : order) {
     const LiteralIr& literal = rule.body[literal_index];
@@ -180,18 +193,7 @@ int JoinPlan::SlotOf(Symbol var) const {
   return it->second;
 }
 
-const Term* SolutionView::Lookup(Symbol var) const {
-  if (subst_ != nullptr) return subst_->Lookup(var);
-  int slot = plan_->SlotOf(var);
-  if (slot < 0) return nullptr;
-  return slots_[slot];
-}
-
 void SolutionView::AppendBindings(Subst* out) const {
-  if (subst_ != nullptr) {
-    for (const auto& [var, value] : subst_->trail()) out->Bind(var, value);
-    return;
-  }
   for (const auto& [var, slot] : plan_->var_slots()) {
     if (slots_[slot] != nullptr) out->Bind(var, slots_[slot]);
   }
@@ -199,9 +201,11 @@ void SolutionView::AppendBindings(Subst* out) const {
 
 namespace {
 
-std::vector<uint64_t> Fingerprint(const RuleIr& rule, const std::vector<int>& order) {
+std::vector<uint64_t> Fingerprint(const RuleIr& rule, const std::vector<int>& order,
+                                  bool head_seeded) {
   std::vector<uint64_t> fp;
-  fp.reserve(rule.body.size() * 4 + rule.head_args.size() + order.size() + 4);
+  fp.reserve(rule.body.size() * 4 + rule.head_args.size() + order.size() + 5);
+  fp.push_back(head_seeded);
   fp.push_back(rule.head_pred);
   fp.push_back(static_cast<uint64_t>(rule.group_index + 1));
   fp.push_back(rule.group_var);
@@ -231,8 +235,8 @@ uint64_t HashFingerprint(const std::vector<uint64_t>& fp) {
 
 std::shared_ptr<const JoinPlan> PlanCache::Get(const RuleIr& rule,
                                                const std::vector<int>& order,
-                                               size_t* hits) {
-  std::vector<uint64_t> fp = Fingerprint(rule, order);
+                                               size_t* hits, bool head_seeded) {
+  std::vector<uint64_t> fp = Fingerprint(rule, order, head_seeded);
   uint64_t hash = HashFingerprint(fp);
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -249,7 +253,8 @@ std::shared_ptr<const JoinPlan> PlanCache::Get(const RuleIr& rule,
   // Miss: compile outside the lock (racing compilers waste a little work),
   // then insert under the exclusive lock, re-checking for a racing insert so
   // every caller sees one canonical plan per fingerprint.
-  auto plan = std::make_shared<const JoinPlan>(JoinPlan::Compile(rule, order));
+  auto plan =
+      std::make_shared<const JoinPlan>(JoinPlan::Compile(rule, order, head_seeded));
   std::unique_lock<std::shared_mutex> lock(mu_);
   std::vector<Entry>& bucket = entries_[hash];
   for (const Entry& entry : bucket) {

@@ -18,10 +18,15 @@
 //     machinery over a scratch substitution materialized from the slots the
 //     literal mentions.
 //
-// Plans depend only on the rule structure and the literal order, never on
-// the database, so Engine caches them in a PlanCache keyed by a structural
-// fingerprint (interned Term pointers are stable for the factory's
-// lifetime, which makes the fingerprint collision-free).
+// A head-seeded plan treats every head variable as bound before the first
+// step: its root input rows carry the unifiers of the head with one given
+// fact, so the plan enumerates exactly the body solutions deriving that
+// fact (DRed rederivation asks this per over-deleted row).
+//
+// Plans depend only on the rule structure, the literal order and the
+// seeding, never on the database, so Engine caches them in a PlanCache
+// keyed by a structural fingerprint (interned Term pointers are stable for
+// the factory's lifetime, which makes the fingerprint collision-free).
 #ifndef LDL1_EVAL_PLAN_H_
 #define LDL1_EVAL_PLAN_H_
 
@@ -84,9 +89,11 @@ struct LiteralPlan {
 
 class JoinPlan {
  public:
-  // Compiles `rule` under `order` (from OrderBodyLiterals). Never fails:
+  // Compiles `rule` under `order` (from OrderBodyLiterals; pass the head
+  // variables as its `initially_bound` when head_seeded). Never fails:
   // anything that cannot be specialized becomes a generic step.
-  static JoinPlan Compile(const RuleIr& rule, const std::vector<int>& order);
+  static JoinPlan Compile(const RuleIr& rule, const std::vector<int>& order,
+                          bool head_seeded = false);
 
   const std::vector<LiteralPlan>& steps() const { return steps_; }
   size_t slot_count() const { return slot_count_; }
@@ -103,45 +110,43 @@ class JoinPlan {
   bool head_simple() const { return head_simple_; }
   const std::vector<ValueRef>& head() const { return head_; }
 
+  // Head-seeded plans: the slots of the head variables, which every root
+  // input row must bind. Empty otherwise.
+  const std::vector<int>& seeded_slots() const { return seeded_slots_; }
+  bool head_seeded() const { return head_seeded_; }
+
  private:
   std::vector<LiteralPlan> steps_;
   std::vector<std::pair<Symbol, int>> var_slots_;
   size_t slot_count_ = 0;
   bool head_simple_ = false;
   std::vector<ValueRef> head_;
+  bool head_seeded_ = false;
+  std::vector<int> seeded_slots_;
 };
 
-// Read-only view of one body solution handed to ForEachSolution's yield.
-// Backed either by the plan executor's slot array or, on the legacy
-// interpreter path, by the live substitution.
+// Read-only view of one body solution: a block row read through the
+// plan's variable-to-slot map.
 class SolutionView {
  public:
-  explicit SolutionView(const Subst* subst) : subst_(subst) {}
   SolutionView(const JoinPlan* plan, std::span<const Term* const> slots)
       : plan_(plan), slots_(slots) {}
-
-  // Binding of `var`, or nullptr if unbound in this solution.
-  const Term* Lookup(Symbol var) const;
 
   // Binds every bound variable of this solution into `out`.
   void AppendBindings(Subst* out) const;
 
-  // Non-null on the legacy interpreter path.
-  const Subst* subst() const { return subst_; }
-  // Non-null on the plan executor path.
-  const JoinPlan* plan() const { return plan_; }
   std::span<const Term* const> slots() const { return slots_; }
 
  private:
-  const Subst* subst_ = nullptr;
-  const JoinPlan* plan_ = nullptr;
+  const JoinPlan* plan_;
   std::span<const Term* const> slots_;
 };
 
 // Engine-level cache of compiled plans keyed by a structural fingerprint of
-// (rule, order). Structural keying (head/body predicates and interned term
-// pointers) keeps entries valid across temporary ProgramIr instances, e.g.
-// the per-query magic rewrites, which may reuse addresses of freed rules.
+// (rule, order, head seeding). Structural keying (head/body predicates and
+// interned term pointers) keeps entries valid across temporary ProgramIr
+// instances, e.g. the per-query magic rewrites, which may reuse addresses
+// of freed rules.
 //
 // Internally synchronized: probes take a shared lock and misses compile
 // outside the lock before inserting under an exclusive one, so one cache can
@@ -149,11 +154,12 @@ class SolutionView {
 // across its snapshot readers and the writer session).
 class PlanCache {
  public:
-  // Returns the plan for (rule, order), compiling it on a miss. `hits`, when
-  // non-null, is incremented on a cache hit.
+  // Returns the plan for (rule, order, head_seeded), compiling it on a
+  // miss. `hits`, when non-null, is incremented on a cache hit.
   std::shared_ptr<const JoinPlan> Get(const RuleIr& rule,
                                       const std::vector<int>& order,
-                                      size_t* hits = nullptr);
+                                      size_t* hits = nullptr,
+                                      bool head_seeded = false);
 
   void Clear();
   size_t size() const;

@@ -171,7 +171,7 @@ class Relation {
   }
 
   // Combined hash of a probe key, for callers that batch key hashing over a
-  // block of bindings before probing (eval/batch.cc). Must be fed back into
+  // block of bindings before probing (eval/rule_eval.cc). Must be fed back into
   // ProbeRowsHashed with the same `values`.
   static uint64_t ProbeHash(std::span<const Term* const> values) {
     return HashKey(values);

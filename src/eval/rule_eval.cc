@@ -194,42 +194,124 @@ StatusOr<std::vector<int>> OrderBodyLiterals(
 }
 
 RuleEvaluator::RuleEvaluator(TermFactory* factory, const RuleIr* rule,
-                             std::vector<int> order, BuiltinLimits limits,
-                             std::shared_ptr<const JoinPlan> plan, bool use_plan)
-    : factory_(factory), rule_(rule), order_(std::move(order)), limits_(limits) {
-  if (use_plan) {
-    plan_ = plan != nullptr
-                ? std::move(plan)
-                : std::make_shared<const JoinPlan>(JoinPlan::Compile(*rule_, order_));
-    slots_.assign(plan_->slot_count(), nullptr);
+                             const std::vector<int>& order, BuiltinLimits limits,
+                             std::shared_ptr<const JoinPlan> plan,
+                             BlockStoragePool* storage_pool)
+    : factory_(factory),
+      rule_(rule),
+      limits_(limits),
+      plan_(plan != nullptr ? std::move(plan)
+                            : std::make_shared<const JoinPlan>(
+                                  JoinPlan::Compile(*rule, order))),
+      storage_pool_(storage_pool) {}
+
+RuleEvaluator::~RuleEvaluator() {
+  if (storage_ != nullptr && storage_pool_ != nullptr) {
+    storage_pool_->Release(std::move(storage_));
   }
 }
 
-Status RuleEvaluator::ForEachSolution(const Database& db,
-                                      const std::vector<LiteralWindow>& windows,
-                                      const SolutionFn& yield, EvalStats* stats) {
-  bool keep_going = true;
-  if (plan_ != nullptr) {
-    std::fill(slots_.begin(), slots_.end(), nullptr);
-    return ExecStep(db, windows, 0, yield, stats, &keep_going);
+void RuleEvaluator::PrepareStorage() {
+  if (storage_ != nullptr) return;
+  storage_ = storage_pool_ != nullptr ? storage_pool_->Acquire()
+                                      : std::make_unique<BlockStorage>();
+  const size_t steps = plan_->steps().size();
+  const size_t width = plan_->slot_count();
+  if (storage_->blocks.size() < steps) storage_->blocks.resize(steps);
+  if (storage_->scratch.size() < steps) storage_->scratch.resize(steps);
+  for (size_t d = 0; d < steps; ++d) {
+    storage_->blocks[d].Reset(width, kDefaultBlockRows);
   }
+  storage_->root.Reset(width, kDefaultBlockRows);
+}
+
+Status RuleEvaluator::ForEachBlock(const Database& db,
+                                   const std::vector<LiteralWindow>& windows,
+                                   const BlockFn& sink, EvalStats* stats) {
+  PrepareStorage();
+  keep_going_ = true;
+  TupleBlock& root = storage_->root;
+  root.Clear();
+  root.AppendUnboundRow();
+  return ProcessBlock(db, windows, 0, root, sink, stats);
+}
+
+Status RuleEvaluator::ForEachBlockDeriving(const Database& db, RowRef head,
+                                           const BlockFn& sink,
+                                           EvalStats* stats) {
+  if (!plan_->head_seeded()) {
+    return InternalError("ForEachBlockDeriving requires a head-seeded plan");
+  }
+  PrepareStorage();
+  keep_going_ = true;
+  TupleBlock& root = storage_->root;
+  root.Clear();
   Subst subst;
-  return EvalFrom(db, windows, 0, &subst, yield, stats, &keep_going);
+  bool unbound = false;
+  MatchArgs(*factory_, rule_->head_args, head, &subst, [&]() {
+    const Term** row = root.AppendUnboundRow();
+    for (const auto& [var, slot] : plan_->var_slots()) {
+      row[slot] = subst.Lookup(var);
+    }
+    for (int slot : plan_->seeded_slots()) {
+      if (row[slot] == nullptr) unbound = true;
+    }
+    return !unbound;
+  });
+  if (unbound) {
+    return InternalError("head unifier left a head variable unbound");
+  }
+  if (root.empty()) return Status::OK();  // the fact does not match the head
+  return ProcessBlock(db, {}, 0, root, sink, stats);
 }
 
-Status RuleEvaluator::ForEachSolutionSeeded(
-    const Database& db, const std::vector<LiteralWindow>& windows, Subst* subst,
-    const SolutionFn& yield, EvalStats* stats) {
-  bool keep_going = true;
-  return EvalFrom(db, windows, 0, subst, yield, stats, &keep_going);
+Status RuleEvaluator::EmitHeads(const TupleBlock& block, RowBuffer* out) const {
+  if (plan_->head_simple()) {
+    // Every argument reads a slot or is a ground scons-free constant, so no
+    // term rebuilding (and no outside-U case) is possible.
+    const std::vector<ValueRef>& head = plan_->head();
+    for (uint32_t idx : block.sel()) {
+      const Term* const* src = block.row(idx);
+      const Term** dst = out->AppendRow();
+      for (size_t i = 0; i < head.size(); ++i) {
+        const ValueRef& ref = head[i];
+        dst[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
+        if (dst[i] == nullptr) {
+          return InternalError("head variable unbound in a body solution");
+        }
+      }
+    }
+    return Status::OK();
+  }
+  for (uint32_t idx : block.sel()) {
+    InstantiationResult inst =
+        InstantiateHead(SolutionView(plan_.get(), {block.row(idx), block.width()}));
+    if (inst.unbound) {
+      return InternalError("head variable unbound in a body solution");
+    }
+    if (!inst.outside_universe) out->AppendRow(inst.tuple.data());
+  }
+  return Status::OK();
+}
+
+Status RuleEvaluator::CollectHeads(const Database& db,
+                                   const std::vector<LiteralWindow>& windows,
+                                   RowBuffer* out, EvalStats* stats) {
+  Status inner;
+  LDL_RETURN_IF_ERROR(ForEachBlock(
+      db, windows,
+      [&](const TupleBlock& block) {
+        inner = EmitHeads(block, out);
+        return inner.ok();
+      },
+      stats));
+  return inner;
 }
 
 InstantiationResult RuleEvaluator::InstantiateHead(const SolutionView& view) const {
-  if (view.plan() != nullptr && view.plan()->head_simple()) {
-    // Simple head: every argument reads a slot or is a ground scons-free
-    // constant, so no term rebuilding (and no outside-U case) is possible.
+  if (plan_->head_simple()) {
     InstantiationResult result;
-    const std::vector<ValueRef>& head = view.plan()->head();
+    const std::vector<ValueRef>& head = plan_->head();
     result.tuple.reserve(head.size());
     for (const ValueRef& ref : head) {
       const Term* value = ref.slot >= 0 ? view.slots()[ref.slot] : ref.constant;
@@ -241,84 +323,137 @@ InstantiationResult RuleEvaluator::InstantiateHead(const SolutionView& view) con
     }
     return result;
   }
-  if (view.subst() != nullptr) {
-    return InstantiateArgs(*factory_, rule_->head_args, *view.subst());
-  }
   Subst scratch;
   view.AppendBindings(&scratch);
   return InstantiateArgs(*factory_, rule_->head_args, scratch);
 }
 
 // ---------------------------------------------------------------------------
-// Compiled plan executor: joins run over the flat slot array; only generic
-// fallback steps (complex patterns, built-ins, negation) materialize a
-// scratch substitution restricted to the variables the literal mentions.
+// Block kernels (see eval/batch.h). Every counter increment, window clamp,
+// and candidate visit happens per (input row, candidate row) pair in
+// depth-first order, so counters depend only on the plan and the database.
 // ---------------------------------------------------------------------------
 
-Status RuleEvaluator::ExecStep(const Database& db,
-                               const std::vector<LiteralWindow>& windows,
-                               size_t depth, const SolutionFn& yield,
-                               EvalStats* stats, bool* keep_going) {
+Status RuleEvaluator::ProcessBlock(const Database& db,
+                                   const std::vector<LiteralWindow>& windows,
+                                   size_t depth, TupleBlock& in,
+                                   const BlockFn& sink, EvalStats* stats) {
+  if (!keep_going_) return Status::OK();
   if (depth == plan_->steps().size()) {
-    ++stats->solutions;
-    *keep_going = yield(SolutionView(plan_.get(), slots_));
+    stats->solutions += in.sel().size();
+    keep_going_ = sink(in);
     return Status::OK();
   }
   const LiteralPlan& step = plan_->steps()[depth];
   const LiteralIr& literal = rule_->body[step.literal_index];
+  TupleBlock& out = storage_->blocks[depth];
+  BlockStorage::StepScratch& scratch = storage_->scratch[depth];
+  out.Clear();
   Status status;
 
+  // Hands the accumulated output block downstream and resets it. Returns
+  // false when the enumeration must stop (error captured in `status`, or
+  // the sink asked to stop).
+  auto flush = [&]() -> bool {
+    if (out.empty()) {
+      out.Clear();  // rows may all have been popped; reclaim the storage
+      return keep_going_;
+    }
+    Status inner = ProcessBlock(db, windows, depth + 1, out, sink, stats);
+    out.Clear();
+    if (!inner.ok()) {
+      status = inner;
+      keep_going_ = false;
+    }
+    return keep_going_;
+  };
+
+  // --- Built-in step ------------------------------------------------------
   if (step.kind == StepKind::kBuiltin) {
-    Subst scratch;
-    for (const auto& [var, slot] : step.inputs) scratch.Bind(var, slots_[slot]);
-    bool builtin_keep_going = true;
-    Status builtin_status = EvalBuiltin(
-        *factory_, literal, &scratch,
-        [&]() {
-          for (const auto& [var, slot] : step.outputs) {
-            slots_[slot] = scratch.Lookup(var);
-          }
-          Status inner = ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-          for (const auto& [var, slot] : step.outputs) slots_[slot] = nullptr;
-          if (!inner.ok()) {
-            status = inner;
-            return false;
-          }
-          return *keep_going;
-        },
-        &builtin_keep_going, limits_);
-    if (!builtin_status.ok()) return builtin_status;
+    if (step.outputs.empty()) {
+      // Pure filter (comparisons, ground checks): refine the selection
+      // vector in place, no row copies. A built-in that yields k times
+      // keeps the row k times, preserving duplicate solutions.
+      scratch.sel.clear();
+      for (uint32_t idx : in.sel()) {
+        const Term* const* src = in.row(idx);
+        Subst bindings;
+        for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+        bool builtin_keep_going = true;
+        Status builtin_status = EvalBuiltin(
+            *factory_, literal, &bindings,
+            [&]() {
+              scratch.sel.push_back(idx);
+              return true;
+            },
+            &builtin_keep_going, limits_);
+        if (!builtin_status.ok()) return builtin_status;
+      }
+      in.mutable_sel()->swap(scratch.sel);
+      if (in.empty()) return Status::OK();
+      return ProcessBlock(db, windows, depth + 1, in, sink, stats);
+    }
+    // Expanding built-in (arithmetic, set ops binding new variables): one
+    // output row per yield, outputs harvested from the scratch bindings.
+    for (uint32_t idx : in.sel()) {
+      if (!keep_going_) break;
+      const Term* const* src = in.row(idx);
+      Subst bindings;
+      for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+      bool builtin_keep_going = true;
+      Status builtin_status = EvalBuiltin(
+          *factory_, literal, &bindings,
+          [&]() {
+            if (out.full() && !flush()) return false;
+            const Term** dst = out.AppendRow(src);
+            for (const auto& [var, slot] : step.outputs) {
+              dst[slot] = bindings.Lookup(var);
+            }
+            return keep_going_;
+          },
+          &builtin_keep_going, limits_);
+      if (!builtin_status.ok()) return builtin_status;
+      if (!status.ok()) return status;
+    }
+    if (status.ok() && keep_going_) flush();
     return status;
   }
 
+  // --- Negation step ------------------------------------------------------
   if (step.kind == StepKind::kNegated) {
-    // Negation as failure against the (completed) relation.
-    Subst scratch;
-    for (const auto& [var, slot] : step.inputs) scratch.Bind(var, slots_[slot]);
-    InstantiationResult inst = InstantiateArgs(*factory_, literal.args, scratch);
-    bool holds;
-    if (inst.unbound) {
-      // Residual variables are existential under the negation (e.g. the
-      // paper's !a(X, Z) with Z local): the negation holds iff *no* fact
-      // matches the pattern.
-      const Relation& relation = db.relation(literal.pred);
-      bool any_match = false;
-      relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef tuple) {
-        if (any_match) return;
-        ++stats->tuples_matched;
-        MatchArgs(*factory_, literal.args, tuple, &scratch, [&]() {
-          any_match = true;
-          return false;
+    // Negation as failure against the (completed) relation is a pure
+    // filter: refine the selection in place.
+    scratch.sel.clear();
+    const Relation& relation = db.relation(literal.pred);
+    for (uint32_t idx : in.sel()) {
+      const Term* const* src = in.row(idx);
+      Subst bindings;
+      for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+      InstantiationResult inst = InstantiateArgs(*factory_, literal.args, bindings);
+      bool holds;
+      if (inst.unbound) {
+        // Residual variables are existential under the negation (e.g. the
+        // paper's !a(X, Z) with Z local): the negation holds iff *no* fact
+        // matches the pattern.
+        bool any_match = false;
+        relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef tuple) {
+          if (any_match) return;
+          ++stats->tuples_matched;
+          MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
+            any_match = true;
+            return false;
+          });
         });
-      });
-      holds = !any_match;
-    } else {
-      // A tuple outside U is not a U-fact, so its negation holds (§2.2).
-      holds = inst.outside_universe ||
-              !db.relation(literal.pred).Contains(inst.tuple);
+        holds = !any_match;
+      } else {
+        // A tuple outside U is not a U-fact, so its negation holds (§2.2).
+        holds = inst.outside_universe || !relation.Contains(inst.tuple);
+      }
+      if (holds) scratch.sel.push_back(idx);
     }
-    if (!holds) return Status::OK();
-    return ExecStep(db, windows, depth + 1, yield, stats, keep_going);
+    in.mutable_sel()->swap(scratch.sel);
+    if (in.empty()) return Status::OK();
+    return ProcessBlock(db, windows, depth + 1, in, sink, stats);
   }
 
   const Relation& relation = db.relation(step.pred);
@@ -326,19 +461,23 @@ Status RuleEvaluator::ExecStep(const Database& db,
   if (!windows.empty()) window = windows[step.literal_index];
   size_t to = std::min(window.to, relation.row_count());
 
+  // --- Specialized scan/probe step ---------------------------------------
   if (step.kind == StepKind::kScan) {
-    // Match program over the candidate tuple; returns false when the
-    // enumeration should stop (error or yield asked to stop).
-    auto try_row = [&](RowRef tuple) -> bool {
+    // Match program over one candidate: append the input row, bind/check
+    // against the appended copy (kBind before kCheckSlot on the same slot
+    // handles repeated variables within the literal), pop on failure.
+    auto try_row = [&](const Term* const* src, RowRef tuple) -> bool {
       ++stats->tuples_matched;
+      if (out.full() && !flush()) return false;
+      const Term** dst = out.AppendRow(src);
       bool matched = true;
       for (const MatchOp& op : step.match) {
         switch (op.kind) {
           case MatchOpKind::kBind:
-            slots_[op.slot] = tuple[op.column];
+            dst[op.slot] = tuple[op.column];
             break;
           case MatchOpKind::kCheckSlot:
-            if (tuple[op.column] != slots_[op.slot]) matched = false;
+            if (tuple[op.column] != dst[op.slot]) matched = false;
             break;
           case MatchOpKind::kCheckConst:
             if (tuple[op.column] != op.constant) matched = false;
@@ -346,222 +485,137 @@ Status RuleEvaluator::ExecStep(const Database& db,
         }
         if (!matched) break;
       }
-      bool cont = true;
-      if (matched) {
-        Status inner = ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-        if (!inner.ok()) {
-          status = inner;
-          cont = false;
-        } else {
-          cont = *keep_going;
-        }
-      }
-      for (const MatchOp& op : step.match) {
-        if (op.kind == MatchOpKind::kBind) slots_[op.slot] = nullptr;
-      }
-      return cont;
+      if (!matched) out.PopRow();
+      return true;
     };
 
     if (!step.probe.empty()) {
-      ++stats->index_probes;
-      const Term* key[16];
-      std::vector<const Term*> key_heap;
-      const Term** values = key;
-      if (step.probe.size() > 16) {
-        key_heap.resize(step.probe.size());
-        values = key_heap.data();
+      // Pass 1: materialize every selected row's probe key and hash them in
+      // one sweep over the block (one index_probes tick per input binding).
+      // A key covering every column names at most one fact, which the
+      // relation's own dedup table finds -- no composite index is built.
+      const size_t key_width = step.probe.size();
+      const bool full_key = key_width == relation.arity();
+      const auto& sel = in.sel();
+      stats->index_probes += sel.size();
+      scratch.keys.resize(key_width * sel.size());
+      scratch.hashes.clear();
+      scratch.hashes.reserve(sel.size());
+      for (size_t s = 0; s < sel.size(); ++s) {
+        const Term* const* src = in.row(sel[s]);
+        const Term** key = scratch.keys.data() + s * key_width;
+        for (size_t i = 0; i < key_width; ++i) {
+          const ValueRef& ref = step.probe[i];
+          key[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
+          assert(key[i] != nullptr);
+        }
+        if (!full_key) {
+          scratch.hashes.push_back(Relation::ProbeHash({key, key_width}));
+        }
       }
-      for (size_t i = 0; i < step.probe.size(); ++i) {
-        const ValueRef& ref = step.probe[i];
-        values[i] = ref.slot >= 0 ? slots_[ref.slot] : ref.constant;
-        assert(values[i] != nullptr);
-      }
-      relation.ProbeRows(step.probe_cols, {values, step.probe.size()},
-                         window.from, to, [&](size_t row) {
-                           ++stats->probe_hits;
-                           return try_row(relation.row(row));
-                         });
-      return status;
-    }
-    bool stopped = false;
-    relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
-      if (stopped) return;
-      if (!try_row(tuple)) stopped = true;
-    });
-    return status;
-  }
-
-  // Generic fallback: full unification against each candidate, still probing
-  // on the statically bound columns after instantiating them.
-  Subst scratch;
-  for (const auto& [var, slot] : step.inputs) scratch.Bind(var, slots_[slot]);
-
-  auto try_row = [&](RowRef tuple) -> bool {
-    ++stats->tuples_matched;
-    return MatchArgs(*factory_, literal.args, tuple, &scratch, [&]() {
-      for (const auto& [var, slot] : step.outputs) {
-        slots_[slot] = scratch.Lookup(var);
-      }
-      Status inner = ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-      for (const auto& [var, slot] : step.outputs) slots_[slot] = nullptr;
-      if (!inner.ok()) {
-        status = inner;
-        return false;
-      }
-      return *keep_going;
-    });
-  };
-
-  if (!step.bound_columns.empty()) {
-    std::vector<const Term*> values;
-    values.reserve(step.bound_columns.size());
-    std::vector<uint32_t> cols;
-    cols.reserve(step.bound_columns.size());
-    bool outside_universe = false;
-    for (uint32_t column : step.bound_columns) {
-      const Term* value = ApplySubst(*factory_, literal.args[column], scratch);
-      if (value == nullptr) {
-        // Instantiates outside U (scons on a non-set): no fact can match.
-        outside_universe = true;
-        break;
-      }
-      // Statically bound columns instantiate to ground scons-free terms;
-      // anything else would indicate a compile/runtime boundness mismatch,
-      // so skip the column rather than probe with a bad key.
-      if (!value->ground() || value->has_scons()) continue;
-      cols.push_back(column);
-      values.push_back(value);
-    }
-    if (outside_universe) return status;
-    if (!cols.empty()) {
-      ++stats->index_probes;
-      relation.ProbeRows(cols, values, window.from, to, [&](size_t row) {
-        ++stats->probe_hits;
-        return try_row(relation.row(row));
-      });
-      return status;
-    }
-  }
-  bool stopped = false;
-  relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
-    if (stopped) return;
-    if (!try_row(tuple)) stopped = true;
-  });
-  return status;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy substitution interpreter: rediscoveres probe columns per tuple via
-// ApplySubst and matches through generic unification. Kept as the reference
-// implementation the compiled executor is equivalence-tested against.
-// ---------------------------------------------------------------------------
-
-Status RuleEvaluator::EvalFrom(const Database& db,
-                               const std::vector<LiteralWindow>& windows,
-                               size_t depth, Subst* subst, const SolutionFn& yield,
-                               EvalStats* stats, bool* keep_going) {
-  if (depth == order_.size()) {
-    ++stats->solutions;
-    *keep_going = yield(SolutionView(subst));
-    return Status::OK();
-  }
-  int literal_index = order_[depth];
-  const LiteralIr& literal = rule_->body[literal_index];
-  Status status;
-
-  if (literal.is_builtin()) {
-    bool builtin_keep_going = true;
-    Status builtin_status = EvalBuiltin(
-        *factory_, literal, subst,
-        [&]() {
-          Status inner =
-              EvalFrom(db, windows, depth + 1, subst, yield, stats, keep_going);
-          if (!inner.ok()) {
-            status = inner;
-            return false;
+      // Pass 2: probe, input rows in order.
+      for (size_t s = 0; s < sel.size(); ++s) {
+        if (!keep_going_ || !status.ok()) break;
+        const Term* const* src = in.row(sel[s]);
+        const Term* const* key = scratch.keys.data() + s * key_width;
+        if (full_key) {
+          const size_t row = relation.Find({key, key_width});
+          if (row != Relation::npos && row >= window.from && row < to &&
+              relation.IsLive(row)) {
+            ++stats->probe_hits;
+            try_row(src, relation.row(row));
           }
-          return *keep_going;
-        },
-        &builtin_keep_going, limits_);
-    if (!builtin_status.ok()) return builtin_status;
-    return status;
-  }
-
-  if (literal.negated) {
-    // Negation as failure against the (completed) relation.
-    InstantiationResult inst = InstantiateArgs(*factory_, literal.args, *subst);
-    bool holds;
-    if (inst.unbound) {
-      // Residual variables are existential under the negation (e.g. the
-      // paper's !a(X, Z) with Z local): the negation holds iff *no* fact
-      // matches the pattern.
-      const Relation& relation = db.relation(literal.pred);
-      bool any_match = false;
-      relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef tuple) {
-        if (any_match) return;
-        ++stats->tuples_matched;
-        MatchArgs(*factory_, literal.args, tuple, subst, [&]() {
-          any_match = true;
-          return false;
-        });
-      });
-      holds = !any_match;
-    } else {
-      // A tuple outside U is not a U-fact, so its negation holds (§2.2).
-      holds = inst.outside_universe ||
-              !db.relation(literal.pred).Contains(inst.tuple);
-    }
-    if (!holds) return Status::OK();
-    return EvalFrom(db, windows, depth + 1, subst, yield, stats, keep_going);
-  }
-
-  // Positive relational literal.
-  const Relation& relation = db.relation(literal.pred);
-  LiteralWindow window;
-  if (!windows.empty()) window = windows[literal_index];
-  size_t to = std::min(window.to, relation.row_count());
-
-  // Probe an index if some argument instantiates to a ground term.
-  int probe_column = -1;
-  const Term* probe_value = nullptr;
-  for (size_t i = 0; i < literal.args.size(); ++i) {
-    const Term* inst = ApplySubst(*factory_, literal.args[i], *subst);
-    if (inst != nullptr && inst->ground() && !inst->has_scons()) {
-      probe_column = static_cast<int>(i);
-      probe_value = inst;
-      break;
-    }
-  }
-
-  auto try_row = [&](RowRef tuple) -> bool {
-    ++stats->tuples_matched;
-    return MatchArgs(*factory_, literal.args, tuple, subst, [&]() {
-      Status inner = EvalFrom(db, windows, depth + 1, subst, yield, stats, keep_going);
-      if (!inner.ok()) {
-        status = inner;
-        return false;
+          continue;
+        }
+        relation.ProbeRowsHashed(step.probe_cols, {key, key_width},
+                                 scratch.hashes[s], window.from, to,
+                                 [&](size_t row) {
+                                   ++stats->probe_hits;
+                                   return try_row(src, relation.row(row));
+                                 });
       }
-      return *keep_going;
-    });
-  };
-
-  if (probe_column >= 0) {
-    ++stats->index_probes;
-    std::vector<size_t> row_ids;
-    relation.Probe(static_cast<uint32_t>(probe_column), probe_value, window.from,
-                   to, &row_ids);
-    stats->probe_hits += row_ids.size();
-    for (size_t row : row_ids) {
-      if (!try_row(relation.row(row))) break;
+      if (status.ok() && keep_going_) flush();
+      return status;
     }
+
+    // Unbound scan: gather the window's live row ids once per input block
+    // (the per-candidate tombstone branch of ForEachRow amortized across
+    // every input row), then run the match program over the dense array.
+    scratch.live_rows.clear();
+    relation.CollectLiveRows(window.from, to, &scratch.live_rows);
+    for (uint32_t idx : in.sel()) {
+      if (!keep_going_ || !status.ok()) break;
+      const Term* const* src = in.row(idx);
+      for (uint32_t row_id : scratch.live_rows) {
+        if (!try_row(src, relation.row(row_id))) break;
+      }
+    }
+    if (status.ok() && keep_going_) flush();
     return status;
   }
 
-  bool stopped = false;
-  relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
-    if (stopped) return;
-    if (!try_row(tuple)) stopped = true;
-  });
+  // --- Generic step ---------------------------------------------------------
+  // Complex argument patterns (functors, sets, scons): per-row unification
+  // inside the block loop, still probing on the statically bound columns
+  // after instantiating them.
+  for (uint32_t idx : in.sel()) {
+    if (!keep_going_ || !status.ok()) break;
+    const Term* const* src = in.row(idx);
+    Subst bindings;
+    for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+
+    auto try_row = [&](RowRef tuple) -> bool {
+      ++stats->tuples_matched;
+      return MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
+        if (out.full() && !flush()) return false;
+        const Term** dst = out.AppendRow(src);
+        for (const auto& [var, slot] : step.outputs) {
+          dst[slot] = bindings.Lookup(var);
+        }
+        return keep_going_;
+      });
+    };
+
+    bool probed = false;
+    if (!step.bound_columns.empty()) {
+      std::vector<const Term*> values;
+      values.reserve(step.bound_columns.size());
+      std::vector<uint32_t> cols;
+      cols.reserve(step.bound_columns.size());
+      bool outside_universe = false;
+      for (uint32_t column : step.bound_columns) {
+        const Term* value = ApplySubst(*factory_, literal.args[column], bindings);
+        if (value == nullptr) {
+          // Instantiates outside U (scons on a non-set): no fact can match.
+          outside_universe = true;
+          break;
+        }
+        // Statically bound columns instantiate to ground scons-free terms;
+        // anything else would indicate a compile/runtime boundness mismatch,
+        // so skip the column rather than probe with a bad key.
+        if (!value->ground() || value->has_scons()) continue;
+        cols.push_back(column);
+        values.push_back(value);
+      }
+      if (outside_universe) continue;
+      if (!cols.empty()) {
+        ++stats->index_probes;
+        relation.ProbeRows(cols, values, window.from, to, [&](size_t row) {
+          ++stats->probe_hits;
+          return try_row(relation.row(row));
+        });
+        probed = true;
+      }
+    }
+    if (!probed) {
+      bool stopped = false;
+      relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
+        if (stopped) return;
+        if (!try_row(tuple)) stopped = true;
+      });
+    }
+  }
+  if (status.ok() && keep_going_) flush();
   return status;
 }
 

@@ -1,19 +1,18 @@
-// Rule body evaluation: a backtracking nested-loop join with sideways
-// information passing over the database.
+// Rule body evaluation: a join over the database with sideways information
+// passing, executed block-at-a-time.
 //
 // Body literals are statically reordered so that built-ins run as soon as
 // their inputs are bound and negated literals run once fully ground
-// (negation-as-failure against completed lower strata). By default the
-// (rule, order) pair is compiled into a JoinPlan (see eval/plan.h): simple
-// positive literals execute as probe-spec + match-program steps over a flat
-// slot array, probing composite hash indexes on all statically bound
-// columns; complex literals fall back to generic unification. The legacy
-// substitution interpreter is kept behind a flag for equivalence testing.
+// (negation-as-failure against completed lower strata). The (rule, order)
+// pair is compiled into a JoinPlan (see eval/plan.h): simple positive
+// literals execute as probe-spec + match-program steps over slot rows,
+// probing composite hash indexes on all statically bound columns; complex
+// literals fall back to generic unification. RuleEvaluator runs the plan
+// over TupleBlocks (eval/batch.h).
 #ifndef LDL1_EVAL_RULE_EVAL_H_
 #define LDL1_EVAL_RULE_EVAL_H_
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -124,72 +123,73 @@ StatusOr<std::vector<int>> OrderBodyLiterals(
     const Catalog& catalog, const RuleIr& rule, int forced_first = -1,
     const std::vector<Symbol>* initially_bound = nullptr);
 
+// The rule executor: enumerates the body solutions of one rule under one
+// literal order, block-at-a-time through the kernels described in
+// eval/batch.h. Every caller that needs a rule body's solutions -- the
+// fixpoints, grouping, incremental maintenance, magic saturation, the model
+// checker and the explainer -- goes through ForEachBlock (or its
+// head-seeded form, ForEachBlockDeriving).
 class RuleEvaluator {
  public:
-  // Yield for body solutions; return false to stop the enumeration.
-  using SolutionFn = std::function<bool(const SolutionView&)>;
-
   // `order` must come from OrderBodyLiterals for the same rule. When `plan`
-  // is null and `use_plan` is set, the evaluator compiles its own plan;
-  // callers on the hot path pass a PlanCache-owned plan instead. With
-  // `use_plan` false the legacy substitution interpreter runs (kept for
-  // equivalence testing against the compiled executor).
-  RuleEvaluator(TermFactory* factory, const RuleIr* rule, std::vector<int> order,
-                BuiltinLimits limits = {},
+  // is null the evaluator compiles its own; callers on the hot path pass a
+  // PlanCache-owned plan instead. With a non-null `storage_pool` the block
+  // storage is drawn from (and returned to) the pool, so its capacity
+  // survives across short-lived evaluators.
+  RuleEvaluator(TermFactory* factory, const RuleIr* rule,
+                const std::vector<int>& order, BuiltinLimits limits = {},
                 std::shared_ptr<const JoinPlan> plan = nullptr,
-                bool use_plan = true);
+                BlockStoragePool* storage_pool = nullptr);
+  ~RuleEvaluator();
+  RuleEvaluator(RuleEvaluator&&) = default;
+  RuleEvaluator& operator=(RuleEvaluator&&) = delete;
 
-  // Enumerates body solutions against `db`. `windows` is indexed by body
-  // literal position (not evaluation order); empty means "full relation" for
-  // every literal.
-  Status ForEachSolution(const Database& db, const std::vector<LiteralWindow>& windows,
-                         const SolutionFn& yield, EvalStats* stats);
-
-  // Block-at-a-time enumeration through the batch kernels in eval/batch.h:
-  // completed solutions arrive in TupleBlocks instead of one SolutionView
-  // per callback. Requires a compiled plan (use_plan); solution order,
-  // derivation multiplicity, and every EvalStats counter match
-  // ForEachSolution exactly (DESIGN.md §12). The executor is built on first
-  // use and reused across calls.
+  // Enumerates body solutions against `db`, handing completed blocks to
+  // `sink`. `windows` is indexed by body literal position (not evaluation
+  // order); empty means "full relation" for every literal.
   Status ForEachBlock(const Database& db, const std::vector<LiteralWindow>& windows,
-                      const BlockFn& sink, EvalStats* stats,
-                      size_t block_rows = kDefaultBlockRows);
+                      const BlockFn& sink, EvalStats* stats);
 
-  // Like ForEachSolution, but starts from a pre-seeded substitution (e.g.
-  // head variables bound from a tuple being rederived) and always runs the
-  // legacy interpreter, whose generic unification honors the seed bindings.
-  // `subst` is mutated during the enumeration; callers own its rollback.
-  Status ForEachSolutionSeeded(const Database& db,
-                               const std::vector<LiteralWindow>& windows,
-                               Subst* subst, const SolutionFn& yield,
-                               EvalStats* stats);
+  // Enumerates the body solutions (over full relations) that derive the
+  // fact `head`. Requires a head-seeded plan: each unifier of the rule head
+  // with `head` becomes one row of the root input block.
+  Status ForEachBlockDeriving(const Database& db, RowRef head,
+                              const BlockFn& sink, EvalStats* stats);
 
-  // Builds the head fact for one solution. Uses the plan's precompiled slot
-  // reads when the head is simple; otherwise instantiates the head patterns
-  // through a substitution materialized from the view.
+  // Appends the head fact of every selected solution in `block` to `out`,
+  // skipping heads that fall outside U. Simple heads are read straight from
+  // plan slots; complex heads are instantiated per row.
+  Status EmitHeads(const TupleBlock& block, RowBuffer* out) const;
+
+  // ForEachBlock + EmitHeads: the head facts of every body solution.
+  Status CollectHeads(const Database& db, const std::vector<LiteralWindow>& windows,
+                      RowBuffer* out, EvalStats* stats);
+
+  // Builds the head fact for one solution.
   InstantiationResult InstantiateHead(const SolutionView& view) const;
 
   const RuleIr& rule() const { return *rule_; }
-  // Null on the legacy interpreter path.
-  const JoinPlan* plan() const { return plan_.get(); }
-  bool has_plan() const { return plan_ != nullptr; }
+  const JoinPlan& plan() const { return *plan_; }
 
  private:
-  Status EvalFrom(const Database& db, const std::vector<LiteralWindow>& windows,
-                  size_t depth, Subst* subst, const SolutionFn& yield,
-                  EvalStats* stats, bool* keep_going);
+  // Expands `in`'s selected rows through step `depth` into the step's
+  // output block, flushing downstream whenever it fills; drains fully on
+  // return.
+  Status ProcessBlock(const Database& db, const std::vector<LiteralWindow>& windows,
+                      size_t depth, TupleBlock& in, const BlockFn& sink,
+                      EvalStats* stats);
 
-  Status ExecStep(const Database& db, const std::vector<LiteralWindow>& windows,
-                  size_t depth, const SolutionFn& yield, EvalStats* stats,
-                  bool* keep_going);
+  // Takes block storage (from the pool when there is one) and sizes it for
+  // the plan; a no-op once the evaluator holds storage.
+  void PrepareStorage();
 
   TermFactory* factory_;
   const RuleIr* rule_;
-  std::vector<int> order_;
   BuiltinLimits limits_;
-  std::shared_ptr<const JoinPlan> plan_;  // null => legacy interpreter
-  std::vector<const Term*> slots_;        // plan executor bindings
-  std::unique_ptr<BlockExecutor> batch_;  // built on first ForEachBlock
+  std::shared_ptr<const JoinPlan> plan_;
+  BlockStoragePool* storage_pool_;
+  std::unique_ptr<BlockStorage> storage_;
+  bool keep_going_ = true;
 };
 
 }  // namespace ldl

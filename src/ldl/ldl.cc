@@ -320,12 +320,9 @@ bool Session::SameEvalConfig(const EvalOptions& options) const {
   const EvalOptions& last = last_eval_options_;
   return options.mode == last.mode && options.max_rounds == last.max_rounds &&
          options.max_facts == last.max_facts &&
-         options.use_compiled_plans == last.use_compiled_plans &&
          options.cost_based == last.cost_based &&
          options.replan_cost_ratio == last.replan_cost_ratio &&
          options.num_threads == last.num_threads &&
-         options.batch == last.batch &&
-         options.batch_block_rows == last.batch_block_rows &&
          options.builtin_limits.max_union_enumeration ==
              last.builtin_limits.max_union_enumeration &&
          options.builtin_limits.max_subset_enumeration ==

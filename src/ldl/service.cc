@@ -194,6 +194,8 @@ ServiceStats Service::stats() const {
   out.snapshots_published = slot_.version();
   out.analyses_shared = analyses_shared_.load(std::memory_order_relaxed);
   out.snapshot_refs = static_cast<uint64_t>(slot_.snapshot_refs());
+  out.catalog_preds = writer_.catalog().size();
+  out.cached_plans = plans_.size();
   return out;
 }
 

@@ -56,7 +56,9 @@ namespace ldl {
   X(writes_applied, "successful Load/AddFacts/RemoveFacts calls")           \
   X(snapshots_published, "model snapshots published")                       \
   X(analyses_shared, "publications that reused the prior analysis")         \
-  X(snapshot_refs, "references on the live snapshot (incl. the service's)")
+  X(snapshot_refs, "references on the live snapshot (incl. the service's)") \
+  X(catalog_preds, "predicates in the shared catalog")                      \
+  X(cached_plans, "compiled plans in the shared plan cache")
 
 // A point-in-time copy of the serving counters (Service::stats()).
 struct ServiceStats {

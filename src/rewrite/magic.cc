@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <unordered_map>
 
 #include "base/str_util.h"
@@ -104,8 +105,10 @@ bool AllVarsIn(const Term* t, const std::vector<Symbol>& bound) {
 
 // Builds the supplementary-magic rewriting for one adorned rule. Returns
 // false (without emitting) when no evaluable left-to-right schedule exists;
-// the caller falls back to the plain rewriting.
-bool EmitSupplementary(const RuleIr& rule, PredId head_magic,
+// the caller falls back to the plain rewriting. `sup_prefix` names the
+// rule's supplementary chain; step k's predicate is "<sup_prefix>$<k>".
+bool EmitSupplementary(const RuleIr& rule, const std::string& sup_prefix,
+                       PredId head_magic,
                        const std::vector<const Term*>& head_bound,
                        const AdornedProgram& adorned, Catalog* catalog,
                        const std::function<PredId(PredId)>& magic_pred,
@@ -226,9 +229,9 @@ bool EmitSupplementary(const RuleIr& rule, PredId head_magic,
     return false;
   };
 
-  Interner* interner = catalog->interner();
+  size_t sup_steps = 0;
   auto make_sup = [&](const std::vector<Symbol>& vars) {
-    PredId pred = catalog->GetOrCreate(interner->Fresh("sup"),
+    PredId pred = catalog->GetOrCreate(StrCat(sup_prefix, "$", sup_steps++),
                                        static_cast<uint32_t>(vars.size()));
     catalog->mutable_info(pred).has_rules = true;
     return pred;
@@ -376,15 +379,24 @@ StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
     return id;
   };
 
+  // Per adorned head: how many of its rules have been rewritten so far.
+  // Numbering the supplementary chains by this ordinal keeps their names a
+  // function of the adorned program alone.
+  std::unordered_map<PredId, size_t> rules_per_head;
   for (const RuleIr& rule : adorned.rules.rules) {
     const AdornedInfo& head_info = adorned.adorned.at(rule.head_pred);
     PredId head_magic = magic_pred(rule.head_pred);
     std::vector<const Term*> head_bound =
         BoundArgs(rule.head_args, head_info.adornment);
+    const size_t ordinal = rules_per_head[rule.head_pred]++;
 
     if (options.supplementary &&
-        EmitSupplementary(rule, head_magic, head_bound, adorned, catalog,
-                          magic_pred, &result)) {
+        EmitSupplementary(
+            rule,
+            StrCat("sup$",
+                   catalog->interner()->Lookup(catalog->info(rule.head_pred).name),
+                   "$", ordinal),
+            head_magic, head_bound, adorned, catalog, magic_pred, &result)) {
       continue;
     }
 

@@ -14,10 +14,12 @@
 //   * the seed fact for the query's magic predicate.
 //
 // The rewritten program is generally not layered (§6); evaluate it with
-// Engine::EvaluateSaturating. Adorned and magic predicates are reused across
-// rewrites of the same goal shape; supplementary sup$ predicates are minted
-// fresh per rewrite (cache the MagicProgram if you re-ask the same goal in a
-// hot loop).
+// Engine::EvaluateSaturating. Adorned, magic and supplementary predicates
+// are all named deterministically, so repeated rewrites of the same goal
+// shape reuse the same catalog entries (and the plans compiled for them)
+// instead of growing the catalog per query. A supplementary predicate is
+// named sup$<adorned head>$<n>$<k>: the k-th chain step of the n-th adorned
+// rule for that head.
 #ifndef LDL1_REWRITE_MAGIC_H_
 #define LDL1_REWRITE_MAGIC_H_
 

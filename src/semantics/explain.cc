@@ -15,6 +15,26 @@ namespace {
 
 constexpr size_t kMaxGroupPremises = 8;
 
+// Visits every body solution of `evaluator` over `db` one row at a time, in
+// enumeration order, until `visit` returns false.
+template <typename Visit>
+Status VisitSolutions(RuleEvaluator& evaluator, const Database& db,
+                      Visit&& visit) {
+  EvalStats stats;
+  return evaluator.ForEachBlock(
+      db, {},
+      [&](const TupleBlock& block) {
+        for (uint32_t idx : block.sel()) {
+          if (!visit(SolutionView(&evaluator.plan(),
+                                  {block.row(idx), block.width()}))) {
+            return false;
+          }
+        }
+        return true;
+      },
+      &stats);
+}
+
 class Explainer {
  public:
   Explainer(TermFactory& factory, const Catalog& catalog, const ProgramIr& program,
@@ -98,31 +118,23 @@ class Explainer {
                                   const Tuple& fact, size_t depth,
                                   Derivation* node) {
     LDL_ASSIGN_OR_RETURN(std::vector<int> order, OrderBodyLiterals(catalog_, rule));
-    RuleEvaluator evaluator(&factory_, &rule, std::move(order));
-    EvalStats stats;
+    RuleEvaluator evaluator(&factory_, &rule, order);
     // Capture the first body solution whose instantiated head equals `fact`.
-    std::vector<std::pair<Symbol, const Term*>> witness;
+    Subst subst;
     bool found = false;
-    Status status = evaluator.ForEachSolution(
-        model_, {},
-        [&](const SolutionView& view) {
+    LDL_RETURN_IF_ERROR(
+        VisitSolutions(evaluator, model_, [&](const SolutionView& view) {
           InstantiationResult inst = evaluator.InstantiateHead(view);
           if (inst.unbound || inst.outside_universe || inst.tuple != fact) {
             return true;
           }
-          Subst bindings;
-          view.AppendBindings(&bindings);
-          witness = bindings.trail();
+          view.AppendBindings(&subst);
           found = true;
           return false;
-        },
-        &stats);
-    LDL_RETURN_IF_ERROR(status);
+        }));
     if (!found) return false;
 
     node->rule_index = static_cast<int>(rule_index);
-    Subst subst;
-    for (const auto& [var, value] : witness) subst.Bind(var, value);
     for (const LiteralIr& literal : rule.body) {
       LDL_RETURN_IF_ERROR(AttachPremise(literal, subst, depth, node));
     }
@@ -145,14 +157,12 @@ class Explainer {
                                    " element(s) into ",
                                    factory_.ToString(grouped_set)));
       // Premises: the body solutions contributing to this partition,
-      // capped for readability. Reuses the order computed above.
-      RuleEvaluator premise_evaluator(&factory_, &rule, std::move(order));
+      // capped for readability.
       std::set<std::pair<PredId, Tuple>> seen;
       size_t skipped = 0;
       Status inner;
-      Status status = premise_evaluator.ForEachSolution(
-          model_, {},
-          [&](const SolutionView& view) {
+      Status status = VisitSolutions(
+          evaluator, model_, [&](const SolutionView& view) {
             Subst subst;
             view.AppendBindings(&subst);
             InstantiationResult inst =
@@ -183,8 +193,7 @@ class Explainer {
               }
             }
             return true;
-          },
-          &stats);
+          });
       LDL_RETURN_IF_ERROR(status);
       LDL_RETURN_IF_ERROR(inner);
       if (skipped > 0) {

@@ -15,32 +15,32 @@ StatusOr<bool> CheckPlainRule(TermFactory& factory, const Catalog& catalog,
                               const RuleIr& rule, const Database& interpretation,
                               std::string* counterexample) {
   LDL_ASSIGN_OR_RETURN(std::vector<int> order, OrderBodyLiterals(catalog, rule));
-  RuleEvaluator evaluator(&factory, &rule, std::move(order));
+  RuleEvaluator evaluator(&factory, &rule, order);
+  const Relation& head_relation = interpretation.relation(rule.head_pred);
   EvalStats stats;
+  RowBuffer heads(rule.head_args.size());
   bool satisfied = true;
   Status inner;
-  Status status = evaluator.ForEachSolution(
+  LDL_RETURN_IF_ERROR(evaluator.ForEachBlock(
       interpretation, {},
-      [&](const SolutionView& view) {
-        InstantiationResult inst = evaluator.InstantiateHead(view);
-        if (inst.unbound) {
-          inner = InternalError("unbound head variable while model checking");
-          return false;
-        }
-        if (inst.outside_universe) return true;  // no U-fact required
-        if (!interpretation.relation(rule.head_pred).Contains(inst.tuple)) {
+      [&](const TupleBlock& block) {
+        heads.Clear();
+        inner = evaluator.EmitHeads(block, &heads);  // outside-U heads skipped
+        if (!inner.ok()) return false;
+        for (size_t i = 0; i < heads.size(); ++i) {
+          RowRef head = heads.row(i);
+          if (head_relation.Contains(head)) continue;
           satisfied = false;
           if (counterexample != nullptr) {
-            *counterexample =
-                StrCat("missing ", FormatFact(factory, catalog, rule.head_pred,
-                                              inst.tuple));
+            *counterexample = StrCat(
+                "missing ", FormatFact(factory, catalog, rule.head_pred,
+                                       Tuple(head.begin(), head.end())));
           }
           return false;
         }
         return true;
       },
-      &stats);
-  LDL_RETURN_IF_ERROR(status);
+      &stats));
   LDL_RETURN_IF_ERROR(inner);
   return satisfied;
 }
@@ -53,7 +53,7 @@ StatusOr<bool> CheckGroupingRule(TermFactory& factory, const Catalog& catalog,
                                  const Database& interpretation,
                                  std::string* counterexample) {
   LDL_ASSIGN_OR_RETURN(std::vector<int> order, OrderBodyLiterals(catalog, rule));
-  RuleEvaluator evaluator(&factory, &rule, std::move(order));
+  RuleEvaluator evaluator(&factory, &rule, order);
   EvalStats stats;
   LDL_ASSIGN_OR_RETURN(std::vector<GroupResult> groups,
                        ComputeGroups(factory, evaluator, interpretation, &stats));

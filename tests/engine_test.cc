@@ -142,22 +142,21 @@ TEST(Engine, CompositeProbesReduceMatching) {
       facts += StrCat("wide(", x, ", ", y, ", ", 10 * x + y, ").\n");
     }
   }
-  auto run = [&](bool use_plans) {
-    Session session;
-    EXPECT_TRUE(session.Load(facts).ok());
-    EXPECT_TRUE(session.Load("out(X, Z) :- narrow(X, Y), wide(X, Y, Z).").ok());
-    EvalOptions options;
-    options.use_compiled_plans = use_plans;
-    EXPECT_TRUE(session.Evaluate(options).ok());
-    return session.last_eval_stats();
-  };
-  EvalStats planned = run(true);
-  EvalStats legacy = run(false);
-  EXPECT_EQ(planned.facts_derived, legacy.facts_derived);
-  EXPECT_EQ(planned.solutions, legacy.solutions);
-  // The legacy interpreter probes one column and filters the rest per tuple;
-  // the compiled plan probes the composite (X, Y) index.
-  EXPECT_LT(planned.tuples_matched, legacy.tuples_matched / 2);
+  Session session;
+  ASSERT_TRUE(session.Load(facts).ok());
+  ASSERT_TRUE(session.Load("out(X, Z) :- narrow(X, Y), wide(X, Y, Z).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  const EvalStats& planned = session.last_eval_stats();
+  // The plan scans the 10 narrow rows, then probes the composite (X, Y)
+  // index once per narrow row and matches exactly its one hit.
+  EXPECT_EQ(planned.tuples_matched, 20u);
+  EXPECT_EQ(planned.solutions, 10u);
+  EXPECT_EQ(planned.facts_derived, 10u);
+  // A single-column probe on X filters the other 10 wide(X, _, _) rows per
+  // narrow row: the since-removed substitution interpreter, which probed
+  // that way, matched this many tuples on this program.
+  constexpr size_t kSingleColumnProbeTuplesMatched = 110;
+  EXPECT_LT(planned.tuples_matched, kSingleColumnProbeTuplesMatched / 2);
 }
 
 TEST(Engine, DoubleRecursionWorks) {

@@ -1,8 +1,10 @@
 // Equivalence of the evaluation strategies over the .ldl example corpus:
-// naive and semi-naive fixpoints, each with compiled join plans and with the
-// legacy substitution interpreter, must produce identical models (including
-// the grouping and stratified-negation programs). Stored queries (which
-// exercise the magic-rewritten saturating evaluation) must agree too.
+// naive and semi-naive fixpoints, serial and at every worker-pool width,
+// must produce identical models (including the grouping and
+// stratified-negation programs), and so must the syntactic and cost-based
+// join orderers. Stored queries (which exercise the magic-rewritten
+// saturating evaluation) must agree too. tests/golden_test.cc pins the
+// models, answers and counters themselves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,28 +73,18 @@ std::vector<std::string> StoredQueryAnswers(
 struct Config {
   const char* name;
   EvalOptions::Mode mode;
-  bool use_compiled_plans;
   int threads = 1;
-  bool batch = true;
 };
 
 constexpr Config kConfigs[] = {
-    {"naive/legacy", EvalOptions::Mode::kNaive, false},
-    {"naive/plans", EvalOptions::Mode::kNaive, true},
-    {"semi-naive/legacy", EvalOptions::Mode::kSemiNaive, false},
-    {"semi-naive/plans", EvalOptions::Mode::kSemiNaive, true},
+    {"naive", EvalOptions::Mode::kNaive},
+    {"semi-naive", EvalOptions::Mode::kSemiNaive},
     // Threads axis: the parallel evaluator must reproduce the serial model
     // at every pool width (1 runs the serial code path by construction).
-    {"semi-naive/plans/t2", EvalOptions::Mode::kSemiNaive, true, 2},
-    {"semi-naive/plans/t4", EvalOptions::Mode::kSemiNaive, true, 4},
-    {"semi-naive/plans/t8", EvalOptions::Mode::kSemiNaive, true, 8},
-    {"naive/plans/t4", EvalOptions::Mode::kNaive, true, 4},
-    {"semi-naive/legacy/t4", EvalOptions::Mode::kSemiNaive, false, 4},
-    // Batch axis: the block-at-a-time executor (on by default above) vs the
-    // scalar tuple-at-a-time executor forced via EvalOptions::batch = false.
-    {"naive/plans/scalar", EvalOptions::Mode::kNaive, true, 1, false},
-    {"semi-naive/plans/scalar", EvalOptions::Mode::kSemiNaive, true, 1, false},
-    {"semi-naive/plans/t4/scalar", EvalOptions::Mode::kSemiNaive, true, 4, false},
+    {"semi-naive/t2", EvalOptions::Mode::kSemiNaive, 2},
+    {"semi-naive/t4", EvalOptions::Mode::kSemiNaive, 4},
+    {"semi-naive/t8", EvalOptions::Mode::kSemiNaive, 8},
+    {"naive/t4", EvalOptions::Mode::kNaive, 4},
 };
 
 TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
@@ -106,9 +98,7 @@ TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
       ASSERT_TRUE(session.LoadFile(path).ok()) << path;
       EvalOptions options;
       options.mode = config.mode;
-      options.use_compiled_plans = config.use_compiled_plans;
       options.num_threads = config.threads;
-      options.batch = config.batch;
       Status status = session.Evaluate(options);
       ASSERT_TRUE(status.ok()) << path << " [" << config.name << "]: " << status;
       ModelText model = Materialize(session);
@@ -167,113 +157,6 @@ TEST(Equivalence, CostBasedMatchesSyntacticAcrossStrategies) {
                   reference_answers[strategy])
             << path << " [cost-based t" << threads << " " << ToString(strategy)
             << "] query answers diverge";
-      }
-    }
-  }
-}
-
-// One line per profiled rule with its deterministic (non-timing) counters.
-// Entries arrive in rule-index order, which is itself deterministic, so the
-// rendered vectors compare directly.
-std::vector<std::string> DeterministicProfileLines(const EvalProfile& profile) {
-  std::vector<std::string> lines;
-  for (const RuleProfileEntry& entry : profile.rules()) {
-    std::string line = "#" + std::to_string(entry.rule_index) + "@" +
-                       std::to_string(entry.stratum) + " " + entry.label;
-    entry.counters.ForEachField(
-        [&](const char* name, uint64_t value) {
-          line += " " + std::string(name) + "=" + std::to_string(value);
-        },
-        /*include_timing=*/false);
-    lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-// Every EvalStats counter, rendered (all of them are deterministic for a
-// fixed thread count, so batch on/off must not move any).
-std::vector<std::string> StatsLines(const EvalStats& stats) {
-  std::vector<std::string> lines;
-  stats.ForEachField([&](const char* name, size_t value) {
-    lines.push_back(std::string(name) + "=" + std::to_string(value));
-  });
-  return lines;
-}
-
-// Per-fact derivation counts of every counted relation (the DRed deletion
-// fast path's input -- a batch/scalar mismatch here would silently corrupt
-// incremental deletes).
-std::map<std::string, uint32_t> DerivationCounts(Session& session) {
-  std::map<std::string, uint32_t> counts;
-  for (PredId pred = 0; pred < session.catalog().size(); ++pred) {
-    const Relation& relation = session.database().relation(pred);
-    if (!relation.counted()) continue;
-    std::string name = session.catalog().DebugName(pred);
-    for (size_t row = 0; row < relation.row_count(); ++row) {
-      if (!relation.IsLive(row)) continue;
-      Tuple tuple(relation.row(row).begin(), relation.row(row).end());
-      counts[name + "(" + session.FormatTuple(tuple) + ")"] =
-          relation.derivation_count(row);
-    }
-  }
-  return counts;
-}
-
-// The batch executor's contract (DESIGN.md §12): with everything else held
-// fixed, batch on/off must be invisible -- identical models, identical
-// stored-query answers under every strategy, identical deterministic
-// profile counters, identical EvalStats, and identical per-fact derivation
-// counts, at serial and parallel widths.
-TEST(Equivalence, BatchMatchesScalarProfilesAndCounts) {
-  constexpr QueryStrategy kStrategies[] = {
-      QueryStrategy::kModel, QueryStrategy::kMagic,
-      QueryStrategy::kMagicSupplementary, QueryStrategy::kTopDown};
-  std::vector<std::string> programs = CorpusPrograms();
-  ASSERT_FALSE(programs.empty());
-  for (const std::string& path : programs) {
-    for (int threads : {1, 4}) {
-      ModelText reference_model;
-      std::vector<std::string> reference_profile;
-      std::vector<std::string> reference_stats;
-      std::map<std::string, uint32_t> reference_counts;
-      std::map<QueryStrategy, std::vector<std::string>> reference_answers;
-      for (bool batch : {false, true}) {
-        Session session;
-        ASSERT_TRUE(session.LoadFile(path).ok()) << path;
-        EvalOptions options;
-        options.batch = batch;
-        options.num_threads = threads;
-        options.profile = true;
-        Status status = session.Evaluate(options);
-        ASSERT_TRUE(status.ok())
-            << path << " t" << threads << " batch=" << batch << ": " << status;
-        ModelText model = Materialize(session);
-        std::vector<std::string> profile =
-            DeterministicProfileLines(session.last_eval_profile());
-        std::vector<std::string> stats = StatsLines(session.last_eval_stats());
-        std::map<std::string, uint32_t> counts = DerivationCounts(session);
-        std::map<QueryStrategy, std::vector<std::string>> answers;
-        for (QueryStrategy strategy : kStrategies) {
-          answers[strategy] = StoredQueryAnswers(session, options, strategy);
-        }
-        if (!batch) {
-          reference_model = std::move(model);
-          reference_profile = std::move(profile);
-          reference_stats = std::move(stats);
-          reference_counts = std::move(counts);
-          reference_answers = std::move(answers);
-          continue;
-        }
-        std::string label = path + " t" + std::to_string(threads);
-        EXPECT_EQ(model, reference_model) << label << " model diverges";
-        EXPECT_EQ(profile, reference_profile) << label << " profile diverges";
-        EXPECT_EQ(stats, reference_stats) << label << " stats diverge";
-        EXPECT_EQ(counts, reference_counts)
-            << label << " derivation counts diverge";
-        for (QueryStrategy strategy : kStrategies) {
-          EXPECT_EQ(answers[strategy], reference_answers[strategy])
-              << label << " " << ToString(strategy) << " answers diverge";
-        }
       }
     }
   }

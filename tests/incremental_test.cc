@@ -723,6 +723,74 @@ TEST(Incremental, DRedRederivesAlternativePaths) {
   EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
+// Removes `removed` from a session over `edb` + `rules`, then re-adds it.
+// After each step the maintained model must equal a model evaluated from
+// scratch, and the removal must have gone through DRed rederivation, whose
+// head-seeded plans bind the head variables by unifying the rule head with
+// each over-deleted fact.
+void CheckDRedRemoveReadd(const std::string& rules, const std::string& edb,
+                          const std::string& removed) {
+  for (int threads : {1, 4}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    Session session;
+    ASSERT_TRUE(session.Load(edb + removed + "\n" + rules).ok());
+    ASSERT_TRUE(session.Evaluate(options).ok());
+
+    ASSERT_TRUE(session.RemoveFacts(removed).ok());
+    ASSERT_TRUE(session.Evaluate(options).ok());
+    EXPECT_EQ(session.incremental_evals(), 1u) << "threads=" << threads;
+    EXPECT_GE(session.last_eval_stats().rederive_rounds, 1u)
+        << "threads=" << threads;
+    Session without;
+    ASSERT_TRUE(without.Load(edb + rules).ok());
+    ASSERT_TRUE(without.Evaluate(options).ok());
+    EXPECT_EQ(Materialize(session), Materialize(without))
+        << "after removing " << removed << ", threads=" << threads;
+
+    ASSERT_TRUE(session.AddFacts(removed).ok());
+    ASSERT_TRUE(session.Evaluate(options).ok());
+    Session with;
+    ASSERT_TRUE(with.Load(edb + removed + "\n" + rules).ok());
+    ASSERT_TRUE(with.Evaluate(options).ok());
+    EXPECT_EQ(Materialize(session), Materialize(with))
+        << "after re-adding " << removed << ", threads=" << threads;
+  }
+}
+
+// Removing e(b, a) over-deletes tc(a, a); only the repeated-variable rule
+// rederives it, and only diagonal facts unify with its head tc(X, X).
+TEST(Incremental, DRedRederivesThroughRepeatedHeadVariable) {
+  CheckDRedRemoveReadd(
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), e(Z, Y).\n"
+      "tc(X, X) :- loopy(X).\n",
+      "e(a, b). e(b, c). loopy(a).\n", "e(b, a).");
+}
+
+// Removing e(b, c) over-deletes tc(a, hub) and tc(b, hub); the rule with a
+// constant head argument rederives tc(a, hub) through spoke(b), and facts
+// whose second column is not hub never unify with its head.
+TEST(Incremental, DRedRederivesThroughConstantHeadArgument) {
+  CheckDRedRemoveReadd(
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), e(Z, Y).\n"
+      "tc(X, hub) :- e(X, Y), spoke(Y).\n",
+      "e(a, b). e(c, hub). spoke(b).\n", "e(b, c).");
+}
+
+// Heads with a function symbol and with a set: the over-deleted facts
+// reach(f(a), c) and grp({a}, c) rederive through e(a, c) once the head
+// unifier binds X = a.
+TEST(Incremental, DRedRederivesThroughComplexHeadTerms) {
+  CheckDRedRemoveReadd(
+      "reach(f(X), Y) :- e(X, Y).\n"
+      "reach(f(X), Y) :- reach(f(X), Z), e(Z, Y).\n"
+      "grp({X}, Y) :- e(X, Y).\n"
+      "grp({X}, Y) :- grp({X}, Z), e(Z, Y).\n",
+      "e(a, b). e(a, c). e(c, d).\n", "e(b, c).");
+}
+
 // A batch mixing insertions and deletions resolves in one incremental
 // round: deletions settle first (DRed), then the insert delta resumes.
 TEST(Incremental, MixedInsertDeleteBatchMatchesScratch) {

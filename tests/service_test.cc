@@ -128,6 +128,32 @@ TEST(Service, StatsCountServingActivity) {
   EXPECT_NE(formatted.find("snapshots_published=3"), std::string::npos);
 }
 
+// Supplementary-magic rewrites name their sup$ predicates after the adorned
+// rule they belong to, so repeating a query reuses the catalog entries and
+// compiled plans of the first rewrite instead of adding new ones per query.
+TEST(Service, RepeatedSupplementaryQueriesReuseCatalogAndPlans) {
+  Service service;
+  ASSERT_TRUE(service.Load(kPathProgram).ok());
+  auto prepared = service.Prepare("path(1, X)");
+  ASSERT_TRUE(prepared.ok());
+  QueryOptions options;
+  options.strategy = QueryStrategy::kMagicSupplementary;
+  auto first = service.Query(*prepared, options);
+  ASSERT_TRUE(first.ok());
+  const TermFactory& factory = service.snapshot()->factory();
+  const std::vector<std::string> want = Render(factory, first->tuples);
+  ASSERT_EQ(want.size(), 3u);
+  const ServiceStats after_first = service.stats();
+  for (int i = 0; i < 200; ++i) {
+    auto result = service.Query(*prepared, options);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(Render(factory, result->tuples), want) << "query " << i;
+  }
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.catalog_preds, after_first.catalog_preds);
+  EXPECT_EQ(after.cached_plans, after_first.cached_plans);
+}
+
 // --- Linearizability stress ---
 //
 // One writer applies a fixed sequence of EDB inserts/removes while reader
@@ -218,6 +244,12 @@ TEST(ServiceStress, ModelSingleThreadEval) { RunStress(QueryStrategy::kModel, 1)
 TEST(ServiceStress, ModelParallelEval) { RunStress(QueryStrategy::kModel, 4); }
 TEST(ServiceStress, MagicSingleThreadEval) { RunStress(QueryStrategy::kMagic, 1); }
 TEST(ServiceStress, MagicParallelEval) { RunStress(QueryStrategy::kMagic, 4); }
+TEST(ServiceStress, MagicSupplementarySingleThreadEval) {
+  RunStress(QueryStrategy::kMagicSupplementary, 1);
+}
+TEST(ServiceStress, MagicSupplementaryParallelEval) {
+  RunStress(QueryStrategy::kMagicSupplementary, 4);
+}
 TEST(ServiceStress, TopDownSingleThreadEval) { RunStress(QueryStrategy::kTopDown, 1); }
 TEST(ServiceStress, TopDownParallelEval) { RunStress(QueryStrategy::kTopDown, 4); }
 

@@ -16,7 +16,6 @@
 //   :strategy [name]     query strategy: model, magic, magic-sup, topdown
 //   :magic on|off|sup    shorthand for :strategy magic / model / magic-sup
 //   :naive on|off        switch the fixpoint engine (default: semi-naive)
-//   :batch on|off        block-at-a-time execution (default: on)
 //   :threads N           worker threads for bottom-up evaluation
 //   :stats               stats of the last evaluation + per-predicate
 //                        dead-row (tombstone) ratios
@@ -51,7 +50,6 @@ struct ReplState {
   ldl::Session session;
   ldl::QueryStrategy strategy = ldl::QueryStrategy::kModel;
   bool naive = false;
-  bool batch = true;
   int threads = 1;
   bool profile = false;
   // Profile of the most recent profiled query (what :profile dump shows).
@@ -84,7 +82,7 @@ void PrintHelp() {
       "      :warnings :why f(a)\n"
       "      :retract f(a).\n"
       "      :strategy [%s]  :magic on|off|sup\n"
-      "      :naive on|off  :batch on|off  :threads N  :stats\n"
+      "      :naive on|off  :threads N  :stats\n"
       "      :serve [N] goal\n"
       "      :profile [on|off]  :profile dump [file]\n",
       ldl::QueryStrategyNames());
@@ -97,7 +95,6 @@ void RunQuery(ReplState& state, const std::string& goal) {
                                   : ldl::EvalOptions::Mode::kSemiNaive;
   options.eval.num_threads = state.threads;
   options.eval.profile = state.profile;
-  options.eval.batch = state.batch;
   // Repeated queries of the same text reuse the prepared goal instead of
   // reparsing it.
   if (goal != state.last_goal_text || !state.last_prepared.valid()) {
@@ -472,10 +469,6 @@ bool HandleLine(ReplState& state, const std::string& raw) {
     } else if (command == "naive") {
       state.naive = argument != "off";
       std::printf("engine: %s\n", state.naive ? "naive" : "semi-naive");
-    } else if (command == "batch") {
-      state.batch = argument != "off";
-      std::printf("execution: %s\n",
-                  state.batch ? "block-at-a-time" : "tuple-at-a-time");
     } else {
       Fail(state, ldl::StrCat("unknown command :", command, " (try :help)"));
     }
