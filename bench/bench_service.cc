@@ -12,6 +12,16 @@
 // Session::Query; the reader sweep shows snapshot reads scaling (on a
 // multi-core host -- a single-core container serializes the threads, so
 // qps stays flat there and only the isolation properties are exercised).
+//
+// BM_ServiceWrite is the write arm: write->visible latency against model
+// size. Over an ancestor forest of `people` people, one writer adds a fresh
+// leaf under a random person and removes it again; each AddFacts /
+// RemoveFacts call returns once the maintained model is published, so its
+// wall time is the write->visible latency. Reported counters:
+//
+//   write_p50_us  write->visible latency, 50th percentile (microseconds)
+//   write_p99_us  write->visible latency, 99th percentile
+//   model_facts   facts in the published model (anc + parent)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -124,7 +134,69 @@ void BM_ServiceServe(benchmark::State& state) {
       static_cast<double>(service.stats().snapshots_published);
 }
 
+constexpr size_t kWritesPerIteration = 32;  // leaf add + remove pairs
+
+// args: {people}
+void BM_ServiceWrite(benchmark::State& state) {
+  const size_t people = static_cast<size_t>(state.range(0));
+  ldl::Service service;
+  std::string program = ldl::ParentRandomTree(people, /*seed=*/11);
+  program +=
+      "anc(X, Y) :- parent(X, Y).\n"
+      "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
+  ldl::Status status = service.Load(program);
+  if (!status.ok()) {
+    state.SkipWithError(status.ToString().c_str());
+    return;
+  }
+  const size_t model_facts = service.snapshot()->total_facts();
+
+  ldl::Rng rng(7);
+  size_t next_leaf = 0;
+  std::vector<double> latencies_us;
+  auto timed_write = [&](const std::string& fact, bool add) {
+    auto t0 = std::chrono::steady_clock::now();
+    ldl::Status write = add ? service.AddFacts(fact) : service.RemoveFacts(fact);
+    auto t1 = std::chrono::steady_clock::now();
+    latencies_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    return write.ok();
+  };
+  for (auto _ : state) {
+    const size_t first = latencies_us.size();
+    for (size_t w = 0; w < kWritesPerIteration; ++w) {
+      const std::string fact = "parent(p" + std::to_string(rng.Below(people)) +
+                               ", leaf" + std::to_string(next_leaf++) + ").";
+      if (!timed_write(fact, true) || !timed_write(fact, false)) {
+        state.SkipWithError("write failed");
+        return;
+      }
+    }
+    double seconds = 0;
+    for (size_t i = first; i < latencies_us.size(); ++i) {
+      seconds += latencies_us[i] * 1e-6;
+    }
+    state.SetIterationTime(seconds);
+  }
+  if (service.snapshot()->total_facts() != model_facts) {
+    state.SkipWithError("leaf writes did not cancel out");
+    return;
+  }
+  std::sort(latencies_us.begin(), latencies_us.end());
+  state.counters["write_p50_us"] = Percentile(&latencies_us, 0.50);
+  state.counters["write_p99_us"] = Percentile(&latencies_us, 0.99);
+  state.counters["model_facts"] = static_cast<double>(model_facts);
+}
+
 }  // namespace
+
+BENCHMARK(BM_ServiceWrite)
+    ->UseManualTime()
+    ->ArgNames({"people"})
+    ->Arg(1500)
+    ->Arg(6000)
+    ->Arg(24000)
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_ServiceServe)
     ->UseManualTime()

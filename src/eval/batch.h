@@ -173,7 +173,7 @@ struct BlockStorage {
   struct StepScratch {
     std::vector<const Term*> keys;   // probe keys, step.probe.size() per row
     std::vector<uint64_t> hashes;    // precomputed key hash per selected row
-    std::vector<uint32_t> live_rows; // gathered live row ids (scan kernel)
+    std::vector<const Term* const*> live_rows;  // gathered live rows (scan)
     std::vector<uint32_t> sel;       // refined selection (filter kernels)
   };
   TupleBlock root;

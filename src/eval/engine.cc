@@ -903,8 +903,7 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
       }
       ++s->index_probes;
       head_rel.ProbeRows(non_group_cols, probe_values, 0, head_rows,
-                         [&](size_t row_index) {
-                           RowRef row = head_rel.row(row_index);
+                         [&](size_t, RowRef row) {
                            old_fact.assign(row.begin(), row.end());
                            found = true;
                            return false;  // sole producer: row is unique
@@ -1003,10 +1002,15 @@ Status Engine::EvaluateStratumShrink(
   const uint64_t facts_before = stats->facts_derived;
   const uint64_t tasks_before = stats->parallel_tasks;
 
-  // Drop ledger entries whose rows came back: a lower stratum's rederive or
-  // insert resume can revive a row an earlier phase deleted, and a revived
-  // row is no longer a deletion. (The row_count guard covers relations a
-  // recomputed stratum cleared, which invalidates old row ids.)
+  // Drop ledger entries whose rows came back: a lower stratum's rederive
+  // can revive a row an earlier phase deleted (in place, via SetLive), and
+  // a revived row is no longer a deletion. A fact the insert resume
+  // re-derived instead sits in a fresh row (Insert appends), which the
+  // resume below windows as an insertion; its old row stays on the ledger,
+  // so the solutions through it are retracted (decremented or
+  // over-deleted) before the new row adds them back. (The row_count guard
+  // covers relations a recomputed stratum cleared, which invalidates old
+  // row ids.)
   for (PredId p = 0; p < removed_rows->size(); ++p) {
     std::vector<size_t>& rows = (*removed_rows)[p];
     if (rows.empty()) continue;
@@ -1364,8 +1368,8 @@ Status Engine::EvaluateStratumShrink(
       if (!revived_any) break;
     }
     // What stayed dead is deleted for good; strata above see it through the
-    // ledger. (The insert resume below can still revive a row -- the next
-    // stratum's ledger pruning handles that.)
+    // ledger. (The insert resume below can still re-derive such a fact --
+    // into a fresh row, which strata above see as an insertion.)
     for (const auto& [h, row] : dead) (*removed_rows)[h].push_back(row);
   } else {
     // No settled deletion reaches this stratum (everything below was
@@ -1889,8 +1893,8 @@ StatusOr<std::vector<Tuple>> QueryRelation(TermFactory* factory,
                         [&](size_t, RowRef tuple) { match_row(tuple); });
   } else {
     relation.ProbeRows(probe_cols, probe_values, 0, relation.row_count(),
-                       [&](size_t row) {
-                         match_row(relation.row(row));
+                       [&](size_t, RowRef tuple) {
+                         match_row(tuple);
                          return true;
                        });
   }

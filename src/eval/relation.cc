@@ -1,75 +1,89 @@
 #include "eval/relation.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cmath>
 
 namespace ldl {
 
-size_t Relation::FindRow(RowRef tuple, uint64_t hash) const {
-  size_t mask = table_.size() - 1;
-  size_t idx = hash & mask;
-  while (table_[idx] != kEmptySlot) {
-    uint32_t row = table_[idx];
-    if (row_hash_[row] == hash &&
-        std::equal(tuple.begin(), tuple.end(), data_.begin() + row * arity_)) {
-      return row;
+size_t Relation::FindSlot(RowRef tuple, uint64_t hash) const {
+  const uint64_t high = hash >> 32;
+  const size_t mask = table_.size() - 1;
+  for (size_t idx = high & mask;; idx = (idx + 1) & mask) {
+    const uint64_t entry = table_[idx];
+    if (entry == kEmptySlot) return idx;
+    if ((entry >> 32) == high &&
+        std::equal(tuple.begin(), tuple.end(), RowData(EntryRow(entry)))) {
+      return idx;
     }
-    idx = (idx + 1) & mask;
   }
-  return kNoRow;
+}
+
+size_t Relation::FindRow(RowRef tuple) const {
+  if (frozen_) {
+    std::call_once(table_once_, [this] {
+      // Smallest power of two (>= 16) the writer's 7/8 load rule allows,
+      // filled in row order so a re-inserted tuple's newest row wins.
+      size_t capacity = 16;
+      while ((row_count_ + 1) * 8 >= capacity * 7) capacity *= 2;
+      table_.assign(capacity, kEmptySlot);
+      for (size_t row = 0; row < row_count_; ++row) {
+        const uint64_t hash = HashRow(this->row(row));
+        table_[FindSlot(this->row(row), hash)] = TableEntry(hash, row);
+      }
+    });
+  }
+  if (table_.empty()) return kNoRow;
+  const uint64_t entry = table_[FindSlot(tuple, HashRow(tuple))];
+  return entry == kEmptySlot ? kNoRow : EntryRow(entry);
 }
 
 void Relation::GrowTable() {
-  size_t capacity = table_.empty() ? 16 : table_.size() * 2;
-  table_.assign(capacity, kEmptySlot);
-  size_t mask = capacity - 1;
-  for (size_t row = 0; row < row_count_; ++row) {
-    size_t idx = row_hash_[row] & mask;
+  std::vector<uint64_t> old = std::move(table_);
+  table_.assign(old.empty() ? 16 : old.size() * 2, kEmptySlot);
+  const size_t mask = table_.size() - 1;
+  for (uint64_t entry : old) {
+    if (entry == kEmptySlot) continue;
+    size_t idx = (entry >> 32) & mask;
     while (table_[idx] != kEmptySlot) idx = (idx + 1) & mask;
-    table_[idx] = static_cast<uint32_t>(row);
+    table_[idx] = entry;
   }
 }
 
 bool Relation::Insert(RowRef tuple) {
-  assert(tuple.size() == arity_);
+  assert(!frozen_ && tuple.size() == arity_);
   // Grow at 7/8 load (entries are never removed, so load only rises).
   if ((row_count_ + 1) * 8 >= table_.size() * 7) GrowTable();
-  uint64_t hash = HashRow(tuple);
-  size_t mask = table_.size() - 1;
-  size_t idx = hash & mask;
-  while (table_[idx] != kEmptySlot) {
-    uint32_t row = table_[idx];
-    if (row_hash_[row] == hash &&
-        std::equal(tuple.begin(), tuple.end(), data_.begin() + row * arity_)) {
-      if (live_[row]) {
-        if (counted_) {
-          // A pinned (saturated) count can never reach zero again, so the
-          // counts as a whole stop being trustworthy for deletion.
-          if (counts_[row] == UINT32_MAX) {
-            DisableCounts();
-          } else {
-            ++counts_[row];
-          }
-        }
-        return false;
+  const uint64_t hash = HashRow(tuple);
+  const size_t slot = FindSlot(tuple, hash);
+  if (table_[slot] != kEmptySlot && live_[EntryRow(table_[slot])]) {
+    if (counted_) {
+      const size_t row = EntryRow(table_[slot]);
+      // A pinned (saturated) count can never reach zero again, so the
+      // counts as a whole stop being trustworthy for deletion.
+      if (counts_[row] == UINT32_MAX) {
+        DisableCounts();
+      } else {
+        ++counts_[row];
       }
-      // Re-insert of a tombstoned fact: revive in place. The row keeps its
-      // old id, so delta windows opened after the deletion will not see it;
-      // the magic scheduler re-runs affected rules anyway. Index entries for
-      // the row were never removed, so no index repair is needed either.
-      live_[row] = true;
-      ++live_count_;
-      if (counted_) counts_[row] = 1;
-      return true;
     }
-    idx = (idx + 1) & mask;
+    return false;
   }
-  size_t row = row_count_++;
-  table_[idx] = static_cast<uint32_t>(row);
-  data_.insert(data_.end(), tuple.begin(), tuple.end());
-  row_hash_.push_back(hash);
+  // A fresh fact, or the re-insert of a tombstoned one. Either way the
+  // tuple gets a new row past every existing one: rows are never rewritten
+  // (snapshots share them), and a re-inserted fact must land inside the
+  // delta windows opened after its deletion. A tombstoned predecessor stays
+  // dead; the dedup slot now names the new row.
+  const size_t row = row_count_;
+  assert(row < kEmptySlot >> 32);  // row ids are 32-bit
+  const RowSlot at = Locate(row);
+  if (at.chunk == chunks_.size()) {
+    chunks_.push_back(std::make_shared_for_overwrite<const Term*[]>(
+        ChunkRows(at.chunk) * arity_));
+  }
+  std::copy(tuple.begin(), tuple.end(),
+            chunks_[at.chunk].get() + at.offset * arity_);
+  ++row_count_;
+  table_[slot] = TableEntry(hash, row);
   live_.push_back(true);
   ++live_count_;
   if (counted_) counts_.push_back(1);
@@ -91,20 +105,18 @@ bool Relation::Insert(RowRef tuple) {
 }
 
 bool Relation::Contains(RowRef tuple) const {
-  if (table_.empty()) return false;
-  size_t row = FindRow(tuple, HashRow(tuple));
+  const size_t row = FindRow(tuple);
   return row != kNoRow && live_[row];
 }
 
 size_t Relation::Find(RowRef tuple) const {
-  if (table_.empty()) return npos;
-  size_t row = FindRow(tuple, HashRow(tuple));
+  const size_t row = FindRow(tuple);
   return row == kNoRow ? npos : row;
 }
 
 bool Relation::Erase(RowRef tuple) {
-  if (table_.empty()) return false;
-  size_t row = FindRow(tuple, HashRow(tuple));
+  assert(!frozen_);
+  const size_t row = FindRow(tuple);
   if (row == kNoRow || !live_[row]) return false;
   live_[row] = false;
   --live_count_;
@@ -135,13 +147,12 @@ const Relation::CompositeIndex& Relation::EnsureIndex(
   auto* index = new CompositeIndex;
   index->cols.assign(cols.begin(), cols.end());
   index->map.reserve(row_count_);
-  // Index tombstoned rows too: a later revival keeps the row id, and probes
-  // filter on live_ anyway.
+  // Index tombstoned rows too: DRed revives rows in place (SetLive), and
+  // probes filter on live_ anyway.
   for (size_t row = 0; row < row_count_; ++row) {
+    const Term* const* tuple = RowData(row);
     uint64_t h = 0x7e11ab1eULL;
-    for (uint32_t col : index->cols) {
-      h = HashCombine(h, data_[row * arity_ + col]->hash());
-    }
+    for (uint32_t col : index->cols) h = HashCombine(h, tuple[col]->hash());
     index->map[h].push_back(static_cast<uint32_t>(row));
   }
   index->next = head;
@@ -161,7 +172,7 @@ void Relation::FreeIndexes() {
 void Relation::Probe(uint32_t column, const Term* value, size_t from, size_t to,
                      std::vector<size_t>* out) const {
   out->clear();
-  ProbeRows({&column, 1}, {&value, 1}, from, to, [&](size_t row) {
+  ProbeRows({&column, 1}, {&value, 1}, from, to, [&](size_t row, RowRef) {
     out->push_back(row);
     return true;
   });
@@ -198,19 +209,16 @@ RelationStats Relation::Stats() const {
 std::vector<Tuple> Relation::Snapshot() const {
   std::vector<Tuple> result;
   result.reserve(live_count_);
-  for (size_t i = 0; i < row_count_; ++i) {
-    if (live_[i]) {
-      RowRef r = row(i);
-      result.emplace_back(r.begin(), r.end());
-    }
-  }
+  ForEachRow(0, row_count_, [&](size_t, RowRef tuple) {
+    result.emplace_back(tuple.begin(), tuple.end());
+  });
   return result;
 }
 
 void Relation::Clear() {
-  data_.clear();
+  assert(!frozen_);
+  chunks_.clear();  // snapshots sharing the old chunks keep them alive
   row_count_ = 0;
-  row_hash_.clear();
   live_.clear();
   live_count_ = 0;
   table_.clear();
@@ -224,6 +232,17 @@ void Relation::Clear() {
     index->map.clear();
   }
   ++epoch_;
+}
+
+void Relation::ShareFrom(const Relation& source) {
+  assert(row_count_ == 0 && !frozen_);
+  arity_ = source.arity_;
+  chunks_ = source.chunks_;
+  row_count_ = source.row_count_;
+  live_ = source.live_;
+  live_count_ = source.live_count_;
+  sketches_ = source.sketches_;
+  frozen_ = true;
 }
 
 void Database::Grow() {
@@ -246,6 +265,16 @@ size_t Database::TotalFacts() const {
   size_t total = 0;
   for (const Relation& relation : relations_) total += relation.size();
   return total;
+}
+
+void Database::ShareFrom(const Database& other) {
+  Grow();
+  for (size_t pred = 0; pred < relations_.size(); ++pred) {
+    if (pred < other.relations_.size()) {
+      relations_[pred].ShareFrom(other.relations_[pred]);
+    }
+    relations_[pred].frozen_ = true;
+  }
 }
 
 void Database::CopyFrom(const Database& other, const std::vector<PredId>& preds) {

@@ -1,8 +1,13 @@
-// Fact storage: tuples of interned terms in a flat column-major-free array
-// with O(1) dedup via an open-addressing row table, lazily built composite
+// Fact storage: tuples of interned terms in append-only row chunks with
+// O(1) dedup via an open-addressing row table, lazily built composite
 // (multi-column) hash indexes, stable row ids for semi-naive delta windows,
 // and tombstone deletion (needed by the magic-set scheduler's group
 // reconciliation).
+//
+// Rows are written once and never moved or overwritten, so a published
+// snapshot (ShareFrom) reads the writer's chunks in place: the writer only
+// ever appends past the snapshot's row count, and Clear() starts fresh
+// chunks instead of reusing the old ones.
 //
 // Concurrency contract: during a parallel fixpoint round the relation is
 // read-only -- workers probe and scan, and all Inserts happen at the merge
@@ -13,13 +18,18 @@
 #ifndef LDL1_EVAL_RELATION_H_
 #define LDL1_EVAL_RELATION_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/hash.h"
@@ -65,9 +75,12 @@ class Relation {
   uint32_t arity() const { return arity_; }
   void set_arity(uint32_t arity) { arity_ = arity; }
 
-  // Inserts a fact; returns false if it was already present. On a counted
-  // relation a duplicate insert increments the row's derivation count (each
-  // Insert call is one derivation) and a fresh or revived row starts at 1.
+  // Inserts a fact; returns false if it was already present. A fact that
+  // was erased earlier comes back as a fresh row appended past every
+  // existing one (its old row stays a tombstone), so delta windows opened
+  // before the re-insert see it like any new fact. On a counted relation a
+  // duplicate insert increments the row's derivation count (each Insert
+  // call is one derivation) and a fresh row starts at 1.
   bool Insert(RowRef tuple);
   bool Contains(RowRef tuple) const;
   // Removes a fact (tombstones the row). Returns false if absent.
@@ -76,8 +89,9 @@ class Relation {
   // Sentinel for "no such row".
   static constexpr size_t npos = static_cast<size_t>(-1);
 
-  // Row id of `tuple` regardless of liveness (tombstoned rows stay in the
-  // dedup table), or npos. Callers check IsLive() as needed.
+  // Row id of `tuple` regardless of liveness (the newest row holding it;
+  // tombstoned rows stay in the dedup table until a re-insert supersedes
+  // them), or npos. Callers check IsLive() as needed.
   size_t Find(RowRef tuple) const;
 
   // Toggles a row's tombstone directly by id. Incremental deletion (DRed)
@@ -85,6 +99,7 @@ class Relation {
   // while enumerating joins against the pre-deletion state. No index repair
   // is needed either way: tombstoned rows keep their index entries.
   void SetLive(size_t row, bool live) {
+    assert(!frozen_);
     if (live_[row] == live) return;
     live_[row] = live;
     live ? ++live_count_ : --live_count_;
@@ -134,40 +149,34 @@ class Relation {
   // Raw row storage; row ids are stable (deletions leave tombstones).
   size_t row_count() const { return row_count_; }
   bool IsLive(size_t row) const { return live_[row]; }
-  RowRef row(size_t i) const { return {data_.data() + i * arity_, arity_}; }
+  RowRef row(size_t i) const { return {RowData(i), arity_}; }
 
   // Calls fn(row_index, tuple) for every live row with index in [from, to).
   template <typename Fn>
   void ForEachRow(size_t from, size_t to, Fn&& fn) const {
-    for (size_t i = from; i < to && i < row_count_; ++i) {
-      if (live_[i]) fn(i, row(i));
+    if (to > row_count_) to = row_count_;
+    // Chunk by chunk, so the row address is a pointer bump, not a lookup.
+    for (size_t i = from; i < to;) {
+      const RowSlot slot = Locate(i);
+      const size_t end = std::min(to, i + ChunkRows(slot.chunk) - slot.offset);
+      const Term* const* data = chunks_[slot.chunk].get() + slot.offset * arity_;
+      for (; i < end; ++i, data += arity_) {
+        if (live_[i]) fn(i, RowRef{data, arity_});
+      }
     }
   }
 
-  // Calls fn(row_index) for every live row in [from, to) whose `cols` equal
-  // `values` component-wise; stops early when fn returns false. Builds a
-  // composite hash index over `cols` on first use and maintains it
+  // Calls fn(row_index, tuple) for every live row in [from, to) whose
+  // `cols` equal `values` component-wise; stops early when fn returns false.
+  // Builds a composite hash index over `cols` on first use and maintains it
   // incrementally on Insert. Keys are combined term hashes, so candidate
   // rows are verified against `values` before the callback fires.
   template <typename Fn>
   void ProbeRows(std::span<const uint32_t> cols,
                  std::span<const Term* const> values, size_t from, size_t to,
                  Fn&& fn) const {
-    const CompositeIndex& index = EnsureIndex(cols);
-    auto it = index.map.find(HashKey(values));
-    if (it == index.map.end()) return;
-    for (uint32_t row : it->second) {
-      if (row < from || row >= to || !live_[row]) continue;
-      const Term* const* tuple = data_.data() + row * arity_;
-      bool match = true;
-      for (size_t i = 0; i < cols.size(); ++i) {
-        if (tuple[cols[i]] != values[i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match && !fn(row)) return;
-    }
+    ProbeRowsHashed(cols, values, HashKey(values), from, to,
+                    std::forward<Fn>(fn));
   }
 
   // Combined hash of a probe key, for callers that batch key hashing over a
@@ -178,8 +187,7 @@ class Relation {
   }
 
   // ProbeRows with the key hash precomputed via ProbeHash. The batch probe
-  // kernel hashes a whole block's keys in one pass, then probes; semantics
-  // (verification, liveness, window, early stop) are identical to ProbeRows.
+  // kernel hashes a whole block's keys in one pass, then probes.
   template <typename Fn>
   void ProbeRowsHashed(std::span<const uint32_t> cols,
                        std::span<const Term* const> values, uint64_t hash,
@@ -189,7 +197,7 @@ class Relation {
     if (it == index.map.end()) return;
     for (uint32_t row : it->second) {
       if (row < from || row >= to || !live_[row]) continue;
-      const Term* const* tuple = data_.data() + row * arity_;
+      const Term* const* tuple = RowData(row);
       bool match = true;
       for (size_t i = 0; i < cols.size(); ++i) {
         if (tuple[cols[i]] != values[i]) {
@@ -197,18 +205,17 @@ class Relation {
           break;
         }
       }
-      if (match && !fn(row)) return;
+      if (match && !fn(row, RowRef{tuple, arity_})) return;
     }
   }
 
-  // Appends the ids of live rows in [from, to) to `out` in ascending order.
-  // The batch scan kernel gathers once per input block, amortizing the
-  // per-row tombstone branch across the block's candidates.
-  void CollectLiveRows(size_t from, size_t to, std::vector<uint32_t>* out) const {
-    if (to > row_count_) to = row_count_;
-    for (size_t i = from; i < to; ++i) {
-      if (live_[i]) out->push_back(static_cast<uint32_t>(i));
-    }
+  // Appends the storage of every live row in [from, to) to `out`, in row
+  // order. The batch scan kernel gathers once per input block, amortizing
+  // the per-row tombstone branch and chunk lookup across the block's
+  // candidates.
+  void CollectLiveRows(size_t from, size_t to,
+                       std::vector<const Term* const*>* out) const {
+    ForEachRow(from, to, [&](size_t, RowRef row) { out->push_back(row.data()); });
   }
 
   // Row ids of live facts whose `column` equals `value`, restricted to
@@ -229,12 +236,25 @@ class Relation {
   // All live tuples (copy, for tests and result reporting).
   std::vector<Tuple> Snapshot() const;
 
-  // Drops every row and bumps epoch(). Built indexes survive: their nodes
-  // stay linked (the append-only contract above means callers may hold
-  // references across a clear) with their maps emptied in place, and
-  // Insert repopulates them. Incremental maintenance relies on this when it
-  // recomputes a stratum in an otherwise-live database.
+  // Drops every row and bumps epoch(). Row storage restarts in fresh
+  // chunks; the old ones live on for as long as a snapshot shares them.
+  // Built indexes survive: their nodes stay linked (the append-only
+  // contract above means callers may hold references across a clear) with
+  // their maps emptied in place, and Insert repopulates them. Incremental
+  // maintenance relies on this when it recomputes a stratum in an
+  // otherwise-live database.
   void Clear();
+
+  // Makes this empty relation a frozen view of `source`'s current rows. The
+  // view shares source's row chunks (no row is copied) and takes its own
+  // copy of the live bitmap and the distinct sketches; derivation counts
+  // stay with the source. The source may keep changing afterwards -- it
+  // only appends past the shared rows or moves to fresh chunks -- and the
+  // view never sees it. A frozen relation builds its dedup table and
+  // composite indexes lazily on first use (thread-safe, like the indexes
+  // of any relation) and asserts that nothing mutates it.
+  void ShareFrom(const Relation& source);
+  bool frozen() const { return frozen_; }
 
   // Incremented on every Clear(). Lets holders of a long-lived Relation
   // reference detect that row ids restarted (e.g. across an incremental
@@ -245,9 +265,8 @@ class Relation {
   //
   // Per-column distinct-value estimates via linear-counting sketches: a
   // 1024-bit bitmap per column, one bit set per inserted value hash. The
-  // sketches are updated only when a fresh row is appended (a revived
-  // tombstone contributed its bits on first insert) and reset by Clear(),
-  // so they over-approximate the live distinct count; DistinctEstimate caps
+  // sketches are updated when a row is appended and reset by Clear(), so
+  // they over-approximate the live distinct count; DistinctEstimate caps
   // the result at size(). Mutation happens in Insert -- single-writer
   // phases only -- and reads happen at round start on the scheduling
   // thread, so the planner never races the sketches.
@@ -265,8 +284,8 @@ class Relation {
   struct CompositeIndex {
     std::vector<uint32_t> cols;
     // Combined key hash -> row ids. Rows are never removed (tombstoned rows
-    // keep their entries so revival needs no index repair); probes filter
-    // on live_.
+    // keep their entries, so DRed's SetLive needs no index repair); probes
+    // filter on live_.
     std::unordered_map<uint64_t, std::vector<uint32_t>> map;
     // Next-older index; the list is append-at-head and never unlinked
     // outside the destructor (Clear() empties the maps but keeps the nodes
@@ -274,8 +293,58 @@ class Relation {
     CompositeIndex* next = nullptr;
   };
 
-  static constexpr uint32_t kEmptySlot = static_cast<uint32_t>(-1);
+  friend class Database;
+
+  // Dedup table entries hold a row id in the low 32 bits and the top 32
+  // bits of the row's tuple hash above it. Probes compare those bits before
+  // touching row storage, the same bits pick the home slot, and growth
+  // re-slots entries from the bits alone.
+  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
   static constexpr size_t kNoRow = static_cast<size_t>(-1);
+  static uint64_t TableEntry(uint64_t hash, size_t row) {
+    return (hash & ~uint64_t{0xffffffff}) | row;
+  }
+  static size_t EntryRow(uint64_t entry) {
+    return static_cast<uint32_t>(entry);
+  }
+
+  // Row chunk geometry: chunk c holds 8 << c rows until chunks reach 4096
+  // rows, and 4096 rows each from then on. Small first chunks keep the
+  // scratch databases of magic and top-down queries (many tiny relations)
+  // cheap; the cap bounds the unused tail of a large relation. No row
+  // straddles two chunks.
+  static constexpr unsigned kFirstChunkShift = 3;  // 8 rows
+  static constexpr unsigned kMaxChunkShift = 12;   // 4096 rows
+  static constexpr size_t kCapChunk = kMaxChunkShift - kFirstChunkShift;
+  static constexpr size_t kCapStart =  // first row of chunk kCapChunk
+      (size_t{1} << kMaxChunkShift) - (size_t{1} << kFirstChunkShift);
+  // A chunk: ChunkRows(i) * arity_ term slots.
+  using Chunk = std::shared_ptr<const Term*[]>;
+  struct RowSlot {
+    size_t chunk;
+    size_t offset;
+  };
+  static RowSlot Locate(size_t row) {
+    if (row >= kCapStart) {
+      const size_t past = row - kCapStart;
+      return {kCapChunk + (past >> kMaxChunkShift),
+              past & ((size_t{1} << kMaxChunkShift) - 1)};
+    }
+    // Chunk c starts at row 8 * (2^c - 1): shifted by 8 rows, its first
+    // row is the power of two 8 << c.
+    const size_t shifted = row + (size_t{1} << kFirstChunkShift);
+    const size_t first = std::bit_floor(shifted);
+    return {static_cast<size_t>(std::countr_zero(first)) - kFirstChunkShift,
+            shifted - first};
+  }
+  static size_t ChunkRows(size_t chunk) {
+    return size_t{1} << std::min<size_t>(chunk + kFirstChunkShift,
+                                         kMaxChunkShift);
+  }
+  const Term* const* RowData(size_t row) const {
+    const RowSlot slot = Locate(row);
+    return chunks_[slot.chunk].get() + slot.offset * arity_;
+  }
 
   static uint64_t HashKey(std::span<const Term* const> values) {
     uint64_t h = 0x7e11ab1eULL;
@@ -289,9 +358,13 @@ class Relation {
     return h;
   }
 
-  // Open-addressing lookup in table_; kNoRow when absent. table_ must be
-  // non-empty.
-  size_t FindRow(RowRef tuple, uint64_t hash) const;
+  // Open-addressing lookup in table_: the slot holding `tuple`'s row, or
+  // the empty slot where it would go. table_ must be non-empty.
+  size_t FindSlot(RowRef tuple, uint64_t hash) const;
+  // Row of `tuple` (live or not), or kNoRow. Builds a frozen relation's
+  // table on first use.
+  size_t FindRow(RowRef tuple) const;
+  // Doubles table_ (a writer's table grows as rows are appended).
   void GrowTable();
 
   // Returns the index over `cols`, building and publishing it on first use.
@@ -300,10 +373,10 @@ class Relation {
   void FreeIndexes();
 
   uint32_t arity_;
-  // Flat row storage: row i occupies data_[i * arity_, (i + 1) * arity_).
-  std::vector<const Term*> data_;
-  size_t row_count_ = 0;  // not derivable from data_ when arity_ == 0
-  std::vector<uint64_t> row_hash_;  // per-row tuple hash (for table probes)
+  // Row storage: row i lives in chunks_[Locate(i).chunk]. Chunks are shared
+  // with every snapshot taken by ShareFrom.
+  std::vector<Chunk> chunks_;
+  size_t row_count_ = 0;
   std::vector<bool> live_;
   size_t live_count_ = 0;
   // Per-row derivation counts (parallel to live_) when counted_; see the
@@ -312,11 +385,15 @@ class Relation {
   std::vector<uint32_t> counts_;
   bool counted_ = false;
   // Dedup table: power-of-two sized, linear probing, entries are row ids.
-  // Tombstoned rows stay in the table so re-insertion revives in place.
-  std::vector<uint32_t> table_;
+  // Tombstoned rows stay in the table until a re-insert of their tuple
+  // points the slot at the fresh row. Maintained by Insert on a writable
+  // relation; built once, on first lookup, on a frozen one.
+  mutable std::vector<uint64_t> table_;
+  mutable std::once_flag table_once_;
+  bool frozen_ = false;
   // Linear-counting distinct sketches, one kSketchWords-word bitmap per
-  // column. Lazily sized to arity_ on first fresh insert (set_arity may run
-  // after construction).
+  // column. Lazily sized to arity_ on first insert (set_arity may run after
+  // construction).
   static constexpr size_t kSketchWords = 16;  // 1024 bits
   using ColumnSketch = std::array<uint64_t, kSketchWords>;
   std::vector<ColumnSketch> sketches_;
@@ -359,6 +436,12 @@ class Database {
   // Copies the facts of `preds` from `other` (used to seed a magic
   // evaluation with the EDB).
   void CopyFrom(const Database& other, const std::vector<PredId>& preds);
+
+  // Makes this fresh database a frozen view of `other`'s current model:
+  // grows to the whole catalog and shares every relation's rows
+  // (Relation::ShareFrom). Copies a pointer per row chunk and one live bit
+  // per row, never a row.
+  void ShareFrom(const Database& other);
 
   Catalog* catalog() const { return catalog_; }
 

@@ -529,25 +529,25 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
         }
         relation.ProbeRowsHashed(step.probe_cols, {key, key_width},
                                  scratch.hashes[s], window.from, to,
-                                 [&](size_t row) {
+                                 [&](size_t, RowRef tuple) {
                                    ++stats->probe_hits;
-                                   return try_row(src, relation.row(row));
+                                   return try_row(src, tuple);
                                  });
       }
       if (status.ok() && keep_going_) flush();
       return status;
     }
 
-    // Unbound scan: gather the window's live row ids once per input block
-    // (the per-candidate tombstone branch of ForEachRow amortized across
+    // Unbound scan: gather the window's live rows once per input block
+    // (the per-candidate tombstone branch and chunk lookup amortized across
     // every input row), then run the match program over the dense array.
     scratch.live_rows.clear();
     relation.CollectLiveRows(window.from, to, &scratch.live_rows);
     for (uint32_t idx : in.sel()) {
       if (!keep_going_ || !status.ok()) break;
       const Term* const* src = in.row(idx);
-      for (uint32_t row_id : scratch.live_rows) {
-        if (!try_row(src, relation.row(row_id))) break;
+      for (const Term* const* row : scratch.live_rows) {
+        if (!try_row(src, {row, relation.arity()})) break;
       }
     }
     if (status.ok() && keep_going_) flush();
@@ -600,10 +600,11 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
       if (outside_universe) continue;
       if (!cols.empty()) {
         ++stats->index_probes;
-        relation.ProbeRows(cols, values, window.from, to, [&](size_t row) {
-          ++stats->probe_hits;
-          return try_row(relation.row(row));
-        });
+        relation.ProbeRows(cols, values, window.from, to,
+                           [&](size_t, RowRef tuple) {
+                             ++stats->probe_hits;
+                             return try_row(tuple);
+                           });
         probed = true;
       }
     }

@@ -142,31 +142,29 @@ Status Session::AddFacts(std::string_view source) {
         {ir->head_pred, std::move(inst.tuple), inst.outside_universe});
   }
 
-  // Commit: the analysis stays valid. Register the EDB delta; if a model
+  // Commit: the analysis stays valid. The facts join the EDB multiset only
+  // (not the AST -- Analyze() carries them across re-analysis, so a
+  // long-lived session does not grow with its write history). If a model
   // is live, append the rows directly and mark genuinely new facts as the
   // pending delta for the next (incremental) Evaluate().
-  for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
   for (LoweredFact& fact : lowered) {
     if (std::find(edb_preds_.begin(), edb_preds_.end(), fact.pred) ==
         edb_preds_.end()) {
       edb_preds_.push_back(fact.pred);
     }
     if (fact.outside_universe) continue;
-    AppendEdbFact(fact.pred, fact.tuple);
+    AppendEdbFact(fact.pred, fact.tuple, /*added=*/true);
     if (evaluated_) {
-      Relation& rel = db_->relation(fact.pred);
-      const size_t rows_before = rel.row_count();
-      if (db_->AddFact(fact.pred, fact.tuple)) {
-        if (rel.row_count() == rows_before) {
-          // The insert revived a tombstoned row: an earlier incremental
-          // deletion already retracted its consequences, and the insert
-          // delta machinery cannot window a revived row sitting below the
-          // watermark. Conservative fallback: drop the model and let the
-          // next Evaluate() rebuild from scratch.
-          InvalidateModel();
-        } else {
-          MarkChanged(fact.pred);
-        }
+      const Relation& rel = db_->relation(fact.pred);
+      const size_t existing = rel.Find(fact.tuple);
+      if (existing != Relation::npos && !rel.IsLive(existing)) {
+        // Re-adding a tombstoned EDB row. The insert delta would handle it
+        // (the re-insert lands in a fresh row), but rebuilding is the only
+        // thing that compacts dead rows away, so drop the model and let
+        // the next Evaluate() start from scratch (counted in full_evals).
+        InvalidateModel();
+      } else if (db_->AddFact(fact.pred, fact.tuple)) {
+        MarkChanged(fact.pred);
       } else if (!pending_removed_.empty()) {
         // The fact is already a live model row: if its deletion is still
         // pending from an earlier RemoveFacts, re-adding it cancels the
@@ -226,10 +224,13 @@ Status Session::RemoveFacts(std::string_view source) {
   // becomes a pending deletion for the live model when its *last*
   // occurrence goes (multiset semantics).
   for (std::pair<PredId, Tuple>& fact : batch) {
-    if (!EraseEdbFact(fact)) continue;  // absent: no-op
-    // Remember the cancellation: Analyze() rebuilds edb_facts_ from the
-    // AST, which still carries the removed fact's clause.
-    ++removed_edb_counts_[fact];
+    const EdbOrigin erased = EraseEdbFact(fact);
+    if (erased == EdbOrigin::kNone) continue;  // absent: no-op
+    // Remember a cancellation of loaded text: Analyze() rebuilds
+    // edb_facts_ from the AST, which still carries the removed fact's
+    // clause. (AddFacts() occurrences are erased first and need no record,
+    // so the record stays bounded by the loaded text.)
+    if (erased == EdbOrigin::kLoaded) ++removed_edb_counts_[fact];
     if (evaluated_ && edb_index_.find(fact) == edb_index_.end()) {
       pending_removed_.push_back(std::move(fact));
       pending_delta_ = true;
@@ -269,6 +270,12 @@ Status Session::Analyze() {
   for (const RuleIr& rule : all.rules) {
     if (!rule.is_fact()) has_proper_rule[rule.head_pred] = true;
   }
+  // Facts committed through AddFacts() live only in the EDB multiset;
+  // carry them across the rebuild below.
+  std::vector<std::pair<PredId, Tuple>> carried;
+  for (size_t i = 0; i < edb_facts_.size(); ++i) {
+    if (edb_added_[i]) carried.push_back(std::move(edb_facts_[i]));
+  }
   program_.rules.clear();
   edb_facts_.clear();
   edb_preds_.clear();
@@ -299,8 +306,29 @@ Status Session::Analyze() {
   // occurrence of the rebuilt fact.
   RebuildEdbIndex();
   for (const auto& [removed, count] : removed_edb_counts_) {
-    for (size_t i = 0; i < count && EraseEdbFact(removed); ++i) {
+    for (size_t i = 0;
+         i < count && EraseEdbFact(removed) != EdbOrigin::kNone; ++i) {
     }
+  }
+  // Re-append the carried AddFacts() facts. One whose predicate the loaded
+  // text has since given a proper rule becomes a program fact for good,
+  // exactly as if its clause had been loaded.
+  for (auto& [pred, tuple] : carried) {
+    if (has_proper_rule[pred]) {
+      added_program_facts_.emplace_back(pred, std::move(tuple));
+      continue;
+    }
+    if (!edb_seen[pred]) {
+      edb_seen[pred] = true;
+      edb_preds_.push_back(pred);
+    }
+    AppendEdbFact(pred, tuple, /*added=*/true);
+  }
+  for (const auto& [pred, tuple] : added_program_facts_) {
+    RuleIr fact;
+    fact.head_pred = pred;
+    fact.head_args = tuple;
+    program_.rules.push_back(std::move(fact));
   }
 
   LDL_ASSIGN_OR_RETURN(stratification_, Stratify(catalog_, program_));
@@ -350,30 +378,42 @@ void Session::ClearPendingDelta() {
   pending_delta_ = false;
 }
 
-void Session::AppendEdbFact(PredId pred, const Tuple& tuple) {
+void Session::AppendEdbFact(PredId pred, const Tuple& tuple, bool added) {
   edb_index_[{pred, tuple}].push_back(edb_facts_.size());
   edb_facts_.emplace_back(pred, tuple);
+  edb_added_.push_back(added);
 }
 
-bool Session::EraseEdbFact(const std::pair<PredId, Tuple>& fact) {
+Session::EdbOrigin Session::EraseEdbFact(
+    const std::pair<PredId, Tuple>& fact) {
   auto it = edb_index_.find(fact);
-  if (it == edb_index_.end()) return false;
-  size_t pos = it->second.back();
-  it->second.pop_back();
-  if (it->second.empty()) edb_index_.erase(it);
+  if (it == edb_index_.end()) return EdbOrigin::kNone;
+  std::vector<size_t>& occurrences = it->second;
+  auto chosen = std::find_if(occurrences.begin(), occurrences.end(),
+                             [&](size_t pos) { return edb_added_[pos]; });
+  if (chosen == occurrences.end()) --chosen;
+  const size_t pos = *chosen;
+  const EdbOrigin origin =
+      edb_added_[pos] ? EdbOrigin::kAdded : EdbOrigin::kLoaded;
+  *chosen = occurrences.back();
+  occurrences.pop_back();
+  if (occurrences.empty()) edb_index_.erase(it);
   size_t last = edb_facts_.size() - 1;
   if (pos != last) {
     // Swap-and-pop: the final fact moves into the vacated slot; retarget
     // its index entry from `last` to `pos`.
     edb_facts_[pos] = std::move(edb_facts_[last]);
+    edb_added_[pos] = edb_added_[last];
     std::vector<size_t>& positions = edb_index_[edb_facts_[pos]];
     *std::find(positions.begin(), positions.end(), last) = pos;
   }
   edb_facts_.pop_back();
-  return true;
+  edb_added_.pop_back();
+  return origin;
 }
 
 void Session::RebuildEdbIndex() {
+  edb_added_.assign(edb_facts_.size(), false);
   edb_index_.clear();
   for (size_t i = 0; i < edb_facts_.size(); ++i) {
     edb_index_[edb_facts_[i]].push_back(i);

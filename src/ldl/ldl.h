@@ -177,7 +177,9 @@ class Session {
   // Anything else (rules, stored queries, facts of derived predicates,
   // LDL1.5 text that expands into rules) falls back to Load() semantics
   // and invalidates the analysis. Always safe to call; never changes the
-  // final model vs. Load() + full re-evaluation.
+  // final model vs. Load() + full re-evaluation. Facts committed on the
+  // incremental path join the EDB multiset but not ast(); a later Analyze()
+  // carries them over, and RemoveFacts() erases them outright.
   Status AddFacts(std::string_view source);
 
   // Removes previously loaded ground EDB facts (each removal cancels one
@@ -299,11 +301,16 @@ class Session {
   // (and possibly insertions too). On engine failure the model is dropped
   // so a half-applied maintenance pass can never be observed.
   Status EvaluateIncrementalDelete(const EvalOptions& options);
-  // edb_facts_ mutation helpers that keep edb_index_ consistent.
-  void AppendEdbFact(PredId pred, const Tuple& tuple);
-  // Erases one occurrence (swap-and-pop; edb_facts_ order is not stable).
-  // False when the fact has no occurrence.
-  bool EraseEdbFact(const std::pair<PredId, Tuple>& fact);
+  // edb_facts_ mutation helpers that keep edb_index_ and edb_added_
+  // consistent. `added` marks a fact committed by AddFacts() rather than
+  // read from loaded text.
+  void AppendEdbFact(PredId pred, const Tuple& tuple, bool added);
+  // Where an erased EDB occurrence came from (kNone: there was none).
+  enum class EdbOrigin { kNone, kLoaded, kAdded };
+  // Erases one occurrence, an AddFacts() one when there is any
+  // (swap-and-pop; edb_facts_ order is not stable).
+  EdbOrigin EraseEdbFact(const std::pair<PredId, Tuple>& fact);
+  // Indexes edb_facts_ freshly rebuilt from loaded text (none of it added).
   void RebuildEdbIndex();
   // Snapshots per-predicate row counts after a successful evaluation (the
   // deltas of the next incremental round start past these).
@@ -323,7 +330,13 @@ class Session {
   ProgramAst ast_;           // as loaded (LDL1.5)
   ProgramAst expanded_ast_;  // after ExpandLdl15
   ProgramIr program_;        // non-fact rules
+  // The EDB multiset: loaded facts (minus cancellations) plus the facts
+  // AddFacts() committed, which edb_added_ (parallel) flags.
   std::vector<std::pair<PredId, Tuple>> edb_facts_;
+  std::vector<bool> edb_added_;
+  // AddFacts() facts whose predicate later loaded text gave a proper rule:
+  // program facts from then on, re-lowered into program_ by every Analyze().
+  std::vector<std::pair<PredId, Tuple>> added_program_facts_;
   std::vector<PredId> edb_preds_;
   Stratification stratification_;
   std::unique_ptr<Database> db_;
@@ -350,9 +363,11 @@ class Session {
   // replay O(1) per fact instead of a list scan.
   std::unordered_map<std::pair<PredId, Tuple>, std::vector<size_t>, EdbFactHash>
       edb_index_;
-  // RemoveFacts() cancellations, multiset-correct: how many occurrences of
-  // each fact to drop after Analyze() rebuilds edb_facts_ from the AST
-  // (which still holds the removed facts' clauses).
+  // RemoveFacts() cancellations of loaded facts, multiset-correct: how
+  // many occurrences of each fact to drop after Analyze() rebuilds
+  // edb_facts_ from the AST (which still holds the removed facts' clauses).
+  // Bounded by the loaded text: removals of AddFacts() facts erase them
+  // outright.
   std::unordered_map<std::pair<PredId, Tuple>, size_t, EdbFactHash>
       removed_edb_counts_;
   // Facts whose *last* EDB occurrence was removed while a model was live:

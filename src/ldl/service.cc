@@ -138,14 +138,12 @@ void Service::PublishLocked() {
     snapshot->analysis_ = std::move(analysis);
   }
 
-  // Freeze the model: deep-copy every live fact and pre-grow the relation
-  // deque to the full current catalog so no read can ever mutate it.
+  // Freeze the model: share the writer's row storage (the writer only ever
+  // appends past it) with a private copy of each live bitmap, pre-grown to
+  // the full current catalog so no read can ever mutate it.
   const size_t pred_count = writer_.catalog().size();
   auto db = std::make_unique<Database>(&writer_.catalog());
-  db->Grow();
-  std::vector<PredId> all_preds(pred_count);
-  for (PredId p = 0; p < pred_count; ++p) all_preds[p] = p;
-  db->CopyFrom(writer_.database(), all_preds);
+  db->ShareFrom(writer_.database());
   snapshot->db_ = std::move(db);
 
   snapshot->has_rules_.resize(pred_count);

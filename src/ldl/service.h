@@ -118,7 +118,7 @@ class ModelSnapshot {
   std::mutex* catalog_mu_ = nullptr;  // serializes magic rewrites vs. analysis
 
   std::shared_ptr<const Analysis> analysis_;
-  std::unique_ptr<Database> db_;  // deep copy, pre-grown, never mutated
+  std::unique_ptr<Database> db_;  // frozen view of the writer's rows
   std::vector<char> has_rules_;   // per-pred, captured at publication
   EvalStats eval_stats_;          // of the evaluation that built the model
   uint64_t version_ = 0;

@@ -101,7 +101,7 @@ std::vector<size_t> CompositeProbe(const Relation& r,
                                    std::vector<uint32_t> cols,
                                    const Tuple& values, size_t from, size_t to) {
   std::vector<size_t> rows;
-  r.ProbeRows(cols, values, from, to, [&](size_t row) {
+  r.ProbeRows(cols, values, from, to, [&](size_t row, RowRef) {
     rows.push_back(row);
     return true;
   });
@@ -134,11 +134,14 @@ TEST_F(RelationTest, CompositeProbeTombstoneEraseAndRevive) {
   // Erased rows are filtered out of probes but keep their index entries.
   r.Erase(T({1, 2}));
   EXPECT_TRUE(CompositeProbe(r, {0, 1}, T({1, 2}), 0, r.row_count()).empty());
-  // Revival reuses the row id; the probe sees it again without index repair.
+  // Revival appends a fresh row; the old one stays a filtered tombstone.
   EXPECT_TRUE(r.Insert(T({1, 2})));
+  EXPECT_EQ(r.row_count(), 3u);
   rows = CompositeProbe(r, {0, 1}, T({1, 2}), 0, r.row_count());
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], original_row);
+  EXPECT_EQ(rows[0], 2u);
+  EXPECT_FALSE(r.IsLive(original_row));
+  EXPECT_EQ(r.Find(T({1, 2})), 2u);
 }
 
 TEST_F(RelationTest, CompositeProbeRespectsDeltaWindow) {
@@ -266,6 +269,134 @@ TEST_F(RelationTest, DatabaseCopyFrom) {
   target.CopyFrom(source, {p});
   EXPECT_EQ(target.relation(p).size(), 1u);
   EXPECT_EQ(target.relation(q).size(), 0u);
+}
+
+// Everything a reader can observe of a relation, over a fixed probe set.
+struct FrozenView {
+  std::vector<std::pair<size_t, std::vector<int64_t>>> rows;
+  std::vector<bool> contains;
+  std::vector<std::vector<size_t>> probes;
+  size_t size = 0;
+  size_t row_count = 0;
+  bool operator==(const FrozenView&) const = default;
+};
+
+class SharedRelationTest : public RelationTest {
+ protected:
+  FrozenView View(const Relation& r) {
+    FrozenView view;
+    r.ForEachRow(0, r.row_count(), [&](size_t i, RowRef row) {
+      view.rows.emplace_back(
+          i, std::vector<int64_t>{row[0]->int_value(), row[1]->int_value()});
+    });
+    for (int i = 0; i < 12; ++i) {
+      view.contains.push_back(r.Contains(T({i, i})));
+      std::vector<size_t> hits;
+      r.Probe(0, factory_.MakeInt(i), 0, r.row_count(), &hits);
+      view.probes.push_back(hits);
+    }
+    view.size = r.size();
+    view.row_count = r.row_count();
+    return view;
+  }
+};
+
+// A shared snapshot reads the writer's chunks in place, and no writer
+// mutation -- appending into the shared tail chunk, tombstoning, derivation
+// decrements, re-inserting an erased fact, dedup-table growth, clearing --
+// changes what it answers.
+TEST_F(SharedRelationTest, SnapshotStaysFrozenUnderWriterMutation) {
+  Relation writer(2);
+  writer.EnableCounts();
+  for (int i = 0; i < 6; ++i) writer.Insert(T({i, i}));
+  writer.Erase(T({5, 5}));
+  Relation snapshot;
+  snapshot.ShareFrom(writer);
+  EXPECT_TRUE(snapshot.frozen());
+  ASSERT_EQ(snapshot.row_count(), 6u);
+  for (size_t i = 0; i < snapshot.row_count(); ++i) {
+    EXPECT_EQ(snapshot.row(i).data(), writer.row(i).data()) << "row " << i;
+  }
+  const FrozenView frozen = View(snapshot);
+  EXPECT_EQ(frozen.size, 5u);
+  EXPECT_FALSE(frozen.contains[5]);
+
+  writer.Insert(T({6, 6}));  // lands in the shared tail chunk
+  EXPECT_EQ(View(snapshot), frozen);
+  writer.Erase(T({0, 0}));
+  EXPECT_EQ(View(snapshot), frozen);
+  writer.SetLive(1, false);
+  EXPECT_EQ(View(snapshot), frozen);
+  EXPECT_TRUE(writer.DecrementDerivation(2));
+  EXPECT_EQ(View(snapshot), frozen);
+  EXPECT_TRUE(writer.Insert(T({5, 5})));  // re-insert: a fresh row
+  EXPECT_EQ(writer.Find(T({5, 5})), 7u);
+  EXPECT_EQ(View(snapshot), frozen);
+  for (int i = 100; i < 300; ++i) writer.Insert(T({i, i}));  // table grows
+  EXPECT_EQ(View(snapshot), frozen);
+  writer.Clear();
+  EXPECT_EQ(View(snapshot), frozen);
+  for (int i = 0; i < 12; ++i) writer.Insert(T({i, i + 1}));  // fresh chunks
+  EXPECT_NE(snapshot.row(0).data(), writer.row(0).data());
+  EXPECT_EQ(View(snapshot), frozen);
+  for (size_t i = 0; i < snapshot.row_count(); ++i) {
+    EXPECT_EQ(snapshot.row(i)[0]->int_value(), static_cast<int64_t>(i));
+  }
+}
+
+// The lazily built dedup table of a frozen relation resolves a re-inserted
+// fact to its newest row, as the writer's own table does.
+TEST_F(SharedRelationTest, FrozenLookupFindsNewestRow) {
+  Relation writer(2);
+  for (int i = 0; i < 20; ++i) writer.Insert(T({i, i}));
+  writer.Erase(T({3, 3}));
+  writer.Insert(T({3, 3}));
+  Relation snapshot;
+  snapshot.ShareFrom(writer);
+  EXPECT_EQ(snapshot.Find(T({3, 3})), writer.Find(T({3, 3})));
+  EXPECT_EQ(snapshot.Find(T({3, 3})), 20u);
+  EXPECT_TRUE(snapshot.Contains(T({3, 3})));
+  EXPECT_EQ(snapshot.size(), 20u);
+  EXPECT_EQ(snapshot.Stats().column_distinct, writer.Stats().column_distinct);
+}
+
+// Rows cross chunk boundaries intact: an 8-row first chunk, doubling, then
+// fixed 4096-row chunks.
+TEST_F(SharedRelationTest, RowsSurviveChunkBoundaries) {
+  Relation r(2);
+  constexpr int kRows = 9000;
+  for (int i = 0; i < kRows; ++i) r.Insert(T({i, -i}));
+  ASSERT_EQ(r.row_count(), static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_EQ(r.row(i)[0]->int_value(), i);
+    ASSERT_EQ(r.row(i)[1]->int_value(), -i);
+  }
+  int64_t seen = 0;
+  r.ForEachRow(5, 8200, [&](size_t i, RowRef row) {
+    EXPECT_EQ(row[0]->int_value(), static_cast<int64_t>(i));
+    ++seen;
+  });
+  EXPECT_EQ(seen, 8195);
+  EXPECT_TRUE(r.Contains(T({8999, -8999})));
+}
+
+TEST_F(SharedRelationTest, DatabaseShareFromFreezesEveryRelation) {
+  Catalog catalog(&interner_);
+  PredId p = catalog.GetOrCreate("p", 2);
+  PredId q = catalog.GetOrCreate("q", 2);
+  Database writer(&catalog);
+  writer.AddFact(p, T({1, 2}));
+  Database snapshot(&catalog);
+  snapshot.ShareFrom(writer);
+  ASSERT_NE(snapshot.FindRelation(q), nullptr);
+  EXPECT_TRUE(snapshot.FindRelation(p)->frozen());
+  EXPECT_TRUE(snapshot.FindRelation(q)->frozen());
+  EXPECT_EQ(snapshot.TotalFacts(), 1u);
+  writer.AddFact(p, T({3, 4}));
+  writer.AddFact(q, T({5, 6}));
+  EXPECT_EQ(snapshot.TotalFacts(), 1u);
+  EXPECT_TRUE(snapshot.FindRelation(p)->Contains(T({1, 2})));
+  EXPECT_FALSE(snapshot.FindRelation(p)->Contains(T({3, 4})));
 }
 
 }  // namespace

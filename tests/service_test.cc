@@ -253,6 +253,101 @@ TEST(ServiceStress, MagicSupplementaryParallelEval) {
 TEST(ServiceStress, TopDownSingleThreadEval) { RunStress(QueryStrategy::kTopDown, 1); }
 TEST(ServiceStress, TopDownParallelEval) { RunStress(QueryStrategy::kTopDown, 4); }
 
+// Snapshots share the writer's row storage. A reader holding an early
+// snapshot must keep seeing exactly that version while the writer appends
+// into the shared tail chunks, tombstones shared rows, clears a recomputed
+// stratum (childless/1 sits above a negation) and throws its whole database
+// away on the re-add fallback.
+TEST(ServiceStress, HeldSnapshotsStayFrozen) {
+  std::string program =
+      "anc(X, Y) :- parent(X, Y).\n"
+      "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n"
+      "has_child(X) :- parent(X, Y).\n"
+      "person(X) :- parent(X, Y).\n"
+      "person(Y) :- parent(X, Y).\n"
+      "childless(X) :- person(X), !has_child(X).\n";
+  constexpr int kPeople = 40;
+  for (int i = 1; i < kPeople; ++i) {
+    program += "parent(p" + std::to_string(i / 3) + ", p" + std::to_string(i) +
+               ").\n";
+  }
+  const std::vector<std::string> goals = {"anc(X, Y)", "anc(p1, X)",
+                                          "childless(X)"};
+  std::vector<std::vector<std::string>> expected;
+  {
+    Session session;
+    ASSERT_TRUE(session.Load(program).ok());
+    for (const std::string& goal : goals) {
+      auto result = session.Query(goal);
+      ASSERT_TRUE(result.ok());
+      expected.push_back(Render(session.factory(), result->tuples));
+    }
+  }
+
+  Service service;
+  ASSERT_TRUE(service.Load(program).ok());
+  std::vector<PreparedQuery> prepared;
+  for (const std::string& goal : goals) {
+    auto query = service.Prepare(goal);
+    ASSERT_TRUE(query.ok());
+    prepared.push_back(*query);
+  }
+  const std::shared_ptr<const ModelSnapshot> held = service.snapshot();
+  const TermFactory* factory = &held->factory();
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> failures{0};
+  std::atomic<size_t> queries{0};
+  std::vector<std::thread> readers;
+  for (QueryStrategy strategy : {QueryStrategy::kModel, QueryStrategy::kMagic,
+                                 QueryStrategy::kModel}) {
+    readers.emplace_back([&, strategy] {
+      QueryOptions options;
+      options.strategy = strategy;
+      size_t spins = 0;
+      while (!done.load(std::memory_order_acquire) || spins < 2) {
+        const size_t g = spins++ % goals.size();
+        auto result = held->Query(prepared[g], options);
+        queries.fetch_add(1, std::memory_order_relaxed);
+        if (!result.ok() || Render(*factory, result->tuples) != expected[g]) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+
+  // Leaf adds and removes, a reparent-style remove/add of an original edge,
+  // and every 25th write a re-add of a removed edge (the session rebuilds
+  // its database from scratch).
+  size_t writes = 0;
+  for (int i = 0; writes < 240; ++i) {
+    const std::string leaf = "parent(p" + std::to_string(i % kPeople) +
+                             ", leaf" + std::to_string(i) + ").";
+    ASSERT_TRUE(service.AddFacts(leaf).ok());
+    ++writes;
+    if (i % 2 == 1) {
+      ASSERT_TRUE(service.RemoveFacts(leaf).ok());
+      ++writes;
+    }
+    if (i % 25 == 24) {
+      const std::string edge = "parent(p" + std::to_string((i / 25) % 13) +
+                               ", p" + std::to_string(3 * ((i / 25) % 13) + 1) +
+                               ").";
+      ASSERT_TRUE(service.RemoveFacts(edge).ok());
+      ASSERT_TRUE(service.AddFacts(edge).ok());
+      writes += 2;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0u)
+      << "a held snapshot answered differently from its own version";
+  EXPECT_GE(queries.load(), 2 * goals.size());
+  EXPECT_GE(service.snapshot()->version(), held->version() + 200);
+}
+
 // Concurrent Prepare against concurrent writes: preparation lowers through
 // the shared (internally synchronized) interner/factory/catalog.
 TEST(ServiceStress, ConcurrentPrepareAndWrite) {

@@ -2,10 +2,28 @@
 // formatting, stored queries.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "base/str_util.h"
 #include "ldl/ldl.h"
 
 namespace ldl {
 namespace {
+
+// The evaluated model as text, predicate name -> sorted facts (comparable
+// across sessions, whose interned pointers differ).
+std::map<std::string, std::vector<std::string>> ModelOf(Session& session) {
+  EXPECT_TRUE(session.Evaluate().ok());
+  std::map<std::string, std::vector<std::string>> model;
+  for (PredId pred = 0; pred < session.catalog().size(); ++pred) {
+    std::vector<std::string> facts = FormatFacts(
+        session, pred, session.database().relation(pred).Snapshot());
+    if (!facts.empty()) model[session.catalog().DebugName(pred)] = facts;
+  }
+  return model;
+}
 
 TEST(Session, IncrementalLoadInvalidatesAnalysis) {
   Session session;
@@ -227,6 +245,109 @@ TEST(Session, LastEvalStatsPopulated) {
   ASSERT_TRUE(session.Evaluate().ok());
   EXPECT_GT(session.last_eval_stats().rule_firings, 0u);
   EXPECT_GT(session.last_eval_stats().facts_derived, 0u);
+}
+
+// Facts written through AddFacts live in the EDB multiset, not the AST, and
+// removing them leaves no cancellation behind: a long run of fresh writes
+// leaves the loaded program where it was.
+TEST(Session, AddRemoveCyclesDoNotGrowTheProgram) {
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("anc(X, Y) :- parent(X, Y).\n"
+                        "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n"
+                        "parent(a, b).")
+                  .ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  const size_t loaded_rules = session.ast().rules.size();
+  for (int i = 0; i < 10000; ++i) {
+    const std::string fact = StrCat("parent(b, leaf", i, ").");
+    ASSERT_TRUE(session.AddFacts(fact).ok());
+    ASSERT_TRUE(session.Evaluate().ok());
+    ASSERT_TRUE(session.RemoveFacts(fact).ok());
+    ASSERT_TRUE(session.Evaluate().ok());
+  }
+  EXPECT_EQ(session.ast().rules.size(), loaded_rules);
+  EXPECT_EQ(session.full_evals(), 1u);
+  auto result = session.Query("anc(a, X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->tuples.size(), 1u);
+}
+
+// A Load after incremental writes re-analyzes; the facts AddFacts committed
+// must survive it and the model must equal a fresh session's over the net
+// EDB.
+TEST(Session, LoadAfterWritesKeepsAddedFacts) {
+  Session session;
+  ASSERT_TRUE(session.Load("p(a). q(X) :- p(X).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.AddFacts("p(b). p(c). p(c).").ok());
+  ASSERT_TRUE(session.RemoveFacts("p(a). p(c).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.Load("r(X) :- q(X).").ok());
+
+  Session fresh;
+  ASSERT_TRUE(fresh.Load("p(b). p(c). q(X) :- p(X). r(X) :- q(X).").ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+  EXPECT_EQ(session.ast().rules.size(), 3u);  // p(a), q's rule, r's rule
+}
+
+// A fact added to an extensional predicate that later loaded text gives a
+// proper rule becomes a program fact, as if its clause had been loaded:
+// every strategy sees it, and it can no longer be removed as EDB.
+TEST(Session, AddedFactOfPredicateThatGainsARule) {
+  Session session;
+  ASSERT_TRUE(session.Load("base(a). s(X) :- base(X).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.AddFacts("t(x). t(y).").ok());
+  ASSERT_TRUE(session.RemoveFacts("t(y).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.Load("t(Z) :- base(Z).").ok());
+
+  Session fresh;
+  ASSERT_TRUE(
+      fresh.Load("base(a). s(X) :- base(X). t(x). t(Z) :- base(Z).").ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+  for (QueryStrategy strategy :
+       {QueryStrategy::kModel, QueryStrategy::kMagic,
+        QueryStrategy::kMagicSupplementary, QueryStrategy::kTopDown}) {
+    QueryOptions options;
+    options.strategy = strategy;
+    auto answers = session.Query("t(X)", options);
+    ASSERT_TRUE(answers.ok()) << ToString(strategy);
+    EXPECT_EQ(answers->tuples.size(), 2u) << ToString(strategy);
+  }
+  EXPECT_FALSE(session.RemoveFacts("t(x).").ok());
+  EXPECT_FALSE(fresh.RemoveFacts("t(x).").ok());
+  // Still there after another re-analysis.
+  ASSERT_TRUE(session.Load("u(X) :- t(X).").ok());
+  ASSERT_TRUE(fresh.Load("u(X) :- t(X).").ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+}
+
+// Removing a loaded fact records a cancellation that a later Load replays
+// against the re-read text; removing an added fact erases it outright,
+// even when the same fact was also loaded.
+TEST(Session, LoadAfterRemovingLoadedFactsKeepsThemRemoved) {
+  const std::string rules =
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), e(Z, Y).\n";
+  Session session;
+  ASSERT_TRUE(session.Load("e(1, 2). e(2, 3). e(2, 3).\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("e(1, 2). e(2, 3).").ok());
+  ASSERT_TRUE(session.AddFacts("e(3, 4). e(1, 2).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("e(1, 2).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.Load("e(5, 6).").ok());
+
+  Session fresh;
+  ASSERT_TRUE(fresh.Load("e(2, 3). e(3, 4). e(5, 6).\n" + rules).ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+  // One e(2, 3) occurrence is left on both sides.
+  ASSERT_TRUE(session.RemoveFacts("e(2, 3).").ok());
+  ASSERT_TRUE(fresh.RemoveFacts("e(2, 3).").ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 //   :preds               list predicates with arities and fact counts
 //   :facts p/2           print the facts of a predicate
 //   :plan p/2            cost-based join orders for the predicate's rules
-//   :program             print the expanded (LDL1) program
+//   :program             print the expanded (LDL1) program; facts entered
+//                        after the first query join the EDB (see :facts)
 //   :warnings            §7 finiteness warnings
 //   :strategy [name]     query strategy: model, magic, magic-sup, topdown
 //   :magic on|off|sup    shorthand for :strategy magic / model / magic-sup
