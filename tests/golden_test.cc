@@ -15,12 +15,20 @@
 // On a mismatch the test writes the actual rendering next to the test binary
 // (golden_actual/<program>.golden); after an intended behaviour change,
 // review the diff and copy that file over the checked-in one.
+//
+// A second set of files, tests/golden/maintenance/<program>.golden, pins
+// incremental maintenance: per program a fixed sequence of insert, delete
+// and mixed insert+delete batches at 1 and 4 threads, recording after each
+// step the EvalStats counters, the per-stratum maintenance modes, the
+// derivation counts and the model (which must also equal a from-scratch
+// evaluation of the updated program).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -197,28 +205,187 @@ Lines Render(const std::filesystem::path& path) {
   return golden;
 }
 
+// One maintenance step: facts to add and facts to remove, then Evaluate().
+struct MaintenanceStep {
+  const char* add;
+  const char* remove;
+};
+
+// Fixed update sequences per corpus program. Each covers an insert-only
+// batch, a delete-only batch and a mixed batch; re-adding a retracted fact
+// exercises the rebuild a tombstoned EDB row forces. The corpus reaches
+// neither the derivation-count deletion path nor in-place group regrowth,
+// so two inline programs (kInlineMaintenancePrograms) add those.
+const std::map<std::string, std::vector<MaintenanceStep>>& MaintenanceSteps() {
+  static const auto* steps =
+      new std::map<std::string, std::vector<MaintenanceStep>>{
+          {"ancestor",
+           {{"parent(dina, eve).", ""},
+            {"", "parent(bob, carl)."},
+            {"parent(carl, fred).", "parent(abe, bea)."},
+            {"parent(bob, carl).", ""}}},
+          {"bom",
+           {{"q(8, 5). p(7, 8).", ""},
+            {"", "q(4, 20)."},
+            {"q(4, 25).", "q(5, 10)."}}},
+          {"school",
+           {{"r(jones, cy, bio, fri).", ""},
+            {"", "r(smith, bob, art, mon)."},
+            {"r(lee, dan, art, tue).", "r(jones, ann, bio, thu)."}}},
+          {"sets",
+           {{"s({5}).", ""},
+            {"", "s({2, 4})."},
+            {"s({1, 4}).", "s({})."}}},
+          {"young",
+           {{"p(ella, fay).", ""},
+            {"", "siblings(eve, adam)."},
+            {"siblings(carl, ella).", "p(bob, carl)."}}},
+          {"counted",
+           {{"e(c, d).", ""},
+            {"", "e(a, b)."},
+            {"e(d, a).", "e(b, c)."}}},
+          {"regrow",
+           {{"kv(1, z). kv(3, x).", ""},
+            {"kv(2, y).", ""},
+            {"", "kv(1, x)."}}},
+      };
+  return *steps;
+}
+
+// Programs outside the corpus, by name: a non-recursive stratum whose
+// deletions decrement derivation counts, and a sole-rule grouping head
+// regrown in place on insertions.
+constexpr std::pair<const char*, const char*> kInlineMaintenancePrograms[] = {
+    {"counted",
+     "e(a, b). e(b, c). e(a, c). n(a). n(b). n(c).\n"
+     "src(X) :- e(X, Y).\n"
+     "pair(X, Z) :- e(X, Y), n(Z).\n"
+     "lonely(X) :- n(X), !src(X).\n"},
+    {"regrow",
+     "kv(1, x). kv(1, y). kv(2, x).\n"
+     "g(K, <V>) :- kv(K, V).\n"
+     "sizes(<N>) :- g(K, S), card(S, N).\n"},
+};
+
+std::string ReadText(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+Lines StratumModeLines(const EvalProfile& profile) {
+  Lines lines;
+  for (const StratumProfile& stratum : profile.strata()) {
+    lines.push_back(std::to_string(stratum.stratum) + " " +
+                    ToString(stratum.mode));
+  }
+  return lines;
+}
+
+// Renders the maintenance golden text for program `name` (source text
+// `source`): its update sequence replayed on one live session per pool
+// width.
+Lines RenderMaintenance(const std::string& name, const std::string& source) {
+  const std::vector<MaintenanceStep>& steps = MaintenanceSteps().at(name);
+  Lines golden;
+  for (int threads : {1, 4}) {
+    const std::string width = "t" + std::to_string(threads);
+    Session session;
+    EXPECT_TRUE(session.Load(source).ok()) << name;
+    EvalOptions options;
+    options.num_threads = threads;
+    options.profile = true;
+    Status status = session.Evaluate(options);
+    EXPECT_TRUE(status.ok()) << name << " " << width << ": " << status;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      const MaintenanceStep& step = steps[i];
+      const std::string title = width + " step " + std::to_string(i + 1) +
+                                " +[" + step.add + "] -[" + step.remove + "]";
+      const size_t full_before = session.full_evals();
+      if (*step.add != '\0') {
+        EXPECT_TRUE(session.AddFacts(step.add).ok()) << title;
+      }
+      if (*step.remove != '\0') {
+        EXPECT_TRUE(session.RemoveFacts(step.remove).ok()) << title;
+      }
+      status = session.Evaluate(options);
+      EXPECT_TRUE(status.ok()) << name << " " << title << ": " << status;
+      golden.push_back("== " + title + (session.full_evals() > full_before
+                                            ? " (full)"
+                                            : " (incremental)"));
+      AppendSection("stats", StatsLines(session.last_eval_stats()), &golden);
+      AppendSection("strata", StratumModeLines(session.last_eval_profile()),
+                    &golden);
+      AppendSection("derivation counts", DerivationCountLines(session),
+                    &golden);
+      const Lines model = ModelLines(session);
+      AppendSection("model", model, &golden);
+
+      // The same updates applied before the first evaluation.
+      Session scratch;
+      EXPECT_TRUE(scratch.Load(source).ok()) << name;
+      for (size_t j = 0; j <= i; ++j) {
+        EXPECT_TRUE(scratch.AddFacts(steps[j].add).ok()) << title;
+        EXPECT_TRUE(scratch.RemoveFacts(steps[j].remove).ok()) << title;
+      }
+      EXPECT_TRUE(scratch.Evaluate().ok()) << title;
+      EXPECT_EQ(ModelLines(scratch), model)
+          << name << " " << title << ": maintained model diverges from "
+          << "a from-scratch evaluation";
+    }
+  }
+  return golden;
+}
+
+// Compares `actual` with the checked-in golden `dir`/`name`; on a mismatch
+// writes `actual` under golden_actual/`subdir` and reports the first
+// differing line.
+void ExpectMatchesGolden(const std::filesystem::path& dir,
+                         const std::string& subdir, const std::string& name,
+                         const Lines& actual) {
+  Lines expected = ReadLines(dir / name);
+  if (actual == expected) return;
+  std::filesystem::path dump =
+      std::filesystem::path(LDL1_GOLDEN_ACTUAL_DIR) / subdir / name;
+  WriteLines(dump, actual);
+  size_t i = 0;
+  while (i < actual.size() && i < expected.size() && actual[i] == expected[i]) {
+    ++i;
+  }
+  ADD_FAILURE() << name << " differs from the recorded golden at line "
+                << i + 1 << ":\n  expected: "
+                << (i < expected.size() ? expected[i] : "<end of file>")
+                << "\n  actual:   "
+                << (i < actual.size() ? actual[i] : "<end of file>")
+                << "\nfull rendering written to " << dump;
+}
+
 TEST(Golden, CorpusMatchesRecordedBehaviour) {
   std::vector<std::filesystem::path> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
   for (const std::filesystem::path& path : programs) {
-    const std::string name = path.stem().string() + ".golden";
-    Lines actual = Render(path);
-    Lines expected =
-        ReadLines(std::filesystem::path(LDL1_GOLDEN_DIR) / name);
-    if (actual == expected) continue;
-    std::filesystem::path dump =
-        std::filesystem::path(LDL1_GOLDEN_ACTUAL_DIR) / name;
-    WriteLines(dump, actual);
-    size_t i = 0;
-    while (i < actual.size() && i < expected.size() && actual[i] == expected[i]) {
-      ++i;
-    }
-    ADD_FAILURE() << name << " differs from the recorded golden at line "
-                  << i + 1 << ":\n  expected: "
-                  << (i < expected.size() ? expected[i] : "<end of file>")
-                  << "\n  actual:   "
-                  << (i < actual.size() ? actual[i] : "<end of file>")
-                  << "\nfull rendering written to " << dump;
+    ExpectMatchesGolden(LDL1_GOLDEN_DIR, "", path.stem().string() + ".golden",
+                        Render(path));
+  }
+}
+
+TEST(Golden, MaintenanceMatchesRecordedBehaviour) {
+  std::vector<std::filesystem::path> programs = CorpusPrograms();
+  ASSERT_FALSE(programs.empty());
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const std::filesystem::path& path : programs) {
+    sources.emplace_back(path.stem().string(), ReadText(path));
+  }
+  for (const auto& [name, source] : kInlineMaintenancePrograms) {
+    sources.emplace_back(name, source);
+  }
+  for (const auto& [name, source] : sources) {
+    ASSERT_EQ(MaintenanceSteps().count(name), 1u)
+        << name << " has no maintenance sequence";
+    ExpectMatchesGolden(std::filesystem::path(LDL1_GOLDEN_DIR) / "maintenance",
+                        "maintenance", name + ".golden",
+                        RenderMaintenance(name, source));
   }
 }
 
