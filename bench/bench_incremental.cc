@@ -1,6 +1,5 @@
 // B9: incremental model maintenance (Session::AddFacts/RemoveFacts +
-// Engine::EvaluateIncremental{,Delete}) vs full re-materialization on EDB
-// inserts and deletes.
+// Engine::Maintain) vs full re-materialization on EDB inserts and deletes.
 // Each iteration inserts one fresh fact into an already-materialized model
 // and re-evaluates, then answers a query against the maintained model. The
 // incremental arm resumes the affected strata from the delta; the full arm

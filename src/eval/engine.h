@@ -4,14 +4,15 @@
 //     admissible program per Theorem 1. Within a layer the grouping rules
 //     are applied once over the layer's input model, then the remaining
 //     rules run to fixpoint (Lemma 3.2.3), naively or semi-naively.
-//   * EvaluateIncremental: delta-driven maintenance of an already
-//     materialized model after EDB insertions. Strata reachable from the
-//     changed predicates only through positive non-grouping (>=) edges
-//     resume semi-naive fixpoint from the inserted rows; a sole-rule,
-//     negation-free grouping head over such inputs regrows only its
-//     affected partitions in place; strata reached through a negation
-//     edge (or an ineligible grouping edge) are cleared and recomputed;
-//     untouched strata are skipped (see program/impact.h).
+//   * Maintain: incremental maintenance of an already materialized model
+//     after a batch of EDB insertions and/or deletions. Each stratum reacts
+//     as its worst head impact dictates (see program/impact.h): untouched
+//     strata are skipped; strata reached through a negation edge (or a
+//     grouping edge that cannot regrow) are cleared and recomputed; every
+//     other stratum goes through one handler that regrows eligible
+//     grouping heads in place, retracts what settled deletions below took
+//     away (derivation-count decrements or delete-and-rederive), and
+//     resumes the semi-naive fixpoint from the inserted rows.
 //   * EvaluateSaturating: evaluation of a magic-rewritten program, which is
 //     not layered (§6). Positive non-grouping rules are saturated, then
 //     grouping and negation rules fire over the saturated state; the loop
@@ -100,60 +101,33 @@ class Engine {
                          const EvalOptions& options = {}, EvalStats* stats = nullptr,
                          EvalProfile* profile = nullptr);
 
-  // Incremental maintenance of an already-materialized model after EDB
-  // insertions (program/impact.h). `db` must hold the model of `program`
-  // over the pre-update EDB, with the inserted facts appended after it;
+  // Incremental maintenance of an already-materialized model after a batch
+  // of EDB insertions and deletions; insert-only maintenance is the call
+  // with an empty `removed`. `db` must hold the model of `program` over the
+  // pre-update EDB, with the inserted facts appended after it;
   // `watermarks[p]` is relation(p).row_count() at the end of that
-  // evaluation (preds registered since are treated as watermark 0) and
-  // `changed[p]` marks the extensional predicates that gained facts. Per
-  // stratum: unaffected strata are skipped, strata reachable only through
-  // positive non-grouping edges resume semi-naive fixpoint from the rows
-  // past the watermarks, eligible grouping heads regrow only the partitions
-  // the insertions touch (EvaluateStratumGroupRegrow), and strata reached
-  // through a negation edge or an ineligible grouping edge -- where an
-  // insertion below can retract facts above -- clear their recomputed heads
-  // and re-derive from the maintained inputs (stats->strata_skipped /
-  // strata_delta / strata_regrown / strata_recomputed count the four
-  // outcomes). The result is the same model EvaluateProgram computes
-  // from scratch over the updated EDB. Only insertions are supported here;
-  // batches containing deletions go through EvaluateIncrementalDelete
-  // below, and rule changes still need a full re-evaluation.
-  Status EvaluateIncremental(const ProgramIr& program,
-                             const Stratification& stratification, Database* db,
-                             const std::vector<size_t>& watermarks,
-                             const std::vector<bool>& changed,
-                             const EvalOptions& options = {},
-                             EvalStats* stats = nullptr,
-                             EvalProfile* profile = nullptr);
-
-  // Incremental maintenance after a mixed batch of EDB insertions and
-  // deletions (delete-and-rederive, DRed). Inputs are as for
-  // EvaluateIncremental -- `db` holds the pre-update model with inserted
-  // facts appended past `watermarks` and `changed` marking the inserted-into
-  // predicates -- plus `removed`, the EDB facts to delete (absent facts are
-  // ignored). Removed rows are tombstoned up front; then per stratum:
-  //   * kShrink strata with exact derivation counts (non-recursive,
-  //     grouping-free, counted heads, at most one deleted-carrier occurrence
-  //     per rule) decrement the counts of the head facts each deleted row
-  //     derived and tombstone rows reaching zero (stats->count_decrements);
-  //   * other kShrink strata run the two DRed phases -- over-delete to
-  //     fixpoint against the pre-deletion state (deleted rows transiently
-  //     revived), then rederive over-deleted facts that survive from the
-  //     remaining facts (stats->strata_overdeleted / rederive_rounds);
-  //   * both then resume the seeded semi-naive insert fixpoint, so mixed
-  //     batches finish in the same pass;
-  //   * strata reached through grouping or negation fall back to
-  //     clear-and-recompute exactly as in EvaluateIncremental, and kDelta /
-  //     kGroupRegrow / untouched strata are handled as there.
+  // evaluation (preds registered since are treated as watermark 0),
+  // `inserted[p]` marks the extensional predicates that gained facts, and
+  // `removed` lists the EDB facts to delete (absent facts are ignored).
+  // Removed rows are tombstoned up front; then, per stratum by its worst
+  // head impact (program/impact.h):
+  //   * kClean strata are skipped (stats->strata_skipped);
+  //   * kRecompute strata -- reached through negation or a grouping edge
+  //     that cannot regrow, where a change below can retract facts above --
+  //     clear their changed heads and re-derive from the maintained inputs
+  //     (stats->strata_recomputed);
+  //   * every other stratum goes through MaintainStratum below: regrow,
+  //     retract, resume (stats->strata_regrown / strata_overdeleted /
+  //     strata_delta, count_decrements, rederive_rounds).
   // The result is the model EvaluateProgram computes from scratch over the
-  // updated EDB.
-  Status EvaluateIncrementalDelete(
-      const ProgramIr& program, const Stratification& stratification,
-      Database* db, const std::vector<size_t>& watermarks,
-      const std::vector<bool>& changed,
-      const std::vector<std::pair<PredId, Tuple>>& removed,
-      const EvalOptions& options = {}, EvalStats* stats = nullptr,
-      EvalProfile* profile = nullptr);
+  // updated EDB; rule changes still need a full re-evaluation. On an error
+  // the database may be half-maintained and must be discarded.
+  Status Maintain(const ProgramIr& program, const Stratification& stratification,
+                  Database* db, const std::vector<size_t>& watermarks,
+                  const std::vector<bool>& inserted,
+                  const std::vector<std::pair<PredId, Tuple>>& removed,
+                  const EvalOptions& options = {}, EvalStats* stats = nullptr,
+                  EvalProfile* profile = nullptr);
 
   // Saturation evaluation for magic-rewritten (non-layered) programs (§6).
   // Profiled rules carry stratum -1 (the evaluation is unlayered).
@@ -201,45 +175,37 @@ class Engine {
     const std::vector<bool>* delta_preds;
   };
 
+  // Evaluates one stratum from its input model (the profile rollup is
+  // labeled `mode`: kFull, or kRecomputed under Maintain).
   Status EvaluateStratum(const ProgramIr& program, const std::vector<int>& rules,
-                         int stratum_index, Database* db,
+                         int stratum_index, StratumMode mode, Database* db,
                          const EvalOptions& options, EvalStats* stats,
                          EvalProfile* profile);
 
-  // Delta-resumes a stratum whose predicates can only grow under the
-  // update: facts and grouping rules are skipped (their inputs are
-  // unchanged) and the normal rules run a seeded semi-naive fixpoint.
-  Status EvaluateStratumDelta(const ProgramIr& program,
-                              const std::vector<int>& rules, int stratum_index,
-                              Database* db, const FixpointSeed& seed,
-                              const EvalOptions& options, EvalStats* stats,
-                              EvalProfile* profile);
-
-  // Handles a stratum whose worst head impact is kGroupRegrow: eligible
-  // grouping rules regrow only the partitions the inserted rows touch
-  // (RegrowGroupingRule); the stratum's normal rules -- whose heads are at
-  // worst kDelta, since any consumer of a regrown predicate escalates to
-  // kRecompute -- resume the seeded semi-naive fixpoint.
-  Status EvaluateStratumGroupRegrow(const ProgramIr& program,
-                                    const std::vector<int>& rules,
-                                    int stratum_index, Database* db,
-                                    const FixpointSeed& seed,
-                                    const std::vector<PredImpact>& impact,
-                                    const EvalOptions& options,
-                                    EvalStats* stats, EvalProfile* profile);
-
-  // Handles one kShrink stratum of EvaluateIncrementalDelete: the counting
-  // fast path when eligible, the DRed over-delete + rederive phases
-  // otherwise, then the seeded insert resume. `removed_rows[p]` holds the
-  // tombstoned row ids of each predicate's settled deletions; the handler
-  // consumes the entries of the strata below and appends the stratum's own
-  // head deletions for the strata above.
-  Status EvaluateStratumShrink(const ProgramIr& program,
-                               const std::vector<int>& rules, int stratum_index,
-                               Database* db, const FixpointSeed& seed,
-                               std::vector<std::vector<size_t>>* removed_rows,
-                               const EvalOptions& options, EvalStats* stats,
-                               EvalProfile* profile);
+  // Maintains one stratum whose worst head impact `mode` is kDelta,
+  // kShrink or kGroupRegrow, in three phases:
+  //   1. grouping heads classified kGroupRegrow regrow only the partitions
+  //      the inserted rows touch (RegrowGroupingRule);
+  //   2. when settled deletions below reach the normal rules, the stratum
+  //      either decrements the derivation counts of the head facts each
+  //      deleted row derived (non-recursive, grouping-free, counted heads,
+  //      at most one deleted-carrier occurrence per rule) and tombstones
+  //      rows reaching zero, or runs the two DRed phases -- over-delete to
+  //      fixpoint against the pre-deletion state (deleted rows transiently
+  //      revived), then rederive the over-deleted facts that survive;
+  //   3. the normal rules resume the seeded semi-naive fixpoint, so mixed
+  //      batches finish in the same pass.
+  // `removed_rows[p]` holds the tombstoned row ids of each predicate's
+  // settled deletions; the handler consumes the entries of the strata
+  // below and appends the stratum's own head deletions for the strata
+  // above.
+  Status MaintainStratum(const ProgramIr& program,
+                         const std::vector<int>& rules, int stratum_index,
+                         PredImpact mode, Database* db, const FixpointSeed& seed,
+                         const std::vector<PredImpact>& impact,
+                         std::vector<std::vector<size_t>>* removed_rows,
+                         const EvalOptions& options, EvalStats* stats,
+                         EvalProfile* profile);
 
   // In-place incremental maintenance of one eligible grouping rule (sole
   // rule for its head, negation-free, kDelta body inputs; see
@@ -292,7 +258,7 @@ class Engine {
 
   // Profile entry for `rule`, labeled on first touch; null when `profile`
   // is null. Pointers stay valid for the evaluation (the rule table is
-  // sized up front by the Evaluate* entry points).
+  // sized up front by the public entry points).
   RuleProfileEntry* ProfileEntry(EvalProfile* profile, const RuleIr& rule,
                                  int rule_index, int stratum);
 

@@ -95,7 +95,7 @@ struct RuleProfileEntry {
 
 // How a stratum was treated by the evaluation that produced its rollup.
 // kFull is the ordinary from-scratch pass; the rest only appear under
-// Engine::EvaluateIncremental.
+// Engine::Maintain.
 enum class StratumMode : uint8_t {
   kFull = 0,        // evaluated from scratch
   kSkipped = 1,     // incremental: unaffected by the update

@@ -431,10 +431,7 @@ Status Session::Evaluate(const EvalOptions& options) {
       return Status::OK();
     }
   }
-  if (evaluated_ && pending_delta_) {
-    return pending_removed_.empty() ? EvaluateIncremental(options)
-                                    : EvaluateIncrementalDelete(options);
-  }
+  if (evaluated_ && pending_delta_) return Maintain(options);
 
   db_ = std::make_unique<Database>(&catalog_);
   for (const auto& [pred, tuple] : edb_facts_) db_->AddFact(pred, tuple);
@@ -452,31 +449,17 @@ Status Session::Evaluate(const EvalOptions& options) {
   return Status::OK();
 }
 
-Status Session::EvaluateIncremental(const EvalOptions& options) {
+Status Session::Maintain(const EvalOptions& options) {
   last_eval_stats_ = EvalStats();
   last_eval_profile_.Clear();
-  LDL_RETURN_IF_ERROR(engine_.EvaluateIncremental(
-      program_, stratification_, db_.get(), eval_watermarks_, pending_changed_,
-      options, &last_eval_stats_,
-      options.profile ? &last_eval_profile_ : nullptr));
-  evaluated_with_profile_ = options.profile;
-  last_eval_options_ = options;
-  ++incremental_evals_;
-  RecordWatermarks();
-  ClearPendingDelta();
-  return Status::OK();
-}
-
-Status Session::EvaluateIncrementalDelete(const EvalOptions& options) {
-  last_eval_stats_ = EvalStats();
-  last_eval_profile_.Clear();
-  Status status = engine_.EvaluateIncrementalDelete(
+  Status status = engine_.Maintain(
       program_, stratification_, db_.get(), eval_watermarks_, pending_changed_,
       pending_removed_, options, &last_eval_stats_,
       options.profile ? &last_eval_profile_ : nullptr);
   if (!status.ok()) {
-    // A failure mid-maintenance can leave the database half-updated; drop
-    // the model so the next evaluation rebuilds from scratch.
+    // A failure mid-maintenance can leave the database half-updated (and a
+    // retry from the same watermarks would count each derivation twice);
+    // drop the model so the next evaluation rebuilds from scratch.
     InvalidateModel();
     return status;
   }

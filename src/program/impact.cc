@@ -23,7 +23,7 @@ const char* ToString(PredImpact impact) {
 std::vector<PredImpact> ComputeImpact(const Catalog& catalog,
                                       const ProgramIr& program,
                                       const std::vector<bool>& changed,
-                                      const std::vector<bool>* shrunk) {
+                                      const std::vector<bool>& shrunk) {
   std::vector<PredImpact> impact(catalog.size(), PredImpact::kClean);
   for (PredId p = 0; p < impact.size() && p < changed.size(); ++p) {
     if (changed[p]) impact[p] = PredImpact::kDelta;
@@ -31,10 +31,8 @@ std::vector<PredImpact> ComputeImpact(const Catalog& catalog,
   // Deletions dominate insertions: a predicate both inserted into and
   // deleted from is kShrink, and the shrink path also resumes the seeded
   // insert deltas after rederivation.
-  if (shrunk != nullptr) {
-    for (PredId p = 0; p < impact.size() && p < shrunk->size(); ++p) {
-      if ((*shrunk)[p]) impact[p] = PredImpact::kShrink;
-    }
+  for (PredId p = 0; p < impact.size() && p < shrunk.size(); ++p) {
+    if (shrunk[p]) impact[p] = PredImpact::kShrink;
   }
 
   // A grouping head is eligible for in-place regrowth only when the

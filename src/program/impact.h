@@ -29,7 +29,8 @@
 //     positively -- still escalates to kRecompute.
 //
 // ComputeImpact propagates this classification to a fixpoint over the rule
-// set; Engine::EvaluateIncremental consumes it per stratum.
+// set; Engine::Maintain consumes it per stratum, handling every class but
+// kClean and kRecompute in one per-stratum handler.
 #ifndef LDL1_PROGRAM_IMPACT_H_
 #define LDL1_PROGRAM_IMPACT_H_
 
@@ -57,13 +58,13 @@ enum class PredImpact : uint8_t {
 const char* ToString(PredImpact impact);
 
 // Classifies every predicate given the set of changed (inserted-into) EDB
-// predicates and, optionally, the set of shrunk (deleted-from) ones. Both
-// are indexed by PredId; ids at or past their end are treated as unchanged.
-// The result has one entry per catalog predicate.
+// predicates and the set of shrunk (deleted-from) ones. Both are indexed by
+// PredId; ids at or past their end are treated as unchanged. The result has
+// one entry per catalog predicate.
 std::vector<PredImpact> ComputeImpact(const Catalog& catalog,
                                       const ProgramIr& program,
                                       const std::vector<bool>& changed,
-                                      const std::vector<bool>* shrunk = nullptr);
+                                      const std::vector<bool>& shrunk);
 
 }  // namespace ldl
 

@@ -10,6 +10,9 @@
 //   :strata              show the layering of the analyzed program
 //   :preds               list predicates with arities and fact counts
 //   :facts p/2           print the facts of a predicate
+//   :retract f(a).       remove ground EDB facts; the next query maintains
+//                        the model incrementally
+//   :why f(a)            provenance tree of a derived fact
 //   :plan p/2            cost-based join orders for the predicate's rules
 //   :program             print the expanded (LDL1) program; facts entered
 //                        after the first query join the EDB (see :facts)
