@@ -1,0 +1,657 @@
+// Incremental maintenance: Engine::Maintain and its per-stratum handler.
+#include "eval/engine.h"
+
+#include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+
+#include "base/str_util.h"
+#include "eval/bindings.h"
+#include "eval/engine_internal.h"
+#include "program/impact.h"
+#include "term/unify.h"
+
+namespace ldl {
+
+Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
+                                  const FixpointSeed& seed,
+                                  const EvalOptions& options, EvalStats* stats,
+                                  bool* derived, RuleProfileEntry* entry) {
+  EvalStats local_stats;
+  EvalStats* s = entry != nullptr ? &local_stats : stats;
+  ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
+
+  // Partitions exactly as ComputeGroups keys them (eval/grouping.cc).
+  // Instantiation through the interner makes key -> non-group head values
+  // injective, so the key identifies the one head fact to replace.
+  GroupPartitions partitions;
+
+  // Delta enumeration (semi-naive completeness): any body solution that
+  // involves at least one inserted row is found by the variant pinning that
+  // occurrence to its [watermark, row_count) window. A solution seen by
+  // several variants contributes duplicate members, which the set union
+  // absorbs; solutions made only of pre-update rows are already reflected
+  // in the materialized groups and are never re-enumerated.
+  for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
+    const LiteralIr& occ_literal = rule.body[occurrence];
+    if (occ_literal.is_builtin()) continue;  // eligibility bars negation
+    PredId pred = occ_literal.pred;
+    if (pred >= seed.delta_preds->size() || !(*seed.delta_preds)[pred]) {
+      continue;
+    }
+    const size_t mark =
+        pred < seed.watermarks->size() ? (*seed.watermarks)[pred] : 0;
+    const size_t rows = db->relation(pred).row_count();
+    if (mark >= rows) continue;
+
+    LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                         FrontedOrder(*catalog_, rule, occurrence));
+    std::shared_ptr<const JoinPlan> plan =
+        plans_->Get(rule, order, &s->plan_cache_hits);
+    RuleEvaluator evaluator(factory_, &rule, order,
+                            options.builtin_limits, std::move(plan),
+                            &block_storage_);
+    ++s->rule_firings;
+
+    std::vector<LiteralWindow> windows(rule.body.size());
+    for (size_t j = 0; j < rule.body.size(); ++j) {
+      const LiteralIr& literal = rule.body[j];
+      if (!literal.is_builtin()) {
+        windows[j] = {0, db->relation(literal.pred).row_count()};
+      }
+    }
+    windows[occurrence] = {mark, rows};
+    if (entry != nullptr) entry->counters.delta_rows += rows - mark;
+    LDL_RETURN_IF_ERROR(CollectGroupMembers(*factory_, evaluator, *db, windows,
+                                            &partitions, s));
+  }
+
+  // Reconcile each affected partition against the materialized head fact:
+  // union the delta members into the existing group (a merge over two
+  // canonical sets), replacing the old row; a fresh key inserts a new
+  // group. Untouched partitions are never visited -- that is the point.
+  Relation& head_rel = db->relation(rule.head_pred);
+  std::vector<uint32_t> non_group_cols;
+  for (size_t i = 0; i < rule.head_args.size(); ++i) {
+    if (static_cast<int>(i) != rule.group_index) {
+      non_group_cols.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  for (auto& [partition_key, partition] : partitions) {
+    const Term* delta_set = partition.members.Build();
+    Tuple old_fact;
+    bool found = false;
+    const size_t head_rows = head_rel.row_count();
+    if (non_group_cols.empty()) {
+      // Head is just the grouped set: at most one live row exists.
+      head_rel.ForEachRow(0, head_rows, [&](size_t, RowRef row) {
+        old_fact.assign(row.begin(), row.end());
+        found = true;
+      });
+    } else {
+      Tuple probe_values;
+      probe_values.reserve(non_group_cols.size());
+      for (uint32_t c : non_group_cols) {
+        probe_values.push_back(partition.head_values[c]);
+      }
+      ++s->index_probes;
+      head_rel.ProbeRows(non_group_cols, probe_values, 0, head_rows,
+                         [&](size_t, RowRef row) {
+                           old_fact.assign(row.begin(), row.end());
+                           found = true;
+                           return false;  // sole producer: row is unique
+                         });
+      if (found) ++s->probe_hits;
+    }
+    Tuple new_fact = std::move(partition.head_values);
+    if (found) {
+      const Term* old_set = old_fact[rule.group_index];
+      if (!old_set->is_set()) {
+        return InternalError(
+            "regrow found a non-set value in a grouped head position");
+      }
+      const Term* new_set = factory_->SetUnion(old_set, delta_set);
+      if (new_set == old_set) continue;  // only duplicate members: no change
+      new_fact[rule.group_index] = new_set;
+      head_rel.Erase(old_fact);
+    } else {
+      new_fact[rule.group_index] = delta_set;
+    }
+    if (db->AddFact(rule.head_pred, new_fact)) ++s->facts_derived;
+    ++s->group_regrows;
+    *derived = true;
+  }
+
+  if (entry != nullptr) {
+    ++entry->counters.firings;
+    AttributeStats(entry, local_stats);
+    stats->Add(local_stats);
+  }
+  if (db->TotalFacts() > options.max_facts) {
+    return ResourceExhaustedError(
+        StrCat("database exceeded max_facts = ", options.max_facts,
+               " (non-terminating program?)"));
+  }
+  return Status::OK();
+}
+
+Status Engine::MaintainStratum(
+    const ProgramIr& program, const std::vector<int>& rules, int stratum_index,
+    PredImpact mode, Database* db, const FixpointSeed& seed,
+    const std::vector<PredImpact>& impact,
+    std::vector<std::vector<size_t>>* removed_rows, const EvalOptions& options,
+    EvalStats* stats, EvalProfile* profile) {
+  StratumRollup rollup(profile, stats, stratum_index,
+                       mode == PredImpact::kDelta         ? StratumMode::kDelta
+                       : mode == PredImpact::kGroupRegrow ? StratumMode::kGroupRegrow
+                                                          : StratumMode::kShrink);
+
+  // Facts never lose support and their inputs never change, so they are
+  // not re-fired; fact rules only guarantee their tuples survive DRed.
+  // Grouping rules with a kGroupRegrow head regrow in place (phase 1); the
+  // others have untouched inputs (a grouping rule over a changed input that
+  // cannot regrow makes the whole stratum kRecompute) and are skipped. The
+  // normal rules have kShrink heads at worst -- any consumer of a regrown
+  // predicate is kRecompute -- so phases 2 and 3 handle them.
+  std::vector<int> normal_rules;
+  std::vector<int> fact_rules;
+  std::vector<bool> is_head(catalog_->size(), false);
+  bool derived = false;
+  for (int r : rules) {
+    const RuleIr& rule = program.rules[r];
+    if (rule.is_fact()) {
+      fact_rules.push_back(r);
+    } else if (rule.is_grouping()) {
+      // ---- Phase 1: regrow the grouping heads the insertions touch.
+      if (impact[rule.head_pred] != PredImpact::kGroupRegrow) continue;
+      LDL_RETURN_IF_ERROR(
+          RegrowGroupingRule(rule, db, seed, options, stats, &derived,
+                             ProfileEntry(profile, rule, r, stratum_index)));
+    } else {
+      normal_rules.push_back(r);
+      is_head[rule.head_pred] = true;
+    }
+  }
+  if (mode == PredImpact::kGroupRegrow) ++stats->strata_regrown;
+
+  // ---- Phase 2: retract what the settled deletions below took away --
+  // derivation-count decrements when eligible, DRed otherwise. On an
+  // insert-only batch the ledger is empty and no rule is affected.
+  // Drop ledger entries whose rows came back: a lower stratum's rederive
+  // can revive a row an earlier phase deleted (in place, via SetLive), and
+  // a revived row is no longer a deletion. A fact the insert resume
+  // re-derived instead sits in a fresh row (Insert appends), which the
+  // resume below windows as an insertion; its old row stays on the ledger,
+  // so the solutions through it are retracted (decremented or
+  // over-deleted) before the new row adds them back. (The row_count guard
+  // covers relations a recomputed stratum cleared, which invalidates old
+  // row ids.)
+  for (PredId p = 0; p < removed_rows->size(); ++p) {
+    std::vector<size_t>& rows = (*removed_rows)[p];
+    if (rows.empty()) continue;
+    const Relation& rel = db->relation(p);
+    rows.erase(std::remove_if(rows.begin(), rows.end(),
+                              [&](size_t row) {
+                                return row >= rel.row_count() || rel.IsLive(row);
+                              }),
+               rows.end());
+  }
+
+  auto has_deletions = [&](PredId p) {
+    return p < removed_rows->size() && !(*removed_rows)[p].empty();
+  };
+  // The pre-update ("old") extent of a body predicate: rows below the
+  // previous evaluation's watermark. Rows past it are this batch's
+  // insertions (or their consequences), which the old model never saw.
+  auto watermark_of = [&](PredId p) {
+    size_t mark = p < seed.watermarks->size() ? (*seed.watermarks)[p] : 0;
+    return std::min(mark, db->relation(p).row_count());
+  };
+
+  // Rules that can lose solutions: at least one positive occurrence of a
+  // predicate with settled deletions below.
+  std::vector<int> affected_rules;
+  bool recursive = false;
+  for (int r : normal_rules) {
+    const RuleIr& rule = program.rules[r];
+    bool affected = false;
+    for (const LiteralIr& literal : rule.body) {
+      if (literal.is_builtin() || literal.negated) continue;
+      if (has_deletions(literal.pred)) affected = true;
+      if (literal.pred < is_head.size() && is_head[literal.pred]) {
+        recursive = true;
+      }
+    }
+    if (affected) affected_rules.push_back(r);
+  }
+
+  // Counting fast path eligibility: every affected head carries exact
+  // derivation counts, the stratum is non-recursive (a recursive fixpoint's
+  // counts were never enabled anyway, but the check keeps the reasoning
+  // local), and no affected rule mentions a deleted predicate in more than
+  // one positive position -- the deletion decomposition below pins one
+  // occurrence per variant and relies on the same predicate not appearing
+  // elsewhere in the body with a different liveness requirement.
+  bool counting = !affected_rules.empty() && !recursive;
+  for (int r : affected_rules) {
+    if (!counting) break;
+    const RuleIr& rule = program.rules[r];
+    if (!db->relation(rule.head_pred).counted()) counting = false;
+    for (size_t i = 0; i < rule.body.size() && counting; ++i) {
+      const LiteralIr& a = rule.body[i];
+      if (a.is_builtin() || a.negated || !has_deletions(a.pred)) continue;
+      for (size_t j = i + 1; j < rule.body.size(); ++j) {
+        const LiteralIr& b = rule.body[j];
+        if (!b.is_builtin() && !b.negated && b.pred == a.pred) {
+          counting = false;
+          break;
+        }
+      }
+    }
+  }
+
+  if (counting) {
+    // ---- Counting fast path: each solution of the old model that involved
+    // a deleted row decrements its head fact's derivation count; a fact
+    // whose count reaches zero is deleted in turn. The decomposition
+    // mirrors the insert-side one: the variant pinning deleted-carrier
+    // occurrence i sees the deleted rows of carrier positions *before* i
+    // (transiently revived) and not those *after* i, so each lost solution
+    // is decremented exactly once. The watermark cap excludes this batch's
+    // insertions everywhere: solutions involving them were never counted
+    // (the insert resume below adds them against the post-deletion state).
+    for (int r : affected_rules) {
+      const RuleIr& rule = program.rules[r];
+      RuleProfileEntry* entry = ProfileEntry(profile, rule, r, stratum_index);
+      Relation& head_rel = db->relation(rule.head_pred);
+      for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
+        const LiteralIr& occ_literal = rule.body[occurrence];
+        if (occ_literal.is_builtin() || occ_literal.negated ||
+            !has_deletions(occ_literal.pred)) {
+          continue;
+        }
+        LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                             FrontedOrder(*catalog_, rule, occurrence));
+        std::shared_ptr<const JoinPlan> plan =
+            plans_->Get(rule, order, &stats->plan_cache_hits);
+        RuleEvaluator evaluator(factory_, &rule, order,
+                                options.builtin_limits, std::move(plan),
+                                &block_storage_);
+
+        std::vector<std::pair<Relation*, size_t>> revived;
+        for (size_t j = 0; j < occurrence; ++j) {
+          const LiteralIr& literal = rule.body[j];
+          if (literal.is_builtin() || literal.negated ||
+              !has_deletions(literal.pred)) {
+            continue;
+          }
+          Relation& rel = db->relation(literal.pred);
+          for (size_t row : (*removed_rows)[literal.pred]) {
+            rel.SetLive(row, true);
+            revived.emplace_back(&rel, row);
+          }
+        }
+        std::vector<LiteralWindow> windows(rule.body.size());
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          const LiteralIr& literal = rule.body[j];
+          if (!literal.is_builtin() && !literal.negated) {
+            windows[j] = {0, watermark_of(literal.pred)};
+          }
+        }
+        ++stats->rule_firings;
+        if (entry != nullptr) {
+          ++entry->counters.firings;
+          entry->counters.delta_rows +=
+              (*removed_rows)[occ_literal.pred].size();
+        }
+        Relation& occ_rel = db->relation(occ_literal.pred);
+        RowBuffer lost(rule.head_args.size());
+        Status status;
+        for (size_t rid : (*removed_rows)[occ_literal.pred]) {
+          occ_rel.SetLive(rid, true);
+          windows[occurrence] = {rid, rid + 1};
+          lost.Clear();
+          status = evaluator.CollectHeads(*db, windows, &lost, stats);
+          occ_rel.SetLive(rid, false);
+          if (!status.ok()) break;
+          // The stratum is non-recursive, so the head relation is not in
+          // the body and decrementing after the enumeration is equivalent.
+          for (size_t i = 0; i < lost.size(); ++i) {
+            size_t head_row = head_rel.Find(lost.row(i));
+            if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
+              continue;
+            }
+            ++stats->count_decrements;
+            if (head_rel.DecrementDerivation(head_row)) {
+              (*removed_rows)[rule.head_pred].push_back(head_row);
+            }
+          }
+        }
+        for (auto& [rel, row] : revived) rel->SetLive(row, false);
+        LDL_RETURN_IF_ERROR(status);
+      }
+    }
+    ++stats->strata_delta;
+  } else if (!affected_rules.empty()) {
+    // ---- DRed phase 1: over-delete to a fixpoint against the pre-deletion
+    // state. Every settled deletion below is transiently revived and every
+    // body window capped at the previous watermark, so joins see exactly
+    // the old model. Consequences of each worklist row are *marked* but
+    // kept live -- later worklist items still join against the complete old
+    // state, which is what makes this an over-approximation -- and fed back
+    // through the worklist for the recursive case.
+    ++stats->strata_overdeleted;
+
+    struct ShrinkVariant {
+      size_t occurrence;
+      RuleEvaluator evaluator;
+      RuleProfileEntry* entry;
+    };
+    std::unordered_map<PredId, std::vector<ShrinkVariant>> variants_by_pred;
+    for (int r : normal_rules) {
+      const RuleIr& rule = program.rules[r];
+      RuleProfileEntry* entry = ProfileEntry(profile, rule, r, stratum_index);
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        const LiteralIr& literal = rule.body[i];
+        if (literal.is_builtin() || literal.negated) continue;
+        // Only predicates that can appear on the worklist: deleted body
+        // preds and the stratum's own heads.
+        if (!has_deletions(literal.pred) &&
+            !(literal.pred < is_head.size() && is_head[literal.pred])) {
+          continue;
+        }
+        LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                             FrontedOrder(*catalog_, rule, i));
+        std::shared_ptr<const JoinPlan> plan =
+            plans_->Get(rule, order, &stats->plan_cache_hits);
+        variants_by_pred[literal.pred].push_back(ShrinkVariant{
+            i,
+            RuleEvaluator(factory_, &rule, order,
+                          options.builtin_limits, std::move(plan),
+                          &block_storage_),
+            entry});
+      }
+    }
+
+    // Revive the settled deletions of every deleted body predicate for the
+    // duration of phase 1.
+    std::vector<std::pair<Relation*, size_t>> revived;
+    std::vector<bool> revived_pred(catalog_->size(), false);
+    std::vector<std::pair<PredId, size_t>> worklist;
+    for (int r : normal_rules) {
+      for (const LiteralIr& literal : program.rules[r].body) {
+        if (literal.is_builtin() || literal.negated) continue;
+        PredId p = literal.pred;
+        if (p >= revived_pred.size() || revived_pred[p] || !has_deletions(p)) {
+          continue;
+        }
+        revived_pred[p] = true;
+        Relation& rel = db->relation(p);
+        for (size_t row : (*removed_rows)[p]) {
+          rel.SetLive(row, true);
+          revived.emplace_back(&rel, row);
+          worklist.emplace_back(p, row);
+        }
+      }
+    }
+
+    // Over-deleted head rows (marked, still live until phase 1 ends).
+    std::vector<std::unordered_set<size_t>> marked(catalog_->size());
+    Status phase1;
+    for (size_t idx = 0; idx < worklist.size() && phase1.ok(); ++idx) {
+      const auto [q, rid] = worklist[idx];
+      auto it = variants_by_pred.find(q);
+      if (it == variants_by_pred.end()) continue;
+      for (ShrinkVariant& v : it->second) {
+        const RuleIr& rule = v.evaluator.rule();
+        std::vector<LiteralWindow> windows(rule.body.size());
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          const LiteralIr& literal = rule.body[j];
+          if (!literal.is_builtin() && !literal.negated) {
+            windows[j] = {0, watermark_of(literal.pred)};
+          }
+        }
+        windows[v.occurrence] = {rid, rid + 1};
+        ++stats->rule_firings;
+        if (v.entry != nullptr) {
+          ++v.entry->counters.firings;
+          ++v.entry->counters.delta_rows;
+        }
+        RowBuffer consequences(rule.head_args.size());
+        phase1 = v.evaluator.CollectHeads(*db, windows, &consequences, stats);
+        if (!phase1.ok()) break;
+        // Marking keeps rows live, so the enumeration above saw the same
+        // state whether the marks land during or after it.
+        Relation& head_rel = db->relation(rule.head_pred);
+        for (size_t i = 0; i < consequences.size(); ++i) {
+          size_t head_row = head_rel.Find(consequences.row(i));
+          if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
+            continue;
+          }
+          if (marked[rule.head_pred].insert(head_row).second) {
+            worklist.emplace_back(rule.head_pred, head_row);
+          }
+        }
+      }
+    }
+    // Deleted rows go back to being tombstones whether or not phase 1
+    // succeeded; a clean database state outlives the error.
+    for (auto& [rel, row] : revived) rel->SetLive(row, false);
+    LDL_RETURN_IF_ERROR(phase1);
+
+    // Tombstone the over-deleted rows (sorted for deterministic order), and
+    // abandon any derivation counts DRed bypassed on the affected heads.
+    std::vector<std::pair<PredId, size_t>> overdeleted;
+    for (PredId h = 0; h < marked.size(); ++h) {
+      if (marked[h].empty()) continue;
+      std::vector<size_t> rows(marked[h].begin(), marked[h].end());
+      std::sort(rows.begin(), rows.end());
+      Relation& rel = db->relation(h);
+      for (size_t row : rows) {
+        rel.SetLive(row, false);
+        overdeleted.emplace_back(h, row);
+      }
+      rel.DisableCounts();
+    }
+
+    // ---- DRed phase 2: rederive over-deleted facts that still have a
+    // derivation from the surviving state. Each rule runs a head-seeded plan
+    // (head variables bound before the first step; the unifiers of the head
+    // with the candidate fact form the root input block), so each candidate
+    // costs one targeted existence check instead of re-running the stratum.
+    // Rederived rows revive in place -- keeping their ids, so downstream
+    // deltas are unaffected -- and can support other candidates, hence the
+    // fixpoint rounds. Fact-rule tuples survive unconditionally.
+    for (int r : fact_rules) {
+      const RuleIr& rule = program.rules[r];
+      InstantiationResult inst =
+          InstantiateArgs(*factory_, rule.head_args, Subst());
+      if (inst.unbound || inst.outside_universe) continue;
+      Relation& rel = db->relation(rule.head_pred);
+      size_t row = rel.Find(inst.tuple);
+      if (row != Relation::npos && !rel.IsLive(row)) rel.SetLive(row, true);
+    }
+    std::unordered_map<PredId, std::vector<RuleEvaluator>> rederivers;
+    for (int r : normal_rules) {
+      const RuleIr& rule = program.rules[r];
+      std::vector<Symbol> head_vars;
+      for (const Term* arg : rule.head_args) CollectVars(arg, &head_vars);
+      std::vector<int> order;
+      StatusOr<std::vector<int>> bound =
+          OrderBodyLiterals(*catalog_, rule, -1, &head_vars);
+      if (bound.ok()) {
+        order = std::move(bound).value();
+      } else {
+        LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
+      }
+      std::shared_ptr<const JoinPlan> plan = plans_->Get(
+          rule, order, &stats->plan_cache_hits, /*head_seeded=*/true);
+      rederivers[rule.head_pred].emplace_back(factory_, &rule, order,
+                                              options.builtin_limits,
+                                              std::move(plan), &block_storage_);
+    }
+    std::vector<std::pair<PredId, size_t>> dead;
+    for (const auto& [h, row] : overdeleted) {
+      if (!db->relation(h).IsLive(row)) dead.emplace_back(h, row);
+    }
+    while (!dead.empty()) {
+      ++stats->rederive_rounds;
+      bool revived_any = false;
+      std::vector<std::pair<PredId, size_t>> still_dead;
+      for (const auto& [h, row] : dead) {
+        Relation& rel = db->relation(h);
+        RowRef tuple = rel.row(row);
+        bool found = false;
+        auto it = rederivers.find(h);
+        if (it != rederivers.end()) {
+          for (RuleEvaluator& evaluator : it->second) {
+            LDL_RETURN_IF_ERROR(evaluator.ForEachBlockDeriving(
+                *db, tuple,
+                [&](const TupleBlock&) {
+                  found = true;
+                  return false;
+                },
+                stats));
+            if (found) break;
+          }
+        }
+        if (found) {
+          rel.SetLive(row, true);
+          revived_any = true;
+        } else {
+          still_dead.emplace_back(h, row);
+        }
+      }
+      dead.swap(still_dead);
+      if (!revived_any) break;
+    }
+    // What stayed dead is deleted for good; strata above see it through the
+    // ledger. (The insert resume below can still re-derive such a fact --
+    // into a fresh row, which strata above see as an insertion.)
+    for (const auto& [h, row] : dead) (*removed_rows)[h].push_back(row);
+  } else if (mode != PredImpact::kGroupRegrow) {
+    // Counted, or no settled deletion reaches this stratum (everything
+    // below was rederived or decremented back to life): only insert deltas
+    // remain to resume.
+    ++stats->strata_delta;
+  }
+
+  // ---- Phase 3: resume the seeded semi-naive insert fixpoint, so a mixed
+  // insert+delete batch finishes in one pass. With no insert deltas this
+  // finds empty windows and exits immediately.
+  if (!normal_rules.empty()) {
+    LDL_RETURN_IF_ERROR(Fixpoint(program, normal_rules, stratum_index, db,
+                                 options, stats, &derived, profile, &seed));
+  }
+  rollup.Finish();
+  return Status::OK();
+}
+
+Status Engine::Maintain(const ProgramIr& program,
+                        const Stratification& stratification, Database* db,
+                        const std::vector<size_t>& watermarks,
+                        const std::vector<bool>& inserted,
+                        const std::vector<std::pair<PredId, Tuple>>& removed,
+                        const EvalOptions& options, EvalStats* stats,
+                        EvalProfile* profile) {
+  EvalStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  if (!options.profile) profile = nullptr;
+  if (profile != nullptr) profile->ReserveRules(program.rules.size());
+  ScopedSetInternCounter set_interns(factory_, stats);
+  uint64_t total_wall = 0;
+  ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
+
+  // Settle the EDB deletions up front: tombstone each removed fact's row
+  // and record it in the per-predicate ledger. Absent facts are no-ops. A
+  // fact inserted and deleted in the same batch sits past its watermark;
+  // tombstoning it here is exactly the required cancellation (delta windows
+  // skip tombstoned rows).
+  std::vector<bool> shrunk(catalog_->size(), false);
+  std::vector<std::vector<size_t>> removed_rows(catalog_->size());
+  for (const auto& [pred, tuple] : removed) {
+    if (pred >= catalog_->size()) continue;
+    Relation& rel = db->relation(pred);
+    size_t row = rel.Find(tuple);
+    if (row == Relation::npos || !rel.IsLive(row)) continue;
+    rel.SetLive(row, false);
+    removed_rows[pred].push_back(row);
+    shrunk[pred] = true;
+  }
+
+  std::vector<PredImpact> impact =
+      ComputeImpact(*catalog_, program, inserted, shrunk);
+
+  // Delta carriers for the seeded fixpoints: the inserted-into EDB
+  // predicates plus every delta- or shrink-maintained IDB predicate (on a
+  // mixed batch the latter carry insert deltas too, and their rederived
+  // rows keep old ids, so the watermark logic is unchanged). A recomputed
+  // predicate is never a carrier -- everything consuming it is itself
+  // recomputed, with full windows.
+  std::vector<bool> delta_preds(catalog_->size(), false);
+  for (PredId p = 0; p < catalog_->size(); ++p) {
+    if ((p < inserted.size() && inserted[p]) ||
+        impact[p] == PredImpact::kDelta || impact[p] == PredImpact::kShrink) {
+      delta_preds[p] = true;
+    }
+  }
+  FixpointSeed seed{&watermarks, &delta_preds};
+
+  for (size_t s = 0; s < stratification.strata.size(); ++s) {
+    const std::vector<int>& rules = stratification.strata[s];
+    const int stratum = static_cast<int>(s);
+    PredImpact mode = PredImpact::kClean;
+    for (int r : rules) {
+      mode = std::max(mode, impact[program.rules[r].head_pred]);
+    }
+    if (mode == PredImpact::kClean) {
+      ++stats->strata_skipped;
+      StratumRollup(profile, stats, stratum, StratumMode::kSkipped).Finish();
+      continue;
+    }
+    if (mode != PredImpact::kRecompute) {
+      LDL_RETURN_IF_ERROR(MaintainStratum(program, rules, stratum, mode, db,
+                                          seed, impact, &removed_rows,
+                                          options, stats, profile));
+      continue;
+    }
+    // Clear each head that can have lost facts -- kShrink (it never went
+    // through DRed, so kept rows could include facts whose support was
+    // deleted), kGroupRegrow (EvaluateStratum re-fires its grouping rule
+    // from scratch, which would otherwise insert regrown group facts next
+    // to the stale ones) and kRecompute -- then re-derive the whole stratum
+    // from its (already-maintained) inputs. Cleared relations restart their
+    // ledgers, and re-count from scratch: Clear() empties the counts but
+    // keeps counting enabled. Heads classified kDelta or kClean keep their
+    // rows: re-deriving them is deduplicated, and any genuinely new rows
+    // land past their watermarks where downstream delta strata pick them
+    // up. Their rules re-fire with dedup against the existing rows, so
+    // their derivation counts would inflate; abandon them (deletions there
+    // fall back to DRed).
+    std::vector<bool> cleared(catalog_->size(), false);
+    for (int r : rules) {
+      PredId head = program.rules[r].head_pred;
+      if (impact[head] >= PredImpact::kShrink && !cleared[head]) {
+        cleared[head] = true;
+        db->relation(head).Clear();
+        removed_rows[head].clear();
+      }
+    }
+    for (int r : rules) {
+      PredId head = program.rules[r].head_pred;
+      if (!cleared[head]) db->relation(head).DisableCounts();
+    }
+    ++stats->strata_recomputed;
+    LDL_RETURN_IF_ERROR(EvaluateStratum(program, rules, stratum,
+                                        StratumMode::kRecomputed, db, options,
+                                        stats, profile));
+  }
+  if (profile != nullptr) {
+    total_timer.Stop();
+    profile->add_total_wall_ns(total_wall);
+  }
+  return Status::OK();
+}
+
+}  // namespace ldl
