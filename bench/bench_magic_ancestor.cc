@@ -43,36 +43,6 @@ void BM_AncestorFull(benchmark::State& state) {
   ldl_bench::MaybeDumpProfile(ldl::StrCat("AncestorFull/", n), last_profile);
 }
 
-// Thread sweep of the full evaluation: args are {chain length, worker
-// threads}. The materialized closure is the parallel engine's target
-// workload -- big deltas that shard across the pool.
-void BM_AncestorFullThreads(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::string facts = ldl::ParentChain(n, "p");
-  std::string goal = Goal(n);
-  ldl::QueryOptions options;
-  options.eval.num_threads = static_cast<int>(state.range(1));
-  options.eval.profile = ldl_bench::ProfileRequested();
-  ldl::EvalStats last;
-  ldl::EvalProfile last_profile;
-  for (auto _ : state) {
-    auto session = ldl_bench::MakeSession(state, facts, kRules);
-    if (session == nullptr) return;
-    auto result = session->Query(goal, options);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(result->tuples.size());
-    last = result->stats;
-    if (options.eval.profile) last_profile = result->profile;
-  }
-  ldl_bench::RecordStats(state, last);
-  ldl_bench::MaybeDumpProfile(
-      ldl::StrCat("AncestorFullThreads/", n, "/", state.range(1)),
-      last_profile);
-}
-
 void BM_AncestorMagic(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::string facts = ldl::ParentChain(n, "p");
@@ -183,9 +153,6 @@ void BM_AncestorTreeMagic(benchmark::State& state) {
 // Full evaluation is quadratic in n; cap its sweep lower.
 BENCHMARK(BM_AncestorFull)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AncestorFullThreads)
-    ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_AncestorMagic)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AncestorSupplementary)->Arg(128)->Arg(512)->Arg(1024)

@@ -54,33 +54,6 @@ void BM_TcNonLinearSemiNaive(benchmark::State& state) {
              "TcNonLinearSemiNaive");
 }
 
-// Thread sweep over the linear-closure workload: args are {chain length,
-// worker threads}. threads=1 is exactly the serial engine path.
-void BM_TcSemiNaiveThreads(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::string facts = ldl::ParentChain(n, "e");
-  ldl::EvalOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
-  options.profile = ldl_bench::ProfileRequested();
-  ldl::EvalStats last;
-  ldl::EvalProfile last_profile;
-  for (auto _ : state) {
-    auto session = ldl_bench::MakeSession(state, facts, kLinearRules);
-    if (session == nullptr) return;
-    ldl::Status status = session->Evaluate(options);
-    if (!status.ok()) {
-      state.SkipWithError(status.ToString().c_str());
-      return;
-    }
-    last = session->last_eval_stats();
-    if (options.profile) last_profile = session->last_eval_profile();
-  }
-  ldl_bench::RecordStats(state, last);
-  ldl_bench::MaybeDumpProfile("TcSemiNaiveThreads/" + std::to_string(n) + "/" +
-                                  std::to_string(state.range(1)),
-                              last_profile);
-}
-
 void BM_TcRandomGraph(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::string facts = ldl::RandomGraph(n, 3 * n, /*seed=*/5, "e");
@@ -118,8 +91,5 @@ BENCHMARK(BM_TcNonLinearSemiNaive)->Arg(128)->Arg(256)
 BENCHMARK(BM_TcRandomGraph)
     ->Args({64, 0})->Args({64, 1})->Args({128, 0})->Args({128, 1})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TcSemiNaiveThreads)
-    ->Args({512, 1})->Args({512, 2})->Args({512, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -2,11 +2,8 @@
 # Runs every Google-benchmark binary in the build tree and collects the
 # results into one JSON array at BENCH_engine.json (repo root by default).
 #
-# Usage: bench/run_benches.sh [--threads | --profile | --filter <regex>] \
+# Usage: bench/run_benches.sh [--profile | --filter <regex>] \
 #                              [build_dir] [output_json]
-#   --threads    run only the worker-pool sweep benchmarks (names matching
-#                'Threads') and APPEND their reports to the output JSON
-#                instead of rewriting it
 #   --profile    re-run the evaluation benches with per-rule profiling on
 #                (LDL_BENCH_PROFILE_DIR) and collect the EvalProfile JSON each
 #                benchmark dumps into BENCH_profile.json, keyed by benchmark
@@ -26,13 +23,9 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-append=0
 profile=0
 no_write=0
-if [[ "${1:-}" == "--threads" ]]; then
-  append=1
-  shift
-elif [[ "${1:-}" == "--profile" ]]; then
+if [[ "${1:-}" == "--profile" ]]; then
   profile=1
   shift
 elif [[ "${1:-}" == "--filter" ]]; then
@@ -52,9 +45,6 @@ if [[ ${profile} -eq 1 ]]; then
 fi
 output="${2:-${default_output}}"
 filter="${BENCH_FILTER:-}"
-if [[ ${append} -eq 1 ]]; then
-  filter="${filter:-Threads}"
-fi
 
 bench_dir="${build_dir}/bench"
 if [[ ! -d "${bench_dir}" ]]; then
@@ -146,13 +136,12 @@ PY
 fi
 
 # Concatenate the per-binary reports into one JSON array, tagging each entry
-# with the binary it came from. In append mode, existing entries are kept and
-# the new reports are added after them. Before overwriting, each benchmark's
+# with the binary it came from. Before overwriting, each benchmark's
 # real_time is compared against the previously committed report so a run
 # prints a one-line delta per benchmark (regressions are visible without
 # diffing JSON by hand). Under --filter the deltas are the whole point: the
 # subset run prints them and leaves the committed report untouched.
-APPEND="${append}" NO_WRITE="${no_write}" \
+NO_WRITE="${no_write}" \
   python3 - "${output}" "${runs[@]}" <<'PY'
 import json
 import os
@@ -164,8 +153,6 @@ baseline = {}
 if os.path.exists(output):
     with open(output) as f:
         previous = json.load(f)
-    if os.environ.get("APPEND") == "1":
-        merged = previous
     for report in previous:
         for bench in report.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":

@@ -5,11 +5,11 @@
 // ids, making comparisons and hashing O(1).
 //
 // Thread-safety: the interner is internally synchronized (writers take an
-// exclusive lock, Lookup/Find take a shared lock) so the parallel evaluator's
-// workers may resolve symbol text -- e.g. for the total term order or
-// arithmetic functor checks -- while the main thread stays quiescent, and so
-// a stray Intern from a worker cannot corrupt the table. Returned views stay
-// valid for the interner's lifetime (ids point at node-stable strings).
+// exclusive lock, Lookup/Find take a shared lock) so ldl::Service's
+// concurrent query threads may resolve symbol text -- e.g. for the total
+// term order or arithmetic functor checks -- and intern query constants
+// while the writer evaluates. Returned views stay valid for the interner's
+// lifetime (ids point at node-stable strings).
 #ifndef LDL1_BASE_INTERNER_H_
 #define LDL1_BASE_INTERNER_H_
 

@@ -22,7 +22,8 @@
 //   * emit             -- head rows for a whole solution block are built
 //                         straight from plan slots into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the
-//                         engine inserts in bulk at the merge barrier.
+//                         engine inserts in bulk once the rule application
+//                         has enumerated its solutions.
 //
 // Determinism: kernels enumerate (input row, candidate row) pairs in
 // depth-first order -- input rows in selection order, candidates in
@@ -128,7 +129,7 @@ class TupleBlock {
 
 // Flat accumulator for head tuples of one fixed arity: the emit buffer.
 // Replaces std::vector<Tuple> (one heap allocation per solution) with a
-// single growing array the engine inserts from at the merge barrier.
+// single growing array the engine inserts from after the rule application.
 class RowBuffer {
  public:
   explicit RowBuffer(size_t width) : width_(width) {}
@@ -186,7 +187,8 @@ struct BlockStorage {
 // application. An evaluator takes a storage on its first run and returns it
 // when destroyed; a storage belongs to one evaluator at a time, so nested
 // and concurrent evaluators never share one. The free list is guarded by a
-// mutex (worker-pool tasks draw from the same pool).
+// mutex, so evaluators on different threads may share one pool; within one
+// engine's serial evaluation it is uncontended.
 class BlockStoragePool {
  public:
   std::unique_ptr<BlockStorage> Acquire();

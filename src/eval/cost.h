@@ -1,9 +1,9 @@
 // Cost-based join ordering (DESIGN.md §11).
 //
 // A CostModel snapshots per-predicate cardinalities and per-column distinct
-// estimates (Relation::Stats) at a well-defined point -- round start, on the
-// scheduling thread -- so order choices depend only on that snapshot and the
-// serial==parallel determinism contract holds. EstimateOrderCost prices a
+// estimates (Relation::Stats) at a well-defined point -- round start -- so
+// order choices depend only on that snapshot, never on which rules ran
+// earlier in the round. EstimateOrderCost prices a
 // candidate order under the standard independence assumptions: a probe on a
 // literal with R rows and bound columns c1..ck matches R / max(1, prod
 // distinct(ci)) rows per input binding; the work of a step is

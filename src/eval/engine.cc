@@ -15,10 +15,6 @@ namespace ldl {
 
 namespace {
 
-// Delta windows below this row count are not worth sharding: the per-task
-// dispatch overhead would exceed the join work.
-constexpr size_t kMinShardRows = 64;
-
 // Body literal occurrences whose predicate is in `idb` (candidates for
 // semi-naive delta positioning).
 std::vector<int> RecursiveOccurrences(const RuleIr& rule,
@@ -102,9 +98,8 @@ Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
   ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
 
   // A grouping rule's body reads only strictly lower layers, which no rule
-  // of this stratum mutates -- so the per-rule snapshot here prices the same
-  // relations as the pre-stratum snapshot the parallel grouping path takes,
-  // and both paths choose the same order.
+  // of this stratum mutates -- so the per-rule snapshot here prices the
+  // stratum's input model whatever grouping rules ran before this one.
   std::vector<int> order;
   if (options.cost_based) {
     LDL_ASSIGN_OR_RETURN(
@@ -135,85 +130,6 @@ Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
   return Status::OK();
 }
 
-WorkerPool* Engine::EnsurePool(int num_threads) {
-  if (pool_ == nullptr || pool_->thread_count() != num_threads) {
-    pool_ = std::make_unique<WorkerPool>(num_threads);
-  }
-  return pool_.get();
-}
-
-Status Engine::RunTasksParallel(const std::vector<RuleTask>& tasks, Database* db,
-                                const EvalOptions& options, EvalStats* stats,
-                                bool* derived) {
-  if (tasks.empty()) return Status::OK();
-  // Pre-size the relation deque so const relation() lookups from workers
-  // never mutate it; the round itself only reads the database.
-  db->Grow();
-  const Database& snapshot = *db;
-  // Staged head rows per task: parallel delta shards are block streams into
-  // flat row buffers the merge barrier drains in task order.
-  std::vector<RowBuffer> produced;
-  produced.reserve(tasks.size());
-  for (const RuleTask& task : tasks) {
-    produced.emplace_back(task.rule->head_args.size());
-  }
-  std::vector<EvalStats> task_stats(tasks.size());
-  std::vector<Status> task_status(tasks.size(), Status::OK());
-  // Per-task wall time, measured on the worker that ran the task (merged
-  // into the rule's profile at the barrier below). Unused when profiling is
-  // off -- the sink stays null and the timer never reads the clock.
-  std::vector<uint64_t> task_wall(tasks.size(), 0);
-  EnsurePool(options.num_threads)->Run(tasks.size(), [&](size_t i) {
-    const RuleTask& task = tasks[i];
-    EvalStats& local = task_stats[i];
-    ScopedWallTimer timer(task.profile_entry != nullptr ? &task_wall[i]
-                                                        : nullptr);
-    // Plans were prefetched on the scheduling thread (one cache probe per
-    // variant instead of one per worker); the evaluator itself is task-local.
-    RuleEvaluator evaluator(factory_, task.rule, *task.order,
-                            options.builtin_limits, task.plan,
-                            &block_storage_);
-    ++local.rule_firings;
-    task_status[i] =
-        evaluator.CollectHeads(snapshot, task.windows, &produced[i], &local);
-  });
-  // Merge barrier: single-threaded, in task order, so insertion order --
-  // hence row ids, delta windows, and the final model -- is deterministic
-  // and independent of worker scheduling. Profile attribution also happens
-  // here (never on workers), so no entry is written concurrently.
-  stats->parallel_tasks += tasks.size();
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    LDL_RETURN_IF_ERROR(task_status[i]);
-    stats->Add(task_stats[i]);
-    size_t inserted = 0;
-    for (size_t r = 0; r < produced[i].size(); ++r) {
-      if (db->AddFact(tasks[i].rule->head_pred, produced[i].row(r))) {
-        *derived = true;
-        ++stats->facts_derived;
-        ++inserted;
-      }
-    }
-    if (RuleProfileEntry* entry = tasks[i].profile_entry; entry != nullptr) {
-      RuleProfile& counters = entry->counters;
-      if (tasks[i].counts_firing) ++counters.firings;
-      counters.delta_rows += tasks[i].delta_rows;
-      counters.wall_ns += task_wall[i];
-      ++counters.parallel_tasks;
-      counters.facts_derived += inserted;
-      AttributeStats(entry, task_stats[i]);
-      // AttributeStats folds the task's facts_derived too, but workers only
-      // stage tuples -- their facts_derived is always zero; the real count
-      // is `inserted`, added above.
-    }
-  }
-  if (db->TotalFacts() > options.max_facts) {
-    return ResourceExhaustedError(
-        StrCat("database exceeded max_facts = ", options.max_facts,
-               " (non-terminating program?)"));
-  }
-  return Status::OK();
-}
-
 Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_indices,
                         int stratum_index, Database* db, const EvalOptions& options,
                         EvalStats* stats, bool* derived_any, EvalProfile* profile,
@@ -237,15 +153,11 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   const bool seminaive =
       options.mode == EvalOptions::Mode::kSemiNaive || seed != nullptr;
 
-  const bool parallel = options.num_threads > 1;
-
   struct Compiled {
     const RuleIr* rule;
     std::vector<int> default_order;
-    std::shared_ptr<const JoinPlan> default_plan;  // prefetched when parallel
     // (occurrence, order) pairs for semi-naive delta variants.
     std::vector<std::pair<int, std::vector<int>>> delta_variants;
-    std::vector<std::shared_ptr<const JoinPlan>> delta_plans;  // parallel only
     // Whether each variant has an ordering choice at all: with fewer than
     // two positive literals besides the pinned occurrence there is nothing
     // to reorder, and the per-round replanning pass (snapshot + re-cost)
@@ -256,12 +168,11 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     // the profile's rule table must not reallocate (ReserveRules).
     RuleProfileEntry* entry = nullptr;
   };
-  // Entry-time cost model for the initial order choice. Taken before round
-  // 0 touches the database, on the scheduling thread, so serial and
-  // parallel evaluations plan from the same snapshot. Seeded resumes (the
-  // incremental insert/delete paths) always order syntactically: their
-  // windows are tiny, so per-call planning would dominate the
-  // microsecond-scale maintenance work it is meant to save.
+  // Entry-time cost model for the initial order choice, taken before round
+  // 0 touches the database. Seeded resumes (the incremental insert/delete
+  // paths) always order syntactically: their windows are tiny, so per-call
+  // planning would dominate the microsecond-scale maintenance work it is
+  // meant to save.
   const bool cost_based = options.cost_based && seed == nullptr;
   CostModel entry_model;
   if (cost_based) entry_model = CostModel::Snapshot(*db, *catalog_);
@@ -317,16 +228,6 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
         c.delta_variants.emplace_back(occurrence, std::move(order).value());
       }
     }
-    if (parallel) {
-      // Resolve every plan a worker could need up front on this thread:
-      // one cache probe per variant instead of one per task.
-      c.default_plan =
-          plans_->Get(rule, c.default_order, &stats->plan_cache_hits);
-      for (const auto& [occurrence, order] : c.delta_variants) {
-        c.delta_plans.push_back(
-            plans_->Get(rule, order, &stats->plan_cache_hits));
-      }
-    }
     compiled.push_back(std::move(c));
   }
 
@@ -345,22 +246,11 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
       low[p] = db->relation(p).row_count();
     }
   }
-  // Full-application task list (round 0 and every naive round).
-  auto full_round_tasks = [&compiled]() {
-    std::vector<RuleTask> tasks;
-    tasks.reserve(compiled.size());
-    for (const Compiled& c : compiled) {
-      tasks.push_back({c.rule, &c.default_order, c.default_plan, {}, c.entry,
-                       /*counts_firing=*/true, /*delta_rows=*/0});
-    }
-    return tasks;
-  };
-  // Serial counterpart of a parallel full round: every rule applied against
-  // explicit [0, row_count) round-start windows, so rule N never sees rule
-  // N-1's (or its own) same-round inserts. This is exactly the snapshot the
-  // parallel path reads, which keeps firing and round counts -- hence
-  // profiles -- identical across pool widths.
-  auto serial_full_round = [&](bool* derived) -> Status {
+  // Full application (round 0 and every naive round): every rule applied
+  // against explicit [0, row_count) round-start windows, so rule N never
+  // sees rule N-1's (or its own) same-round inserts. The golden firing and
+  // round counts pin this round-start semantics.
+  auto full_round = [&](bool* derived) -> Status {
     std::vector<size_t> snap(catalog_->size());
     for (PredId p = 0; p < catalog_->size(); ++p) {
       snap[p] = db->relation(p).row_count();
@@ -383,12 +273,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   if (seed == nullptr) {
     // Round 0: every rule over the full database. A seeded resume skips it;
     // the database already holds the pre-update fixpoint.
-    if (parallel) {
-      LDL_RETURN_IF_ERROR(
-          RunTasksParallel(full_round_tasks(), db, options, stats, &derived));
-    } else {
-      LDL_RETURN_IF_ERROR(serial_full_round(&derived));
-    }
+    LDL_RETURN_IF_ERROR(full_round(&derived));
     *derived_any = *derived_any || derived;
     ++stats->iterations;
   }
@@ -399,12 +284,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
         return ResourceExhaustedError("fixpoint exceeded max_rounds");
       }
       derived = false;
-      if (parallel) {
-        LDL_RETURN_IF_ERROR(
-            RunTasksParallel(full_round_tasks(), db, options, stats, &derived));
-      } else {
-        LDL_RETURN_IF_ERROR(serial_full_round(&derived));
-      }
+      LDL_RETURN_IF_ERROR(full_round(&derived));
       *derived_any = *derived_any || derived;
       ++stats->iterations;
     }
@@ -434,8 +314,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     // ([low, high) for the pinned occurrence, [0, low) for later carriers)
     // and switch its order when the current one is estimated at more than
     // replan_cost_ratio times the best. Every input is a round-start
-    // snapshot read on the scheduling thread, so serial and parallel runs
-    // replan identically and determinism is preserved.
+    // snapshot, so the choice does not depend on rule order within a round.
     // Variants with no ordering choice (fewer than two movable positives)
     // are skipped wholesale; when none qualifies the snapshot is never
     // taken, so linear recursion pays nothing per round.
@@ -482,10 +361,6 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
               order = std::move(best).value();
               current_cost = best_cost;
               ++stats->replans;
-              if (parallel) {
-                c.delta_plans[v] =
-                    plans_->Get(*c.rule, order, &stats->plan_cache_hits);
-              }
             }
           }
           if (c.entry != nullptr) {
@@ -497,98 +372,43 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     }
 
     derived = false;
-    if (parallel) {
-      // Build this round's task list: one task per live delta variant, with
-      // large delta windows sharded by row range so one hot predicate still
-      // spreads across the pool.
-      std::vector<RuleTask> tasks;
-      for (const Compiled& c : compiled) {
-        for (size_t v = 0; v < c.delta_variants.size(); ++v) {
-          const auto& [occurrence, order] = c.delta_variants[v];
-          PredId delta_pred = c.rule->body[occurrence].pred;
-          size_t from = low[delta_pred];
-          size_t to = high[delta_pred];
-          if (to <= from) continue;
-          std::shared_ptr<const JoinPlan> plan =
-              c.delta_plans.empty() ? nullptr : c.delta_plans[v];
-          size_t rows = to - from;
-          size_t shards = 1;
-          if (rows >= kMinShardRows) {
-            shards = std::min<size_t>(
-                static_cast<size_t>(options.num_threads) * 2,
-                (rows + kMinShardRows - 1) / kMinShardRows);
-          }
-          if (shards > 1) stats->delta_shards += shards;
-          size_t chunk = (rows + shards - 1) / shards;
-          for (size_t s = 0; s < shards; ++s) {
-            size_t shard_from = from + s * chunk;
-            size_t shard_to = std::min(to, shard_from + chunk);
-            if (shard_from >= shard_to) break;
-            std::vector<LiteralWindow> windows(c.rule->body.size());
-            // Exact decomposition, mirroring the serial path: carrier
-            // positions after the pinned occurrence see only pre-round rows
-            // so each multi-delta solution is enumerated by exactly one
-            // variant. Other positions keep the default full window -- the
-            // round reads an immutable snapshot, so "full" is the
-            // round-start state.
-            for (size_t i = occurrence + 1; i < c.rule->body.size(); ++i) {
-              const LiteralIr& literal = c.rule->body[i];
-              if (!literal.is_builtin() && !literal.negated &&
-                  literal.pred < delta_preds.size() &&
-                  delta_preds[literal.pred]) {
-                windows[i] = {0, low[literal.pred]};
-              }
-            }
-            windows[occurrence] = {shard_from, shard_to};
-            // Only the variant's first shard counts as a firing; delta_rows
-            // is per shard and sums to the variant's window, so both stay
-            // independent of the shard split.
-            tasks.push_back({c.rule, &order, plan, std::move(windows), c.entry,
-                             /*counts_firing=*/s == 0,
-                             /*delta_rows=*/shard_to - shard_from});
+    // Round-start snapshot for the non-delta occurrences: the windows pin
+    // every positive literal to [0, row_count-at-round-start) (the delta
+    // occurrence to its [low, high) slice), so a variant never sees rows
+    // inserted earlier in the same round.
+    //
+    // Exact decomposition across delta carriers: when several body
+    // positions carry deltas, the variant pinning occurrence i gives
+    // carrier positions *before* i the full round-start window (NEW) and
+    // carrier positions *after* i only the pre-round rows (OLD,
+    // [0, low)). Every solution touching >= 1 delta row is then found by
+    // exactly one variant -- the one pinning its *first* delta position --
+    // so derivation counts stay exact under multi-delta joins.
+    std::vector<size_t> snap(catalog_->size());
+    for (PredId p = 0; p < catalog_->size(); ++p) {
+      snap[p] = db->relation(p).row_count();
+    }
+    for (const Compiled& c : compiled) {
+      for (const auto& [occurrence, order] : c.delta_variants) {
+        PredId delta_pred = c.rule->body[occurrence].pred;
+        if (high[delta_pred] <= low[delta_pred]) continue;
+        std::vector<LiteralWindow> windows(c.rule->body.size());
+        for (size_t i = 0; i < c.rule->body.size(); ++i) {
+          const LiteralIr& literal = c.rule->body[i];
+          if (!literal.is_builtin() && !literal.negated) {
+            const bool carrier = literal.pred < delta_preds.size() &&
+                                 delta_preds[literal.pred];
+            windows[i] = carrier && static_cast<int>(i) > occurrence
+                             ? LiteralWindow{0, low[literal.pred]}
+                             : LiteralWindow{0, snap[literal.pred]};
           }
         }
-      }
-      LDL_RETURN_IF_ERROR(RunTasksParallel(tasks, db, options, stats, &derived));
-    } else {
-      // Round-start snapshot for the non-delta occurrences: the parallel
-      // path reads an immutable pre-round database, so the serial windows
-      // pin every positive literal to [0, row_count-at-round-start) (the
-      // delta occurrence to its [low, high) slice) to match.
-      //
-      // Exact decomposition across delta carriers: when several body
-      // positions carry deltas, the variant pinning occurrence i gives
-      // carrier positions *before* i the full round-start window (NEW) and
-      // carrier positions *after* i only the pre-round rows (OLD,
-      // [0, low)). Every solution touching >= 1 delta row is then found by
-      // exactly one variant -- the one pinning its *first* delta position --
-      // so derivation counts stay exact under multi-delta joins.
-      std::vector<size_t> snap(catalog_->size());
-      for (PredId p = 0; p < catalog_->size(); ++p) {
-        snap[p] = db->relation(p).row_count();
-      }
-      for (const Compiled& c : compiled) {
-        for (const auto& [occurrence, order] : c.delta_variants) {
-          PredId delta_pred = c.rule->body[occurrence].pred;
-          if (high[delta_pred] <= low[delta_pred]) continue;
-          std::vector<LiteralWindow> windows(c.rule->body.size());
-          for (size_t i = 0; i < c.rule->body.size(); ++i) {
-            const LiteralIr& literal = c.rule->body[i];
-            if (!literal.is_builtin() && !literal.negated) {
-              const bool carrier = literal.pred < delta_preds.size() &&
-                                   delta_preds[literal.pred];
-              windows[i] = carrier && static_cast<int>(i) > occurrence
-                               ? LiteralWindow{0, low[literal.pred]}
-                               : LiteralWindow{0, snap[literal.pred]};
-            }
-          }
-          windows[occurrence] = {low[delta_pred], high[delta_pred]};
-          if (c.entry != nullptr) {
-            c.entry->counters.delta_rows += high[delta_pred] - low[delta_pred];
-          }
-          LDL_RETURN_IF_ERROR(ApplyRule(*c.rule, order, windows, db, options,
-                                        stats, &derived, c.entry));
+        windows[occurrence] = {low[delta_pred], high[delta_pred]};
+        if (c.entry != nullptr) {
+          c.entry->counters.delta_rows += high[delta_pred] - low[delta_pred];
         }
+        LDL_RETURN_IF_ERROR(ApplyRule(*c.rule, order, windows, db, options,
+                                      stats, &derived, c.entry));
       }
     }
     for (PredId p = 0; p < catalog_->size(); ++p) {
@@ -635,81 +455,11 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
   }
 
   // Lemma 3.2.3: grouping rules fire once, over the stratum's input model
-  // (their bodies depend only on strictly lower layers). With several
-  // grouping rules and a pool available, their group computations -- which
-  // only read the input model -- run concurrently; inserts happen at the
-  // barrier in rule order, exactly as the serial loop would.
-  if (options.num_threads > 1 && grouping_rules.size() > 1) {
-    struct GroupTask {
-      const RuleIr* rule;
-      std::vector<int> order;
-      std::shared_ptr<const JoinPlan> plan;
-      RuleProfileEntry* entry;
-    };
-    std::vector<GroupTask> tasks;
-    tasks.reserve(grouping_rules.size());
-    CostModel group_model;
-    if (options.cost_based) group_model = CostModel::Snapshot(*db, *catalog_);
-    for (int r : grouping_rules) {
-      const RuleIr& rule = program.rules[r];
-      GroupTask task{&rule, {}, nullptr,
-                     ProfileEntry(profile, rule, r, stratum_index)};
-      if (options.cost_based) {
-        LDL_ASSIGN_OR_RETURN(
-            task.order, OrderBodyLiteralsCostBased(*catalog_, rule, group_model));
-      } else {
-        LDL_ASSIGN_OR_RETURN(task.order, OrderBodyLiterals(*catalog_, rule));
-      }
-      task.plan = plans_->Get(rule, task.order, &stats->plan_cache_hits);
-      tasks.push_back(std::move(task));
-    }
-    db->Grow();
-    const Database& snapshot = *db;
-    std::vector<std::vector<GroupResult>> groups(tasks.size());
-    std::vector<EvalStats> task_stats(tasks.size());
-    std::vector<Status> task_status(tasks.size(), Status::OK());
-    std::vector<uint64_t> task_wall(tasks.size(), 0);
-    EnsurePool(options.num_threads)->Run(tasks.size(), [&](size_t i) {
-      const GroupTask& task = tasks[i];
-      ScopedWallTimer timer(task.entry != nullptr ? &task_wall[i] : nullptr);
-      RuleEvaluator evaluator(factory_, task.rule, task.order,
-                              options.builtin_limits, task.plan,
-                              &block_storage_);
-      ++task_stats[i].rule_firings;
-      StatusOr<std::vector<GroupResult>> result =
-          ComputeGroups(*factory_, evaluator, snapshot, &task_stats[i]);
-      if (result.ok()) {
-        groups[i] = std::move(result).value();
-      } else {
-        task_status[i] = result.status();
-      }
-    });
-    stats->parallel_tasks += tasks.size();
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      LDL_RETURN_IF_ERROR(task_status[i]);
-      stats->Add(task_stats[i]);
-      size_t inserted = 0;
-      for (const GroupResult& group : groups[i]) {
-        if (db->AddFact(tasks[i].rule->head_pred, group.fact)) {
-          derived = true;
-          ++stats->facts_derived;
-          ++inserted;
-        }
-      }
-      if (RuleProfileEntry* entry = tasks[i].entry; entry != nullptr) {
-        ++entry->counters.firings;
-        entry->counters.wall_ns += task_wall[i];
-        ++entry->counters.parallel_tasks;
-        entry->counters.facts_derived += inserted;
-        AttributeStats(entry, task_stats[i]);
-      }
-    }
-  } else {
-    for (int r : grouping_rules) {
-      LDL_RETURN_IF_ERROR(ApplyGroupingRule(
-          program.rules[r], db, options, stats, &derived, nullptr,
-          ProfileEntry(profile, program.rules[r], r, stratum_index)));
-    }
+  // (their bodies depend only on strictly lower layers).
+  for (int r : grouping_rules) {
+    LDL_RETURN_IF_ERROR(ApplyGroupingRule(
+        program.rules[r], db, options, stats, &derived, nullptr,
+        ProfileEntry(profile, program.rules[r], r, stratum_index)));
   }
   if (!normal_rules.empty()) {
     LDL_RETURN_IF_ERROR(Fixpoint(program, normal_rules, stratum_index, db,

@@ -20,22 +20,18 @@
 //     partition key; a group that would shrink or change retroactively
 //     indicates a non-layered source program and raises kInternal.
 //
-// Parallel execution: with EvalOptions::num_threads > 1 each fixpoint round
-// partitions its rule×delta-window variants (sharding large delta windows by
-// row range) into tasks on a persistent worker pool. Workers evaluate
-// compiled plans against the immutable pre-round database, staging derived
-// tuples and stats per task; a single merge barrier then dedups/inserts in
-// task order and folds the stats, so the computed model is identical to the
-// serial one. num_threads == 1 runs exactly the historical serial path.
+// Evaluation is serial: one thread runs each fixpoint round, applying every
+// rule (or delta variant) against the round-start windows. Concurrency
+// lives above the engine -- ldl::Service readers query published
+// snapshots, and scratch engines for concurrent magic queries share one
+// PlanCache.
 #ifndef LDL1_EVAL_ENGINE_H_
 #define LDL1_EVAL_ENGINE_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "base/status.h"
-#include "base/worker_pool.h"
 #include "eval/grouping.h"
 #include "eval/plan.h"
 #include "eval/profile.h"
@@ -60,17 +56,14 @@ struct EvalOptions {
   // Pick join orders with the statistics-driven cost model (eval/cost.h)
   // instead of the syntactic most-bound-args heuristic, and re-cost the
   // semi-naive delta variants each round against the delta-window sizes
-  // (adaptive replanning). Order choices read only round-start snapshots,
-  // so the serial==parallel determinism contract is unaffected.
+  // (adaptive replanning). Order choices read only round-start snapshots, so
+  // they never depend on which rules ran earlier in the round; windows bind
+  // to body positions, so an order changes cost, never the derived facts.
   bool cost_based = true;
   // Replanning hysteresis: a delta variant switches to the newly costed
   // order only when estimated_work(current) > ratio * estimated_work(best).
   // Keeps plan churn (and plan-cache pressure) low when estimates wobble.
   double replan_cost_ratio = 2.0;
-  // Worker-pool width for intra-stratum parallel evaluation. 1 (the
-  // default) is the serial path; > 1 evaluates each round's rule×window
-  // variants concurrently with a deterministic merge barrier.
-  int num_threads = 1;
   // Collect a per-rule / per-stratum EvalProfile (eval/profile.h) into the
   // EvalProfile* the caller passes alongside stats. Off, the engine never
   // reads the clock; the hot-path cost is one null test per application.
@@ -147,21 +140,6 @@ class Engine {
   Catalog* catalog() const { return catalog_; }
 
  private:
-  // One schedulable unit of a parallel round: a rule under a fixed literal
-  // order (plan pre-fetched on the scheduling thread), restricted to
-  // per-literal windows -- possibly a row-range shard of a delta window.
-  struct RuleTask {
-    const RuleIr* rule;
-    const std::vector<int>* order;
-    std::shared_ptr<const JoinPlan> plan;
-    std::vector<LiteralWindow> windows;
-    // Profiling attribution (null entry: profiling off). Only a variant's
-    // first shard counts as a firing; delta_rows is this shard's window.
-    RuleProfileEntry* profile_entry = nullptr;
-    bool counts_firing = true;
-    uint64_t delta_rows = 0;
-  };
-
   // Seed for a resumed (incremental) fixpoint: rows past each predicate's
   // watermark form the first round's deltas, and round 0 (full rule
   // application) is skipped -- the database already holds a model of the
@@ -235,11 +213,10 @@ class Engine {
                            RuleProfileEntry* entry = nullptr);
 
   // Fixpoint of `rule_indices` (non-grouping rules) over db. Every round
-  // evaluates against the round-start snapshot: the serial path passes
-  // explicit [0, row_count) windows so rule N never sees rule N-1's
-  // same-round inserts -- exactly the parallel snapshot semantics, which
-  // keeps profiles (firings, rounds, per-rule counters) identical across
-  // pool widths.
+  // evaluates against the round-start snapshot: explicit [0, row_count)
+  // windows keep rule N from seeing rule N-1's same-round inserts, so a
+  // round's firings and derived facts do not depend on rule order, and the
+  // exact carrier-window decomposition keeps derivation counts exact.
   // With a non-null `seed` the fixpoint resumes incrementally: round 0 is
   // skipped, the low watermarks start at the seed's values, and the delta
   // machinery runs regardless of options.mode.
@@ -248,22 +225,11 @@ class Engine {
                   EvalStats* stats, bool* derived_any, EvalProfile* profile,
                   const FixpointSeed* seed = nullptr);
 
-  // Evaluates `tasks` on the worker pool against the (read-only) current
-  // database state, then inserts the staged tuples and folds the per-task
-  // stats (and per-task profiles, timed on the worker) in task order -- the
-  // merge barrier. Sets *derived on any new fact.
-  Status RunTasksParallel(const std::vector<RuleTask>& tasks, Database* db,
-                          const EvalOptions& options, EvalStats* stats,
-                          bool* derived);
-
   // Profile entry for `rule`, labeled on first touch; null when `profile`
   // is null. Pointers stay valid for the evaluation (the rule table is
   // sized up front by the public entry points).
   RuleProfileEntry* ProfileEntry(EvalProfile* profile, const RuleIr& rule,
                                  int rule_index, int stratum);
-
-  // Returns the persistent pool, (re)creating it when the width changes.
-  WorkerPool* EnsurePool(int num_threads);
 
   TermFactory* factory_;
   Catalog* catalog_;
@@ -273,13 +239,10 @@ class Engine {
   // owned_plans_ unless the constructor was handed a shared cache.
   PlanCache owned_plans_;
   PlanCache* plans_;
-  // Block storage recycled across rule applications (and across the
-  // worker-pool tasks of a parallel round), so the many small applications
-  // of a magic saturation or a delta round do not regrow their blocks.
+  // Block storage recycled across rule applications, so the many small
+  // applications of a magic saturation or a delta round do not regrow their
+  // blocks.
   BlockStoragePool block_storage_;
-  // Lazily created worker pool for num_threads > 1; persists across rounds
-  // and evaluations so round barriers cost a wakeup, not a thread spawn.
-  std::unique_ptr<WorkerPool> pool_;
 };
 
 // The read-side core of Engine::Query: enumerates the facts of `relation`

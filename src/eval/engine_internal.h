@@ -45,8 +45,8 @@ inline void AttributeStats(RuleProfileEntry* entry, const EvalStats& run) {
 
 // Accumulates the factory's set-intern delta across a scope into
 // EvalStats::set_interns. The count of *distinct* sets interned by an
-// evaluation is determined by the computed model, not by scheduling, so the
-// counter stays inside the serial == parallel determinism contract.
+// evaluation is determined by the computed model, so the counter is as
+// deterministic as the model itself.
 class ScopedSetInternCounter {
  public:
   ScopedSetInternCounter(const TermFactory* factory, EvalStats* stats)
@@ -64,7 +64,7 @@ class ScopedSetInternCounter {
 
 // Times one stratum -- or the saturation loop, reported as pseudo-stratum
 // -1 -- and on Finish() appends its profile rollup: the wall time plus the
-// rounds, facts and parallel tasks the stratum added to `stats`. Inert
+// rounds and facts the stratum added to `stats`. Inert
 // without a profile.
 class StratumRollup {
  public:
@@ -77,7 +77,6 @@ class StratumRollup {
     rollup_.mode = mode;
     rollup_.rounds = stats->iterations;
     rollup_.facts_derived = stats->facts_derived;
-    rollup_.parallel_tasks = stats->parallel_tasks;
   }
 
   void Finish() {
@@ -85,7 +84,6 @@ class StratumRollup {
     timer_.Stop();
     rollup_.rounds = stats_->iterations - rollup_.rounds;
     rollup_.facts_derived = stats_->facts_derived - rollup_.facts_derived;
-    rollup_.parallel_tasks = stats_->parallel_tasks - rollup_.parallel_tasks;
     profile_->strata().push_back(rollup_);
   }
 

@@ -141,8 +141,7 @@ std::string EvalProfile::ToJson() const {
               ", \"mode\": \"", ToString(stratum.mode), "\"",
               ", \"wall_ns\": ", stratum.wall_ns,
               ", \"rounds\": ", stratum.rounds,
-              ", \"facts_derived\": ", stratum.facts_derived,
-              ", \"parallel_tasks\": ", stratum.parallel_tasks, "}");
+              ", \"facts_derived\": ", stratum.facts_derived, "}");
   }
   StrAppend(out, "]");
 

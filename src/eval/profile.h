@@ -2,23 +2,21 @@
 //
 // EvalProfile is the structured counterpart of EvalStats: where EvalStats
 // folds everything into whole-evaluation totals, EvalProfile attributes
-// work (wall time, firings, delta sizes, probe traffic, parallel task
-// counts) to individual rules and strata, so a perf change can be judged
+// work (wall time, firings, delta sizes, probe traffic) to individual rules
+// and strata, so a perf change can be judged
 // per rule instead of by one wall-clock number. Collection is gated on
 // EvalOptions::profile -- when off, the engine never touches a profile and
 // the only cost on the hot path is a null-pointer test per rule
 // application.
 //
 // Determinism contract: the fields in LDL_RULE_PROFILE_FIELDS depend only
-// on the program, the EDB, and the evaluation mode -- not on the worker
-// pool width or scheduling. The engine evaluates every round against the
-// round-start snapshot (serial rounds use explicit snapshot windows, see
-// Engine::Fixpoint), counts a firing per rule×delta-variant application
-// (row-range shards of one window do not count extra), and merges per-task
-// profiles at the deterministic round barrier, so `num_threads` 1 and N
-// produce identical deterministic fields (tests/profile_test.cc asserts
-// this). Fields in LDL_RULE_PROFILE_TIMING_FIELDS (wall time, task counts)
-// are scheduling-dependent by nature and excluded from the contract.
+// on the program, the EDB, and the evaluation mode, never on the clock. The
+// engine evaluates every round against the round-start snapshot (explicit
+// snapshot windows, see Engine::Fixpoint) and counts a firing per
+// rule×delta-variant application, so repeated runs produce identical
+// deterministic fields (tests/profile_test.cc and the golden profile
+// sections pin them). LDL_RULE_PROFILE_TIMING_FIELDS (wall time) varies
+// run to run and is excluded from the contract.
 #ifndef LDL1_EVAL_PROFILE_H_
 #define LDL1_EVAL_PROFILE_H_
 
@@ -37,9 +35,9 @@ struct RuleIr;
 // Deterministic per-rule counters. Same X-macro discipline as
 // LDL_EVAL_STATS_FIELDS: the struct fields, Add(), ForEachField(), and the
 // JSON export are all generated from this list, so a counter added here is
-// automatically folded at the parallel merge barrier and exported.
+// automatically folded and exported.
 #define LDL_RULE_PROFILE_FIELDS(X)                                          \
-  X(firings)        /* rule (variant) applications; shards don't count */   \
+  X(firings)        /* rule (variant) applications */                       \
   X(solutions)      /* body solutions found */                              \
   X(facts_derived)  /* new facts this rule inserted */                      \
   X(delta_rows)     /* delta-window rows driving semi-naive variants */     \
@@ -51,11 +49,9 @@ struct RuleIr;
   X(group_regrows)  /* partitions regrown in place by kGroupRegrow */       \
   X(est_rows)       /* cost model's estimated solutions (vs `solutions`) */
 
-// Scheduling- and clock-dependent per-rule fields: vary run-to-run and
-// across pool widths.
-#define LDL_RULE_PROFILE_TIMING_FIELDS(X)                                \
-  X(wall_ns)        /* steady_clock time spent evaluating this rule */   \
-  X(parallel_tasks) /* worker-pool tasks (incl. delta shards) */
+// Clock-dependent per-rule fields: vary run to run.
+#define LDL_RULE_PROFILE_TIMING_FIELDS(X) \
+  X(wall_ns) /* steady_clock time spent evaluating this rule */
 
 struct RuleProfile {
 #define LDL_RULE_PROFILE_DECLARE(name) uint64_t name = 0;
@@ -116,7 +112,6 @@ struct StratumProfile {
   uint64_t wall_ns = 0;
   uint64_t rounds = 0;
   uint64_t facts_derived = 0;
-  uint64_t parallel_tasks = 0;
 };
 
 // Memoized top-down evaluation rollup (populated on QueryStrategy::kTopDown
@@ -159,8 +154,8 @@ class EvalProfile {
   // The whole profile as one JSON object:
   //   {"total_wall_ns": ..., "strata": [...], "rules": [...],
   //    "topdown": {...}?}
-  // Rule entries list the deterministic counters first, then wall_ns and
-  // parallel_tasks. Labels are JSON-escaped.
+  // Rule entries list the deterministic counters first, then wall_ns.
+  // Labels are JSON-escaped.
   std::string ToJson() const;
 
  private:

@@ -93,8 +93,8 @@ bool Relation::Insert(RowRef tuple) {
     uint64_t pos = tuple[col]->hash() & (kSketchWords * 64 - 1);
     sketches_[col][pos >> 6] |= uint64_t{1} << (pos & 63);
   }
-  // Maintain built indexes. Insert only runs in single-writer phases (the
-  // merge barrier or serial evaluation), so mutating the maps is safe.
+  // Maintain built indexes. Insert only runs on the single writer, so
+  // mutating the maps is safe.
   for (CompositeIndex* index = index_head_.load(std::memory_order_acquire);
        index != nullptr; index = index->next) {
     uint64_t h = 0x7e11ab1eULL;

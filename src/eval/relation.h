@@ -9,12 +9,12 @@
 // ever appends past the snapshot's row count, and Clear() starts fresh
 // chunks instead of reusing the old ones.
 //
-// Concurrency contract: during a parallel fixpoint round the relation is
-// read-only -- workers probe and scan, and all Inserts happen at the merge
-// barrier on one thread. The only mutation a *read* can trigger is building
-// a missing lazy index, so indexes live in an append-only linked list with
-// an atomic head: readers walk the list lock-free, builders serialize on a
-// mutex and publish fully-constructed nodes with a release store.
+// Concurrency contract: one writer inserts; any number of readers of a
+// published snapshot (ldl::Service queries) probe and scan concurrently. The
+// only mutation a *read* can trigger is building a missing lazy index, so
+// indexes live in an append-only linked list with an atomic head: readers
+// walk the list lock-free, builders serialize on a mutex and publish
+// fully-constructed nodes with a release store.
 #ifndef LDL1_EVAL_RELATION_H_
 #define LDL1_EVAL_RELATION_H_
 

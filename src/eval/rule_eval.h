@@ -38,8 +38,9 @@ struct LiteralWindow {
 // The one authoritative list of evaluation counters. The struct fields,
 // EvalStats::Add, and every printer (REPL :stats, bench counters) are all
 // generated from this X-macro, so adding a counter here is the whole job --
-// nothing can silently drop it from stat folding, which parallel evaluation
-// (per-worker stats merged at the round barrier) depends on being complete.
+// nothing can silently drop it from stat folding, which profiled rule
+// applications (rule-local stats folded into the totals) and the golden
+// stats sections depend on being complete.
 #define LDL_EVAL_STATS_FIELDS(X)                                      \
   X(iterations)      /* fixpoint rounds */                            \
   X(rule_firings)    /* rule (variant) applications */                \
@@ -49,8 +50,6 @@ struct LiteralWindow {
   X(index_probes)    /* index lookups issued */                       \
   X(probe_hits)      /* rows returned by index lookups */             \
   X(plan_cache_hits) /* compiled-plan cache hits */                   \
-  X(parallel_tasks)  /* tasks dispatched to the worker pool */        \
-  X(delta_shards)    /* delta windows split into row-range shards */  \
   X(strata_skipped)  /* incremental: strata untouched by the update */ \
   X(strata_delta)    /* incremental: strata resumed from deltas */    \
   X(strata_recomputed) /* incremental: strata cleared and re-derived */ \

@@ -350,7 +350,6 @@ bool Session::SameEvalConfig(const EvalOptions& options) const {
          options.max_facts == last.max_facts &&
          options.cost_based == last.cost_based &&
          options.replan_cost_ratio == last.replan_cost_ratio &&
-         options.num_threads == last.num_threads &&
          options.builtin_limits.max_union_enumeration ==
              last.builtin_limits.max_union_enumeration &&
          options.builtin_limits.max_subset_enumeration ==

@@ -126,8 +126,7 @@ class ModelSnapshot {
 
 class Service {
  public:
-  // `eval` configures the write-side evaluations (thread count, profiling,
-  // limits); it is fixed at construction so writes need no extra locking
+  // `eval` configures the write-side evaluations (mode, profiling, limits); it is fixed at construction so writes need no extra locking
   // around options.
   explicit Service(const EvalOptions& eval = {});
 

@@ -81,7 +81,7 @@ const Term* TermFactory::Intern(const Term& candidate,
                                 std::span<const Term* const> args) {
   Stripe& stripe = StripeFor(candidate.hash_);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  // Find-or-insert must be one critical section: two workers racing to
+  // Find-or-insert must be one critical section: two threads racing to
   // create the same term must agree on a single canonical pointer, or
   // pointer-equality (and with it Relation dedup and the plan matcher)
   // breaks.

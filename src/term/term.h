@@ -21,8 +21,9 @@
 // kStripeCount independent stripes, each with its own mutex, hash set and
 // arena; a term lands in the stripe selected by its structural hash. The
 // find-or-insert is atomic per stripe, so pointer-equality canonicalization
-// holds even when the parallel evaluator's workers intern concurrently --
-// two workers racing to create f(a, b) always receive the same pointer.
+// holds when ldl::Service's query threads intern concurrently with the
+// writer -- two threads racing to create f(a, b) always receive the same
+// pointer.
 // Terms are immutable once published, so readers never take a lock.
 #ifndef LDL1_TERM_TERM_H_
 #define LDL1_TERM_TERM_H_
@@ -111,8 +112,8 @@ class TermFactory;
 int CompareTerms(const TermFactory& factory, const Term* a, const Term* b);
 
 // Creates and interns terms. Thread-safe via striped (lock-sharded) hash
-// interning: concurrent Make* calls from parallel-evaluation workers are
-// safe and return canonical pointers. One factory per engine.
+// interning: concurrent Make* calls (ldl::Service query threads next to the
+// writer) are safe and return canonical pointers. One factory per engine.
 class TermFactory {
  public:
   explicit TermFactory(Interner* interner);

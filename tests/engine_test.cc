@@ -50,53 +50,22 @@ TEST(Engine, NaiveAndSemiNaiveAgree) {
   }
 }
 
-TEST(Engine, ParallelFixpointMatchesSerial) {
-  std::string program = ParentRandomTree(80, 11) +
-                        "anc(X, Y) :- parent(X, Y).\n"
-                        "anc(X, Y) :- anc(X, Z), parent(Z, Y).\n"
-                        "same(X, Y) :- anc(Z, X), anc(Z, Y).\n";
-  std::vector<std::string> reference;
-  for (int threads : {1, 2, 4, 8}) {
-    Session session;
-    ASSERT_TRUE(session.Load(program).ok());
-    EvalOptions options;
-    options.num_threads = threads;
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    PredId same = session.catalog().Find("same", 2);
-    std::vector<std::string> facts =
-        FormatFacts(session, same, session.database().relation(same).Snapshot());
-    if (threads == 1) {
-      reference = std::move(facts);
-      ASSERT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(facts, reference) << "threads=" << threads;
-      EXPECT_GT(session.last_eval_stats().parallel_tasks, 0u);
-    }
-  }
-}
-
-TEST(Engine, ParallelGroupingMatchesSerial) {
-  // Two grouping rules in one stratum take the concurrent grouping path.
+TEST(Engine, TwoGroupingRulesInOneStratum) {
+  // Both grouping rules fire once over the stratum's input model.
   std::string program =
       "p(1, 2). p(1, 7). p(2, 3). p(2, 4). p(3, 5). p(3, 6).\n"
       "part(P, <S>) :- p(P, S).\n"
       "rev(S, <P>) :- p(P, S).\n";
-  for (int threads : {1, 4}) {
-    Session session;
-    ASSERT_TRUE(session.Load(program).ok());
-    EvalOptions options;
-    options.num_threads = threads;
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    PredId part = session.catalog().Find("part", 2);
-    EXPECT_EQ(FormatFacts(session, part,
-                          session.database().relation(part).Snapshot()),
-              (std::vector<std::string>{"part(1, {2, 7})", "part(2, {3, 4})",
-                                        "part(3, {5, 6})"}))
-        << "threads=" << threads;
-    PredId rev = session.catalog().Find("rev", 2);
-    EXPECT_EQ(session.database().relation(rev).size(), 6u)
-        << "threads=" << threads;
-  }
+  Session session;
+  ASSERT_TRUE(session.Load(program).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  PredId part = session.catalog().Find("part", 2);
+  EXPECT_EQ(
+      FormatFacts(session, part, session.database().relation(part).Snapshot()),
+      (std::vector<std::string>{"part(1, {2, 7})", "part(2, {3, 4})",
+                                "part(3, {5, 6})"}));
+  PredId rev = session.catalog().Find("rev", 2);
+  EXPECT_EQ(session.database().relation(rev).size(), 6u);
 }
 
 TEST(Engine, SemiNaiveDoesLessMatching) {

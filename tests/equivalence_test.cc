@@ -1,8 +1,7 @@
 // Equivalence of the evaluation strategies over the .ldl example corpus:
-// naive and semi-naive fixpoints, serial and at every worker-pool width,
-// must produce identical models (including the grouping and
-// stratified-negation programs), and so must the syntactic and cost-based
-// join orderers. Stored queries (which exercise the magic-rewritten
+// naive and semi-naive fixpoints must produce identical models (including
+// the grouping and stratified-negation programs), and so must the syntactic
+// and cost-based join orderers. Stored queries (which exercise the magic-rewritten
 // saturating evaluation) must agree too. tests/golden_test.cc pins the
 // models, answers and counters themselves.
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "ldl/ldl.h"
-#include "workload/workload.h"
 
 namespace ldl {
 namespace {
@@ -73,18 +71,11 @@ std::vector<std::string> StoredQueryAnswers(
 struct Config {
   const char* name;
   EvalOptions::Mode mode;
-  int threads = 1;
 };
 
 constexpr Config kConfigs[] = {
     {"naive", EvalOptions::Mode::kNaive},
     {"semi-naive", EvalOptions::Mode::kSemiNaive},
-    // Threads axis: the parallel evaluator must reproduce the serial model
-    // at every pool width (1 runs the serial code path by construction).
-    {"semi-naive/t2", EvalOptions::Mode::kSemiNaive, 2},
-    {"semi-naive/t4", EvalOptions::Mode::kSemiNaive, 4},
-    {"semi-naive/t8", EvalOptions::Mode::kSemiNaive, 8},
-    {"naive/t4", EvalOptions::Mode::kNaive, 4},
 };
 
 TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
@@ -98,7 +89,6 @@ TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
       ASSERT_TRUE(session.LoadFile(path).ok()) << path;
       EvalOptions options;
       options.mode = config.mode;
-      options.num_threads = config.threads;
       Status status = session.Evaluate(options);
       ASSERT_TRUE(status.ok()) << path << " [" << config.name << "]: " << status;
       ModelText model = Materialize(session);
@@ -119,8 +109,7 @@ TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
 
 // Cost-based join ordering must be invisible in the model: over the whole
 // corpus, the cost-based orderer produces the same models and stored-query
-// answers as the syntactic orderer, under every query strategy and at both
-// serial and parallel pool widths.
+// answers as the syntactic orderer, under every query strategy.
 TEST(Equivalence, CostBasedMatchesSyntacticAcrossStrategies) {
   constexpr QueryStrategy kStrategies[] = {
       QueryStrategy::kModel, QueryStrategy::kMagic,
@@ -141,65 +130,20 @@ TEST(Equivalence, CostBasedMatchesSyntacticAcrossStrategies) {
           StoredQueryAnswers(reference, syntactic, strategy);
     }
 
-    for (int threads : {1, 4}) {
-      Session session;
-      ASSERT_TRUE(session.LoadFile(path).ok()) << path;
-      EvalOptions cost_based;
-      cost_based.cost_based = true;
-      cost_based.num_threads = threads;
-      status = session.Evaluate(cost_based);
-      ASSERT_TRUE(status.ok()) << path << " t" << threads << ": " << status;
-      EXPECT_EQ(Materialize(session), reference_model)
-          << path << " [cost-based t" << threads
-          << "] diverges from the syntactic order";
-      for (QueryStrategy strategy : kStrategies) {
-        EXPECT_EQ(StoredQueryAnswers(session, cost_based, strategy),
-                  reference_answers[strategy])
-            << path << " [cost-based t" << threads << " " << ToString(strategy)
-            << "] query answers diverge";
-      }
-    }
-  }
-}
-
-// Stress the delta-window sharding path: transitive closure of a random
-// graph with a few hub nodes produces large, skewed per-round deltas, so
-// windows get split into row-range shards (>= 64 rows each). The parallel
-// model and query answers must match the serial reference at every width.
-TEST(Equivalence, ParallelShardedDeltasMatchSerial) {
-  std::string edges = RandomGraph(/*nodes=*/60, /*edges=*/240, /*seed=*/7);
-  // Hubs: node h0 reaches everything, skewing the delta toward h0 rows.
-  for (int i = 0; i < 60; i += 2) {
-    edges += "edge(h0, n" + std::to_string(i) + ").\n";
-  }
-  std::string program = edges +
-                        "tc(X, Y) :- edge(X, Y).\n"
-                        "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n";
-
-  ModelText reference;
-  EvalStats reference_stats;
-  for (int threads : {1, 2, 4, 8}) {
     Session session;
-    ASSERT_TRUE(session.Load(program).ok());
-    EvalOptions options;
-    options.num_threads = threads;
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ModelText model = Materialize(session);
-    if (threads == 1) {
-      reference = std::move(model);
-      reference_stats = session.last_eval_stats();
-      continue;
+    ASSERT_TRUE(session.LoadFile(path).ok()) << path;
+    EvalOptions cost_based;
+    cost_based.cost_based = true;
+    status = session.Evaluate(cost_based);
+    ASSERT_TRUE(status.ok()) << path << ": " << status;
+    EXPECT_EQ(Materialize(session), reference_model)
+        << path << " [cost-based] diverges from the syntactic order";
+    for (QueryStrategy strategy : kStrategies) {
+      EXPECT_EQ(StoredQueryAnswers(session, cost_based, strategy),
+                reference_answers[strategy])
+          << path << " [cost-based " << ToString(strategy)
+          << "] query answers diverge";
     }
-    EXPECT_EQ(model, reference) << "threads=" << threads;
-    // Facts derived is a property of the model, not the schedule.
-    EXPECT_EQ(session.last_eval_stats().facts_derived,
-              reference_stats.facts_derived)
-        << "threads=" << threads;
-    // The deltas here are big enough that sharding must actually trigger.
-    EXPECT_GT(session.last_eval_stats().delta_shards, 0u)
-        << "threads=" << threads;
-    EXPECT_GT(session.last_eval_stats().parallel_tasks, 0u)
-        << "threads=" << threads;
   }
 }
 

@@ -2,12 +2,12 @@
 // examples/programs against a checked-in text file in tests/golden/.
 //
 // Each golden file records, for one program:
-//   * the materialized model (naive evaluation; semi-naive at 1 and 4
-//     threads must reproduce it),
+//   * the materialized model (naive evaluation; semi-naive evaluation must
+//     reproduce it),
 //   * the stored-query answers under all four query strategies,
 //   * per-fact derivation counts of the counted relations,
 //   * the full-evaluation EvalStats and the deterministic per-rule profile
-//     lines at 1 and 4 threads.
+//     lines.
 //
 // The files were recorded when the engine still carried three independent
 // rule executors that had been cross-checked against each other, so they
@@ -18,7 +18,7 @@
 //
 // A second set of files, tests/golden/maintenance/<program>.golden, pins
 // incremental maintenance: per program a fixed sequence of insert, delete
-// and mixed insert+delete batches at 1 and 4 threads, recording after each
+// and mixed insert+delete batches, recording after each
 // step the EvalStats counters, the per-stratum maintenance modes, the
 // derivation counts and the model (which must also equal a from-scratch
 // evaluation of the updated program).
@@ -171,36 +171,25 @@ Lines Render(const std::filesystem::path& path) {
                   answers[strategy], &golden);
   }
 
-  // Default (semi-naive, profiled) evaluation at 1 and 4 threads: the model
-  // and answers must match the naive ones; counters are pinned per width.
-  Lines counts;
-  for (int threads : {1, 4}) {
-    const std::string width = "t" + std::to_string(threads);
-    Session session;
-    EXPECT_TRUE(session.LoadFile(path.string()).ok()) << path;
-    EvalOptions options;
-    options.num_threads = threads;
-    options.profile = true;
-    status = session.Evaluate(options);
-    EXPECT_TRUE(status.ok()) << path << " " << width << ": " << status;
-    EXPECT_EQ(ModelLines(session), model)
-        << path << " " << width << " model diverges from naive evaluation";
-    if (threads == 1) {
-      counts = DerivationCountLines(session);
-      AppendSection("derivation counts", counts, &golden);
-    } else {
-      EXPECT_EQ(DerivationCountLines(session), counts)
-          << path << " " << width << " derivation counts diverge";
-    }
-    AppendSection("stats " + width, StatsLines(session.last_eval_stats()),
-                  &golden);
-    AppendSection("profile " + width,
-                  ProfileLines(session.last_eval_profile()), &golden);
-    for (QueryStrategy strategy : kStrategies) {
-      EXPECT_EQ(AnswerLines(session, options, strategy), answers[strategy])
-          << path << " " << width << " " << ToString(strategy)
-          << " answers diverge from naive evaluation";
-    }
+  // Default (semi-naive, profiled) evaluation: the model and answers must
+  // match the naive ones. The "t1" section titles are kept from the files'
+  // first recording.
+  Session session;
+  EXPECT_TRUE(session.LoadFile(path.string()).ok()) << path;
+  EvalOptions options;
+  options.profile = true;
+  status = session.Evaluate(options);
+  EXPECT_TRUE(status.ok()) << path << ": " << status;
+  EXPECT_EQ(ModelLines(session), model)
+      << path << " model diverges from naive evaluation";
+  AppendSection("derivation counts", DerivationCountLines(session), &golden);
+  AppendSection("stats t1", StatsLines(session.last_eval_stats()), &golden);
+  AppendSection("profile t1", ProfileLines(session.last_eval_profile()),
+                &golden);
+  for (QueryStrategy strategy : kStrategies) {
+    EXPECT_EQ(AnswerLines(session, options, strategy), answers[strategy])
+        << path << " " << ToString(strategy)
+        << " answers diverge from naive evaluation";
   }
   return golden;
 }
@@ -284,56 +273,52 @@ Lines StratumModeLines(const EvalProfile& profile) {
 }
 
 // Renders the maintenance golden text for program `name` (source text
-// `source`): its update sequence replayed on one live session per pool
-// width.
+// `source`): its update sequence replayed on one live session. Step titles
+// keep the "t1" prefix of the files' first recording.
 Lines RenderMaintenance(const std::string& name, const std::string& source) {
   const std::vector<MaintenanceStep>& steps = MaintenanceSteps().at(name);
   Lines golden;
-  for (int threads : {1, 4}) {
-    const std::string width = "t" + std::to_string(threads);
-    Session session;
-    EXPECT_TRUE(session.Load(source).ok()) << name;
-    EvalOptions options;
-    options.num_threads = threads;
-    options.profile = true;
-    Status status = session.Evaluate(options);
-    EXPECT_TRUE(status.ok()) << name << " " << width << ": " << status;
-    for (size_t i = 0; i < steps.size(); ++i) {
-      const MaintenanceStep& step = steps[i];
-      const std::string title = width + " step " + std::to_string(i + 1) +
-                                " +[" + step.add + "] -[" + step.remove + "]";
-      const size_t full_before = session.full_evals();
-      if (*step.add != '\0') {
-        EXPECT_TRUE(session.AddFacts(step.add).ok()) << title;
-      }
-      if (*step.remove != '\0') {
-        EXPECT_TRUE(session.RemoveFacts(step.remove).ok()) << title;
-      }
-      status = session.Evaluate(options);
-      EXPECT_TRUE(status.ok()) << name << " " << title << ": " << status;
-      golden.push_back("== " + title + (session.full_evals() > full_before
-                                            ? " (full)"
-                                            : " (incremental)"));
-      AppendSection("stats", StatsLines(session.last_eval_stats()), &golden);
-      AppendSection("strata", StratumModeLines(session.last_eval_profile()),
-                    &golden);
-      AppendSection("derivation counts", DerivationCountLines(session),
-                    &golden);
-      const Lines model = ModelLines(session);
-      AppendSection("model", model, &golden);
-
-      // The same updates applied before the first evaluation.
-      Session scratch;
-      EXPECT_TRUE(scratch.Load(source).ok()) << name;
-      for (size_t j = 0; j <= i; ++j) {
-        EXPECT_TRUE(scratch.AddFacts(steps[j].add).ok()) << title;
-        EXPECT_TRUE(scratch.RemoveFacts(steps[j].remove).ok()) << title;
-      }
-      EXPECT_TRUE(scratch.Evaluate().ok()) << title;
-      EXPECT_EQ(ModelLines(scratch), model)
-          << name << " " << title << ": maintained model diverges from "
-          << "a from-scratch evaluation";
+  Session session;
+  EXPECT_TRUE(session.Load(source).ok()) << name;
+  EvalOptions options;
+  options.profile = true;
+  Status status = session.Evaluate(options);
+  EXPECT_TRUE(status.ok()) << name << ": " << status;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const MaintenanceStep& step = steps[i];
+    const std::string title = "t1 step " + std::to_string(i + 1) + " +[" +
+                              step.add + "] -[" + step.remove + "]";
+    const size_t full_before = session.full_evals();
+    if (*step.add != '\0') {
+      EXPECT_TRUE(session.AddFacts(step.add).ok()) << title;
     }
+    if (*step.remove != '\0') {
+      EXPECT_TRUE(session.RemoveFacts(step.remove).ok()) << title;
+    }
+    status = session.Evaluate(options);
+    EXPECT_TRUE(status.ok()) << name << " " << title << ": " << status;
+    golden.push_back("== " + title + (session.full_evals() > full_before
+                                          ? " (full)"
+                                          : " (incremental)"));
+    AppendSection("stats", StatsLines(session.last_eval_stats()), &golden);
+    AppendSection("strata", StratumModeLines(session.last_eval_profile()),
+                  &golden);
+    AppendSection("derivation counts", DerivationCountLines(session),
+                  &golden);
+    const Lines model = ModelLines(session);
+    AppendSection("model", model, &golden);
+
+    // The same updates applied before the first evaluation.
+    Session scratch;
+    EXPECT_TRUE(scratch.Load(source).ok()) << name;
+    for (size_t j = 0; j <= i; ++j) {
+      EXPECT_TRUE(scratch.AddFacts(steps[j].add).ok()) << title;
+      EXPECT_TRUE(scratch.RemoveFacts(steps[j].remove).ok()) << title;
+    }
+    EXPECT_TRUE(scratch.Evaluate().ok()) << title;
+    EXPECT_EQ(ModelLines(scratch), model)
+        << name << " " << title << ": maintained model diverges from "
+        << "a from-scratch evaluation";
   }
   return golden;
 }

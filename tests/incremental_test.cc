@@ -162,7 +162,7 @@ constexpr QueryStrategy kStrategies[] = {
 // The tentpole equivalence: randomized insert batches over every corpus
 // program; the incrementally maintained session must match a from-scratch
 // session on the full model and on stored-query answers under every
-// strategy, at 1 and 4 threads -- without ever re-materializing.
+// strategy -- without ever re-materializing.
 TEST(Incremental, RandomizedInsertsMatchScratchAcrossCorpus) {
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
@@ -179,73 +179,65 @@ TEST(Incremental, RandomizedInsertsMatchScratchAcrossCorpus) {
     }
     if (all_facts.empty()) continue;  // no non-nullary EDB to perturb
 
-    for (int threads : {1, 4}) {
-      EvalOptions options;
-      options.num_threads = threads;
+    EvalOptions options;
 
-      Session incremental;
-      ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    Session incremental;
+    ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
+    Session scratch;
+    ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
+
+    // Three batches of four facts, re-evaluating after each batch.
+    for (size_t batch = 0; batch < all_facts.size(); batch += 4) {
+      std::string text;
+      for (size_t i = batch; i < batch + 4 && i < all_facts.size(); ++i) {
+        text += all_facts[i] + "\n";
+      }
+      ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
       ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
-      Session scratch;
-      ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
+      ASSERT_TRUE(scratch.Load(text).ok()) << path;
+    }
+    ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
 
-      // Three batches of four facts, re-evaluating after each batch.
-      for (size_t batch = 0; batch < all_facts.size(); batch += 4) {
-        std::string text;
-        for (size_t i = batch; i < batch + 4 && i < all_facts.size(); ++i) {
-          text += all_facts[i] + "\n";
-        }
-        ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
-        ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
-        ASSERT_TRUE(scratch.Load(text).ok()) << path;
-      }
-      ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
-
-      // Pure EDB inserts must never force a re-materialization: one full
-      // evaluation up front, then only cache hits and incremental rounds.
-      EXPECT_EQ(incremental.full_evals(), 1u) << path;
-      EXPECT_EQ(Materialize(incremental), Materialize(scratch))
-          << path << " threads=" << threads;
-      for (QueryStrategy strategy : kStrategies) {
-        EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
-                  StoredQueryAnswers(scratch, strategy, options))
-            << path << " threads=" << threads << " strategy="
-            << ToString(strategy);
-      }
+    // Pure EDB inserts must never force a re-materialization: one full
+    // evaluation up front, then only cache hits and incremental rounds.
+    EXPECT_EQ(incremental.full_evals(), 1u) << path;
+    EXPECT_EQ(Materialize(incremental), Materialize(scratch)) << path;
+    for (QueryStrategy strategy : kStrategies) {
+      EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
+                StoredQueryAnswers(scratch, strategy, options))
+          << path << " strategy=" << ToString(strategy);
     }
   }
 }
 
 // Repeated single-fact inserts into a recursive positive program, checked
 // against scratch after every round (the watermark bookkeeping must stay
-// right across many incremental rounds, serial and parallel).
+// right across many incremental rounds).
 TEST(Incremental, RepeatedSingleInsertsStayConsistent) {
   const std::string rules =
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n";
   const std::string base = RandomGraph(/*nodes=*/24, /*edges=*/60, /*seed=*/3);
   Rng rng(99);
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session incremental;
-    ASSERT_TRUE(incremental.Load(base + rules).ok());
+  EvalOptions options;
+  Session incremental;
+  ASSERT_TRUE(incremental.Load(base + rules).ok());
+  ASSERT_TRUE(incremental.Evaluate(options).ok());
+  std::string accumulated;
+  for (int round = 0; round < 10; ++round) {
+    std::string fact = "edge(n" + std::to_string(rng.Below(24)) + ", n" +
+                       std::to_string(rng.Below(24)) + ").";
+    accumulated += fact + "\n";
+    ASSERT_TRUE(incremental.AddFacts(fact).ok());
     ASSERT_TRUE(incremental.Evaluate(options).ok());
-    std::string accumulated;
-    for (int round = 0; round < 10; ++round) {
-      std::string fact = "edge(n" + std::to_string(rng.Below(24)) + ", n" +
-                         std::to_string(rng.Below(24)) + ").";
-      accumulated += fact + "\n";
-      ASSERT_TRUE(incremental.AddFacts(fact).ok());
-      ASSERT_TRUE(incremental.Evaluate(options).ok());
-      Session scratch;
-      ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
-      ASSERT_TRUE(scratch.Evaluate(options).ok());
-      ASSERT_EQ(Materialize(incremental), Materialize(scratch))
-          << "threads=" << threads << " round=" << round;
-    }
-    EXPECT_EQ(incremental.full_evals(), 1u);
+    Session scratch;
+    ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
+    ASSERT_TRUE(scratch.Evaluate(options).ok());
+    ASSERT_EQ(Materialize(incremental), Materialize(scratch))
+        << "round=" << round;
   }
+  EXPECT_EQ(incremental.full_evals(), 1u);
 }
 
 TEST(Incremental, PositiveChainResumesWithoutRecompute) {
@@ -344,9 +336,9 @@ TEST(Incremental, GroupRegrowInsertsFreshKeys) {
 }
 
 // Insert-driven regrowth must agree with a from-scratch evaluation on the
-// full model and on query answers under every strategy, serial and
-// parallel. The randomized batches recombine live join keys, so existing
-// partitions grow, duplicate members arrive, and fresh keys appear.
+// full model and on query answers under every strategy. The randomized
+// batches recombine live join keys, so existing partitions grow, duplicate
+// members arrive, and fresh keys appear.
 TEST(Incremental, GroupRegrowMatchesScratchRandomized) {
   const std::string rules = "by_supplier(S, <P>) :- supplies(S, P).\n";
   std::string base;
@@ -372,43 +364,40 @@ TEST(Incremental, GroupRegrowMatchesScratchRandomized) {
     std::sort(all.begin(), all.end());
     return all;
   };
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session incremental;
-    ASSERT_TRUE(incremental.Load(base + rules).ok());
+  EvalOptions options;
+  Session incremental;
+  ASSERT_TRUE(incremental.Load(base + rules).ok());
+  ASSERT_TRUE(incremental.Evaluate(options).ok());
+  std::string accumulated;
+  size_t regrown = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::string fact = "supplies(s" + std::to_string(rng.Below(7)) +
+                       ", part" + std::to_string(rng.Below(11)) + ").";
+    accumulated += fact + "\n";
+    ASSERT_TRUE(incremental.AddFacts(fact).ok());
     ASSERT_TRUE(incremental.Evaluate(options).ok());
-    std::string accumulated;
-    size_t regrown = 0;
-    for (int round = 0; round < 8; ++round) {
-      std::string fact = "supplies(s" + std::to_string(rng.Below(7)) +
-                         ", part" + std::to_string(rng.Below(11)) + ").";
-      accumulated += fact + "\n";
-      ASSERT_TRUE(incremental.AddFacts(fact).ok());
-      ASSERT_TRUE(incremental.Evaluate(options).ok());
-      regrown += incremental.last_eval_stats().strata_regrown;
-      // The pure grouping program never needs a clear-and-recompute.
-      EXPECT_EQ(incremental.last_eval_stats().strata_recomputed, 0u);
+    regrown += incremental.last_eval_stats().strata_regrown;
+    // The pure grouping program never needs a clear-and-recompute.
+    EXPECT_EQ(incremental.last_eval_stats().strata_recomputed, 0u);
 
-      // Materialize before any queries: a kMagic query would register its
-      // rewrite scratch predicates in the catalog and skew the comparison.
-      Session scratch;
-      ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
-      ASSERT_TRUE(scratch.Evaluate(options).ok());
-      ASSERT_EQ(Materialize(incremental), Materialize(scratch))
-          << "threads=" << threads << " round=" << round;
-    }
-    EXPECT_EQ(incremental.full_evals(), 1u) << "threads=" << threads;
-    EXPECT_GE(regrown, 1u) << "threads=" << threads;
-
+    // Materialize before any queries: a kMagic query would register its
+    // rewrite scratch predicates in the catalog and skew the comparison.
     Session scratch;
     ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
     ASSERT_TRUE(scratch.Evaluate(options).ok());
-    for (QueryStrategy strategy : kStrategies) {
-      EXPECT_EQ(answers(incremental, strategy, options),
-                answers(scratch, strategy, options))
-          << "threads=" << threads << " strategy=" << ToString(strategy);
-    }
+    ASSERT_EQ(Materialize(incremental), Materialize(scratch))
+        << "round=" << round;
+  }
+  EXPECT_EQ(incremental.full_evals(), 1u);
+  EXPECT_GE(regrown, 1u);
+
+  Session scratch;
+  ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  for (QueryStrategy strategy : kStrategies) {
+    EXPECT_EQ(answers(incremental, strategy, options),
+              answers(scratch, strategy, options))
+        << "strategy=" << ToString(strategy);
   }
 }
 
@@ -731,32 +720,28 @@ TEST(Incremental, DRedRederivesAlternativePaths) {
 // each over-deleted fact.
 void CheckDRedRemoveReadd(const std::string& rules, const std::string& edb,
                           const std::string& removed) {
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session session;
-    ASSERT_TRUE(session.Load(edb + removed + "\n" + rules).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
+  EvalOptions options;
+  Session session;
+  ASSERT_TRUE(session.Load(edb + removed + "\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
 
-    ASSERT_TRUE(session.RemoveFacts(removed).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.incremental_evals(), 1u) << "threads=" << threads;
-    EXPECT_GE(session.last_eval_stats().rederive_rounds, 1u)
-        << "threads=" << threads;
-    Session without;
-    ASSERT_TRUE(without.Load(edb + rules).ok());
-    ASSERT_TRUE(without.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(without))
-        << "after removing " << removed << ", threads=" << threads;
+  ASSERT_TRUE(session.RemoveFacts(removed).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.incremental_evals(), 1u);
+  EXPECT_GE(session.last_eval_stats().rederive_rounds, 1u);
+  Session without;
+  ASSERT_TRUE(without.Load(edb + rules).ok());
+  ASSERT_TRUE(without.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(without))
+      << "after removing " << removed;
 
-    ASSERT_TRUE(session.AddFacts(removed).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    Session with;
-    ASSERT_TRUE(with.Load(edb + removed + "\n" + rules).ok());
-    ASSERT_TRUE(with.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(with))
-        << "after re-adding " << removed << ", threads=" << threads;
-  }
+  ASSERT_TRUE(session.AddFacts(removed).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  Session with;
+  ASSERT_TRUE(with.Load(edb + removed + "\n" + rules).ok());
+  ASSERT_TRUE(with.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(with))
+      << "after re-adding " << removed;
 }
 
 // Removing e(b, a) over-deletes tc(a, a); only the repeated-variable rule
@@ -798,26 +783,21 @@ TEST(Incremental, MixedInsertDeleteBatchMatchesScratch) {
   const std::string rules =
       "tc(X, Y) :- e(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), e(Z, Y).\n";
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session session;
-    ASSERT_TRUE(
-        session.Load("e(a, b). e(b, c). e(c, d).\n" + rules).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.AddFacts("e(d, f). e(b, g).").ok());
-    ASSERT_TRUE(session.RemoveFacts("e(a, b).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.full_evals(), 1u) << "threads=" << threads;
-    EXPECT_EQ(session.incremental_evals(), 1u) << "threads=" << threads;
+  EvalOptions options;
+  Session session;
+  ASSERT_TRUE(session.Load("e(a, b). e(b, c). e(c, d).\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.AddFacts("e(d, f). e(b, g).").ok());
+  ASSERT_TRUE(session.RemoveFacts("e(a, b).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  EXPECT_EQ(session.incremental_evals(), 1u);
 
-    Session scratch;
-    ASSERT_TRUE(
-        scratch.Load("e(b, c). e(c, d). e(d, f). e(b, g).\n" + rules).ok());
-    ASSERT_TRUE(scratch.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(scratch))
-        << "threads=" << threads;
-  }
+  Session scratch;
+  ASSERT_TRUE(
+      scratch.Load("e(b, c). e(c, d). e(d, f). e(b, g).\n" + rules).ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
 // Removing a fact and re-adding it before the next Evaluate() cancels the
@@ -870,54 +850,45 @@ constexpr const char* kRevivalProgram =
     "parent(r, p0). parent(p0, p1). parent(p0, p2). parent(p1, p3).\n";
 
 TEST(Incremental, RevivedIdbRowReachesFactsAboveItSession) {
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session session;
-    ASSERT_TRUE(session.Load(kRevivalProgram).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.RemoveFacts("parent(p1, p3).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.AddFacts("parent(p2, p3).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.full_evals(), 1u) << "threads=" << threads;
-    auto result = session.Query("anc(r, X)");
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(FormatFacts(session, session.catalog().Find("anc", 2),
-                          result->tuples),
-              (std::vector<std::string>{"anc(r, p0)", "anc(r, p1)",
-                                        "anc(r, p2)", "anc(r, p3)"}))
-        << "threads=" << threads;
+  EvalOptions options;
+  Session session;
+  ASSERT_TRUE(session.Load(kRevivalProgram).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.RemoveFacts("parent(p1, p3).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.AddFacts("parent(p2, p3).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  auto result = session.Query("anc(r, X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(FormatFacts(session, session.catalog().Find("anc", 2),
+                        result->tuples),
+            (std::vector<std::string>{"anc(r, p0)", "anc(r, p1)",
+                                      "anc(r, p2)", "anc(r, p3)"}));
 
-    Session scratch;
-    ASSERT_TRUE(scratch
-                    .Load("anc(X, Y) :- parent(X, Y).\n"
-                          "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n"
-                          "parent(r, p0). parent(p0, p1). parent(p0, p2).\n"
-                          "parent(p2, p3).\n")
-                    .ok());
-    ASSERT_TRUE(scratch.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(scratch))
-        << "threads=" << threads;
-  }
+  Session scratch;
+  ASSERT_TRUE(scratch
+                  .Load("anc(X, Y) :- parent(X, Y).\n"
+                        "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n"
+                        "parent(r, p0). parent(p0, p1). parent(p0, p2).\n"
+                        "parent(p2, p3).\n")
+                  .ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
 TEST(Incremental, RevivedIdbRowReachesFactsAboveItService) {
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Service service(options);
-    ASSERT_TRUE(service.Load(kRevivalProgram).ok());
-    ASSERT_TRUE(service.RemoveFacts("parent(p1, p3).").ok());
-    ASSERT_TRUE(service.AddFacts("parent(p2, p3).").ok());
-    for (QueryStrategy strategy : kStrategies) {
-      QueryOptions query_options;
-      query_options.strategy = strategy;
-      auto result = service.Query("anc(r, X)", query_options);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result->tuples.size(), 4u)
-          << "threads=" << threads << " strategy=" << ToString(strategy);
-    }
+  EvalOptions options;
+  Service service(options);
+  ASSERT_TRUE(service.Load(kRevivalProgram).ok());
+  ASSERT_TRUE(service.RemoveFacts("parent(p1, p3).").ok());
+  ASSERT_TRUE(service.AddFacts("parent(p2, p3).").ok());
+  for (QueryStrategy strategy : kStrategies) {
+    QueryOptions query_options;
+    query_options.strategy = strategy;
+    auto result = service.Query("anc(r, X)", query_options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->tuples.size(), 4u) << "strategy=" << ToString(strategy);
   }
 }
 
@@ -935,34 +906,29 @@ TEST(Incremental, RevivedCountedRowKeepsCountsExact) {
       "w(X) :- d(X), !z(X).\n"
       "h(X) :- b(X), c(X), !w(X).\n"
       "z(9). d(8).\n";
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session session;
-    ASSERT_TRUE(session.Load("e(1). c(1).\n" + rules).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.RemoveFacts("e(1).").ok());
-    ASSERT_TRUE(session.AddFacts("f(1).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    auto result = session.Query("h(X)");
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->tuples.size(), 1u) << "threads=" << threads;
+  EvalOptions options;
+  Session session;
+  ASSERT_TRUE(session.Load("e(1). c(1).\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.RemoveFacts("e(1).").ok());
+  ASSERT_TRUE(session.AddFacts("f(1).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  auto result = session.Query("h(X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->tuples.size(), 1u);
 
-    ASSERT_TRUE(session.RemoveFacts("f(1).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.full_evals(), 1u) << "threads=" << threads;
-    EXPECT_GE(session.last_eval_stats().count_decrements, 2u)
-        << "threads=" << threads;
-    result = session.Query("h(X)");
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->tuples.empty()) << "threads=" << threads;
+  ASSERT_TRUE(session.RemoveFacts("f(1).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  EXPECT_GE(session.last_eval_stats().count_decrements, 2u);
+  result = session.Query("h(X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->tuples.empty());
 
-    Session scratch;
-    ASSERT_TRUE(scratch.Load("c(1).\n" + rules).ok());
-    ASSERT_TRUE(scratch.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(scratch))
-        << "threads=" << threads;
-  }
+  Session scratch;
+  ASSERT_TRUE(scratch.Load("c(1).\n" + rules).ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
 // The deletion-side tentpole equivalence: alternating randomized insert
@@ -974,55 +940,49 @@ TEST(Incremental, RandomizedInsertDeleteMatchesScratchAcrossCorpus) {
   ASSERT_FALSE(programs.empty());
   uint64_t seed = 400;
   for (const std::string& path : programs) {
-    for (int threads : {1, 4}) {
-      EvalOptions options;
-      options.num_threads = threads;
+    EvalOptions options;
 
-      Session incremental;
-      ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    Session incremental;
+    ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
+
+    // Alternate insert and removal batches, re-evaluating after each;
+    // record the script so a scratch session can replay it verbatim.
+    std::vector<std::pair<bool, std::string>> script;  // {is_removal, text}
+    for (int round = 0; round < 6; ++round) {
+      const bool removing = (round % 2) == 1;
+      std::vector<std::string> lines =
+          removing ? GenerateRemovals(incremental, 3, ++seed)
+                   : GenerateFacts(incremental, 3, ++seed);
+      if (lines.empty()) continue;  // no non-nullary EDB rows to touch
+      std::string text;
+      for (const std::string& line : lines) text += line + "\n";
+      if (removing) {
+        ASSERT_TRUE(incremental.RemoveFacts(text).ok()) << path << "\n" << text;
+      } else {
+        ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
+      }
       ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
+      script.emplace_back(removing, std::move(text));
+    }
+    if (script.empty()) continue;
 
-      // Alternate insert and removal batches, re-evaluating after each;
-      // record the script so a scratch session can replay it verbatim.
-      std::vector<std::pair<bool, std::string>> script;  // {is_removal, text}
-      for (int round = 0; round < 6; ++round) {
-        const bool removing = (round % 2) == 1;
-        std::vector<std::string> lines =
-            removing ? GenerateRemovals(incremental, 3, ++seed)
-                     : GenerateFacts(incremental, 3, ++seed);
-        if (lines.empty()) continue;  // no non-nullary EDB rows to touch
-        std::string text;
-        for (const std::string& line : lines) text += line + "\n";
-        if (removing) {
-          ASSERT_TRUE(incremental.RemoveFacts(text).ok())
-              << path << "\n" << text;
-        } else {
-          ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
-        }
-        ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
-        script.emplace_back(removing, std::move(text));
+    Session scratch;
+    ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
+    for (const auto& [removing, text] : script) {
+      if (removing) {
+        ASSERT_TRUE(scratch.RemoveFacts(text).ok()) << path << "\n" << text;
+      } else {
+        ASSERT_TRUE(scratch.AddFacts(text).ok()) << path << "\n" << text;
       }
-      if (script.empty()) continue;
+    }
+    ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
 
-      Session scratch;
-      ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
-      for (const auto& [removing, text] : script) {
-        if (removing) {
-          ASSERT_TRUE(scratch.RemoveFacts(text).ok()) << path << "\n" << text;
-        } else {
-          ASSERT_TRUE(scratch.AddFacts(text).ok()) << path << "\n" << text;
-        }
-      }
-      ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
-
-      EXPECT_EQ(Materialize(incremental), Materialize(scratch))
-          << path << " threads=" << threads;
-      for (QueryStrategy strategy : kStrategies) {
-        EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
-                  StoredQueryAnswers(scratch, strategy, options))
-            << path << " threads=" << threads << " strategy="
-            << ToString(strategy);
-      }
+    EXPECT_EQ(Materialize(incremental), Materialize(scratch)) << path;
+    for (QueryStrategy strategy : kStrategies) {
+      EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
+                StoredQueryAnswers(scratch, strategy, options))
+          << path << " strategy=" << ToString(strategy);
     }
   }
 }
@@ -1139,37 +1099,32 @@ TEST(Incremental, FailedInsertMaintenanceRebuildsModel) {
       "a(p). z(zz).\n"
       "r(X) :- a(X).\n"
       "t(X, Y) :- r(X), n(Y), !z(X).\n";
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session session;
-    ASSERT_TRUE(session.Load(program).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.AddFacts("a(q).").ok());
-    EvalOptions limited = options;
-    limited.max_facts = session.database().TotalFacts() + 3;
-    Status failed = session.Evaluate(limited);
-    ASSERT_FALSE(failed.ok()) << "threads=" << threads;
-    EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted) << failed;
+  EvalOptions options;
+  Session session;
+  ASSERT_TRUE(session.Load(program).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.AddFacts("a(q).").ok());
+  EvalOptions limited = options;
+  limited.max_facts = session.database().TotalFacts() + 3;
+  Status failed = session.Evaluate(limited);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted) << failed;
 
-    const size_t full_before = session.full_evals();
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.full_evals(), full_before + 1) << "threads=" << threads;
-    ASSERT_TRUE(session.RemoveFacts("a(q).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
+  const size_t full_before = session.full_evals();
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.full_evals(), full_before + 1);
+  ASSERT_TRUE(session.RemoveFacts("a(q).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
 
-    Session scratch;
-    ASSERT_TRUE(scratch.Load(program).ok());
-    ASSERT_TRUE(scratch.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(scratch))
-        << "threads=" << threads;
-    for (const char* goal : {"r(X)", "t(X, Y)"}) {
-      auto maintained = session.Query(goal);
-      auto expected = scratch.Query(goal);
-      ASSERT_TRUE(maintained.ok() && expected.ok()) << goal;
-      EXPECT_EQ(maintained->tuples.size(), expected->tuples.size())
-          << goal << " threads=" << threads;
-    }
+  Session scratch;
+  ASSERT_TRUE(scratch.Load(program).ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
+  for (const char* goal : {"r(X)", "t(X, Y)"}) {
+    auto maintained = session.Query(goal);
+    auto expected = scratch.Query(goal);
+    ASSERT_TRUE(maintained.ok() && expected.ok()) << goal;
+    EXPECT_EQ(maintained->tuples.size(), expected->tuples.size()) << goal;
   }
 }
 
@@ -1181,31 +1136,27 @@ TEST(Incremental, MixedBatchShrinksNextToRegrownGroup) {
       "a(x). b(u). b(v). c(w).\n"
       "g(<X>) :- a(X).\n"
       "s(X) :- b(X), !c(X).\n";
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    options.profile = true;
-    Session session;
-    ASSERT_TRUE(session.Load(program).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.AddFacts("a(y).").ok());
-    ASSERT_TRUE(session.RemoveFacts("b(u).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.full_evals(), 1u);
-    // The grouping rule keeps the stratum uncounted, so s goes through
-    // DRed; the stratum counts as both regrown and over-deleted.
-    EXPECT_EQ(session.last_eval_stats().group_regrows, 1u);
-    EXPECT_EQ(session.last_eval_stats().strata_regrown, 1u);
-    EXPECT_EQ(session.last_eval_stats().strata_overdeleted, 1u);
+  EvalOptions options;
+  options.profile = true;
+  Session session;
+  ASSERT_TRUE(session.Load(program).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.AddFacts("a(y).").ok());
+  ASSERT_TRUE(session.RemoveFacts("b(u).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  // The grouping rule keeps the stratum uncounted, so s goes through
+  // DRed; the stratum counts as both regrown and over-deleted.
+  EXPECT_EQ(session.last_eval_stats().group_regrows, 1u);
+  EXPECT_EQ(session.last_eval_stats().strata_regrown, 1u);
+  EXPECT_EQ(session.last_eval_stats().strata_overdeleted, 1u);
 
-    Session scratch;
-    ASSERT_TRUE(scratch.Load(program).ok());
-    ASSERT_TRUE(scratch.AddFacts("a(y).").ok());
-    ASSERT_TRUE(scratch.RemoveFacts("b(u).").ok());
-    ASSERT_TRUE(scratch.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(scratch))
-        << "threads=" << threads;
-  }
+  Session scratch;
+  ASSERT_TRUE(scratch.Load(program).ok());
+  ASSERT_TRUE(scratch.AddFacts("a(y).").ok());
+  ASSERT_TRUE(scratch.RemoveFacts("b(u).").ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
 // One program per maintenance mode, each with a write whose maintenance
@@ -1270,76 +1221,71 @@ std::vector<std::string> ServiceAnswers(Service& service, const char* goal) {
 // next Session evaluation rebuilds a model equal to a scratch one.
 TEST(Incremental, FailedMaintenanceInEveryModeRebuildsModel) {
   for (const FaultCase& c : kFaultCases) {
-    for (int threads : {1, 4}) {
-      const std::string where =
-          std::string(c.mode) + " " + c.goal + " threads=" +
-          std::to_string(threads);
-      EvalOptions options;
-      options.num_threads = threads;
+    const std::string where = std::string(c.mode) + " " + c.goal;
+    EvalOptions options;
 
-      // Probe with default limits: the write must go through the mode
-      // under test, and its maintenance must need more than the limit.
-      Session probe;
-      EvalOptions profiled = options;
-      profiled.profile = true;
-      ASSERT_TRUE(probe.Load(c.program).ok()) << where;
-      ASSERT_TRUE(probe.Evaluate(profiled).ok()) << where;
-      const size_t load_rounds = probe.last_eval_stats().iterations;
-      ASSERT_TRUE(ApplyWrite(probe, c).ok()) << where;
-      const size_t staged_facts = probe.database().TotalFacts();
-      ASSERT_TRUE(probe.Evaluate(profiled).ok()) << where;
-      ASSERT_EQ(probe.incremental_evals(), 1u) << where;
-      bool mode_seen = false;
-      for (const StratumProfile& stratum : probe.last_eval_profile().strata()) {
-        mode_seen = mode_seen || std::string(ToString(stratum.mode)) == c.mode;
-      }
-      EXPECT_TRUE(mode_seen) << where;
-      EvalOptions limited = options;
-      if (c.limit_rounds) {
-        ASSERT_GT(probe.last_eval_stats().iterations, load_rounds) << where;
-        limited.max_rounds = load_rounds + 1;
-      } else {
-        limited.max_facts = staged_facts;
-      }
-
-      // Session: the failed write drops the model.
-      Session session;
-      ASSERT_TRUE(session.Load(c.program).ok()) << where;
-      ASSERT_TRUE(session.Evaluate(limited).ok()) << where;
-      ASSERT_TRUE(ApplyWrite(session, c).ok()) << where;
-      Status failed = session.Evaluate(limited);
-      EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted)
-          << where << ": " << failed;
-      const size_t full_before = session.full_evals();
-      ASSERT_TRUE(session.Evaluate(options).ok()) << where;
-      EXPECT_EQ(session.full_evals(), full_before + 1) << where;
-
-      Session scratch;
-      ASSERT_TRUE(scratch.Load(c.program).ok()) << where;
-      ASSERT_TRUE(ApplyWrite(scratch, c).ok()) << where;
-      ASSERT_TRUE(scratch.Evaluate(options).ok()) << where;
-      EXPECT_EQ(Materialize(session), Materialize(scratch)) << where;
-      std::string why;
-      auto is_model = IsModel(session.factory(), session.catalog(),
-                              session.program(), session.database(), &why);
-      ASSERT_TRUE(is_model.ok()) << where << ": " << is_model.status();
-      EXPECT_TRUE(*is_model) << where << ": " << why;
-
-      // Service: the failed write leaves the published snapshot serving.
-      // A Service write is either insert-only or delete-only, and a
-      // delete-only pass never adds facts or rounds, so the mixed-batch
-      // (shrink) rows are covered through the Session alone.
-      if (c.remove[0] != '\0') continue;
-      Service service(limited);
-      ASSERT_TRUE(service.Load(c.program).ok()) << where;
-      const uint64_t version = service.snapshot()->version();
-      const std::vector<std::string> answers = ServiceAnswers(service, c.goal);
-      Status write = service.AddFacts(c.add);
-      EXPECT_EQ(write.code(), StatusCode::kResourceExhausted)
-          << where << ": " << write;
-      EXPECT_EQ(service.snapshot()->version(), version) << where;
-      EXPECT_EQ(ServiceAnswers(service, c.goal), answers) << where;
+    // Probe with default limits: the write must go through the mode
+    // under test, and its maintenance must need more than the limit.
+    Session probe;
+    EvalOptions profiled = options;
+    profiled.profile = true;
+    ASSERT_TRUE(probe.Load(c.program).ok()) << where;
+    ASSERT_TRUE(probe.Evaluate(profiled).ok()) << where;
+    const size_t load_rounds = probe.last_eval_stats().iterations;
+    ASSERT_TRUE(ApplyWrite(probe, c).ok()) << where;
+    const size_t staged_facts = probe.database().TotalFacts();
+    ASSERT_TRUE(probe.Evaluate(profiled).ok()) << where;
+    ASSERT_EQ(probe.incremental_evals(), 1u) << where;
+    bool mode_seen = false;
+    for (const StratumProfile& stratum : probe.last_eval_profile().strata()) {
+      mode_seen = mode_seen || std::string(ToString(stratum.mode)) == c.mode;
     }
+    EXPECT_TRUE(mode_seen) << where;
+    EvalOptions limited = options;
+    if (c.limit_rounds) {
+      ASSERT_GT(probe.last_eval_stats().iterations, load_rounds) << where;
+      limited.max_rounds = load_rounds + 1;
+    } else {
+      limited.max_facts = staged_facts;
+    }
+
+    // Session: the failed write drops the model.
+    Session session;
+    ASSERT_TRUE(session.Load(c.program).ok()) << where;
+    ASSERT_TRUE(session.Evaluate(limited).ok()) << where;
+    ASSERT_TRUE(ApplyWrite(session, c).ok()) << where;
+    Status failed = session.Evaluate(limited);
+    EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted)
+        << where << ": " << failed;
+    const size_t full_before = session.full_evals();
+    ASSERT_TRUE(session.Evaluate(options).ok()) << where;
+    EXPECT_EQ(session.full_evals(), full_before + 1) << where;
+
+    Session scratch;
+    ASSERT_TRUE(scratch.Load(c.program).ok()) << where;
+    ASSERT_TRUE(ApplyWrite(scratch, c).ok()) << where;
+    ASSERT_TRUE(scratch.Evaluate(options).ok()) << where;
+    EXPECT_EQ(Materialize(session), Materialize(scratch)) << where;
+    std::string why;
+    auto is_model = IsModel(session.factory(), session.catalog(),
+                            session.program(), session.database(), &why);
+    ASSERT_TRUE(is_model.ok()) << where << ": " << is_model.status();
+    EXPECT_TRUE(*is_model) << where << ": " << why;
+
+    // Service: the failed write leaves the published snapshot serving.
+    // A Service write is either insert-only or delete-only, and a
+    // delete-only pass never adds facts or rounds, so the mixed-batch
+    // (shrink) rows are covered through the Session alone.
+    if (c.remove[0] != '\0') continue;
+    Service service(limited);
+    ASSERT_TRUE(service.Load(c.program).ok()) << where;
+    const uint64_t version = service.snapshot()->version();
+    const std::vector<std::string> answers = ServiceAnswers(service, c.goal);
+    Status write = service.AddFacts(c.add);
+    EXPECT_EQ(write.code(), StatusCode::kResourceExhausted)
+        << where << ": " << write;
+    EXPECT_EQ(service.snapshot()->version(), version) << where;
+    EXPECT_EQ(ServiceAnswers(service, c.goal), answers) << where;
   }
 }
 

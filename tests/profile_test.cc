@@ -1,5 +1,5 @@
-// EvalProfile: per-rule attribution, the cross-thread determinism contract
-// (profile.h), JSON export, and the profiling-off path.
+// EvalProfile: per-rule attribution, per-stratum rollups, JSON export, and
+// the profiling-off path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,13 +52,10 @@ std::map<int, RuleSnapshot> NonTimingFields(const EvalProfile& profile) {
   return out;
 }
 
-EvalProfile ProfiledEvaluate(const std::string& source, int num_threads,
-                             EvalOptions::Mode mode = EvalOptions::Mode::kSemiNaive) {
+EvalProfile ProfiledEvaluate(const std::string& source) {
   Session session;
   EXPECT_TRUE(session.Load(source).ok());
   EvalOptions options;
-  options.mode = mode;
-  options.num_threads = num_threads;
   options.profile = true;
   Status status = session.Evaluate(options);
   EXPECT_TRUE(status.ok()) << status;
@@ -66,7 +63,7 @@ EvalProfile ProfiledEvaluate(const std::string& source, int num_threads,
 }
 
 TEST(Profile, CollectsPerRuleCounters) {
-  EvalProfile profile = ProfiledEvaluate(AncestorChain(10), 1);
+  EvalProfile profile = ProfiledEvaluate(AncestorChain(10));
   std::map<int, RuleSnapshot> rules = NonTimingFields(profile);
   ASSERT_EQ(rules.size(), 2u);
   EXPECT_EQ(rules[0].label, "anc(X, Y) :- parent(X, Y)");
@@ -86,36 +83,6 @@ TEST(Profile, CollectsPerRuleCounters) {
   EXPECT_FALSE(profile.topdown().used);
 }
 
-TEST(Profile, DeterministicAcrossThreadWidths) {
-  // Long enough that delta windows exceed the sharding threshold, so the
-  // 4-thread run really splits windows into row-range shards.
-  const std::string source = AncestorChain(150);
-  EvalProfile serial = ProfiledEvaluate(source, 1);
-  EvalProfile parallel = ProfiledEvaluate(source, 4);
-  EXPECT_EQ(NonTimingFields(serial), NonTimingFields(parallel));
-  ASSERT_EQ(serial.strata().size(), parallel.strata().size());
-  for (size_t i = 0; i < serial.strata().size(); ++i) {
-    EXPECT_EQ(serial.strata()[i].rounds, parallel.strata()[i].rounds) << i;
-    EXPECT_EQ(serial.strata()[i].facts_derived,
-              parallel.strata()[i].facts_derived)
-        << i;
-  }
-  // The parallel run did schedule pool tasks (a timing-class field, so it
-  // may differ across widths -- but it must be nonzero at width 4).
-  uint64_t tasks = 0;
-  for (const StratumProfile& stratum : parallel.strata()) {
-    tasks += stratum.parallel_tasks;
-  }
-  EXPECT_GT(tasks, 0u);
-}
-
-TEST(Profile, DeterministicAcrossThreadWidthsNaive) {
-  const std::string source = AncestorChain(40);
-  EvalProfile serial = ProfiledEvaluate(source, 1, EvalOptions::Mode::kNaive);
-  EvalProfile parallel = ProfiledEvaluate(source, 4, EvalOptions::Mode::kNaive);
-  EXPECT_EQ(NonTimingFields(serial), NonTimingFields(parallel));
-}
-
 TEST(Profile, OffByDefaultCollectsNothing) {
   Session session;
   ASSERT_TRUE(session.Load(AncestorChain(5)).ok());
@@ -130,8 +97,7 @@ TEST(Profile, StratifiedProgramReportsPerStratumRollups) {
       "edge(a, b). edge(b, c).\n"
       "reach(X, Y) :- edge(X, Y).\n"
       "reach(X, Y) :- edge(X, Z), reach(Z, Y).\n"
-      "unreachable(X, Y) :- edge(X, _), edge(_, Y), ~reach(X, Y).\n",
-      1);
+      "unreachable(X, Y) :- edge(X, _), edge(_, Y), ~reach(X, Y).\n");
   // Negation forces >= 2 strata; each evaluated stratum reports a rollup.
   EXPECT_GE(profile.strata().size(), 2u);
   std::map<int, RuleSnapshot> rules = NonTimingFields(profile);
@@ -204,13 +170,13 @@ TEST(Profile, TopDownQueryFillsRollup) {
 }
 
 TEST(Profile, ToJsonShape) {
-  EvalProfile profile = ProfiledEvaluate(AncestorChain(5), 2);
+  EvalProfile profile = ProfiledEvaluate(AncestorChain(5));
   std::string json = profile.ToJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   for (const char* key :
        {"\"total_wall_ns\"", "\"strata\"", "\"rules\"", "\"label\"",
-        "\"firings\"", "\"delta_rows\"", "\"wall_ns\"", "\"parallel_tasks\""}) {
+        "\"firings\"", "\"delta_rows\"", "\"wall_ns\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   // Labels are quoted rule renderings; braces stay balanced.

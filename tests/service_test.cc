@@ -181,7 +181,7 @@ Status ApplyUpdate(Service* service, const char* update) {
   return service->AddFacts(update);
 }
 
-void RunStress(QueryStrategy strategy, size_t eval_threads) {
+void RunStress(QueryStrategy strategy) {
   // Expected answer set per published version, from a serial Session.
   std::vector<std::vector<std::string>> expected(kNumUpdates + 3);
   {
@@ -195,16 +195,13 @@ void RunStress(QueryStrategy strategy, size_t eval_threads) {
     }
   }
 
-  EvalOptions eval;
-  eval.num_threads = eval_threads;
-  Service service(eval);
+  Service service;
   ASSERT_TRUE(service.Load(kPathProgram).ok());
   auto prepared = service.Prepare("path(X, Y)");
   ASSERT_TRUE(prepared.ok());
 
   QueryOptions options;
   options.strategy = strategy;
-  options.eval.num_threads = eval_threads;
 
   std::atomic<bool> done{false};
   std::atomic<size_t> failures{0};
@@ -240,18 +237,14 @@ void RunStress(QueryStrategy strategy, size_t eval_threads) {
   EXPECT_EQ(service.snapshot()->version(), 2 + kNumUpdates);
 }
 
-TEST(ServiceStress, ModelSingleThreadEval) { RunStress(QueryStrategy::kModel, 1); }
-TEST(ServiceStress, ModelParallelEval) { RunStress(QueryStrategy::kModel, 4); }
-TEST(ServiceStress, MagicSingleThreadEval) { RunStress(QueryStrategy::kMagic, 1); }
-TEST(ServiceStress, MagicParallelEval) { RunStress(QueryStrategy::kMagic, 4); }
+TEST(ServiceStress, ModelSingleThreadEval) { RunStress(QueryStrategy::kModel); }
+TEST(ServiceStress, MagicSingleThreadEval) { RunStress(QueryStrategy::kMagic); }
 TEST(ServiceStress, MagicSupplementarySingleThreadEval) {
-  RunStress(QueryStrategy::kMagicSupplementary, 1);
+  RunStress(QueryStrategy::kMagicSupplementary);
 }
-TEST(ServiceStress, MagicSupplementaryParallelEval) {
-  RunStress(QueryStrategy::kMagicSupplementary, 4);
+TEST(ServiceStress, TopDownSingleThreadEval) {
+  RunStress(QueryStrategy::kTopDown);
 }
-TEST(ServiceStress, TopDownSingleThreadEval) { RunStress(QueryStrategy::kTopDown, 1); }
-TEST(ServiceStress, TopDownParallelEval) { RunStress(QueryStrategy::kTopDown, 4); }
 
 // Snapshots share the writer's row storage. A reader holding an early
 // snapshot must keep seeing exactly that version while the writer appends

@@ -20,7 +20,6 @@
 //   :strategy [name]     query strategy: model, magic, magic-sup, topdown
 //   :magic on|off|sup    shorthand for :strategy magic / model / magic-sup
 //   :naive on|off        switch the fixpoint engine (default: semi-naive)
-//   :threads N           worker threads for bottom-up evaluation
 //   :stats               stats of the last evaluation + per-predicate
 //                        dead-row (tombstone) ratios
 //   :serve [N] goal      answer goal from N concurrent ldl::Service readers
@@ -54,7 +53,6 @@ struct ReplState {
   ldl::Session session;
   ldl::QueryStrategy strategy = ldl::QueryStrategy::kModel;
   bool naive = false;
-  int threads = 1;
   bool profile = false;
   // Profile of the most recent profiled query (what :profile dump shows).
   ldl::EvalProfile last_profile;
@@ -86,7 +84,7 @@ void PrintHelp() {
       "      :warnings :why f(a)\n"
       "      :retract f(a).\n"
       "      :strategy [%s]  :magic on|off|sup\n"
-      "      :naive on|off  :threads N  :stats\n"
+      "      :naive on|off  :stats\n"
       "      :serve [N] goal\n"
       "      :profile [on|off]  :profile dump [file]\n",
       ldl::QueryStrategyNames());
@@ -97,7 +95,6 @@ void RunQuery(ReplState& state, const std::string& goal) {
   options.strategy = state.strategy;
   options.eval.mode = state.naive ? ldl::EvalOptions::Mode::kNaive
                                   : ldl::EvalOptions::Mode::kSemiNaive;
-  options.eval.num_threads = state.threads;
   options.eval.profile = state.profile;
   // Repeated queries of the same text reuse the prepared goal instead of
   // reparsing it.
@@ -462,14 +459,6 @@ bool HandleLine(ReplState& state, const std::string& raw) {
                   state.strategy == ldl::QueryStrategy::kMagicSupplementary
                       ? " (supplementary)"
                       : "");
-    } else if (command == "threads") {
-      int threads = atoi(argument.c_str());
-      if (threads < 1) {
-        Fail(state, "usage: :threads N (N >= 1)");
-      } else {
-        state.threads = threads;
-        std::printf("threads: %d\n", state.threads);
-      }
     } else if (command == "naive") {
       state.naive = argument != "off";
       std::printf("engine: %s\n", state.naive ? "naive" : "semi-naive");
