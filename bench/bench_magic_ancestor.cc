@@ -3,8 +3,20 @@
 // evaluation materializes the O(n^2) closure, magic evaluation touches only
 // the ~n/12 relevant suffix. Expected shape: magic wins by a factor that
 // grows with n.
+//
+// The serving arm (BM_AncestorServe*) answers bound goals from one
+// long-lived ldl::Service over random forests of 1k-64k people. Expected
+// shape: per-query p50 stays flat as n grows -- a bound query reads the
+// published snapshot in place, so its work follows the answer, not the EDB.
+#include <algorithm>
+#include <chrono>
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "base/str_util.h"
 #include "bench/bench_util.h"
+#include "ldl/service.h"
 #include "workload/workload.h"
 
 namespace {
@@ -148,6 +160,121 @@ void BM_AncestorTreeMagic(benchmark::State& state) {
                               last_profile);
 }
 
+// --- B1 serving arm --------------------------------------------------------
+
+constexpr const char* kServeRules =
+    "anc(X, Y) :- parent(X, Y).\n"
+    "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
+constexpr size_t kServeGoals = 16;
+constexpr size_t kMaxServeAnswers = 32;
+
+// One Service per forest size, loaded on first use and shared by the three
+// strategy arms (a long-lived server answers every strategy).
+struct ServeFixture {
+  ldl::Service service;
+  std::vector<ldl::PreparedQuery> goals;
+};
+
+// People of ParentRandomTree(n, 7) with 1 to kMaxServeAnswers descendants:
+// the first kServeGoals of them from person n / 16 on. Replays the
+// generator's parent draws (person i's parent is uniform in [0, i)).
+std::vector<size_t> ServeTargets(size_t n) {
+  ldl::Rng rng(7);
+  std::vector<size_t> parent(n, 0);
+  for (size_t i = 1; i < n; ++i) parent[i] = rng.Below(i);
+  std::vector<size_t> descendants(n, 0);
+  for (size_t i = n; i-- > 1;) descendants[parent[i]] += descendants[i] + 1;
+  std::vector<size_t> targets;
+  for (size_t k = n / 16; k < n && targets.size() < kServeGoals; ++k) {
+    if (descendants[k] >= 1 && descendants[k] <= kMaxServeAnswers) {
+      targets.push_back(k);
+    }
+  }
+  return targets;
+}
+
+ServeFixture* GetServeFixture(benchmark::State& state, size_t n) {
+  static std::map<size_t, std::unique_ptr<ServeFixture>> fixtures;
+  std::unique_ptr<ServeFixture>& fixture = fixtures[n];
+  if (fixture != nullptr) return fixture.get();
+  auto fresh = std::make_unique<ServeFixture>();
+  ldl::Status status =
+      fresh->service.Load(ldl::ParentRandomTree(n, /*seed=*/7) + kServeRules);
+  for (size_t k : ServeTargets(n)) {
+    if (!status.ok()) break;
+    auto goal = fresh->service.Prepare(ldl::StrCat("anc(p", k, ", Y)"));
+    status = goal.status();
+    if (goal.ok()) fresh->goals.push_back(std::move(goal).value());
+  }
+  if (!status.ok() || fresh->goals.empty()) {
+    state.SkipWithError(status.ok() ? "no serve targets"
+                                    : status.ToString().c_str());
+    return nullptr;
+  }
+  fixture = std::move(fresh);
+  return fixture.get();
+}
+
+// Per-query latency of bound-first anc(p<k>, Y) goals, rotating over the
+// fixture's targets. Every goal runs once untimed first, so the timed
+// queries find the snapshot's indexes built.
+void AncestorServe(benchmark::State& state, ldl::QueryStrategy strategy) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  ServeFixture* fixture = GetServeFixture(state, n);
+  if (fixture == nullptr) return;
+  std::shared_ptr<const ldl::ModelSnapshot> snapshot =
+      fixture->service.snapshot();
+  ldl::QueryOptions options;
+  options.strategy = strategy;
+  size_t answers = 0;
+  auto run = [&](const ldl::PreparedQuery& goal) {
+    auto result = snapshot->Query(goal, options);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return false;
+    }
+    if (result->tuples.size() > kMaxServeAnswers) {
+      state.SkipWithError("a serve goal exceeded the answer bound");
+      return false;
+    }
+    benchmark::DoNotOptimize(result->tuples.data());
+    answers += result->tuples.size();
+    return true;
+  };
+  for (const ldl::PreparedQuery& goal : fixture->goals) {
+    if (!run(goal)) return;
+  }
+  answers = 0;
+  std::vector<double> latencies_us;
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!run(fixture->goals[next])) return;
+    latencies_us.push_back(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+    next = (next + 1) % fixture->goals.size();
+  }
+  std::sort(latencies_us.begin(), latencies_us.end());
+  state.counters["p50_us"] =
+      latencies_us.empty() ? 0 : latencies_us[latencies_us.size() / 2];
+  state.counters["answers_per_query"] =
+      latencies_us.empty()
+          ? 0
+          : static_cast<double>(answers) / static_cast<double>(latencies_us.size());
+  state.counters["edb_rows"] = static_cast<double>(n - 1);
+}
+
+void BM_AncestorServeMagic(benchmark::State& state) {
+  AncestorServe(state, ldl::QueryStrategy::kMagic);
+}
+void BM_AncestorServeMagicSup(benchmark::State& state) {
+  AncestorServe(state, ldl::QueryStrategy::kMagicSupplementary);
+}
+void BM_AncestorServeTopDown(benchmark::State& state) {
+  AncestorServe(state, ldl::QueryStrategy::kTopDown);
+}
+
 }  // namespace
 
 // Full evaluation is quadratic in n; cap its sweep lower.
@@ -161,5 +288,11 @@ BENCHMARK(BM_AncestorTopDown)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AncestorTreeMagic)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AncestorServeMagic)->RangeMultiplier(4)->Range(1024, 65536)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AncestorServeMagicSup)->RangeMultiplier(4)->Range(1024, 65536)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AncestorServeTopDown)->RangeMultiplier(4)->Range(1024, 65536)
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -13,8 +13,10 @@ namespace ldl {
 
 CostModel CostModel::Snapshot(const Database& db, const Catalog& catalog) {
   CostModel model;
-  model.cards_.resize(catalog.size());
-  for (PredId pred = 0; pred < catalog.size(); ++pred) {
+  // One size for the array and the loop: the catalog may grow meanwhile.
+  const size_t pred_count = catalog.size();
+  model.cards_.resize(pred_count);
+  for (PredId pred = 0; pred < pred_count; ++pred) {
     const Relation* relation = db.FindRelation(pred);
     if (relation == nullptr) continue;
     RelationStats stats = relation->Stats();

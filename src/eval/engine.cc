@@ -134,8 +134,17 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
                         int stratum_index, Database* db, const EvalOptions& options,
                         EvalStats* stats, bool* derived_any, EvalProfile* profile,
                         const FixpointSeed* seed) {
+  // Row counts are read through the const view: a bound query's scratch
+  // database serves its EDB predicates from a read-through base
+  // (Database::ReadThrough), which only relation() const resolves.
+  const Database& view = *db;
+  // The catalog may grow while this runs (a concurrent reader's magic
+  // rewrite or a write registers predicates), so every per-predicate array
+  // and loop below uses the size taken here. Predicates registered later
+  // cannot occur in these rules.
+  const size_t pred_count = catalog_->size();
   // IDB predicates of this fixpoint: heads of the participating rules.
-  std::vector<bool> idb(catalog_->size(), false);
+  std::vector<bool> idb(pred_count, false);
   for (int r : rule_indices) idb[program.rules[r].head_pred] = true;
 
   // Delta carriers: the IDB heads, plus the seed's externally changed
@@ -235,15 +244,15 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   // deltas start at the pre-round row counts; a seeded resume starts each
   // delta carrier at its previous-evaluation watermark so the first round
   // consumes exactly the inserted rows.
-  std::vector<size_t> low(catalog_->size(), 0);
-  for (PredId p = 0; p < catalog_->size(); ++p) {
+  std::vector<size_t> low(pred_count, 0);
+  for (PredId p = 0; p < pred_count; ++p) {
     if (!delta_preds[p]) continue;
     if (seed != nullptr) {
       size_t mark =
           p < seed->watermarks->size() ? (*seed->watermarks)[p] : 0;
-      low[p] = std::min(mark, db->relation(p).row_count());
+      low[p] = std::min(mark, view.relation(p).row_count());
     } else if (seminaive) {
-      low[p] = db->relation(p).row_count();
+      low[p] = view.relation(p).row_count();
     }
   }
   // Full application (round 0 and every naive round): every rule applied
@@ -251,9 +260,9 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   // sees rule N-1's (or its own) same-round inserts. The golden firing and
   // round counts pin this round-start semantics.
   auto full_round = [&](bool* derived) -> Status {
-    std::vector<size_t> snap(catalog_->size());
-    for (PredId p = 0; p < catalog_->size(); ++p) {
-      snap[p] = db->relation(p).row_count();
+    std::vector<size_t> snap(pred_count);
+    for (PredId p = 0; p < pred_count; ++p) {
+      snap[p] = view.relation(p).row_count();
     }
     for (const Compiled& c : compiled) {
       std::vector<LiteralWindow> windows(c.rule->body.size());
@@ -298,11 +307,11 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
       return ResourceExhaustedError("fixpoint exceeded max_rounds");
     }
     // Snapshot delta windows [low, high) per predicate.
-    std::vector<size_t> high(catalog_->size(), 0);
+    std::vector<size_t> high(pred_count, 0);
     bool any_delta = false;
-    for (PredId p = 0; p < catalog_->size(); ++p) {
+    for (PredId p = 0; p < pred_count; ++p) {
       if (!delta_preds[p]) continue;
-      high[p] = db->relation(p).row_count();
+      high[p] = view.relation(p).row_count();
       if (high[p] > low[p]) any_delta = true;
     }
     if (!any_delta) break;
@@ -384,9 +393,9 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     // [0, low)). Every solution touching >= 1 delta row is then found by
     // exactly one variant -- the one pinning its *first* delta position --
     // so derivation counts stay exact under multi-delta joins.
-    std::vector<size_t> snap(catalog_->size());
-    for (PredId p = 0; p < catalog_->size(); ++p) {
-      snap[p] = db->relation(p).row_count();
+    std::vector<size_t> snap(pred_count);
+    for (PredId p = 0; p < pred_count; ++p) {
+      snap[p] = view.relation(p).row_count();
     }
     for (const Compiled& c : compiled) {
       for (const auto& [occurrence, order] : c.delta_variants) {
@@ -411,7 +420,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
                                       stats, &derived, c.entry));
       }
     }
-    for (PredId p = 0; p < catalog_->size(); ++p) {
+    for (PredId p = 0; p < pred_count; ++p) {
       if (delta_preds[p]) low[p] = high[p];
     }
     *derived_any = *derived_any || derived;

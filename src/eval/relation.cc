@@ -253,18 +253,40 @@ void Database::Grow() {
 }
 
 Relation& Database::relation(PredId pred) {
+  assert(BaseRelation(pred) == nullptr);
   if (relations_.size() <= pred) Grow();
   return relations_[pred];
 }
 
 const Relation& Database::relation(PredId pred) const {
-  return const_cast<Database*>(this)->relation(pred);
+  if (const Relation* base = BaseRelation(pred)) return *base;
+  if (relations_.size() <= pred) const_cast<Database*>(this)->Grow();
+  return relations_[pred];
 }
 
 size_t Database::TotalFacts() const {
   size_t total = 0;
   for (const Relation& relation : relations_) total += relation.size();
+  if (base_ != nullptr) {
+    for (const Relation* base : *base_) {
+      if (base != nullptr) total += base->size();
+    }
+  }
   return total;
+}
+
+void Database::ReadThrough(const Database& base,
+                           const std::vector<PredId>& preds) {
+  if (base_ == nullptr) {
+    base_ = std::make_unique<std::vector<const Relation*>>();
+  }
+  for (PredId pred : preds) {
+    const Relation* relation = base.FindRelation(pred);
+    if (relation == nullptr) continue;
+    assert(relation->frozen());
+    if (base_->size() <= pred) base_->resize(pred + 1, nullptr);
+    (*base_)[pred] = relation;
+  }
 }
 
 void Database::ShareFrom(const Database& other) {

@@ -412,16 +412,32 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
+  // The writable relation for `pred`: always this database's own, never a
+  // read-through one (see ReadThrough).
   Relation& relation(PredId pred);
+  // The relation evaluation reads for `pred`: the base's for a read-through
+  // predicate, this database's own otherwise.
   const Relation& relation(PredId pred) const;
 
-  // The relation for `pred`, or nullptr when no relation has been created
-  // for it yet. Unlike relation(), never grows the deque, so concurrent
-  // readers of a frozen (published) database can look up predicates that
-  // were registered in the catalog after the database stopped changing.
+  // The relation for `pred` (read-through as relation() const), or nullptr
+  // when no relation has been created for it yet. Unlike relation(), never
+  // grows the deque, so concurrent readers of a frozen (published) database
+  // can look up predicates that were registered in the catalog after the
+  // database stopped changing.
   const Relation* FindRelation(PredId pred) const {
+    if (const Relation* base = BaseRelation(pred)) return base;
     return pred < relations_.size() ? &relations_[pred] : nullptr;
   }
+
+  // Makes `preds` read through to `base`: relation() const, FindRelation
+  // and TotalFacts see base's relation for each of them instead of a local
+  // one. A bound query's scratch database reads the published snapshot's
+  // EDB this way (ldl::Service), so it copies no row and the lazily built
+  // indexes it probes stay on the snapshot for later queries. `base` must
+  // be frozen and outlive this database, and nothing may insert into a
+  // read-through predicate here. Predicates `base` holds no relation for
+  // stay local (and empty).
+  void ReadThrough(const Database& base, const std::vector<PredId>& preds);
 
   bool AddFact(PredId pred, RowRef tuple) { return relation(pred).Insert(tuple); }
 
@@ -433,8 +449,8 @@ class Database {
   // Total number of facts across all predicates.
   size_t TotalFacts() const;
 
-  // Copies the facts of `preds` from `other` (used to seed a magic
-  // evaluation with the EDB).
+  // Copies the facts of `preds` from `other`, row by row (ReadThrough
+  // shares them instead).
   void CopyFrom(const Database& other, const std::vector<PredId>& preds);
 
   // Makes this fresh database a frozen view of `other`'s current model:
@@ -446,7 +462,17 @@ class Database {
   Catalog* catalog() const { return catalog_; }
 
  private:
+  // The read-through relation for `pred`, or nullptr. One null test when
+  // nothing reads through (every database but a bound query's scratch).
+  const Relation* BaseRelation(PredId pred) const {
+    if (base_ == nullptr) return nullptr;
+    return pred < base_->size() ? (*base_)[pred] : nullptr;
+  }
+
   Catalog* catalog_;
+  // Per-predicate read-through relations (null entries stay local); null
+  // unless ReadThrough was called.
+  std::unique_ptr<std::vector<const Relation*>> base_;
   // Deque: growth for predicates registered after the first relation access
   // must not invalidate Relation references the evaluator already holds.
   mutable std::deque<Relation> relations_;

@@ -316,6 +316,39 @@ Status TopDownEngine::ExpandGroupingRule(const RuleIr& rule, TableEntry* entry,
   return Status::OK();
 }
 
+template <typename Fn>
+void TopDownEngine::ForEachEdbRow(PredId pred,
+                                  std::span<const Term* const> args,
+                                  const Subst& subst, Fn&& fn) const {
+  // FindRelation, not relation(): the EDB may be a published snapshot that
+  // concurrent readers share, whose deque must never grow.
+  const Relation* relation = edb_->FindRelation(pred);
+  if (relation == nullptr) return;
+  // Probe columns: arguments bound to ground, scons-free terms. Interned
+  // ground terms compare by pointer, which is what the index verifies.
+  std::vector<uint32_t> cols;
+  std::vector<const Term*> values;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const Term* value = subst.Walk(args[i]);
+    if (!value->ground() && !value->is_var()) {
+      value = ApplySubst(*factory_, value, subst);
+    }
+    if (value != nullptr && value->ground() && !value->has_scons()) {
+      cols.push_back(static_cast<uint32_t>(i));
+      values.push_back(value);
+    }
+  }
+  if (cols.empty()) {
+    bool stopped = false;
+    relation->ForEachRow(0, relation->row_count(), [&](size_t, RowRef row) {
+      if (!stopped) stopped = !fn(row);
+    });
+    return;
+  }
+  relation->ProbeRows(cols, values, 0, relation->row_count(),
+                      [&](size_t, RowRef row) { return fn(row); });
+}
+
 Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& order,
                                 size_t k, Subst* subst, size_t depth,
                                 bool complete_mode,
@@ -362,14 +395,13 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
         if (any_match) break;
       }
     } else {
-      const Relation& relation = edb_->relation(literal.pred);
-      relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef row) {
-        if (any_match) return;
+      ForEachEdbRow(literal.pred, pattern, Subst(), [&](RowRef row) {
         Subst probe;
         MatchArgs(*factory_, pattern, row, &probe, [&]() {
           any_match = true;
           return false;
         });
+        return !any_match;
       });
     }
     if (any_match) return Status::OK();
@@ -377,22 +409,20 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
                      keep_going);
   }
 
-  // Positive literal.
-  auto consume_rows = [&](const std::vector<Tuple>& rows, size_t limit) -> Status {
-    for (size_t i = 0; i < limit; ++i) {
-      bool matched_keep_going = MatchArgs(
-          *factory_, literal.args, rows[i], subst, [&]() {
-            Status next = SolveBody(rule, order, k + 1, subst, depth,
-                                    complete_mode, yield, keep_going);
-            if (!next.ok()) {
-              inner = next;
-              return false;
-            }
-            return *keep_going;
-          });
-      if (!matched_keep_going || !inner.ok() || !*keep_going) break;
-    }
-    return inner;
+  // Positive literal. Each matching row continues the body at k + 1; the
+  // row visitor stops once a continuation fails or asks to stop.
+  auto continue_with = [&](RowRef row) {
+    bool matched_keep_going =
+        MatchArgs(*factory_, literal.args, row, subst, [&]() {
+          Status next = SolveBody(rule, order, k + 1, subst, depth,
+                                  complete_mode, yield, keep_going);
+          if (!next.ok()) {
+            inner = next;
+            return false;
+          }
+          return *keep_going;
+        });
+    return matched_keep_going && inner.ok() && *keep_going;
   };
 
   if (IsIdb(literal.pred)) {
@@ -405,16 +435,15 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
     }
     // Snapshot the size: recursive calls may append to the same table while
     // we iterate; the outer fixpoint picks up late rows.
-    return consume_rows(sub->rows, sub->rows.size());
+    const size_t limit = sub->rows.size();
+    for (size_t i = 0; i < limit && continue_with(sub->rows[i]); ++i) {
+    }
+    return inner;
   }
 
-  // EDB scan.
-  const Relation& relation = edb_->relation(literal.pred);
-  std::vector<Tuple> rows;
-  rows.reserve(relation.size());
-  relation.ForEachRow(0, relation.row_count(),
-                      [&](size_t, RowRef row) { rows.emplace_back(row.begin(), row.end()); });
-  return consume_rows(rows, rows.size());
+  // EDB subgoal: probe the rows its bound arguments select.
+  ForEachEdbRow(literal.pred, literal.args, *subst, continue_with);
+  return inner;
 }
 
 StatusOr<std::vector<Tuple>> TopDownEngine::Query(const LiteralIr& goal) {
@@ -424,13 +453,13 @@ StatusOr<std::vector<Tuple>> TopDownEngine::Query(const LiteralIr& goal) {
   std::vector<const Term*> pattern = InstantiateCall(goal, Subst());
   std::vector<Tuple> results;
   if (!IsIdb(goal.pred)) {
-    const Relation& relation = edb_->relation(goal.pred);
     Subst subst;
-    relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef row) {
+    ForEachEdbRow(goal.pred, goal.args, subst, [&](RowRef row) {
       MatchArgs(*factory_, goal.args, row, &subst, [&]() {
         results.emplace_back(row.begin(), row.end());
         return false;
       });
+      return true;
     });
     return results;
   }

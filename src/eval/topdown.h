@@ -16,6 +16,15 @@
 //     those nested evaluations never re-enter the caller's stratum, so the
 //     §3.2 semantics is preserved.
 //
+//   * EDB subgoals probe instead of scanning: the argument positions the
+//     caller's bindings make ground (and scons-free) select rows through the
+//     relation's lazily built hash index on those columns
+//     (Relation::ProbeRows), and each row is matched in place. A subgoal
+//     with no bound position scans. The EDB is read only through
+//     Database::FindRelation, so it may be a published snapshot that other
+//     readers probe concurrently (ldl::Service); the indexes a query builds
+//     there serve every later query on that snapshot.
+//
 // Restrictions: head set-patterns unify rigidly against call patterns (the
 // evaluation engines' enumerative set matching still applies to body
 // literals); calls are never subsumption-checked across tables (a bf call
@@ -24,6 +33,7 @@
 #define LDL1_EVAL_TOPDOWN_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -53,8 +63,9 @@ struct TopDownStats {
 
 class TopDownEngine {
  public:
-  // `edb` supplies the extensional relations; `program` must be analyzed
-  // (admissible) with `stratification` matching it.
+  // `edb` supplies the extensional relations and is only read (a frozen
+  // snapshot works); `program` must be analyzed (admissible) with
+  // `stratification` matching it.
   TopDownEngine(TermFactory* factory, Catalog* catalog, const ProgramIr* program,
                 const Stratification* stratification, const Database* edb,
                 TopDownOptions options = {});
@@ -107,6 +118,14 @@ class TopDownEngine {
                    Subst* subst, size_t depth, bool complete_mode,
                    const std::function<bool(const Subst&)>& yield,
                    bool* keep_going);
+
+  // Calls fn(row) for the live rows of EDB predicate `pred` that `args`
+  // can match under `subst`: an index probe on the positions bound to
+  // ground, scons-free terms, a scan when there is none. Stops once fn
+  // returns false. A predicate the EDB holds no relation for has no rows.
+  template <typename Fn>
+  void ForEachEdbRow(PredId pred, std::span<const Term* const> args,
+                     const Subst& subst, Fn&& fn) const;
 
   Status Insert(TableEntry* entry, const Tuple& fact);
   std::vector<Symbol> BoundRuleVars(const Subst& subst) const;

@@ -500,14 +500,10 @@ StatusOr<LiteralIr> Session::ParseGoal(std::string_view goal_text) {
 StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
                                       const ProgramIr& program,
                                       const Stratification& stratification,
-                                      const std::vector<PredId>& edb_preds,
                                       const LiteralIr& goal,
                                       const QueryOptions& options,
-                                      const EdbSeeder& seed_edb) {
-  // Memoized top-down evaluation against a fresh EDB.
+                                      const Database& edb) {
   QueryResult result;
-  Database edb(catalog);
-  seed_edb(&edb, edb_preds);
   TopDownOptions topdown_options;
   topdown_options.builtin_limits = options.eval.builtin_limits;
   TopDownEngine topdown(factory, catalog, &program, &stratification, &edb,
@@ -537,15 +533,28 @@ StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
   return result;
 }
 
+StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
+                                      const ProgramIr& program,
+                                      const Stratification& stratification,
+                                      const std::vector<PredId>& edb_preds,
+                                      const LiteralIr& goal,
+                                      const QueryOptions& options,
+                                      const EdbSeeder& seed_edb) {
+  Database edb(catalog);
+  seed_edb(&edb, edb_preds);
+  return QueryViaTopDown(factory, catalog, program, stratification, goal,
+                         options, edb);
+}
+
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
                                     const EdbSeeder& seed_edb,
                                     std::mutex* rewrite_mu) {
-  // Rewrite for this goal and evaluate in a scratch database seeded with
-  // the EDB. The rewrite registers adorned/magic predicates in the shared
-  // catalog, so concurrent callers serialize it under `rewrite_mu`;
-  // evaluation below runs outside the lock.
+  // Rewrite for this goal and evaluate in a scratch database over the EDB.
+  // The rewrite registers adorned/magic predicates in the shared catalog,
+  // so concurrent callers serialize it under `rewrite_mu`; evaluation below
+  // runs outside the lock.
   QueryResult result;
   MagicOptions magic_options;
   magic_options.supplementary =
@@ -568,6 +577,20 @@ StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
   return result;
 }
 
+StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
+                                    const LiteralIr& goal,
+                                    const QueryOptions& options,
+                                    const Database& edb,
+                                    std::mutex* rewrite_mu) {
+  // The scratch database's EDB predicates read through to `edb`.
+  EdbSeeder read_through = [&edb](Database* scratch,
+                                  const std::vector<PredId>& preds) {
+    scratch->ReadThrough(edb, preds);
+  };
+  return QueryViaMagic(engine, program, goal, options, read_through,
+                       rewrite_mu);
+}
+
 StatusOr<PreparedQuery> Session::Prepare(std::string_view goal_text) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
   LDL_ASSIGN_OR_RETURN(LiteralIr goal, ParseGoal(goal_text));
@@ -588,13 +611,14 @@ StatusOr<QueryResult> Session::Query(const PreparedQuery& prepared,
   }
   const LiteralIr& goal = prepared.goal();
   // The session is single-threaded, so scratch evaluations can seed
-  // straight from the edb_facts_ list.
+  // straight from the edb_facts_ list: one pass, filtered through a
+  // per-predicate bitmap.
   EdbSeeder seeder = [this](Database* scratch,
                             const std::vector<PredId>& preds) {
+    std::vector<bool> wanted(catalog_.size(), false);
+    for (PredId pred : preds) wanted[pred] = true;
     for (const auto& [pred, tuple] : edb_facts_) {
-      if (std::find(preds.begin(), preds.end(), pred) != preds.end()) {
-        scratch->AddFact(pred, tuple);
-      }
+      if (wanted[pred]) scratch->AddFact(pred, tuple);
     }
   };
 

@@ -49,8 +49,7 @@ enum class QueryStrategy {
   // bottom-up first if needed).
   kModel,
   // Compile the Generalized Magic Sets rewriting (§6) for the goal's
-  // binding pattern and evaluate it in a scratch database seeded with the
-  // EDB.
+  // binding pattern and evaluate it in a scratch database over the EDB.
   kMagic,
   // kMagic, with supplementary predicates (shared prefix joins).
   kMagicSupplementary,
@@ -112,28 +111,50 @@ class PreparedQuery {
   LiteralIr goal_ = {};
 };
 
-// Seeds a scratch evaluation database with the EDB facts of exactly the
-// predicates in `preds`. Both shared goal executors below take one of
-// these: Session feeds from its edb_facts_ list, ModelSnapshot copies from
-// its frozen database.
+// Provides a scratch evaluation database with the EDB facts of exactly the
+// predicates in `preds`. Session::Query copies them in from its edb_facts_
+// list (it answers bound goals without materializing a model first); the
+// overloads below that take a seeder remain for Session and for callers
+// that compose a query from the public calls, such as the end-to-end
+// benchmark harness. ldl::Service uses the `const Database&` overloads,
+// which copy no row.
 using EdbSeeder =
     std::function<void(Database* scratch, const std::vector<PredId>& preds)>;
 
-// Answers `goal` through the Generalized Magic Sets rewriting (§6) in a
-// scratch database seeded via `seed_edb`. The rewrite registers adorned and
-// magic predicates in the engine's catalog; callers whose catalog is shared
+// Answers `goal` through the Generalized Magic Sets rewriting (§6). The
+// rewritten program saturates in a scratch database that holds the adorned,
+// magic and supplementary predicates; its EDB predicates read through to
+// `edb` (Database::ReadThrough), which must be frozen -- a published
+// snapshot -- so no row is copied and the indexes the evaluation builds on
+// `edb` serve later queries. The rewrite registers adorned and magic
+// predicates in the engine's catalog; callers whose catalog is shared
 // across threads pass `rewrite_mu` to serialize that mutation (evaluation
-// itself runs outside the lock). Shared by Session::Query and
-// ModelSnapshot::Query.
+// itself runs outside the lock). ModelSnapshot::Query uses this overload.
+StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
+                                    const LiteralIr& goal,
+                                    const QueryOptions& options,
+                                    const Database& edb,
+                                    std::mutex* rewrite_mu = nullptr);
+// The same, with the scratch database's EDB provided by `seed_edb`
+// (Session::Query copies it in).
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
                                     const EdbSeeder& seed_edb,
                                     std::mutex* rewrite_mu = nullptr);
 
-// Answers `goal` with the memoized top-down engine over a scratch EDB
-// seeded via `seed_edb` (with `edb_preds` as the seeding filter). Shared by
-// Session::Query and ModelSnapshot::Query.
+// Answers `goal` with the memoized top-down engine, reading the extensional
+// relations of `edb` in place: EDB subgoals probe its indexes on their
+// bound arguments. `edb` is only read, so a published snapshot works and
+// concurrent queries may share it (ModelSnapshot::Query).
+StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
+                                      const ProgramIr& program,
+                                      const Stratification& stratification,
+                                      const LiteralIr& goal,
+                                      const QueryOptions& options,
+                                      const Database& edb);
+// The same over a scratch EDB copied in by `seed_edb` (with `edb_preds` as
+// the seeding filter); Session::Query uses it.
 StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
                                       const ProgramIr& program,
                                       const Stratification& stratification,

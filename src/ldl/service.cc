@@ -32,30 +32,20 @@ StatusOr<QueryResult> ModelSnapshot::Query(const PreparedQuery& prepared,
   const bool goal_has_rules =
       goal.pred < has_rules_.size() && has_rules_[goal.pred] != 0;
 
-  // Scratch evaluations seed from the frozen database. FindRelation (not
-  // relation()) so predicates registered after publication never trigger
-  // growth of the frozen deque.
-  EdbSeeder seeder = [this](Database* scratch,
-                            const std::vector<PredId>& preds) {
-    for (PredId pred : preds) {
-      const Relation* relation = db_->FindRelation(pred);
-      if (relation == nullptr) continue;
-      relation->ForEachRow(0, relation->row_count(),
-                           [&](size_t, RowRef row) { scratch->AddFact(pred, row); });
-    }
-  };
-
+  // Bound strategies read the frozen database in place: top-down probes
+  // it, magic saturates over a scratch database whose EDB predicates read
+  // through to it. Either way the indexes a query builds stay on this
+  // snapshot for the next one.
   if (options.strategy == QueryStrategy::kTopDown && goal_has_rules) {
     return QueryViaTopDown(factory_, catalog_, analysis_->program,
-                           analysis_->stratification, analysis_->edb_preds,
-                           goal, options, seeder);
+                           analysis_->stratification, goal, options, *db_);
   }
   const bool magic_strategy =
       options.strategy == QueryStrategy::kMagic ||
       options.strategy == QueryStrategy::kMagicSupplementary;
   if (magic_strategy && goal_has_rules) {
     Engine engine(factory_, catalog_, plans_);
-    return QueryViaMagic(&engine, analysis_->program, goal, options, seeder,
+    return QueryViaMagic(&engine, analysis_->program, goal, options, *db_,
                          catalog_mu_);
   }
 
@@ -133,7 +123,6 @@ void Service::PublishLocked() {
     auto analysis = std::make_shared<ModelSnapshot::Analysis>();
     analysis->program = writer_.program();
     analysis->stratification = writer_.stratification();
-    analysis->edb_preds = writer_.edb_preds();
     analysis->epoch = writer_.analysis_epoch();
     snapshot->analysis_ = std::move(analysis);
   }
@@ -157,11 +146,22 @@ void Service::PublishLocked() {
 
 StatusOr<PreparedQuery> Service::Prepare(std::string_view goal_text) {
   // Interner, term factory and catalog are internally synchronized, so
-  // preparation runs concurrently with queries and writes.
+  // preparation runs concurrently with queries and writes (but see the
+  // registration of unseen predicates below).
   LDL_ASSIGN_OR_RETURN(LiteralAst goal_ast,
                        ParseLiteralText(goal_text, &writer_.interner()));
   if (goal_ast.negated || goal_ast.builtin != BuiltinKind::kNone) {
     return InvalidArgumentError("queries must be positive relational literals");
+  }
+  // Lowering an unseen goal predicate registers it in the shared catalog.
+  // The writer sizes per-predicate state from the catalog while it
+  // analyzes and maintains under catalog_mu_, so registration takes that
+  // lock too; goals over known predicates lower without it.
+  std::unique_lock<std::mutex> catalog_lock;
+  if (writer_.catalog().Find(goal_ast.predicate,
+                             static_cast<uint32_t>(goal_ast.args.size())) ==
+      kInvalidPred) {
+    catalog_lock = std::unique_lock<std::mutex>(catalog_mu_);
   }
   LDL_ASSIGN_OR_RETURN(
       LiteralIr goal,

@@ -20,13 +20,22 @@
 //     Readers never block writers and writes never block readers: a reader
 //     holds whichever snapshot was current when it started and keeps it
 //     alive (shared_ptr) even if the writer publishes past it.
-//   * kModel queries match directly against the snapshot's frozen database
-//     (lock-free: the relation index list publishes atomically). kMagic and
-//     kTopDown build per-call scratch databases seeded from the snapshot;
-//     the magic rewrite mutates the shared catalog, so rewrites serialize
-//     on a catalog mutex (shared with write-side analysis) while the
-//     evaluation itself runs outside any lock. Compiled plans are shared
-//     across all of this through one internally-synchronized PlanCache.
+//   * Every strategy reads the snapshot's frozen database in place, and no
+//     query copies the EDB. kModel matches against it; kTopDown probes its
+//     relations on the bound arguments of each EDB subgoal; kMagic
+//     saturates in a per-call scratch database that holds only the
+//     adorned, magic and supplementary predicates and reads its EDB
+//     predicates through to the snapshot. A probe may build a missing lazy
+//     index on a snapshot relation: readers walk the index list lock-free
+//     (it publishes atomically), concurrent builders serialize per
+//     relation, and every later query on the snapshot reuses the index.
+//     The magic rewrite mutates the shared catalog, so rewrites serialize
+//     on a catalog mutex (shared with write-side analysis and evaluation,
+//     and with Prepare when it registers an unseen goal predicate) while
+//     the evaluation itself runs outside any lock. A read's evaluation
+//     must therefore tolerate the catalog growing under it. Compiled plans
+//     are shared across all of this through one internally-synchronized
+//     PlanCache.
 //
 // Every observed answer set therefore equals what a serial Session would
 // produce at some published version -- the linearization point is the
@@ -81,9 +90,9 @@ class ModelSnapshot {
   ModelSnapshot& operator=(const ModelSnapshot&) = delete;
 
   // Answers `prepared` against this snapshot's model. Thread-safe: kModel
-  // probes the frozen database; kMagic/kTopDown evaluate in per-call
-  // scratch databases seeded from it. `stats` of a kModel result are those
-  // of the evaluation that built the snapshot.
+  // and kTopDown probe the frozen database; kMagic evaluates in a per-call
+  // scratch database whose EDB reads through to it. `stats` of a kModel
+  // result are those of the evaluation that built the snapshot.
   StatusOr<QueryResult> Query(const PreparedQuery& prepared,
                               const QueryOptions& options = {}) const;
 
@@ -104,7 +113,6 @@ class ModelSnapshot {
   struct Analysis {
     ProgramIr program;
     Stratification stratification;
-    std::vector<PredId> edb_preds;
     uint64_t epoch = 0;  // Session::analysis_epoch() this was captured at
   };
 
@@ -148,7 +156,9 @@ class Service {
 
   // Parses, checks and lowers `goal_text` once for repeated querying.
   // Thread-safe (interner, term factory and catalog are internally
-  // synchronized); may register a new predicate for unseen goals.
+  // synchronized). A goal over an unseen predicate registers it in the
+  // catalog; that waits for an in-flight write, whose analysis and
+  // maintenance size per-predicate state from the catalog.
   StatusOr<PreparedQuery> Prepare(std::string_view goal_text);
 
   // Answers `prepared` against the currently published snapshot.
@@ -181,7 +191,8 @@ class Service {
   PlanCache plans_;  // internally synchronized; shared by all engines
   mutable std::mutex write_mu_;  // serializes writers
   // Serializes catalog mutation: write-side lowering/analysis and
-  // read-side magic rewrites. Never held during evaluation.
+  // evaluation, read-side magic rewrites, and Prepare's registration of
+  // unseen goal predicates. Never held during a read's evaluation.
   mutable std::mutex catalog_mu_;
   Session writer_;  // guarded by write_mu_
   SnapshotSlot<ModelSnapshot> slot_;

@@ -140,6 +140,21 @@ TEST(Repl, ServeAnswersConcurrently) {
   EXPECT_NE(out.find("snapshots_published=2"), std::string::npos) << out;
 }
 
+// :serve answers under the current :strategy: the bound strategies read the
+// published snapshot in place and agree with the model.
+TEST(Repl, ServeUsesCurrentStrategy) {
+  for (const char* strategy : {"magic", "magic-sup", "topdown"}) {
+    std::string out = RunRepl(std::string("e(1,2). e(2,3). e(3,4).\n"
+                                          "t(X,Y) :- e(X,Y).\n"
+                                          "t(X,Y) :- e(X,Z), t(Z,Y).\n"
+                                          ":strategy ") +
+                              strategy + "\n:serve 2 t(1, X)\n:quit\n");
+    EXPECT_NE(out.find("served 51 queries over 2 thread(s), 3 answer(s) each"),
+              std::string::npos)
+        << strategy << ": " << out;
+  }
+}
+
 TEST(Repl, RetractRemovesFacts) {
   std::string out = RunRepl(
       "e(1,2). e(2,3).\n"

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "base/str_util.h"
 #include "eval/bindings.h"
 #include "ldl/ldl.h"
+#include "workload/workload.h"
 
 namespace ldl {
 namespace {
@@ -339,6 +341,307 @@ TEST(ServiceStress, HeldSnapshotsStayFrozen) {
       << "a held snapshot answered differently from its own version";
   EXPECT_GE(queries.load(), 2 * goals.size());
   EXPECT_GE(service.snapshot()->version(), held->version() + 200);
+}
+
+// --- Bound strategies read the snapshot in place ---
+//
+// kTopDown probes the published snapshot's relations and kMagic saturates
+// over a scratch database whose EDB reads through to them, so the indexes
+// either builds live on the snapshot. These cases pin the answers against a
+// serial Session, index reuse across queries, and first probes that race.
+
+constexpr char kAncRules[] =
+    "anc(X, Y) :- parent(X, Y).\n"
+    "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
+
+constexpr char kYoungRules[] =
+    "a(X, Y) :- p(X, Y).\n"
+    "a(X, Y) :- a(X, Z), a(Z, Y).\n"
+    "sg(X, Y) :- siblings(X, Y).\n"
+    "sg(X, Y) :- p(Z1, X), sg(Z1, Z2), p(Z2, Y).\n"
+    "young(X, <Y>) :- !a(X, Z), sg(X, Y).\n";
+
+constexpr QueryStrategy kBoundStrategies[] = {
+    QueryStrategy::kMagic, QueryStrategy::kMagicSupplementary,
+    QueryStrategy::kTopDown};
+
+// kModel answers of a serial Session, one rendered answer set per goal.
+std::vector<std::vector<std::string>> SessionAnswers(
+    const std::string& program, const std::vector<std::string>& writes,
+    const std::vector<std::string>& goals) {
+  Session session;
+  EXPECT_TRUE(session.Load(program).ok());
+  for (const std::string& write : writes) {
+    EXPECT_TRUE(ApplyUpdate(&session, write.c_str()).ok()) << write;
+  }
+  std::vector<std::vector<std::string>> answers;
+  for (const std::string& goal : goals) {
+    auto result = session.Query(goal);
+    EXPECT_TRUE(result.ok()) << goal;
+    answers.push_back(result.ok() ? Render(session.factory(), result->tuples)
+                                  : std::vector<std::string>{});
+  }
+  return answers;
+}
+
+// Prepares every goal on `service`, in order.
+std::vector<PreparedQuery> PrepareAll(Service* service,
+                                      const std::vector<std::string>& goals) {
+  std::vector<PreparedQuery> prepared;
+  for (const std::string& goal : goals) {
+    auto query = service->Prepare(goal);
+    EXPECT_TRUE(query.ok()) << goal;
+    prepared.push_back(query.ok() ? *query : PreparedQuery());
+  }
+  return prepared;
+}
+
+// Every bound strategy on `snapshot` must give `expected` for every goal.
+void ExpectBoundAnswers(const ModelSnapshot& snapshot,
+                        const std::vector<PreparedQuery>& prepared,
+                        const std::vector<std::vector<std::string>>& expected,
+                        const char* when) {
+  for (QueryStrategy strategy : kBoundStrategies) {
+    QueryOptions options;
+    options.strategy = strategy;
+    for (size_t g = 0; g < prepared.size(); ++g) {
+      auto result = snapshot.Query(prepared[g], options);
+      ASSERT_TRUE(result.ok()) << prepared[g].text() << ": " << result.status();
+      EXPECT_EQ(Render(snapshot.factory(), result->tuples), expected[g])
+          << when << ": " << prepared[g].text() << " under "
+          << ToString(strategy);
+    }
+  }
+}
+
+// Differential check of the bound strategies against a Session's model, on
+// the live snapshot and on one pinned before three writes. The pinned
+// snapshot is first queried while the writer appends, so its first probes
+// build indexes over rows the writer's chunks share.
+void CheckBoundStrategies(const std::string& program,
+                          const std::vector<std::string>& goals,
+                          const std::vector<std::string>& writes) {
+  const std::vector<std::vector<std::string>> before =
+      SessionAnswers(program, {}, goals);
+  const std::vector<std::vector<std::string>> after =
+      SessionAnswers(program, writes, goals);
+
+  Service service;
+  ASSERT_TRUE(service.Load(program).ok());
+  const std::vector<PreparedQuery> prepared = PrepareAll(&service, goals);
+  const std::shared_ptr<const ModelSnapshot> pinned = service.snapshot();
+
+  std::thread writer([&] {
+    for (const std::string& write : writes) {
+      EXPECT_TRUE(ApplyUpdate(&service, write.c_str()).ok()) << write;
+    }
+  });
+  ExpectBoundAnswers(*pinned, prepared, before, "pinned, during writes");
+  writer.join();
+  ExpectBoundAnswers(*pinned, prepared, before, "pinned, after writes");
+  ExpectBoundAnswers(*service.snapshot(), prepared, after, "live");
+}
+
+TEST(Service, BoundStrategiesReadSnapshotInPlace) {
+  // A 2000-person forest: constants in either argument, both, a repeated
+  // variable, and an EDB goal with one bound argument. p0 -> p1 is the
+  // generator's first edge; the writes remove it and hang a chain below p1.
+  CheckBoundStrategies(
+      ParentRandomTree(2000, 7) + kAncRules,
+      {"anc(p17, Y)", "anc(X, p1999)", "anc(p0, p1500)", "anc(p1, X)",
+       "anc(X, X)", "parent(X, p77)"},
+      {"parent(p1, q1).", "-parent(p0, p1).", "parent(q1, q2)."});
+
+  // The §6 program: young of a leaf, by its variable and by its set value,
+  // of an inner node (empty), and sg/a with repeated variables.
+  SameGenerationWorkload forest = MakeSameGeneration(3, 2, 4);
+  const std::string program = forest.facts + kYoungRules;
+  std::string leaf_set;
+  {
+    Session session;
+    ASSERT_TRUE(session.Load(program).ok());
+    auto young = session.Query(StrCat("young(", forest.a_leaf, ", S)"));
+    ASSERT_TRUE(young.ok());
+    ASSERT_EQ(young->tuples.size(), 1u);
+    session.factory().AppendTo(young->tuples[0][1], &leaf_set);
+  }
+  CheckBoundStrategies(
+      program,
+      {StrCat("young(", forest.a_leaf, ", S)"),
+       StrCat("young(", forest.a_leaf, ", ", leaf_set, ")"),
+       StrCat("young(", forest.an_inner, ", S)"), "sg(X, X)", "a(X, X)",
+       StrCat("sg(", forest.a_leaf, ", Y)"), StrCat("sg(X, ", forest.a_leaf, ")"),
+       StrCat("p(X, ", forest.a_leaf, ")")},
+      {StrCat("p(", forest.a_leaf, ", z1)."), "siblings(z1, z2).",
+       StrCat("-p(", forest.a_leaf, ", z1).")});
+}
+
+// The indexes a bound query builds live on the snapshot: a repeated goal on
+// the same snapshot probes them instead of building new ones.
+TEST(Service, BoundQueriesReuseSnapshotIndexes) {
+  for (QueryStrategy strategy : kBoundStrategies) {
+    Service service;
+    ASSERT_TRUE(service.Load(ParentRandomTree(500, 7) + kAncRules).ok());
+    auto goal = service.Prepare("anc(p3, Y)");
+    ASSERT_TRUE(goal.ok());
+    auto edb = service.Prepare("parent(X, Y)");
+    ASSERT_TRUE(edb.ok());
+    const std::shared_ptr<const ModelSnapshot> snapshot = service.snapshot();
+    const Relation* parent = snapshot->database().FindRelation(edb->goal().pred);
+    ASSERT_NE(parent, nullptr);
+    EXPECT_EQ(parent->index_count(), 0u) << ToString(strategy);
+
+    QueryOptions options;
+    options.strategy = strategy;
+    auto first = snapshot->Query(*goal, options);
+    ASSERT_TRUE(first.ok()) << ToString(strategy);
+    const size_t built = parent->index_count();
+    EXPECT_GE(built, 1u) << ToString(strategy);
+
+    auto second = snapshot->Query(*goal, options);
+    ASSERT_TRUE(second.ok()) << ToString(strategy);
+    EXPECT_EQ(parent->index_count(), built) << ToString(strategy);
+    EXPECT_EQ(Render(snapshot->factory(), second->tuples),
+              Render(snapshot->factory(), first->tuples))
+        << ToString(strategy);
+  }
+}
+
+// A magic query's scratch database counts the snapshot rows it reads
+// through, so max_facts trips at the same budget as in a Session, whose
+// scratch database holds a copy of the EDB.
+TEST(Service, MagicMaxFactsCountsReadThroughRows) {
+  Session session;
+  ASSERT_TRUE(session.Load(kPathProgram).ok());
+  Service service;
+  ASSERT_TRUE(service.Load(kPathProgram).ok());
+  auto prepared = service.Prepare("path(1, X)");
+  ASSERT_TRUE(prepared.ok());
+  size_t first_ok = 0;
+  for (size_t budget = 0; budget < 64; ++budget) {
+    QueryOptions options;
+    options.strategy = QueryStrategy::kMagic;
+    options.eval.max_facts = budget;
+    auto expected = session.Query("path(1, X)", options);
+    auto actual = service.Query(*prepared, options);
+    EXPECT_EQ(actual.ok(), expected.ok()) << "max_facts = " << budget;
+    if (!expected.ok()) {
+      EXPECT_EQ(actual.status().code(), expected.status().code());
+    } else if (first_ok == 0) {
+      first_ok = budget;
+    }
+  }
+  // The budget that first suffices covers the 3 EDB rows plus what the
+  // rewritten program derives.
+  EXPECT_GT(first_ok, 3u);
+}
+
+// Reader threads start top-down and magic goals on a freshly published
+// snapshot at the same moment, so their first probes race to build the
+// same lazy index (tsan checks the publication). The writes hang a chain
+// off a new root, which no goal reaches, so the answers never change.
+TEST(ServiceStress, FirstProbesRaceToBuildIndexes) {
+  const std::string program = ParentRandomTree(300, 7) + kAncRules;
+  const std::vector<std::string> goals = {"anc(p3, Y)", "anc(p1, Y)",
+                                          "anc(p0, p250)"};
+  const std::vector<std::vector<std::string>> expected =
+      SessionAnswers(program, {}, goals);
+
+  Service service;
+  ASSERT_TRUE(service.Load(program).ok());
+  const std::vector<PreparedQuery> prepared = PrepareAll(&service, goals);
+
+  constexpr size_t kRounds = 12;
+  constexpr size_t kReaders = 4;
+  std::atomic<size_t> failures{0};
+  for (size_t round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(service
+                    .AddFacts(StrCat("parent(q", round, ", q", round + 1, ")."))
+                    .ok());
+    const std::shared_ptr<const ModelSnapshot> fresh = service.snapshot();
+    std::atomic<size_t> arrived{0};
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        QueryOptions options;
+        options.strategy =
+            r % 2 == 0 ? QueryStrategy::kTopDown : QueryStrategy::kMagic;
+        const size_t g = (round + r / 2) % goals.size();
+        arrived.fetch_add(1, std::memory_order_acq_rel);
+        while (arrived.load(std::memory_order_acquire) < kReaders) {
+        }
+        auto result = fresh->Query(prepared[g], options);
+        if (!result.ok() ||
+            Render(fresh->factory(), result->tuples) != expected[g]) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+  }
+  EXPECT_EQ(failures.load(), 0u)
+      << "a reader racing to build an index saw a wrong answer set";
+}
+
+// Bound queries evaluate while the shared catalog grows under them: Prepare
+// registers unseen goal predicates and magic rewrites register adorned
+// ones, without stopping other readers. A saturation or top-down run must
+// not index its per-predicate state past the catalog size it started with.
+TEST(ServiceStress, BoundQueriesWhileCatalogGrows) {
+  const std::string program = ParentRandomTree(300, 7) + kAncRules;
+  const std::vector<std::string> goals = {"anc(p1, Y)", "anc(X, p250)"};
+  const std::vector<std::vector<std::string>> expected =
+      SessionAnswers(program, {}, goals);
+
+  Service service;
+  ASSERT_TRUE(service.Load(program).ok());
+  const std::vector<PreparedQuery> prepared = PrepareAll(&service, goals);
+
+  std::atomic<bool> done{false};
+  std::thread grower([&] {
+    for (size_t i = 0; i < 4000 && !done.load(std::memory_order_acquire);
+         ++i) {
+      (void)service.Prepare(StrCat("fresh", i, "(X)"));
+    }
+  });
+  size_t failures = 0;
+  for (size_t i = 0; i < 120; ++i) {
+    QueryOptions options;
+    options.strategy = kBoundStrategies[i % 3];
+    const size_t g = (i / 3) % goals.size();
+    auto result = service.Query(prepared[g], options);
+    if (!result.ok() ||
+        Render(service.snapshot()->factory(), result->tuples) != expected[g]) {
+      ++failures;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  grower.join();
+  EXPECT_EQ(failures, 0u);
+}
+
+// Writes maintain and republish the model while Prepare registers unseen
+// goal predicates in the shared catalog.
+TEST(ServiceStress, WritesWhilePrepareRegistersPredicates) {
+  Service service;
+  ASSERT_TRUE(service.Load(ParentRandomTree(200, 7) + kAncRules).ok());
+  std::atomic<bool> done{false};
+  std::thread preparer([&] {
+    for (size_t i = 0; i < 4000 && !done.load(std::memory_order_acquire);
+         ++i) {
+      (void)service.Prepare(StrCat("unseen", i, "(X)"));
+    }
+  });
+  for (size_t i = 0; i < 60; ++i) {
+    const std::string leaf = StrCat("parent(p", i, ", w", i, ").");
+    ASSERT_TRUE(service.AddFacts(leaf).ok());
+    if (i % 2 == 1) ASSERT_TRUE(service.RemoveFacts(leaf).ok());
+  }
+  done.store(true, std::memory_order_release);
+  preparer.join();
+  auto result = service.Query("anc(p0, X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->tuples.size(), 199u + 30u);
 }
 
 // Concurrent Prepare against concurrent writes: preparation lowers through

@@ -172,6 +172,56 @@ TEST(TopDown, EdbGoalsPassThrough) {
   EXPECT_EQ(result->tuples.size(), 2u);
 }
 
+// EDB subgoals and EDB goals probe the relation on their bound arguments,
+// reading a frozen view of the model in place (what ldl::Service publishes):
+// answers agree with the model, and the lazy indexes the probes build stay
+// on the view's relation for the next query.
+TEST(TopDown, EdbLiteralsProbeBoundArguments) {
+  Session session;
+  ASSERT_TRUE(session.Load(ParentRandomTree(300, 7, "p")).ok());
+  ASSERT_TRUE(session
+                  .Load("s({1, 2}). s({3}).\n"
+                        "a(X, Y) :- p(X, Y).\n"
+                        "a(X, Y) :- p(X, Z), a(Z, Y).\n"
+                        "leaf_child(X, Y) :- p(X, Y), !p(Y, W).\n"
+                        "holds(X) :- p(p0, X), s({1, 2}).\n"
+                        "loop(X) :- p(X, X).")
+                  .ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  Database model(&session.catalog());
+  model.ShareFrom(session.database());
+  const Relation* p = model.FindRelation(session.catalog().Find("p", 2));
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(p->index_count(), 0u);
+
+  auto ask = [&](const std::string& goal) -> std::vector<std::string> {
+    auto prepared = session.Prepare(goal);
+    EXPECT_TRUE(prepared.ok()) << goal;
+    QueryOptions options;
+    options.strategy = QueryStrategy::kTopDown;
+    auto result = QueryViaTopDown(&session.factory(), &session.catalog(),
+                                  session.program(), session.stratification(),
+                                  prepared->goal(), options, model);
+    EXPECT_TRUE(result.ok()) << goal << ": " << result.status();
+    return result.ok() ? Render(session, result->tuples)
+                       : std::vector<std::string>{};
+  };
+  for (const std::string goal :
+       {"a(p3, Y)", "a(X, p299)", "leaf_child(p2, Y)", "holds(X)", "loop(X)",
+        "p(X, p77)", "p(p1, Y)"}) {
+    auto want = session.Query(goal);
+    ASSERT_TRUE(want.ok()) << goal;
+    EXPECT_EQ(ask(goal), Render(session, want->tuples)) << goal;
+  }
+  // Column 0 (a's bound first argument, the negated p(Y, W)) and column 1
+  // (the EDB goal p(X, p77)) each got an index; asking again builds none.
+  const size_t built = p->index_count();
+  EXPECT_GE(built, 2u);
+  ask("a(p5, Y)");
+  ask("p(X, p78)");
+  EXPECT_EQ(p->index_count(), built);
+}
+
 TEST(TopDown, RecursionDepthGuard) {
   Session session;
   ASSERT_TRUE(session.Load(ParentChain(64, "p")).ok());

@@ -23,6 +23,7 @@
 //   :stats               stats of the last evaluation + per-predicate
 //                        dead-row (tombstone) ratios
 //   :serve [N] goal      answer goal from N concurrent ldl::Service readers
+//                        under the current :strategy
 //   :profile [on|off]    collect per-rule/per-stratum profiles on queries
 //   :profile dump [file] last collected profile as JSON (stdout or file)
 //
@@ -210,9 +211,10 @@ void ShowProgram(ReplState& state) {
 }
 
 // :serve [N] goal -- stands up an ldl::Service over the program entered so
-// far and answers `goal` from N concurrent reader threads, then prints the
-// service's serving counters. A smoke-scale demo of the concurrent serving
-// facade (bench/bench_service.cc measures it properly).
+// far and answers `goal` under the current :strategy from N concurrent
+// reader threads, then prints the service's serving counters. A smoke-scale
+// demo of the concurrent serving facade (bench/bench_service.cc measures it
+// properly).
 void RunServe(ReplState& state, int threads, const std::string& goal) {
   ldl::Service service;
   ldl::Status status = service.Load(state.program_text);
@@ -225,7 +227,9 @@ void RunServe(ReplState& state, int threads, const std::string& goal) {
     Fail(state, prepared.status().ToString());
     return;
   }
-  auto sample = service.Query(*prepared);
+  ldl::QueryOptions options;
+  options.strategy = state.strategy;
+  auto sample = service.Query(*prepared, options);
   if (!sample.ok()) {
     Fail(state, sample.status().ToString());
     return;
@@ -237,7 +241,7 @@ void RunServe(ReplState& state, int threads, const std::string& goal) {
   for (int t = 0; t < threads; ++t) {
     readers.emplace_back([&] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        auto result = service.Query(*prepared);
+        auto result = service.Query(*prepared, options);
         if (!result.ok() || result->tuples.size() != sample->tuples.size()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
