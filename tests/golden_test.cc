@@ -22,6 +22,10 @@
 // step the EvalStats counters, the per-stratum maintenance modes, the
 // derivation counts and the model (which must also equal a from-scratch
 // evaluation of the updated program).
+//
+// A third set, tests/golden/rewrite/<program>.golden, pins the §6 rewrites:
+// for each stored query, the rules MagicRewrite emits in plain and in
+// supplementary mode, one FormatRuleLabel line per rule in emission order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -323,6 +327,41 @@ Lines RenderMaintenance(const std::string& name, const std::string& source) {
   return golden;
 }
 
+// Renders the rewrite golden text for the program at `path`.
+Lines RenderRewrites(const std::filesystem::path& path) {
+  Lines golden;
+  Session session;
+  EXPECT_TRUE(session.LoadFile(path.string()).ok()) << path;
+  Status status = session.Analyze();
+  EXPECT_TRUE(status.ok()) << path << ": " << status;
+  AstPrinter printer(&session.interner());
+  for (const QueryAst& query : session.stored_queries()) {
+    const std::string goal_text = printer.ToString(query.goal);
+    StatusOr<LiteralIr> goal =
+        LowerLiteral(session.factory(), session.catalog(), query.goal);
+    EXPECT_TRUE(goal.ok()) << path << " " << goal_text;
+    if (!goal.ok()) continue;
+    for (QueryStrategy strategy :
+         {QueryStrategy::kMagic, QueryStrategy::kMagicSupplementary}) {
+      MagicOptions options;
+      options.supplementary = strategy == QueryStrategy::kMagicSupplementary;
+      StatusOr<MagicProgram> magic = MagicRewrite(
+          session.program(), &session.catalog(), *goal, options);
+      Lines rules;
+      if (!magic.ok()) {
+        rules.push_back("error: " + magic.status().ToString());
+      } else {
+        for (const RuleIr& rule : magic->rules.rules) {
+          rules.push_back(
+              FormatRuleLabel(session.factory(), session.catalog(), rule));
+        }
+      }
+      AppendSection(goal_text + " " + ToString(strategy), rules, &golden);
+    }
+  }
+  return golden;
+}
+
 // Compares `actual` with the checked-in golden `dir`/`name`; on a mismatch
 // writes `actual` under golden_actual/`subdir` and reports the first
 // differing line.
@@ -371,6 +410,16 @@ TEST(Golden, MaintenanceMatchesRecordedBehaviour) {
     ExpectMatchesGolden(std::filesystem::path(LDL1_GOLDEN_DIR) / "maintenance",
                         "maintenance", name + ".golden",
                         RenderMaintenance(name, source));
+  }
+}
+
+TEST(Golden, RewritesMatchRecordedProgram) {
+  std::vector<std::filesystem::path> programs = CorpusPrograms();
+  ASSERT_FALSE(programs.empty());
+  for (const std::filesystem::path& path : programs) {
+    ExpectMatchesGolden(std::filesystem::path(LDL1_GOLDEN_DIR) / "rewrite",
+                        "rewrite", path.stem().string() + ".golden",
+                        RenderRewrites(path));
   }
 }
 
