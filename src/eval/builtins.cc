@@ -10,15 +10,6 @@ namespace ldl {
 
 namespace {
 
-// Resolves literal argument i under subst; returns nullptr when it is not
-// (yet) ground or falls outside U.
-const Term* GroundArg(TermFactory& factory, const LiteralIr& literal,
-                      const Subst& subst, size_t i) {
-  const Term* t = ApplySubst(factory, literal.args[i], subst);
-  if (t == nullptr || !t->ground()) return nullptr;
-  return t;
-}
-
 bool IsArithFunctor(const TermFactory& factory, Symbol symbol) {
   std::string_view name = factory.interner()->Lookup(symbol);
   return name == kAddFunctor || name == kSubFunctor || name == kMulFunctor ||
@@ -80,54 +71,6 @@ const Term* NormalizeArith(TermFactory& factory, const Term* t) {
   }
   std::optional<int64_t> value = EvalArith(factory, t);
   return value ? factory.MakeInt(*value) : t;
-}
-
-bool BuiltinReady(TermFactory& factory, const LiteralIr& literal,
-                  const Subst& subst) {
-  auto ground = [&](size_t i) {
-    return GroundArg(factory, literal, subst, i) != nullptr;
-  };
-  if (literal.negated) {
-    for (size_t i = 0; i < literal.args.size(); ++i) {
-      if (!ground(i)) return false;
-    }
-    return true;
-  }
-  switch (literal.builtin) {
-    case BuiltinKind::kEq:
-      return ground(0) || ground(1);
-    case BuiltinKind::kNeq:
-    case BuiltinKind::kLt:
-    case BuiltinKind::kLe:
-    case BuiltinKind::kGt:
-    case BuiltinKind::kGe:
-      return ground(0) && ground(1);
-    case BuiltinKind::kMember:
-    case BuiltinKind::kSubset:
-      return ground(1);
-    case BuiltinKind::kUnion:
-      return (ground(0) && ground(1)) || ground(2);
-    case BuiltinKind::kIntersection:
-    case BuiltinKind::kDifference:
-      // Backward modes are unbounded (the free operand may contain
-      // arbitrary elements outside the others), so both inputs must be
-      // ground.
-      return ground(0) && ground(1);
-    case BuiltinKind::kPartition:
-      return ground(0) || (ground(1) && ground(2));
-    case BuiltinKind::kCard:
-      return ground(0);
-    case BuiltinKind::kPlus:
-    case BuiltinKind::kMinus:
-    case BuiltinKind::kTimes:
-      return ground(0) + ground(1) + ground(2) >= 2;
-    case BuiltinKind::kDiv:
-    case BuiltinKind::kMod:
-      return ground(0) && ground(1);
-    case BuiltinKind::kNone:
-      return false;
-  }
-  return false;
 }
 
 namespace {

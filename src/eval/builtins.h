@@ -24,11 +24,6 @@ struct BuiltinLimits {
   size_t max_subset_enumeration = 20;
 };
 
-// True when `literal` has an evaluable mode under the current bindings
-// (e.g. member's second argument instantiates to a ground term). Negated
-// built-ins require all arguments ground.
-bool BuiltinReady(TermFactory& factory, const LiteralIr& literal, const Subst& subst);
-
 // Enumerates all solutions of `literal` under *subst, invoking `yield` per
 // solution (with *subst extended). Sets *keep_going to false iff the
 // continuation stopped the enumeration. The substitution is restored before

@@ -88,7 +88,7 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
       step.kind = StepKind::kBuiltin;
       fill_io();
       // Negated built-ins only test; positive ones bind their free variables
-      // on every solution (mirrors BindLiteralVars in OrderBodyLiterals).
+      // on every solution (mirrors BindLiteralVars in ScheduleBody).
       if (literal.negated) {
         step.outputs.clear();
       } else {

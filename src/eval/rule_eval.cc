@@ -3,192 +3,20 @@
 #include <algorithm>
 #include <cassert>
 
-#include "base/str_util.h"
 #include "eval/bindings.h"
+#include "program/wellformed.h"
 #include "term/unify.h"
 
 namespace ldl {
 
-bool TermVarsBound(const Term* t, const std::vector<Symbol>& bound) {
-  std::vector<Symbol> vars;
-  CollectVars(t, &vars);
-  for (Symbol var : vars) {
-    if (std::find(bound.begin(), bound.end(), var) == bound.end()) return false;
-  }
-  return true;
-}
-
-bool LiteralStaticallyReady(const LiteralIr& literal,
-                            const std::vector<Symbol>& bound) {
-  auto arg_bound = [&](size_t i) { return TermVarsBound(literal.args[i], bound); };
-
-  if (literal.negated && literal.is_builtin()) {
-    for (const Term* arg : literal.args) {
-      if (!TermVarsBound(arg, bound)) return false;
-    }
-    return true;
-  }
-  switch (literal.builtin) {
-    case BuiltinKind::kEq:
-      return arg_bound(0) || arg_bound(1);
-    case BuiltinKind::kNeq:
-    case BuiltinKind::kLt:
-    case BuiltinKind::kLe:
-    case BuiltinKind::kGt:
-    case BuiltinKind::kGe:
-      return arg_bound(0) && arg_bound(1);
-    case BuiltinKind::kMember:
-    case BuiltinKind::kSubset:
-      return arg_bound(1);
-    case BuiltinKind::kUnion:
-      return (arg_bound(0) && arg_bound(1)) || arg_bound(2);
-    case BuiltinKind::kIntersection:
-    case BuiltinKind::kDifference:
-      return arg_bound(0) && arg_bound(1);
-    case BuiltinKind::kPartition:
-      return arg_bound(0) || (arg_bound(1) && arg_bound(2));
-    case BuiltinKind::kCard:
-      return arg_bound(0);
-    case BuiltinKind::kPlus:
-    case BuiltinKind::kMinus:
-    case BuiltinKind::kTimes:
-      return arg_bound(0) + arg_bound(1) + arg_bound(2) >= 2;
-    case BuiltinKind::kDiv:
-    case BuiltinKind::kMod:
-      return arg_bound(0) && arg_bound(1);
-    case BuiltinKind::kNone:
-      return true;  // positive relational literals are always evaluable
-  }
-  return false;
-}
-
-void BindLiteralVars(const LiteralIr& literal, std::vector<Symbol>* bound) {
-  for (const Term* arg : literal.args) {
-    std::vector<Symbol> vars;
-    CollectVars(arg, &vars);
-    for (Symbol var : vars) {
-      if (std::find(bound->begin(), bound->end(), var) == bound->end()) {
-        bound->push_back(var);
-      }
-    }
-  }
-}
-
-// Number of argument positions fully bound under `bound` (join selectivity
-// heuristic).
-int BoundArgCount(const LiteralIr& literal, const std::vector<Symbol>& bound) {
-  int count = 0;
-  for (const Term* arg : literal.args) {
-    if (TermVarsBound(arg, bound)) ++count;
-  }
-  return count;
-}
-
-std::vector<std::vector<Symbol>> NegationSharedVars(const RuleIr& rule) {
-  size_t n = rule.body.size();
-  std::vector<std::vector<Symbol>> shared(n);
-  for (size_t i = 0; i < n; ++i) {
-    const LiteralIr& literal = rule.body[i];
-    if (!literal.negated || literal.is_builtin()) continue;
-    std::vector<Symbol> vars;
-    for (const Term* arg : literal.args) CollectVars(arg, &vars);
-    for (Symbol var : vars) {
-      bool elsewhere = false;
-      for (const Term* head_arg : rule.head_args) {
-        if (OccursIn(head_arg, var)) elsewhere = true;
-      }
-      for (size_t j = 0; j < n && !elsewhere; ++j) {
-        if (j == i) continue;
-        for (const Term* arg : rule.body[j].args) {
-          if (OccursIn(arg, var)) {
-            elsewhere = true;
-            break;
-          }
-        }
-      }
-      if (elsewhere) shared[i].push_back(var);
-    }
-  }
-  return shared;
-}
-
 StatusOr<std::vector<int>> OrderBodyLiterals(
     const Catalog& catalog, const RuleIr& rule, int forced_first,
     const std::vector<Symbol>* initially_bound) {
-  size_t n = rule.body.size();
-  std::vector<int> order;
-  order.reserve(n);
-  std::vector<bool> scheduled(n, false);
-  std::vector<Symbol> bound;
-  if (initially_bound != nullptr) bound = *initially_bound;
-
-  std::vector<std::vector<Symbol>> negation_shared_vars = NegationSharedVars(rule);
-  auto negation_ready = [&](size_t i) {
-    for (Symbol var : negation_shared_vars[i]) {
-      if (std::find(bound.begin(), bound.end(), var) == bound.end()) return false;
-    }
-    return true;
-  };
-
-  if (forced_first >= 0) {
-    order.push_back(forced_first);
-    scheduled[forced_first] = true;
-    BindLiteralVars(rule.body[forced_first], &bound);
-  }
-
-  while (order.size() < n) {
-    // 1. Schedule every ready built-in / negation (they only filter or bind
-    //    deterministically, so running them early is always good).
-    bool scheduled_any = true;
-    while (scheduled_any) {
-      scheduled_any = false;
-      for (size_t i = 0; i < n; ++i) {
-        const LiteralIr& literal = rule.body[i];
-        if (scheduled[i] || (!literal.is_builtin() && !literal.negated)) continue;
-        bool ready = literal.negated && !literal.is_builtin()
-                         ? negation_ready(i)
-                         : LiteralStaticallyReady(literal, bound);
-        if (ready) {
-          order.push_back(static_cast<int>(i));
-          scheduled[i] = true;
-          if (!literal.negated) BindLiteralVars(literal, &bound);
-          scheduled_any = true;
-        }
-      }
-    }
-    if (order.size() == n) break;
-
-    // 2. Schedule the positive relational literal with the most bound
-    //    argument positions (ties: textual order).
-    int best = -1;
-    int best_score = -1;
-    for (size_t i = 0; i < n; ++i) {
-      const LiteralIr& literal = rule.body[i];
-      if (scheduled[i] || literal.is_builtin() || literal.negated) continue;
-      int score = BoundArgCount(literal, bound);
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) {
-      // Only unready built-ins / negations remain.
-      std::string names;
-      for (size_t i = 0; i < n; ++i) {
-        if (scheduled[i]) continue;
-        if (!names.empty()) StrAppend(names, ", ");
-        StrAppend(names, rule.body[i].is_builtin()
-                             ? BuiltinName(rule.body[i].builtin)
-                             : catalog.DebugName(rule.body[i].pred));
-      }
-      return NotWellFormedError(
-          StrCat("rule for ", catalog.DebugName(rule.head_pred),
-                 ": no evaluable order for body literals (", names,
-                 " never become bound)"));
-    }
-    order.push_back(best);
-    scheduled[best] = true;
-    BindLiteralVars(rule.body[best], &bound);
+  std::vector<int> order = ScheduleBody(
+      rule, initially_bound != nullptr ? *initially_bound : std::vector<Symbol>{},
+      PositiveOrder::kMostBound, forced_first);
+  if (order.size() < rule.body.size()) {
+    return UnevaluableBodyError(catalog, rule, order);
   }
   return order;
 }

@@ -84,40 +84,12 @@ struct EvalStats {
   }
 };
 
-// --- Static boundness analysis ------------------------------------------
-//
-// Shared between the syntactic orderer below and the cost-based planner
-// (eval/cost.h); both must agree on when a literal is evaluable so the two
-// modes reject exactly the same rules.
-
-// True when every variable of `t` appears in `bound`.
-bool TermVarsBound(const Term* t, const std::vector<Symbol>& bound);
-
-// Static boundness propagation mirroring the runtime modes in builtins.cc
-// (see also wellformed.cc): true when the built-in (or negated literal) has
-// enough bound arguments to run. Positive relational literals are always
-// ready.
-bool LiteralStaticallyReady(const LiteralIr& literal,
-                            const std::vector<Symbol>& bound);
-
-// Adds every variable occurring in `literal`'s arguments to `bound`.
-void BindLiteralVars(const LiteralIr& literal, std::vector<Symbol>* bound);
-
-// Number of argument positions whose variables are all in `bound` (join
-// selectivity heuristic).
-int BoundArgCount(const LiteralIr& literal, const std::vector<Symbol>& bound);
-
-// For each body literal of `rule`: if it is a negated relational literal,
-// the variables it shares with the head or another literal (readiness only
-// requires those; variables local to the literal are existential under the
-// negation, paper §6 rule 5). Empty for every other literal.
-std::vector<std::vector<Symbol>> NegationSharedVars(const RuleIr& rule);
-
-// Computes the evaluation order for `rule`'s body. If forced_first >= 0 that
-// literal occurrence is scheduled first (semi-naive delta variant).
-// `initially_bound` seeds the boundness analysis (e.g. head variables bound
-// by a top-down call pattern). Returns kNotWellFormed if no evaluable order
-// exists (a built-in or negation never becomes ready).
+// Computes the evaluation order for `rule`'s body: ScheduleBody
+// (program/wellformed.h) with the most-bound positive literal next. If
+// forced_first >= 0 that literal occurrence is scheduled first (semi-naive
+// delta variant). `initially_bound` seeds the boundness analysis (e.g. head
+// variables bound by a top-down call pattern). Returns kNotWellFormed if no
+// evaluable order exists (a built-in or negation never becomes ready).
 StatusOr<std::vector<int>> OrderBodyLiterals(
     const Catalog& catalog, const RuleIr& rule, int forced_first = -1,
     const std::vector<Symbol>* initially_bound = nullptr);

@@ -85,6 +85,7 @@ StatusOr<AdornedProgram> AdornProgram(const ProgramIr& program, Catalog* catalog
         literal.pred = get_adorned(literal.pred, sip.literal_adornments[j]);
       }
       result.rules.rules.push_back(std::move(adorned_rule));
+      result.sip_orders.push_back(std::move(sip.order));
     }
   }
   return result;

@@ -10,6 +10,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "base/status.h"
 #include "program/ir.h"
@@ -24,6 +25,9 @@ struct AdornedInfo {
 
 struct AdornedProgram {
   ProgramIr rules;
+  // Per rule of `rules`: the body order of the sip it was adorned under
+  // (Sip::order). The magic rewriting follows it.
+  std::vector<std::vector<int>> sip_orders;
   // The adorned predicate answering the query.
   PredId query_pred = kInvalidPred;
   std::string query_adornment;

@@ -7,6 +7,7 @@
 #include "eval/builtins.h"
 #include "parser/parser.h"
 #include "program/lower.h"
+#include "program/wellformed.h"
 
 namespace ldl {
 namespace {
@@ -61,6 +62,14 @@ class BuiltinsTest : public ::testing::Test {
         &keep_going);
     if (!status.ok()) return status;
     return solutions;
+  }
+
+  // The static mode table's answer with the named variables bound.
+  bool Ready(const LiteralIr& literal,
+             std::initializer_list<const char*> bound_vars) {
+    std::vector<Symbol> bound;
+    for (const char* var : bound_vars) bound.push_back(interner_.Intern(var));
+    return LiteralStaticallyReady(literal, /*negation_shared=*/{}, bound);
   }
 
   size_t Count(const LiteralIr& literal,
@@ -196,10 +205,7 @@ TEST_F(BuiltinsTest, IntersectionAndDifference) {
   // Non-sets make the predicate false.
   EXPECT_EQ(Count(Lit(BuiltinKind::kIntersection, {"a", "{1}", "S"})), 0u);
   // Both inputs must be bound.
-  Subst empty;
-  EXPECT_FALSE(BuiltinReady(factory_,
-                            Lit(BuiltinKind::kDifference, {"{1}", "S2", "S3"}),
-                            empty));
+  EXPECT_FALSE(Ready(Lit(BuiltinKind::kDifference, {"{1}", "S2", "S3"}), {}));
 }
 
 // ---------------------------------------------------------------- subset --
@@ -383,20 +389,20 @@ TEST_F(BuiltinsTest, EvalArithOverflowIsNullopt) {
 
 // -------------------------------------------------------------- readiness --
 
+// The static mode table (program/wellformed.h) the planners, the sip and
+// range restriction share; the evaluator runs a built-in only in these modes.
 TEST_F(BuiltinsTest, ReadyChecks) {
-  Subst empty;
-  EXPECT_FALSE(BuiltinReady(factory_, Lit(BuiltinKind::kMember, {"X", "S"}), empty));
-  EXPECT_TRUE(
-      BuiltinReady(factory_, Lit(BuiltinKind::kMember, {"X", "{1}"}), empty));
-  EXPECT_FALSE(BuiltinReady(factory_, Lit(BuiltinKind::kEq, {"X", "Y"}), empty));
-  EXPECT_TRUE(BuiltinReady(factory_, Lit(BuiltinKind::kEq, {"X", "1"}), empty));
-  EXPECT_FALSE(
-      BuiltinReady(factory_, Lit(BuiltinKind::kPlus, {"A", "B", "3"}), empty));
-  EXPECT_TRUE(
-      BuiltinReady(factory_, Lit(BuiltinKind::kPlus, {"1", "B", "3"}), empty));
-  Subst bound;
-  bound.Bind(interner_.Intern("S"), factory_.EmptySet());
-  EXPECT_TRUE(BuiltinReady(factory_, Lit(BuiltinKind::kMember, {"X", "S"}), bound));
+  EXPECT_FALSE(Ready(Lit(BuiltinKind::kMember, {"X", "S"}), {}));
+  EXPECT_TRUE(Ready(Lit(BuiltinKind::kMember, {"X", "{1}"}), {}));
+  EXPECT_FALSE(Ready(Lit(BuiltinKind::kEq, {"X", "Y"}), {}));
+  EXPECT_TRUE(Ready(Lit(BuiltinKind::kEq, {"X", "1"}), {}));
+  EXPECT_FALSE(Ready(Lit(BuiltinKind::kPlus, {"A", "B", "3"}), {}));
+  EXPECT_TRUE(Ready(Lit(BuiltinKind::kPlus, {"1", "B", "3"}), {}));
+  EXPECT_TRUE(Ready(Lit(BuiltinKind::kMember, {"X", "S"}), {"S"}));
+  // div and mod run forward only: the dividend and divisor must be bound.
+  EXPECT_FALSE(Ready(Lit(BuiltinKind::kDiv, {"X", "2", "10"}), {}));
+  EXPECT_FALSE(Ready(Lit(BuiltinKind::kMod, {"X", "2", "10"}), {}));
+  EXPECT_TRUE(Ready(Lit(BuiltinKind::kDiv, {"10", "2", "Z"}), {}));
 }
 
 // ---------------------------------------------------------- EvalArith unit --

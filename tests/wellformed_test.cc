@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "base/str_util.h"
+#include "ldl/service.h"
 #include "parser/parser.h"
 #include "program/lower.h"
 #include "program/wellformed.h"
@@ -58,6 +60,29 @@ TEST_F(WellformedTest, UnboundBuiltinChainsFail) {
             StatusCode::kNotWellFormed);
   EXPECT_EQ(Check("m(X) :- member(X, S).").code(), StatusCode::kNotWellFormed);
   EXPECT_EQ(Check("e(Y) :- Y = Z.").code(), StatusCode::kNotWellFormed);
+}
+
+// div and mod run forward only (the evaluator has no backward mode for
+// them), so a rule that could bind the quotient's dividend only backwards
+// fails the range restriction when loaded, while + runs backwards.
+TEST_F(WellformedTest, DivModRunForwardOnlyAtLoad) {
+  for (const char* builtin : {"div", "mod"}) {
+    Service service;
+    Status status = service.Load(
+        StrCat("q(10).\np(X) :- q(Z), ", builtin, "(X, 2, Z).\n"));
+    EXPECT_EQ(status.code(), StatusCode::kNotWellFormed) << builtin;
+    EXPECT_NE(status.message().find("range restriction, paper §7"),
+              std::string::npos)
+        << builtin << ": " << status;
+    EXPECT_NE(status.message().find("variable X"), std::string::npos)
+        << builtin << ": " << status;
+  }
+  Service service;
+  ASSERT_TRUE(service.Load("q(10).\np(X) :- q(Z), plus(X, 2, Z).\n").ok());
+  auto answers = service.Query("p(X)");
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  ASSERT_EQ(answers->tuples.size(), 1u);
+  EXPECT_EQ(answers->tuples[0][0]->int_value(), 8);
 }
 
 TEST_F(WellformedTest, ComparisonsNeedBothSidesBound) {
