@@ -9,6 +9,7 @@
 #include "eval/bindings.h"
 #include "eval/cost.h"
 #include "eval/engine_internal.h"
+#include "program/depgraph.h"
 #include "term/unify.h"
 
 namespace ldl {
@@ -614,11 +615,113 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
     grouping_orders.push_back(std::move(order));
   }
 
+  // Grouping and negation rules are not monotone, and the saturation never
+  // retracts a fact: each must fire over a state in which everything it
+  // reads is complete for the current magic facts, or it emits a partial
+  // group or a negation that a later fact falsifies. They fire one
+  // dependency level at a time, lowest first, and after any level that
+  // derived something the positive part is saturated again before a higher
+  // level fires. That also derives the magic facts of negated literals
+  // whose bindings come from a grouping or negation rule. A level is the
+  // strongly connected component of the rule's head once the edges into
+  // magic predicates are left out: those only carry demand, which the
+  // saturation derives in between, and without them the components follow
+  // the layering of the source program.
+  struct Level {
+    std::vector<size_t> grouping;  // indices into grouping_rules
+    std::vector<size_t> negation;  // indices into negation_rules
+  };
+  // A single such rule needs no order, so the graph is built only for more.
+  int component_count = 1;
+  std::vector<int> component;
+  if (grouping_rules.size() + negation_rules.size() > 1) {
+    component = DepGraph::Build(*catalog_, program)
+                    .StronglyConnectedComponents(&component_count);
+  }
+  std::vector<Level> levels(static_cast<size_t>(component_count));
+  auto level_of = [&](int r) -> Level& {
+    return levels[component.empty() ? 0 : component[program.rules[r].head_pred]];
+  };
+  for (size_t g = 0; g < grouping_rules.size(); ++g) {
+    level_of(grouping_rules[g]).grouping.push_back(g);
+  }
+  for (size_t i = 0; i < negation_rules.size(); ++i) {
+    level_of(negation_rules[i]).negation.push_back(i);
+  }
+  std::erase_if(levels, [](const Level& level) {
+    return level.grouping.empty() && level.negation.empty();
+  });
+
+  // Fires grouping rule g over the current state, reconciled per key.
+  auto fire_grouping = [&](size_t g, bool* changed) -> Status {
+    const RuleIr& rule = program.rules[grouping_rules[g]];
+    RuleProfileEntry* entry =
+        ProfileEntry(profile, rule, grouping_rules[g], /*stratum=*/-1);
+    EvalStats group_local;
+    EvalStats* gs = entry != nullptr ? &group_local : stats;
+    ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns
+                                           : nullptr);
+    RuleEvaluator evaluator(
+        factory_, &rule, grouping_orders[g], options.builtin_limits,
+        plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits),
+        &block_storage_);
+    ++gs->rule_firings;
+    LDL_ASSIGN_OR_RETURN(
+        std::vector<GroupResult> groups,
+        ComputeGroups(*factory_, evaluator, *db, gs, &group_caches[g]));
+    for (GroupResult& group : groups) {
+      auto it = emitted[g].find(group.key);
+      if (it == emitted[g].end()) {
+        if (db->AddFact(rule.head_pred, group.fact)) {
+          *changed = true;
+          ++gs->facts_derived;
+        }
+        emitted[g].emplace(std::move(group.key), std::move(group.fact));
+        continue;
+      }
+      if (it->second == group.fact) continue;
+      // The group regrew after it was first emitted. For admissible source
+      // programs the per-magic-tuple body is complete before the group
+      // first fires, so this indicates a non-layered source (see §6
+      // discussion). Replace, but only if the old fact is not claimed by
+      // another grouping rule, and require monotone growth.
+      const Term* old_set = it->second[rule.group_index];
+      const Term* new_set = group.fact[rule.group_index];
+      if (!old_set->is_set() || !new_set->is_set() ||
+          factory_->SetDifference(old_set, new_set)->size() != 0) {
+        return InternalError(
+            "a grouped set changed non-monotonically during magic "
+            "evaluation; source program is not admissible");
+      }
+      bool claimed_elsewhere = false;
+      for (size_t other = 0; other < emitted.size(); ++other) {
+        if (other == g) continue;
+        for (const auto& [key, fact] : emitted[other]) {
+          if (fact == it->second &&
+              program.rules[grouping_rules[other]].head_pred == rule.head_pred) {
+            claimed_elsewhere = true;
+            break;
+          }
+        }
+        if (claimed_elsewhere) break;
+      }
+      if (!claimed_elsewhere) db->relation(rule.head_pred).Erase(it->second);
+      if (db->AddFact(rule.head_pred, group.fact)) ++gs->facts_derived;
+      it->second = std::move(group.fact);
+      *changed = true;
+    }
+    if (entry != nullptr) {
+      ++entry->counters.firings;
+      AttributeStats(entry, group_local);
+      stats->Add(group_local);
+    }
+    return Status::OK();
+  };
+
   for (size_t round = 0;; ++round) {
     if (round >= options.max_rounds) {
       return ResourceExhaustedError("saturation exceeded max_rounds");
     }
-    bool changed = false;
 
     // 1. Saturate the positive, non-grouping part. For a given set of magic
     //    facts this fully evaluates every predicate a grouping or negated
@@ -627,82 +730,24 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
       bool derived = false;
       LDL_RETURN_IF_ERROR(Fixpoint(program, positive_rules, /*stratum_index=*/-1,
                                    db, sat_options, stats, &derived, profile));
-      changed = changed || derived;
     }
 
-    // 2. Grouping rules over the saturated state, reconciled per key.
-    for (size_t g = 0; g < grouping_rules.size(); ++g) {
-      const RuleIr& rule = program.rules[grouping_rules[g]];
-      RuleProfileEntry* entry =
-          ProfileEntry(profile, rule, grouping_rules[g], /*stratum=*/-1);
-      EvalStats group_local;
-      EvalStats* gs = entry != nullptr ? &group_local : stats;
-      ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns
-                                             : nullptr);
-      RuleEvaluator evaluator(
-          factory_, &rule, grouping_orders[g], options.builtin_limits,
-          plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits),
-          &block_storage_);
-      ++gs->rule_firings;
-      LDL_ASSIGN_OR_RETURN(
-          std::vector<GroupResult> groups,
-          ComputeGroups(*factory_, evaluator, *db, gs, &group_caches[g]));
-      for (GroupResult& group : groups) {
-        auto it = emitted[g].find(group.key);
-        if (it == emitted[g].end()) {
-          if (db->AddFact(rule.head_pred, group.fact)) {
-            changed = true;
-            ++gs->facts_derived;
-          }
-          emitted[g].emplace(std::move(group.key), std::move(group.fact));
-          continue;
-        }
-        if (it->second == group.fact) continue;
-        // The group regrew after it was first emitted. For admissible source
-        // programs the per-magic-tuple body is complete before the group
-        // first fires, so this indicates a non-layered source (see §6
-        // discussion). Replace, but only if the old fact is not claimed by
-        // another grouping rule, and require monotone growth.
-        const Term* old_set = it->second[rule.group_index];
-        const Term* new_set = group.fact[rule.group_index];
-        if (!old_set->is_set() || !new_set->is_set() ||
-            factory_->SetDifference(old_set, new_set)->size() != 0) {
-          return InternalError(
-              "a grouped set changed non-monotonically during magic "
-              "evaluation; source program is not admissible");
-        }
-        bool claimed_elsewhere = false;
-        for (size_t other = 0; other < emitted.size(); ++other) {
-          if (other == g) continue;
-          for (const auto& [key, fact] : emitted[other]) {
-            if (fact == it->second &&
-                program.rules[grouping_rules[other]].head_pred == rule.head_pred) {
-              claimed_elsewhere = true;
-              break;
-            }
-          }
-          if (claimed_elsewhere) break;
-        }
-        if (!claimed_elsewhere) db->relation(rule.head_pred).Erase(it->second);
-        if (db->AddFact(rule.head_pred, group.fact)) ++gs->facts_derived;
-        it->second = std::move(group.fact);
-        changed = true;
+    // 2. The lowest level that derives something; the next round saturates
+    //    its consequences before any higher level reads them.
+    bool changed = false;
+    for (const Level& level : levels) {
+      for (size_t g : level.grouping) {
+        LDL_RETURN_IF_ERROR(fire_grouping(g, &changed));
       }
-      if (entry != nullptr) {
-        ++entry->counters.firings;
-        AttributeStats(entry, group_local);
-        stats->Add(group_local);
+      for (size_t i : level.negation) {
+        const RuleIr& rule = program.rules[negation_rules[i]];
+        bool derived = false;
+        LDL_RETURN_IF_ERROR(ApplyRule(
+            rule, negation_orders[i], {}, db, options, stats, &derived,
+            ProfileEntry(profile, rule, negation_rules[i], /*stratum=*/-1)));
+        changed = changed || derived;
       }
-    }
-
-    // 3. Negation rules over the saturated state.
-    for (size_t i = 0; i < negation_rules.size(); ++i) {
-      const RuleIr& rule = program.rules[negation_rules[i]];
-      bool derived = false;
-      LDL_RETURN_IF_ERROR(ApplyRule(
-          rule, negation_orders[i], {}, db, options, stats, &derived,
-          ProfileEntry(profile, rule, negation_rules[i], /*stratum=*/-1)));
-      changed = changed || derived;
+      if (changed) break;
     }
 
     if (!changed) break;

@@ -14,11 +14,13 @@
 //     away (derivation-count decrements or delete-and-rederive), and
 //     resumes the semi-naive fixpoint from the inserted rows.
 //   * EvaluateSaturating: evaluation of a magic-rewritten program, which is
-//     not layered (§6). Positive non-grouping rules are saturated, then
-//     grouping and negation rules fire over the saturated state; the loop
-//     repeats until global fixpoint. Grouped facts are reconciled per
-//     partition key; a group that would shrink or change retroactively
-//     indicates a non-layered source program and raises kInternal.
+//     not layered (§6). Positive non-grouping rules are saturated; then the
+//     grouping and negation rules of the lowest dependency level (strongly
+//     connected component of the rewritten program) that derives anything
+//     fire over the saturated state, and the loop repeats until no level
+//     derives anything. Grouped facts are reconciled per partition key; a
+//     group that would shrink or change retroactively indicates a
+//     non-layered source program and raises kInternal.
 //
 // Evaluation is serial: one thread runs each fixpoint round, applying every
 // rule (or delta variant) against the round-start windows. Concurrency

@@ -7,10 +7,12 @@ namespace ldl {
 DepGraph DepGraph::Build(const Catalog& catalog, const ProgramIr& program) {
   DepGraph graph;
   graph.adjacency_.resize(catalog.size());
+  std::vector<bool> magic(catalog.size(), false);
+  for (PredId p : program.magic_preds) magic[p] = true;
   for (size_t r = 0; r < program.rules.size(); ++r) {
     const RuleIr& rule = program.rules[r];
     for (const LiteralIr& literal : rule.body) {
-      if (literal.is_builtin()) continue;
+      if (literal.is_builtin() || magic[literal.pred]) continue;
       DepEdge edge;
       edge.from = rule.head_pred;
       edge.to = literal.pred;

@@ -26,6 +26,7 @@ struct DepEdge {
 class DepGraph {
  public:
   // Builds the dependency graph of `program` over `catalog`'s predicates.
+  // Edges into `program.magic_preds` are left out.
   static DepGraph Build(const Catalog& catalog, const ProgramIr& program);
 
   size_t node_count() const { return adjacency_.size(); }

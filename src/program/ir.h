@@ -46,6 +46,11 @@ struct RuleIr {
 
 struct ProgramIr {
   std::vector<RuleIr> rules;
+  // The magic predicates of a magic-rewritten program (empty otherwise).
+  // They carry demand, not facts: the dependency graph leaves out edges
+  // into them, so Engine::EvaluateSaturating can order the grouping and
+  // negation rules by the source program's layering.
+  std::vector<PredId> magic_preds;
 };
 
 }  // namespace ldl
