@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "base/str_util.h"
 #include "eval/bindings.h"
 #include "eval/cost.h"
 #include "eval/engine_internal.h"
@@ -49,7 +48,7 @@ RuleProfileEntry* Engine::ProfileEntry(EvalProfile* profile, const RuleIr& rule,
   return &entry;
 }
 
-Status Engine::ApplyRule(const RuleIr& rule, const std::vector<int>& order,
+Status Engine::ApplyRule(const RuleIr& rule, const ResolvedOrder& resolved,
                          const std::vector<LiteralWindow>& windows, Database* db,
                          const EvalOptions& options, EvalStats* stats,
                          bool* derived, RuleProfileEntry* entry) {
@@ -60,8 +59,8 @@ Status Engine::ApplyRule(const RuleIr& rule, const std::vector<int>& order,
   EvalStats* s = entry != nullptr ? &local_stats : stats;
   ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
 
-  RuleEvaluator evaluator(factory_, &rule, order, options.builtin_limits,
-                          plans_->Get(rule, order, &s->plan_cache_hits),
+  RuleEvaluator evaluator(factory_, &rule, resolved.order,
+                          options.builtin_limits, resolved.plan,
                           &block_storage_);
   ++s->rule_firings;
 
@@ -70,23 +69,21 @@ Status Engine::ApplyRule(const RuleIr& rule, const std::vector<int>& order,
   RowBuffer produced(rule.head_args.size());
   LDL_RETURN_IF_ERROR(evaluator.CollectHeads(*db, windows, &produced, s));
 
+  bool inserted = false;
   for (size_t i = 0; i < produced.size(); ++i) {
     if (db->AddFact(rule.head_pred, produced.row(i))) {
-      *derived = true;
+      inserted = true;
       ++s->facts_derived;
     }
   }
+  *derived = *derived || inserted;
   if (entry != nullptr) {
     ++entry->counters.firings;
     AttributeStats(entry, local_stats);
     stats->Add(local_stats);
   }
-  if (db->TotalFacts() > options.max_facts) {
-    return ResourceExhaustedError(
-        StrCat("database exceeded max_facts = ", options.max_facts,
-               " (non-terminating program?)"));
-  }
-  return Status::OK();
+  // Only an insert can push the database over the limit.
+  return inserted ? CheckMaxFacts(*db, options) : Status::OK();
 }
 
 Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
@@ -131,66 +128,15 @@ Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
   return Status::OK();
 }
 
-Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_indices,
-                        int stratum_index, Database* db, const EvalOptions& options,
-                        EvalStats* stats, bool* derived_any, EvalProfile* profile,
-                        const FixpointSeed* seed) {
-  // Row counts are read through the const view: a bound query's scratch
-  // database serves its EDB predicates from a read-through base
-  // (Database::ReadThrough), which only relation() const resolves.
-  const Database& view = *db;
-  // The catalog may grow while this runs (a concurrent reader's magic
-  // rewrite or a write registers predicates), so every per-predicate array
-  // and loop below uses the size taken here. Predicates registered later
-  // cannot occur in these rules.
-  const size_t pred_count = catalog_->size();
-  // IDB predicates of this fixpoint: heads of the participating rules.
-  std::vector<bool> idb(pred_count, false);
-  for (int r : rule_indices) idb[program.rules[r].head_pred] = true;
-
-  // Delta carriers: the IDB heads, plus the seed's externally changed
-  // predicates when resuming incrementally.
-  std::vector<bool> delta_preds = idb;
-  if (seed != nullptr) {
-    for (PredId p = 0; p < delta_preds.size() && p < seed->delta_preds->size();
-         ++p) {
-      if ((*seed->delta_preds)[p]) delta_preds[p] = true;
-    }
-  }
-  // A seeded resume always runs the semi-naive machinery: the model is
-  // already a fixpoint over the pre-update inputs, so only the delta rows
-  // can produce anything new.
-  const bool seminaive =
-      options.mode == EvalOptions::Mode::kSemiNaive || seed != nullptr;
-
-  struct Compiled {
-    const RuleIr* rule;
-    std::vector<int> default_order;
-    // (occurrence, order) pairs for semi-naive delta variants.
-    std::vector<std::pair<int, std::vector<int>>> delta_variants;
-    // Whether each variant has an ordering choice at all: with fewer than
-    // two positive literals besides the pinned occurrence there is nothing
-    // to reorder, and the per-round replanning pass (snapshot + re-cost)
-    // skips the variant -- this keeps the planner's per-round overhead at
-    // zero for the common linear-recursion shape.
-    std::vector<bool> replannable;
-    // Profile entry (null when profiling is off); cached across rounds, so
-    // the profile's rule table must not reallocate (ReserveRules).
-    RuleProfileEntry* entry = nullptr;
-  };
-  // Entry-time cost model for the initial order choice, taken before round
-  // 0 touches the database. Seeded resumes (the incremental insert/delete
-  // paths) always order syntactically: their windows are tiny, so per-call
-  // planning would dominate the microsecond-scale maintenance work it is
-  // meant to save.
-  const bool cost_based = options.cost_based && seed == nullptr;
-  CostModel entry_model;
-  if (cost_based) entry_model = CostModel::Snapshot(*db, *catalog_);
+StatusOr<std::vector<FixpointRule>> Engine::CompileFixpoint(
+    const ProgramIr& program, const std::vector<int>& rule_indices,
+    const std::vector<bool>* delta_preds, const CostModel* cost_model,
+    EvalStats* stats) {
   auto choose_order = [&](const RuleIr& rule,
                           int forced) -> StatusOr<std::vector<int>> {
-    if (!cost_based) return OrderBodyLiterals(*catalog_, rule, forced);
+    if (cost_model == nullptr) return OrderBodyLiterals(*catalog_, rule, forced);
     StatusOr<std::vector<int>> order =
-        OrderBodyLiteralsCostBased(*catalog_, rule, entry_model, forced);
+        OrderBodyLiteralsCostBased(*catalog_, rule, *cost_model, forced);
     if (order.ok()) {
       // Observability: count adopted cost-based orders that differ from
       // what the syntactic heuristic would have picked.
@@ -202,44 +148,153 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     }
     return order;
   };
+  auto resolve = [&](const RuleIr& rule, std::vector<int> order) {
+    std::shared_ptr<const JoinPlan> plan =
+        plans_->Get(rule, order, &stats->plan_cache_hits);
+    return ResolvedOrder{std::move(order), std::move(plan)};
+  };
 
-  std::vector<Compiled> compiled;
+  std::vector<FixpointRule> compiled;
   compiled.reserve(rule_indices.size());
+  int replan_slots = 0;
   for (int r : rule_indices) {
     const RuleIr& rule = program.rules[r];
-    Compiled c;
-    c.rule = &rule;
-    c.entry = ProfileEntry(profile, rule, r, stratum_index);
-    LDL_ASSIGN_OR_RETURN(c.default_order, choose_order(rule, -1));
-    if (c.entry != nullptr && cost_based) {
-      // Round 0 applies the default order over the full database; log its
-      // estimate so mis-estimates show up next to `solutions`.
-      c.entry->counters.est_rows += EstimateToCounter(
-          EstimateOrderCost(rule, c.default_order, entry_model).out_rows);
-    }
-    if (seminaive) {
+    FixpointRule c;
+    c.rule_index = r;
+    LDL_ASSIGN_OR_RETURN(std::vector<int> default_order, choose_order(rule, -1));
+    c.full = resolve(rule, std::move(default_order));
+    if (delta_preds != nullptr) {
+      // A variant has an ordering choice only with at least two positive
+      // literals besides the pinned occurrence; the others skip the
+      // per-round replanning pass (snapshot + re-cost) wholesale, which
+      // keeps the planner's per-round overhead at zero for the common
+      // linear-recursion shape.
       int positives = 0;
       for (const LiteralIr& literal : rule.body) {
         if (!literal.is_builtin() && !literal.negated) ++positives;
       }
-      for (int occurrence : RecursiveOccurrences(rule, delta_preds)) {
-        c.replannable.push_back(positives >= 3);
-        StatusOr<std::vector<int>> order = choose_order(rule, occurrence);
-        if (!order.ok()) {
-          // Windows bind to body positions, not evaluation slots, so the
-          // default order stays correct for any delta occurrence; forcing
-          // the occurrence first is only a join-ordering optimization. Fall
-          // back when a seeded occurrence (e.g. an EDB predicate the
-          // default analysis never fronts) has no evaluable forced order.
-          if (seed == nullptr) return order.status();
-          c.delta_variants.emplace_back(occurrence, c.default_order);
-          continue;
+      for (int occurrence : RecursiveOccurrences(rule, *delta_preds)) {
+        FixpointRule::DeltaVariant variant;
+        variant.occurrence = occurrence;
+        if (cost_model != nullptr && positives >= 3) {
+          variant.replan_slot = replan_slots++;
         }
-        c.delta_variants.emplace_back(occurrence, std::move(order).value());
+        StatusOr<std::vector<int>> order = choose_order(rule, occurrence);
+        // Windows bind to body positions, not evaluation slots, so the
+        // default order stays correct for any delta occurrence; fronting
+        // the occurrence is only a join-ordering optimization. Fall back
+        // when an occurrence (e.g. an EDB predicate the default analysis
+        // never fronts) has no evaluable fronted order.
+        variant.resolved =
+            order.ok() ? resolve(rule, std::move(order).value()) : c.full;
+        c.variants.push_back(std::move(variant));
       }
     }
     compiled.push_back(std::move(c));
   }
+  return compiled;
+}
+
+Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_indices,
+                        int stratum_index, Database* db, const EvalOptions& options,
+                        EvalStats* stats, bool* derived_any, EvalProfile* profile,
+                        const FixpointSeed* seed) {
+  // The catalog may grow while this runs (a concurrent reader's magic
+  // rewrite or a write registers predicates), so every per-predicate array
+  // is sized to the catalog as it is here. Predicates registered later
+  // cannot occur in these rules.
+  const size_t pred_count = catalog_->size();
+  // Delta carriers: the IDB heads of this fixpoint, plus the seed's
+  // externally changed predicates when resuming incrementally.
+  std::vector<bool> delta_preds(pred_count, false);
+  for (int r : rule_indices) delta_preds[program.rules[r].head_pred] = true;
+  if (seed != nullptr) {
+    for (PredId p = 0; p < pred_count && p < seed->delta_preds->size(); ++p) {
+      if ((*seed->delta_preds)[p]) delta_preds[p] = true;
+    }
+  }
+  // A seeded resume always runs the semi-naive machinery: the model is
+  // already a fixpoint over the pre-update inputs, so only the delta rows
+  // can produce anything new -- and without any there is nothing to
+  // compile either.
+  const bool seminaive =
+      options.mode == EvalOptions::Mode::kSemiNaive || seed != nullptr;
+  if (seed != nullptr) {
+    const Database& view = *db;
+    bool any_delta = false;
+    for (PredId p = 0; p < pred_count && !any_delta; ++p) {
+      const size_t mark =
+          p < seed->watermarks->size() ? (*seed->watermarks)[p] : 0;
+      any_delta = delta_preds[p] && view.relation(p).row_count() > mark;
+    }
+    if (!any_delta) {
+      for (int r : rule_indices) {
+        ProfileEntry(profile, program.rules[r], r, stratum_index);
+      }
+      return Status::OK();
+    }
+  }
+  LDL_RETURN_IF_ERROR(CheckMaxFacts(*db, options));
+  // Entry-time cost model for the initial order choice, taken before round
+  // 0 touches the database. Seeded resumes (the incremental insert/delete
+  // paths) always order syntactically: their windows are tiny, so per-call
+  // planning would dominate the microsecond-scale maintenance work it is
+  // meant to save.
+  const bool cost_based = options.cost_based && seed == nullptr;
+  CostModel entry_model;
+  if (cost_based) entry_model = CostModel::Snapshot(*db, *catalog_);
+  LDL_ASSIGN_OR_RETURN(
+      std::vector<FixpointRule> rules,
+      CompileFixpoint(program, rule_indices, seminaive ? &delta_preds : nullptr,
+                      cost_based ? &entry_model : nullptr, stats));
+  if (profile != nullptr && cost_based) {
+    // Round 0 applies the default order over the full database; log its
+    // estimate so mis-estimates show up next to `solutions`.
+    for (const FixpointRule& c : rules) {
+      const RuleIr& rule = program.rules[c.rule_index];
+      ProfileEntry(profile, rule, c.rule_index, stratum_index)
+          ->counters.est_rows += EstimateToCounter(
+          EstimateOrderCost(rule, c.full.order, entry_model).out_rows);
+    }
+  }
+  return RunFixpoint(program, rules, delta_preds, stratum_index, db, options,
+                     stats, derived_any, profile, seed);
+}
+
+Status Engine::RunFixpoint(const ProgramIr& program,
+                           const std::vector<FixpointRule>& rules,
+                           const std::vector<bool>& delta_preds,
+                           int stratum_index, Database* db,
+                           const EvalOptions& options, EvalStats* stats,
+                           bool* derived_any, EvalProfile* profile,
+                           const FixpointSeed* seed) {
+  // Row counts are read through the const view: a bound query's scratch
+  // database serves its EDB predicates from a read-through base
+  // (Database::ReadThrough), which only relation() const resolves.
+  const Database& view = *db;
+  const size_t pred_count = delta_preds.size();
+  const bool seminaive =
+      options.mode == EvalOptions::Mode::kSemiNaive || seed != nullptr;
+  if (profile != nullptr) {
+    // Label every rule's profile entry up front, fired or not.
+    for (const FixpointRule& c : rules) {
+      ProfileEntry(profile, program.rules[c.rule_index], c.rule_index,
+                   stratum_index);
+    }
+  }
+
+  // The current order of every replannable variant: starts at the compiled
+  // one and switches when a round's re-costing finds a much cheaper one.
+  std::vector<ResolvedOrder> replanned;
+  for (const FixpointRule& c : rules) {
+    for (const FixpointRule::DeltaVariant& v : c.variants) {
+      // CompileFixpoint numbers the slots in this same order.
+      if (v.replan_slot >= 0) replanned.push_back(v.resolved);
+    }
+  }
+  auto current = [&](const FixpointRule::DeltaVariant& v) -> ResolvedOrder& {
+    return replanned[v.replan_slot];
+  };
 
   // Low watermarks: from scratch, round 0 consumes everything and the
   // deltas start at the pre-round row counts; a seeded resume starts each
@@ -265,16 +320,18 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     for (PredId p = 0; p < pred_count; ++p) {
       snap[p] = view.relation(p).row_count();
     }
-    for (const Compiled& c : compiled) {
-      std::vector<LiteralWindow> windows(c.rule->body.size());
-      for (size_t i = 0; i < c.rule->body.size(); ++i) {
-        const LiteralIr& literal = c.rule->body[i];
+    for (const FixpointRule& c : rules) {
+      const RuleIr& rule = program.rules[c.rule_index];
+      std::vector<LiteralWindow> windows(rule.body.size());
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        const LiteralIr& literal = rule.body[i];
         if (!literal.is_builtin() && !literal.negated) {
           windows[i] = {0, snap[literal.pred]};
         }
       }
-      LDL_RETURN_IF_ERROR(ApplyRule(*c.rule, c.default_order, windows, db,
-                                    options, stats, derived, c.entry));
+      LDL_RETURN_IF_ERROR(ApplyRule(
+          rule, c.full, windows, db, options, stats, derived,
+          ProfileEntry(profile, rule, c.rule_index, stratum_index)));
     }
     return Status::OK();
   };
@@ -320,62 +377,55 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     // Adaptive replanning: delta windows have wildly different
     // cardinalities than the full relations the entry-time orders were
     // priced against, and the balance drifts as the fixpoint grows the IDB.
-    // Re-cost each live delta variant against this round's window sizes
-    // ([low, high) for the pinned occurrence, [0, low) for later carriers)
-    // and switch its order when the current one is estimated at more than
-    // replan_cost_ratio times the best. Every input is a round-start
-    // snapshot, so the choice does not depend on rule order within a round.
-    // Variants with no ordering choice (fewer than two movable positives)
-    // are skipped wholesale; when none qualifies the snapshot is never
-    // taken, so linear recursion pays nothing per round.
-    bool any_replannable = false;
-    if (cost_based) {
-      for (const Compiled& c : compiled) {
-        for (size_t v = 0; v < c.delta_variants.size(); ++v) {
-          if (c.replannable[v]) any_replannable = true;
-        }
-      }
-    }
-    if (cost_based && any_replannable) {
+    // Re-cost each live replannable variant against this round's window
+    // sizes ([low, high) for the pinned occurrence, [0, low) for later
+    // carriers) and switch its order -- and plan -- when the current one is
+    // estimated at more than replan_cost_ratio times the best. Every input
+    // is a round-start snapshot, so the choice does not depend on rule
+    // order within a round. Without replannable variants the snapshot is
+    // never taken, so linear recursion pays nothing per round.
+    if (!replanned.empty()) {
       CostModel round_model = CostModel::Snapshot(*db, *catalog_);
       std::vector<double> literal_rows;  // per body position; < 0 = model
-      for (Compiled& c : compiled) {
-        for (size_t v = 0; v < c.delta_variants.size(); ++v) {
-          if (!c.replannable[v]) continue;
-          auto& [occurrence, order] = c.delta_variants[v];
-          PredId delta_pred = c.rule->body[occurrence].pred;
+      for (const FixpointRule& c : rules) {
+        const RuleIr& rule = program.rules[c.rule_index];
+        for (const FixpointRule::DeltaVariant& v : c.variants) {
+          if (v.replan_slot < 0) continue;
+          ResolvedOrder& resolved = current(v);
+          PredId delta_pred = rule.body[v.occurrence].pred;
           if (high[delta_pred] <= low[delta_pred]) continue;
-          literal_rows.assign(c.rule->body.size(), -1.0);
-          for (size_t i = 0; i < c.rule->body.size(); ++i) {
-            const LiteralIr& literal = c.rule->body[i];
+          literal_rows.assign(rule.body.size(), -1.0);
+          for (size_t i = 0; i < rule.body.size(); ++i) {
+            const LiteralIr& literal = rule.body[i];
             if (literal.is_builtin() || literal.negated) continue;
-            if (static_cast<int>(i) > occurrence &&
-                literal.pred < delta_preds.size() &&
-                delta_preds[literal.pred]) {
+            if (static_cast<int>(i) > v.occurrence && delta_preds[literal.pred]) {
               literal_rows[i] = static_cast<double>(low[literal.pred]);
             }
           }
-          literal_rows[occurrence] =
+          literal_rows[v.occurrence] =
               static_cast<double>(high[delta_pred] - low[delta_pred]);
-          OrderCost current_cost =
-              EstimateOrderCost(*c.rule, order, round_model, &literal_rows);
+          OrderCost current_cost = EstimateOrderCost(rule, resolved.order,
+                                                     round_model, &literal_rows);
           StatusOr<std::vector<int>> best = OrderBodyLiteralsCostBased(
-              *catalog_, *c.rule, round_model, occurrence,
+              *catalog_, rule, round_model, v.occurrence,
               /*initially_bound=*/nullptr, &literal_rows);
           // A failed forced order keeps the current (fallback) one.
-          if (best.ok() && best.value() != order) {
-            OrderCost best_cost = EstimateOrderCost(*c.rule, best.value(),
+          if (best.ok() && best.value() != resolved.order) {
+            OrderCost best_cost = EstimateOrderCost(rule, best.value(),
                                                     round_model, &literal_rows);
             if (current_cost.total_work >
                 options.replan_cost_ratio * best_cost.total_work) {
-              order = std::move(best).value();
+              resolved.order = std::move(best).value();
+              resolved.plan = plans_->Get(rule, resolved.order,
+                                          &stats->plan_cache_hits);
               current_cost = best_cost;
               ++stats->replans;
             }
           }
-          if (c.entry != nullptr) {
-            c.entry->counters.est_rows +=
-                EstimateToCounter(current_cost.out_rows);
+          RuleProfileEntry* entry =
+              ProfileEntry(profile, rule, c.rule_index, stratum_index);
+          if (entry != nullptr) {
+            entry->counters.est_rows += EstimateToCounter(current_cost.out_rows);
           }
         }
       }
@@ -398,27 +448,30 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     for (PredId p = 0; p < pred_count; ++p) {
       snap[p] = view.relation(p).row_count();
     }
-    for (const Compiled& c : compiled) {
-      for (const auto& [occurrence, order] : c.delta_variants) {
-        PredId delta_pred = c.rule->body[occurrence].pred;
+    for (const FixpointRule& c : rules) {
+      const RuleIr& rule = program.rules[c.rule_index];
+      for (const FixpointRule::DeltaVariant& v : c.variants) {
+        PredId delta_pred = rule.body[v.occurrence].pred;
         if (high[delta_pred] <= low[delta_pred]) continue;
-        std::vector<LiteralWindow> windows(c.rule->body.size());
-        for (size_t i = 0; i < c.rule->body.size(); ++i) {
-          const LiteralIr& literal = c.rule->body[i];
+        std::vector<LiteralWindow> windows(rule.body.size());
+        for (size_t i = 0; i < rule.body.size(); ++i) {
+          const LiteralIr& literal = rule.body[i];
           if (!literal.is_builtin() && !literal.negated) {
-            const bool carrier = literal.pred < delta_preds.size() &&
-                                 delta_preds[literal.pred];
-            windows[i] = carrier && static_cast<int>(i) > occurrence
+            windows[i] = delta_preds[literal.pred] &&
+                                 static_cast<int>(i) > v.occurrence
                              ? LiteralWindow{0, low[literal.pred]}
                              : LiteralWindow{0, snap[literal.pred]};
           }
         }
-        windows[occurrence] = {low[delta_pred], high[delta_pred]};
-        if (c.entry != nullptr) {
-          c.entry->counters.delta_rows += high[delta_pred] - low[delta_pred];
+        windows[v.occurrence] = {low[delta_pred], high[delta_pred]};
+        RuleProfileEntry* entry =
+            ProfileEntry(profile, rule, c.rule_index, stratum_index);
+        if (entry != nullptr) {
+          entry->counters.delta_rows += high[delta_pred] - low[delta_pred];
         }
-        LDL_RETURN_IF_ERROR(ApplyRule(*c.rule, order, windows, db, options,
-                                      stats, &derived, c.entry));
+        LDL_RETURN_IF_ERROR(
+            ApplyRule(rule, v.replan_slot < 0 ? v.resolved : current(v),
+                      windows, db, options, stats, &derived, entry));
       }
     }
     for (PredId p = 0; p < pred_count; ++p) {
@@ -426,12 +479,8 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
     }
     *derived_any = *derived_any || derived;
     ++stats->iterations;
-    if (!derived) {
-      // No new facts this round; remaining deltas (rows added late in the
-      // round) still need one more pass, which the loop header handles via
-      // the watermark comparison.
-      continue;
-    }
+    // A round that derived nothing can still leave deltas (rows added late
+    // in the round); the loop header's watermark comparison runs them.
   }
   return Status::OK();
 }
@@ -547,35 +596,22 @@ Status Engine::EvaluateProgram(const ProgramIr& program,
   return Status::OK();
 }
 
-Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
-                                  const EvalOptions& options, EvalStats* stats,
-                                  EvalProfile* profile) {
-  EvalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  if (!options.profile) profile = nullptr;
-  if (profile != nullptr) profile->ReserveRules(program.rules.size());
-  ScopedSetInternCounter set_interns(factory_, stats);
-  uint64_t total_wall = 0;
-  ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
-  // The saturation loop is unlayered; report it as one pseudo-stratum -1.
-  StratumRollup rollup(profile, stats, /*stratum=*/-1, StratumMode::kFull);
-
+StatusOr<SaturationPlan> Engine::CompileSaturation(const ProgramIr& program,
+                                                   size_t* plan_cache_hits) {
+  SaturationPlan plan;
+  plan.rule_count_ = program.rules.size();
+  plan.delta_preds_.assign(catalog_->size(), false);
   std::vector<int> positive_rules;
   std::vector<int> grouping_rules;
   std::vector<int> negation_rules;
   for (size_t r = 0; r < program.rules.size(); ++r) {
     const RuleIr& rule = program.rules[r];
     if (rule.is_fact()) {
-      InstantiationResult inst = InstantiateArgs(*factory_, rule.head_args, Subst());
-      if (inst.unbound) return NotWellFormedError("fact with unbound variables");
-      RuleProfileEntry* entry =
-          ProfileEntry(profile, rule, static_cast<int>(r), /*stratum=*/-1);
-      if (entry != nullptr) ++entry->counters.firings;
-      if (!inst.outside_universe && db->AddFact(rule.head_pred, inst.tuple)) {
-        ++stats->facts_derived;
-        if (entry != nullptr) ++entry->counters.facts_derived;
-      }
-    } else if (rule.is_grouping()) {
+      plan.facts_.push_back(static_cast<int>(r));
+      continue;
+    }
+    plan.delta_preds_[rule.head_pred] = true;
+    if (rule.is_grouping()) {
       grouping_rules.push_back(static_cast<int>(r));
     } else if (rule.has_negation()) {
       negation_rules.push_back(static_cast<int>(r));
@@ -584,35 +620,31 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
     }
   }
 
-  // Per grouping rule: partition key -> emitted fact, for reconciliation.
-  std::vector<std::unordered_map<Tuple, Tuple, TupleHash>> emitted(
-      grouping_rules.size());
-  // Per grouping rule: cross-round group cache. Grouping rules re-fire each
-  // global round over a monotonically grown database; partitions whose
-  // member count is unchanged reuse the cached canonical fact instead of
-  // re-sorting and re-interning (see GroupCacheEntry).
-  std::vector<GroupCache> group_caches(grouping_rules.size());
-
   // The saturating evaluator always orders syntactically: it runs in a
   // scratch database where every adorned predicate starts empty (entry
   // statistics carry no signal about the sizes the fixpoint will reach),
-  // and it re-enters Fixpoint once per global round, so cost-based
-  // planning would be repaid on every round of every sub-millisecond
-  // bound query. `sat_options` turns the planner off for the inner
-  // fixpoints too.
-  EvalOptions sat_options = options;
-  sat_options.cost_based = false;
-  std::vector<std::vector<int>> negation_orders;
-  for (int r : negation_rules) {
+  // and a plan compiled once serves every bound query of a shape, so
+  // cost-based planning would have to be repaid on every run.
+  EvalStats compile_stats;
+  LDL_ASSIGN_OR_RETURN(plan.positive_,
+                       CompileFixpoint(program, positive_rules,
+                                       &plan.delta_preds_,
+                                       /*cost_model=*/nullptr, &compile_stats));
+  auto resolve = [&](int r) -> StatusOr<SaturationPlan::LevelRule> {
+    const RuleIr& rule = program.rules[r];
     LDL_ASSIGN_OR_RETURN(std::vector<int> order,
-                         OrderBodyLiterals(*catalog_, program.rules[r]));
-    negation_orders.push_back(std::move(order));
-  }
-  std::vector<std::vector<int>> grouping_orders;
+                         OrderBodyLiterals(*catalog_, rule));
+    std::shared_ptr<const JoinPlan> join =
+        plans_->Get(rule, order, &compile_stats.plan_cache_hits);
+    return SaturationPlan::LevelRule{r, {std::move(order), std::move(join)}};
+  };
   for (int r : grouping_rules) {
-    LDL_ASSIGN_OR_RETURN(std::vector<int> order,
-                         OrderBodyLiterals(*catalog_, program.rules[r]));
-    grouping_orders.push_back(std::move(order));
+    LDL_ASSIGN_OR_RETURN(SaturationPlan::LevelRule rule, resolve(r));
+    plan.grouping_.push_back(std::move(rule));
+  }
+  for (int r : negation_rules) {
+    LDL_ASSIGN_OR_RETURN(SaturationPlan::LevelRule rule, resolve(r));
+    plan.negation_.push_back(std::move(rule));
   }
 
   // Grouping and negation rules are not monotone, and the saturation never
@@ -627,10 +659,7 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
   // magic predicates are left out: those only carry demand, which the
   // saturation derives in between, and without them the components follow
   // the layering of the source program.
-  struct Level {
-    std::vector<size_t> grouping;  // indices into grouping_rules
-    std::vector<size_t> negation;  // indices into negation_rules
-  };
+  //
   // A single such rule needs no order, so the graph is built only for more.
   int component_count = 1;
   std::vector<int> component;
@@ -638,9 +667,16 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
     component = DepGraph::Build(*catalog_, program)
                     .StronglyConnectedComponents(&component_count);
   }
-  std::vector<Level> levels(static_cast<size_t>(component_count));
-  auto level_of = [&](int r) -> Level& {
-    return levels[component.empty() ? 0 : component[program.rules[r].head_pred]];
+  std::vector<SaturationPlan::Level> levels(
+      static_cast<size_t>(component_count));
+  auto level_of = [&](int r) -> SaturationPlan::Level& {
+    const RuleIr& rule = program.rules[r];
+    SaturationPlan::Level& level =
+        levels[component.empty() ? 0 : component[rule.head_pred]];
+    for (const LiteralIr& literal : rule.body) {
+      if (!literal.is_builtin()) level.inputs.push_back(literal.pred);
+    }
+    return level;
   };
   for (size_t g = 0; g < grouping_rules.size(); ++g) {
     level_of(grouping_rules[g]).grouping.push_back(g);
@@ -648,23 +684,95 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
   for (size_t i = 0; i < negation_rules.size(); ++i) {
     level_of(negation_rules[i]).negation.push_back(i);
   }
-  std::erase_if(levels, [](const Level& level) {
+  std::erase_if(levels, [](const SaturationPlan::Level& level) {
     return level.grouping.empty() && level.negation.empty();
   });
+  for (SaturationPlan::Level& level : levels) {
+    std::sort(level.inputs.begin(), level.inputs.end());
+    level.inputs.erase(std::unique(level.inputs.begin(), level.inputs.end()),
+                       level.inputs.end());
+  }
+  plan.levels_ = std::move(levels);
+  if (plan_cache_hits != nullptr) {
+    *plan_cache_hits += compile_stats.plan_cache_hits;
+  }
+  return plan;
+}
+
+Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
+                                  const EvalOptions& options, EvalStats* stats,
+                                  EvalProfile* profile) {
+  EvalStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  LDL_ASSIGN_OR_RETURN(SaturationPlan plan,
+                       CompileSaturation(program, &stats->plan_cache_hits));
+  return EvaluateSaturating(program, plan, {}, db, options, stats, profile);
+}
+
+Status Engine::EvaluateSaturating(const ProgramIr& program,
+                                  const SaturationPlan& plan,
+                                  std::span<const RuleIr> seeds, Database* db,
+                                  const EvalOptions& options, EvalStats* stats,
+                                  EvalProfile* profile) {
+  if (plan.rule_count_ != program.rules.size()) {
+    return InternalError("saturation plan was compiled from another program");
+  }
+  EvalStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  if (!options.profile) profile = nullptr;
+  if (profile != nullptr) {
+    profile->ReserveRules(program.rules.size() + seeds.size());
+  }
+  ScopedSetInternCounter set_interns(factory_, stats);
+  uint64_t total_wall = 0;
+  ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
+  // The saturation loop is unlayered; report it as one pseudo-stratum -1.
+  StratumRollup rollup(profile, stats, /*stratum=*/-1, StratumMode::kFull);
+  LDL_RETURN_IF_ERROR(CheckMaxFacts(*db, options));
+
+  auto add_fact = [&](const RuleIr& rule, int rule_index) -> Status {
+    InstantiationResult inst = InstantiateArgs(*factory_, rule.head_args, Subst());
+    if (inst.unbound) return NotWellFormedError("fact with unbound variables");
+    RuleProfileEntry* entry =
+        ProfileEntry(profile, rule, rule_index, /*stratum=*/-1);
+    if (entry != nullptr) ++entry->counters.firings;
+    if (!inst.outside_universe && db->AddFact(rule.head_pred, inst.tuple)) {
+      ++stats->facts_derived;
+      if (entry != nullptr) ++entry->counters.facts_derived;
+    }
+    return Status::OK();
+  };
+  for (int r : plan.facts_) LDL_RETURN_IF_ERROR(add_fact(program.rules[r], r));
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    LDL_RETURN_IF_ERROR(
+        add_fact(seeds[i], static_cast<int>(program.rules.size() + i)));
+  }
+
+  // Per grouping rule: partition key -> emitted fact, for reconciliation.
+  std::vector<std::unordered_map<Tuple, Tuple, TupleHash>> emitted(
+      plan.grouping_.size());
+  // Per grouping rule: cross-round group cache. Grouping rules re-fire each
+  // global round over a monotonically grown database; partitions whose
+  // member count is unchanged reuse the cached canonical fact instead of
+  // re-sorting and re-interning (see GroupCacheEntry).
+  std::vector<GroupCache> group_caches(plan.grouping_.size());
+
+  // Group facts a regrown group replaced: the only rows the loop removes.
+  size_t retracted = 0;
 
   // Fires grouping rule g over the current state, reconciled per key.
   auto fire_grouping = [&](size_t g, bool* changed) -> Status {
-    const RuleIr& rule = program.rules[grouping_rules[g]];
+    const SaturationPlan::LevelRule& compiled = plan.grouping_[g];
+    const RuleIr& rule = program.rules[compiled.rule_index];
     RuleProfileEntry* entry =
-        ProfileEntry(profile, rule, grouping_rules[g], /*stratum=*/-1);
+        ProfileEntry(profile, rule, compiled.rule_index, /*stratum=*/-1);
     EvalStats group_local;
     EvalStats* gs = entry != nullptr ? &group_local : stats;
     ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns
                                            : nullptr);
-    RuleEvaluator evaluator(
-        factory_, &rule, grouping_orders[g], options.builtin_limits,
-        plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits),
-        &block_storage_);
+    RuleEvaluator evaluator(factory_, &rule, compiled.resolved.order,
+                            options.builtin_limits, compiled.resolved.plan,
+                            &block_storage_);
     ++gs->rule_firings;
     LDL_ASSIGN_OR_RETURN(
         std::vector<GroupResult> groups,
@@ -698,14 +806,18 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
         if (other == g) continue;
         for (const auto& [key, fact] : emitted[other]) {
           if (fact == it->second &&
-              program.rules[grouping_rules[other]].head_pred == rule.head_pred) {
+              program.rules[plan.grouping_[other].rule_index].head_pred ==
+                  rule.head_pred) {
             claimed_elsewhere = true;
             break;
           }
         }
         if (claimed_elsewhere) break;
       }
-      if (!claimed_elsewhere) db->relation(rule.head_pred).Erase(it->second);
+      if (!claimed_elsewhere) {
+        db->relation(rule.head_pred).Erase(it->second);
+        ++retracted;
+      }
       if (db->AddFact(rule.head_pred, group.fact)) ++gs->facts_derived;
       it->second = std::move(group.fact);
       *changed = true;
@@ -718,6 +830,20 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
     return Status::OK();
   };
 
+  // Row counts are read through the const view (see RunFixpoint).
+  const Database& view = *db;
+  // Per level: whether it has fired, and its inputs' row counts (and the
+  // retraction count) then. Apart from those retractions the saturation
+  // only adds rows, so equal counts mean equal inputs, and a level over
+  // equal inputs derives what it already derived.
+  std::vector<bool> fired(plan.levels_.size(), false);
+  std::vector<std::vector<size_t>> fired_inputs(plan.levels_.size());
+  std::vector<size_t> inputs;
+  // Row counts before the level that last derived something fired: the
+  // positive part resumes from them instead of starting over at round 0.
+  std::vector<size_t> watermarks(plan.delta_preds_.size());
+  const FixpointSeed resume{&watermarks, &plan.delta_preds_};
+  bool resuming = false;
   for (size_t round = 0;; ++round) {
     if (round >= options.max_rounds) {
       return ResourceExhaustedError("saturation exceeded max_rounds");
@@ -726,31 +852,46 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
     // 1. Saturate the positive, non-grouping part. For a given set of magic
     //    facts this fully evaluates every predicate a grouping or negated
     //    body below may consult (§6's "fully evaluate per magic tuple").
-    if (!positive_rules.empty()) {
+    if (!plan.positive_.empty()) {
       bool derived = false;
-      LDL_RETURN_IF_ERROR(Fixpoint(program, positive_rules, /*stratum_index=*/-1,
-                                   db, sat_options, stats, &derived, profile));
+      LDL_RETURN_IF_ERROR(RunFixpoint(program, plan.positive_,
+                                      plan.delta_preds_, /*stratum_index=*/-1,
+                                      db, options, stats, &derived, profile,
+                                      resuming ? &resume : nullptr));
     }
 
     // 2. The lowest level that derives something; the next round saturates
-    //    its consequences before any higher level reads them.
+    //    its consequences before any higher level reads them. The levels
+    //    below it derived nothing, so the counts taken here are the ones it
+    //    fired over.
+    for (PredId p = 0; p < watermarks.size(); ++p) {
+      watermarks[p] = view.relation(p).row_count();
+    }
     bool changed = false;
-    for (const Level& level : levels) {
+    for (size_t l = 0; l < plan.levels_.size() && !changed; ++l) {
+      const SaturationPlan::Level& level = plan.levels_[l];
+      inputs.clear();
+      for (PredId pred : level.inputs) {
+        inputs.push_back(view.relation(pred).row_count());
+      }
+      inputs.push_back(retracted);
+      if (fired[l] && inputs == fired_inputs[l]) continue;
+      fired[l] = true;
+      fired_inputs[l] = inputs;
       for (size_t g : level.grouping) {
         LDL_RETURN_IF_ERROR(fire_grouping(g, &changed));
       }
       for (size_t i : level.negation) {
-        const RuleIr& rule = program.rules[negation_rules[i]];
-        bool derived = false;
+        const SaturationPlan::LevelRule& compiled = plan.negation_[i];
+        const RuleIr& rule = program.rules[compiled.rule_index];
         LDL_RETURN_IF_ERROR(ApplyRule(
-            rule, negation_orders[i], {}, db, options, stats, &derived,
-            ProfileEntry(profile, rule, negation_rules[i], /*stratum=*/-1)));
-        changed = changed || derived;
+            rule, compiled.resolved, {}, db, options, stats, &changed,
+            ProfileEntry(profile, rule, compiled.rule_index, /*stratum=*/-1)));
       }
-      if (changed) break;
     }
 
     if (!changed) break;
+    resuming = true;
   }
   rollup.Finish();
   if (profile != nullptr) {

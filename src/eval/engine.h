@@ -17,23 +17,31 @@
 //     not layered (§6). Positive non-grouping rules are saturated; then the
 //     grouping and negation rules of the lowest dependency level (strongly
 //     connected component of the rewritten program) that derives anything
-//     fire over the saturated state, and the loop repeats until no level
-//     derives anything. Grouped facts are reconciled per partition key; a
+//     fire over the saturated state, the positive part resumes from what
+//     that level derived, and the loop repeats until no level derives
+//     anything. A level whose inputs have not grown since it last fired is
+//     not fired again. Grouped facts are reconciled per partition key; a
 //     group that would shrink or change retroactively indicates a
-//     non-layered source program and raises kInternal.
+//     non-layered source program and raises kInternal. The program's
+//     orders, plans and levels are compiled into a SaturationPlan first,
+//     which a caller running one program many times (a magic query shape)
+//     compiles once.
 //
 // Evaluation is serial: one thread runs each fixpoint round, applying every
 // rule (or delta variant) against the round-start windows. Concurrency
 // lives above the engine -- ldl::Service readers query published
 // snapshots, and scratch engines for concurrent magic queries share one
-// PlanCache.
+// PlanCache and run shared, immutable SaturationPlans.
 #ifndef LDL1_EVAL_ENGINE_H_
 #define LDL1_EVAL_ENGINE_H_
 
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "base/status.h"
+#include "eval/cost.h"
 #include "eval/grouping.h"
 #include "eval/plan.h"
 #include "eval/profile.h"
@@ -70,6 +78,64 @@ struct EvalOptions {
   // EvalProfile* the caller passes alongside stats. Off, the engine never
   // reads the clock; the hot-path cost is one null test per application.
   bool profile = false;
+};
+
+// A body order resolved to its compiled plan, so that a rule fires any
+// number of times without another PlanCache lookup.
+struct ResolvedOrder {
+  std::vector<int> order;
+  std::shared_ptr<const JoinPlan> plan;
+};
+
+// One non-grouping rule of a fixpoint with its orders resolved: the default
+// order (round 0 and naive rounds) and one semi-naive variant per body
+// occurrence of a delta carrier, with that occurrence fronted.
+struct FixpointRule {
+  struct DeltaVariant {
+    int occurrence;
+    ResolvedOrder resolved;
+    // Slot of the variant among the orders a cost-based fixpoint re-costs
+    // each round; -1 when it has no ordering choice or the fixpoint orders
+    // syntactically.
+    int replan_slot = -1;
+  };
+  int rule_index;
+  ResolvedOrder full;
+  std::vector<DeltaVariant> variants;
+};
+
+// A program compiled for Engine::EvaluateSaturating: its rules split into
+// facts, the positive fixpoint (orders resolved to plans, delta variants for
+// every derived predicate) and the grouping and negation rules by
+// dependency level, lowest first. Depends only on the program, which must
+// be passed alongside it to every run; immutable once compiled, so
+// concurrent runs may share it.
+class SaturationPlan {
+ private:
+  friend class Engine;
+  struct LevelRule {
+    int rule_index;
+    ResolvedOrder resolved;
+  };
+  struct Level {
+    std::vector<size_t> grouping;  // indices into grouping_
+    std::vector<size_t> negation;  // indices into negation_
+    // Relational body predicates of the level's rules, positive and
+    // negated: a level whose inputs hold the rows they held when it last
+    // fired would derive the same facts again.
+    std::vector<PredId> inputs;
+  };
+  size_t rule_count_ = 0;  // rules of the program it was compiled from
+  std::vector<int> facts_;
+  std::vector<FixpointRule> positive_;
+  // Delta carriers of the positive fixpoint, sized to the catalog at
+  // compile time (no rule mentions a predicate registered later): the
+  // positive heads plus the grouping and negation heads, whose new facts
+  // a resumed fixpoint consumes.
+  std::vector<bool> delta_preds_;
+  std::vector<LevelRule> grouping_;
+  std::vector<LevelRule> negation_;
+  std::vector<Level> levels_;
 };
 
 class Engine {
@@ -124,9 +190,24 @@ class Engine {
                   const EvalOptions& options = {}, EvalStats* stats = nullptr,
                   EvalProfile* profile = nullptr);
 
-  // Saturation evaluation for magic-rewritten (non-layered) programs (§6).
-  // Profiled rules carry stratum -1 (the evaluation is unlayered).
+  // Saturation evaluation for magic-rewritten (non-layered) programs (§6):
+  // CompileSaturation, then the run below. Profiled rules carry stratum -1
+  // (the evaluation is unlayered).
   Status EvaluateSaturating(const ProgramIr& program, Database* db,
+                            const EvalOptions& options = {},
+                            EvalStats* stats = nullptr,
+                            EvalProfile* profile = nullptr);
+
+  // Resolves `program`'s orders, plans and dependency levels once. Plan
+  // cache hits count into `*plan_cache_hits` when it is non-null.
+  StatusOr<SaturationPlan> CompileSaturation(const ProgramIr& program,
+                                             size_t* plan_cache_hits = nullptr);
+
+  // Runs `plan`, compiled from `program`, over `db`: inserts the program's
+  // facts and then `seeds` -- extra facts, numbered after the program's
+  // rules in the profile (a magic query's seed fact) -- and saturates.
+  Status EvaluateSaturating(const ProgramIr& program, const SaturationPlan& plan,
+                            std::span<const RuleIr> seeds, Database* db,
                             const EvalOptions& options = {},
                             EvalStats* stats = nullptr,
                             EvalProfile* profile = nullptr);
@@ -198,11 +279,12 @@ class Engine {
                             const EvalOptions& options, EvalStats* stats,
                             bool* derived, RuleProfileEntry* entry);
 
-  // Applies one non-grouping rule (optionally with per-literal windows);
-  // inserts derived facts. Sets *derived if anything new appeared. A
-  // non-null `entry` attributes one firing plus this application's
-  // counters and wall time to the rule's profile.
-  Status ApplyRule(const RuleIr& rule, const std::vector<int>& order,
+  // Applies one non-grouping rule under a resolved order (optionally with
+  // per-literal windows); inserts derived facts. Sets *derived if anything
+  // new appeared, and then checks max_facts. A non-null `entry` attributes
+  // one firing plus this application's counters and wall time to the
+  // rule's profile.
+  Status ApplyRule(const RuleIr& rule, const ResolvedOrder& resolved,
                    const std::vector<LiteralWindow>& windows, Database* db,
                    const EvalOptions& options, EvalStats* stats, bool* derived,
                    RuleProfileEntry* entry = nullptr);
@@ -214,11 +296,8 @@ class Engine {
                            std::vector<GroupResult>* results_out = nullptr,
                            RuleProfileEntry* entry = nullptr);
 
-  // Fixpoint of `rule_indices` (non-grouping rules) over db. Every round
-  // evaluates against the round-start snapshot: explicit [0, row_count)
-  // windows keep rule N from seeing rule N-1's same-round inserts, so a
-  // round's firings and derived facts do not depend on rule order, and the
-  // exact carrier-window decomposition keeps derivation counts exact.
+  // Fixpoint of `rule_indices` (non-grouping rules) over db: resolves each
+  // rule's orders once (CompileFixpoint), then runs them (RunFixpoint).
   // With a non-null `seed` the fixpoint resumes incrementally: round 0 is
   // skipped, the low watermarks start at the seed's values, and the delta
   // machinery runs regardless of options.mode.
@@ -226,6 +305,29 @@ class Engine {
                   int stratum_index, Database* db, const EvalOptions& options,
                   EvalStats* stats, bool* derived_any, EvalProfile* profile,
                   const FixpointSeed* seed = nullptr);
+
+  // Resolves the orders of `rule_indices` and looks each one's plan up
+  // once. With non-null `delta_preds`, every body occurrence of a carrier
+  // gets a delta variant. With a non-null `cost_model` orders are
+  // cost-based (counted in stats->plans_reordered) and every variant with
+  // an ordering choice gets a replan slot; otherwise they are syntactic.
+  StatusOr<std::vector<FixpointRule>> CompileFixpoint(
+      const ProgramIr& program, const std::vector<int>& rule_indices,
+      const std::vector<bool>* delta_preds, const CostModel* cost_model,
+      EvalStats* stats);
+
+  // Runs compiled fixpoint rules whose delta carriers are `delta_preds`.
+  // Every round evaluates against the round-start snapshot: explicit
+  // [0, row_count) windows keep rule N from seeing rule N-1's same-round
+  // inserts, so a round's firings and derived facts do not depend on rule
+  // order, and the exact carrier-window decomposition keeps derivation
+  // counts exact. Variants with a replan slot are re-costed per round.
+  Status RunFixpoint(const ProgramIr& program,
+                     const std::vector<FixpointRule>& rules,
+                     const std::vector<bool>& delta_preds, int stratum_index,
+                     Database* db, const EvalOptions& options, EvalStats* stats,
+                     bool* derived_any, EvalProfile* profile,
+                     const FixpointSeed* seed);
 
   // Profile entry for `rule`, labeled on first touch; null when `profile`
   // is null. Pointers stay valid for the evaluation (the rule table is
@@ -235,9 +337,10 @@ class Engine {
 
   TermFactory* factory_;
   Catalog* catalog_;
-  // Compiled plans survive across Fixpoint/EvaluateSaturating calls (the
-  // magic path re-evaluates per query); keyed structurally, so temporary
-  // rewritten programs hit the cache on identical rules. plans_ points at
+  // Compiled plans survive across evaluations; keyed structurally, so a
+  // re-analyzed program or a recompiled magic shape hits the cache on
+  // identical rules. Each Fixpoint and CompileSaturation call looks a
+  // (rule, order) plan up once and its firings reuse it. plans_ points at
   // owned_plans_ unless the constructor was handed a shared cache.
   PlanCache owned_plans_;
   PlanCache* plans_;

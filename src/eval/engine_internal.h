@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "base/status.h"
+#include "base/str_util.h"
+#include "eval/engine.h"
 #include "eval/profile.h"
 #include "eval/rule_eval.h"
 #include "program/catalog.h"
@@ -27,6 +29,15 @@ inline StatusOr<std::vector<int>> FrontedOrder(const Catalog& catalog,
       OrderBodyLiterals(catalog, rule, static_cast<int>(occurrence));
   if (fronted.ok()) return fronted;
   return OrderBodyLiterals(catalog, rule);
+}
+
+// kResourceExhausted once `db` holds more than options.max_facts facts.
+// TotalFacts sums every relation, so callers check only after an insert.
+inline Status CheckMaxFacts(const Database& db, const EvalOptions& options) {
+  if (db.TotalFacts() <= options.max_facts) return Status::OK();
+  return ResourceExhaustedError(StrCat("database exceeded max_facts = ",
+                                       options.max_facts,
+                                       " (non-terminating program?)"));
 }
 
 // Folds the counters a RuleEvaluator run collected into the rule's profile

@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "base/str_util.h"
 #include "eval/bindings.h"
 #include "eval/engine_internal.h"
 #include "program/impact.h"
@@ -128,12 +127,7 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
     AttributeStats(entry, local_stats);
     stats->Add(local_stats);
   }
-  if (db->TotalFacts() > options.max_facts) {
-    return ResourceExhaustedError(
-        StrCat("database exceeded max_facts = ", options.max_facts,
-               " (non-terminating program?)"));
-  }
-  return Status::OK();
+  return CheckMaxFacts(*db, options);
 }
 
 Status Engine::MaintainStratum(

@@ -258,6 +258,8 @@ Status Session::LoadFile(const std::string& path) {
 }
 
 Status Session::Analyze() {
+  // Shapes compiled from the previous rules answer them, not the new ones.
+  magic_shapes_.Clear();
   LDL_ASSIGN_OR_RETURN(expanded_ast_, ExpandLdl15(ast_, &interner_, ldl15_options_));
   LDL_ASSIGN_OR_RETURN(ProgramIr all, LowerProgram(factory_, catalog_, expanded_ast_));
   LDL_RETURN_IF_ERROR(CheckProgramWellformed(catalog_, all, wellformed_options_));
@@ -546,33 +548,68 @@ StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
                          options, edb);
 }
 
+StatusOr<std::shared_ptr<const CompiledMagicShape>> MagicShapeCache::Get(
+    Engine* engine, const ProgramIr& program, const LiteralIr& goal,
+    bool supplementary, std::mutex* compile_mu) {
+  std::string ground(goal.args.size(), 'f');
+  for (size_t i = 0; i < goal.args.size(); ++i) {
+    if (goal.args[i]->ground()) ground[i] = 'b';
+  }
+  Key key(goal.pred, supplementary, std::move(ground));
+  auto find = [&]() -> std::shared_ptr<const CompiledMagicShape> {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = shapes_.find(key);
+    return it != shapes_.end() ? it->second : nullptr;
+  };
+  if (std::shared_ptr<const CompiledMagicShape> hit = find()) return hit;
+
+  std::unique_lock<std::mutex> compile_lock;
+  if (compile_mu != nullptr) {
+    compile_lock = std::unique_lock<std::mutex>(*compile_mu);
+    // Another first query of this shape may have compiled it meanwhile.
+    if (std::shared_ptr<const CompiledMagicShape> hit = find()) return hit;
+  }
+  auto compiled = std::make_shared<CompiledMagicShape>();
+  MagicOptions magic_options;
+  magic_options.supplementary = supplementary;
+  LDL_ASSIGN_OR_RETURN(compiled->shape,
+                       MagicRewriteShape(program, engine->catalog(), goal,
+                                         magic_options));
+  LDL_ASSIGN_OR_RETURN(compiled->saturation,
+                       engine->CompileSaturation(compiled->shape.rules));
+  if (compiled_ != nullptr) compiled_->fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  return shapes_.emplace(std::move(key), std::move(compiled)).first->second;
+}
+
+void MagicShapeCache::Clear() {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  shapes_.clear();
+}
+
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
                                     const EdbSeeder& seed_edb,
-                                    std::mutex* rewrite_mu) {
-  // Rewrite for this goal and evaluate in a scratch database over the EDB.
-  // The rewrite registers adorned/magic predicates in the shared catalog,
-  // so concurrent callers serialize it under `rewrite_mu`; evaluation below
-  // runs outside the lock.
+                                    MagicShapeCache* shapes,
+                                    std::mutex* compile_mu) {
+  LDL_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledMagicShape> compiled,
+      shapes->Get(engine, program, goal,
+                  options.strategy == QueryStrategy::kMagicSupplementary,
+                  compile_mu));
+  const MagicShape& shape = compiled->shape;
+  // Saturate the shape from the goal's seed fact in a scratch database
+  // over the EDB predicates the shape consults.
   QueryResult result;
-  MagicOptions magic_options;
-  magic_options.supplementary =
-      options.strategy == QueryStrategy::kMagicSupplementary;
-  StatusOr<MagicProgram> magic = [&] {
-    std::unique_lock<std::mutex> lock;
-    if (rewrite_mu != nullptr) lock = std::unique_lock<std::mutex>(*rewrite_mu);
-    return MagicRewrite(program, engine->catalog(), goal, magic_options);
-  }();
-  LDL_RETURN_IF_ERROR(magic.status());
   Database magic_db(engine->catalog());
-  // Only EDB predicates the rewritten program consults.
-  seed_edb(&magic_db, magic->edb_preds);
-  LDL_RETURN_IF_ERROR(engine->EvaluateSaturating(magic->rules, &magic_db,
-                                                 options.eval, &result.stats,
-                                                 &result.profile));
+  seed_edb(&magic_db, shape.edb_preds);
+  const RuleIr seed = MagicSeed(shape, goal);
+  LDL_RETURN_IF_ERROR(engine->EvaluateSaturating(
+      shape.rules, compiled->saturation, {&seed, 1}, &magic_db, options.eval,
+      &result.stats, &result.profile));
   LiteralIr adorned_goal = goal;
-  adorned_goal.pred = magic->answer_pred;
+  adorned_goal.pred = shape.answer_pred;
   LDL_ASSIGN_OR_RETURN(result.tuples, engine->Query(adorned_goal, magic_db));
   return result;
 }
@@ -581,14 +618,15 @@ StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
                                     const Database& edb,
-                                    std::mutex* rewrite_mu) {
+                                    MagicShapeCache* shapes,
+                                    std::mutex* compile_mu) {
   // The scratch database's EDB predicates read through to `edb`.
   EdbSeeder read_through = [&edb](Database* scratch,
                                   const std::vector<PredId>& preds) {
     scratch->ReadThrough(edb, preds);
   };
-  return QueryViaMagic(engine, program, goal, options, read_through,
-                       rewrite_mu);
+  return QueryViaMagic(engine, program, goal, options, read_through, shapes,
+                       compile_mu);
 }
 
 StatusOr<PreparedQuery> Session::Prepare(std::string_view goal_text) {
@@ -638,7 +676,8 @@ StatusOr<QueryResult> Session::Query(const PreparedQuery& prepared,
     if (options.eval.profile) result.profile = last_eval_profile_;
     return result;
   }
-  return QueryViaMagic(&engine_, program_, goal, options, seeder);
+  return QueryViaMagic(&engine_, program_, goal, options, seeder,
+                       &magic_shapes_);
 }
 
 StatusOr<std::string> Session::Explain(std::string_view fact_text,

@@ -20,11 +20,15 @@
 #ifndef LDL1_LDL_LDL_H_
 #define LDL1_LDL_LDL_H_
 
+#include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -121,27 +125,71 @@ class PreparedQuery {
 using EdbSeeder =
     std::function<void(Database* scratch, const std::vector<PredId>& preds)>;
 
+// One bound-query shape compiled: the magic rewriting of a goal predicate
+// under one binding pattern and strategy, and its saturation plan.
+struct CompiledMagicShape {
+  MagicShape shape;
+  SaturationPlan saturation;
+};
+
+// The compiled magic shapes of one analyzed program, keyed by (goal
+// predicate, which goal arguments are ground, supplementary). Under one
+// analysis the ground arguments fix the goal's adornment (QueryAdornment),
+// so the key needs no catalog read. A shape depends on the rules only:
+// whoever owns the cache drops it when the rules change (Session on
+// re-analysis, ldl::Service with the analysis a snapshot shares).
+//
+// Thread-safe. A hit takes only the cache's own shared lock. A miss
+// compiles under `compile_mu` when one is given -- the rewrite registers
+// adorned, magic and supplementary predicates in the shared catalog -- and
+// re-checks the cache first, so concurrent first queries of one shape
+// compile it once.
+class MagicShapeCache {
+ public:
+  // `compiled`, when non-null, counts every shape this cache compiles.
+  explicit MagicShapeCache(std::atomic<uint64_t>* compiled = nullptr)
+      : compiled_(compiled) {}
+  MagicShapeCache(const MagicShapeCache&) = delete;
+  MagicShapeCache& operator=(const MagicShapeCache&) = delete;
+
+  // The compiled shape of `goal` over `program` (which must be the program
+  // every earlier Get passed), compiling it with `engine` on a miss.
+  StatusOr<std::shared_ptr<const CompiledMagicShape>> Get(
+      Engine* engine, const ProgramIr& program, const LiteralIr& goal,
+      bool supplementary, std::mutex* compile_mu = nullptr);
+
+  void Clear();
+
+ private:
+  using Key = std::tuple<PredId, bool, std::string>;
+  std::atomic<uint64_t>* compiled_;
+  mutable std::shared_mutex mu_;
+  std::map<Key, std::shared_ptr<const CompiledMagicShape>> shapes_;
+};
+
 // Answers `goal` through the Generalized Magic Sets rewriting (§6). The
-// rewritten program saturates in a scratch database that holds the adorned,
-// magic and supplementary predicates; its EDB predicates read through to
-// `edb` (Database::ReadThrough), which must be frozen -- a published
-// snapshot -- so no row is copied and the indexes the evaluation builds on
-// `edb` serve later queries. The rewrite registers adorned and magic
-// predicates in the engine's catalog; callers whose catalog is shared
-// across threads pass `rewrite_mu` to serialize that mutation (evaluation
-// itself runs outside the lock). ModelSnapshot::Query uses this overload.
+// goal's shape comes compiled from `shapes` (see MagicShapeCache; a miss
+// compiles it under `compile_mu`); only its seed fact depends on the goal's
+// constants. The program saturates in a scratch database that holds the
+// adorned, magic and supplementary predicates; its EDB predicates read
+// through to `edb` (Database::ReadThrough), which must be frozen -- a
+// published snapshot -- so no row is copied and the indexes the evaluation
+// builds on `edb` serve later queries. ModelSnapshot::Query uses this
+// overload.
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
                                     const Database& edb,
-                                    std::mutex* rewrite_mu = nullptr);
+                                    MagicShapeCache* shapes,
+                                    std::mutex* compile_mu = nullptr);
 // The same, with the scratch database's EDB provided by `seed_edb`
 // (Session::Query copies it in).
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
                                     const EdbSeeder& seed_edb,
-                                    std::mutex* rewrite_mu = nullptr);
+                                    MagicShapeCache* shapes,
+                                    std::mutex* compile_mu = nullptr);
 
 // Answers `goal` with the memoized top-down engine, reading the extensional
 // relations of `edb` in place: EDB subgoals probe its indexes on their
@@ -365,6 +413,8 @@ class Session {
   WellformedOptions wellformed_options_;
   EvalStats last_eval_stats_;
   EvalProfile last_eval_profile_;
+  // Compiled magic query shapes of the analyzed program.
+  MagicShapeCache magic_shapes_;
   bool analyzed_ = false;
   bool evaluated_ = false;
   uint64_t analysis_epoch_ = 0;

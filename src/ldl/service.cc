@@ -46,7 +46,7 @@ StatusOr<QueryResult> ModelSnapshot::Query(const PreparedQuery& prepared,
   if (magic_strategy && goal_has_rules) {
     Engine engine(factory_, catalog_, plans_);
     return QueryViaMagic(&engine, analysis_->program, goal, options, *db_,
-                         catalog_mu_);
+                         &analysis_->magic_shapes, catalog_mu_);
   }
 
   // Model strategy (and trivially, goals without rules): match against the
@@ -76,10 +76,10 @@ template <typename Fn>
 Status Service::Apply(Fn&& mutate) {
   std::lock_guard<std::mutex> write_lock(write_mu_);
   {
-    // Analysis and incremental lowering mutate the catalog, which
-    // concurrent magic rewrites read and extend: serialize them. The
-    // model evaluation itself also runs under this lock -- it keeps
-    // Apply simple and only stalls magic *rewrites* (not magic
+    // Analysis and incremental lowering mutate the catalog, which the
+    // compile of a magic shape's first query reads and extends: serialize
+    // them. The model evaluation itself also runs under this lock -- it
+    // keeps Apply simple and only stalls those compiles (not magic
     // evaluations, nor model/top-down reads) while a write is in flight.
     std::lock_guard<std::mutex> catalog_lock(catalog_mu_);
     LDL_RETURN_IF_ERROR(mutate(&writer_));
@@ -120,7 +120,8 @@ void Service::PublishLocked() {
     snapshot->analysis_ = previous->analysis_;
     analyses_shared_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    auto analysis = std::make_shared<ModelSnapshot::Analysis>();
+    auto analysis =
+        std::make_shared<ModelSnapshot::Analysis>(&magic_shapes_compiled_);
     analysis->program = writer_.program();
     analysis->stratification = writer_.stratification();
     analysis->epoch = writer_.analysis_epoch();
@@ -194,6 +195,8 @@ ServiceStats Service::stats() const {
   out.snapshot_refs = static_cast<uint64_t>(slot_.snapshot_refs());
   out.catalog_preds = writer_.catalog().size();
   out.cached_plans = plans_.size();
+  out.magic_shapes_compiled =
+      magic_shapes_compiled_.load(std::memory_order_relaxed);
   return out;
 }
 

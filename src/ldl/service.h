@@ -29,13 +29,18 @@
 //     index on a snapshot relation: readers walk the index list lock-free
 //     (it publishes atomically), concurrent builders serialize per
 //     relation, and every later query on the snapshot reuses the index.
-//     The magic rewrite mutates the shared catalog, so rewrites serialize
-//     on a catalog mutex (shared with write-side analysis and evaluation,
-//     and with Prepare when it registers an unseen goal predicate) while
-//     the evaluation itself runs outside any lock. A read's evaluation
-//     must therefore tolerate the catalog growing under it. Compiled plans
-//     are shared across all of this through one internally-synchronized
-//     PlanCache.
+//     A magic query runs its goal's shape -- the rewritten rules and their
+//     saturation plan, which depend only on the goal predicate, its
+//     binding pattern and the strategy -- compiled once per analysis and
+//     cached with it (MagicShapeCache). Only a shape's first query
+//     compiles it, and only that takes the catalog mutex, because the
+//     rewrite registers predicates in the shared catalog; the mutex is
+//     shared with write-side analysis and evaluation, and with Prepare
+//     when it registers an unseen goal predicate. Every later query of the
+//     shape takes no catalog lock, and no evaluation runs under it. A
+//     read's evaluation must therefore tolerate the catalog growing under
+//     it. Compiled plans are shared across all of this through one
+//     internally-synchronized PlanCache.
 //
 // Every observed answer set therefore equals what a serial Session would
 // produce at some published version -- the linearization point is the
@@ -67,7 +72,8 @@ namespace ldl {
   X(analyses_shared, "publications that reused the prior analysis")         \
   X(snapshot_refs, "references on the live snapshot (incl. the service's)") \
   X(catalog_preds, "predicates in the shared catalog")                      \
-  X(cached_plans, "compiled plans in the shared plan cache")
+  X(cached_plans, "compiled plans in the shared plan cache")                \
+  X(magic_shapes_compiled, "bound-query shapes compiled for magic queries")
 
 // A point-in-time copy of the serving counters (Service::stats()).
 struct ServiceStats {
@@ -111,9 +117,14 @@ class ModelSnapshot {
   // rule set is unchanged (EDB-only deltas republish the model without
   // copying the program).
   struct Analysis {
+    explicit Analysis(std::atomic<uint64_t>* shapes_compiled)
+        : magic_shapes(shapes_compiled) {}
     ProgramIr program;
     Stratification stratification;
     uint64_t epoch = 0;  // Session::analysis_epoch() this was captured at
+    // The magic query shapes compiled from `program`, shared by every
+    // snapshot sharing this analysis (internally synchronized).
+    mutable MagicShapeCache magic_shapes;
   };
 
   ModelSnapshot() = default;
@@ -123,7 +134,7 @@ class ModelSnapshot {
   TermFactory* factory_ = nullptr;
   Catalog* catalog_ = nullptr;
   PlanCache* plans_ = nullptr;
-  std::mutex* catalog_mu_ = nullptr;  // serializes magic rewrites vs. analysis
+  std::mutex* catalog_mu_ = nullptr;  // serializes shape compiles vs. analysis
 
   std::shared_ptr<const Analysis> analysis_;
   std::unique_ptr<Database> db_;  // frozen view of the writer's rows
@@ -191,8 +202,9 @@ class Service {
   PlanCache plans_;  // internally synchronized; shared by all engines
   mutable std::mutex write_mu_;  // serializes writers
   // Serializes catalog mutation: write-side lowering/analysis and
-  // evaluation, read-side magic rewrites, and Prepare's registration of
-  // unseen goal predicates. Never held during a read's evaluation.
+  // evaluation, the compile of a magic shape's first query, and Prepare's
+  // registration of unseen goal predicates. Never held during a read's
+  // evaluation.
   mutable std::mutex catalog_mu_;
   Session writer_;  // guarded by write_mu_
   SnapshotSlot<ModelSnapshot> slot_;
@@ -201,6 +213,7 @@ class Service {
   std::atomic<uint64_t> prepares_{0};
   std::atomic<uint64_t> writes_applied_{0};
   std::atomic<uint64_t> analyses_shared_{0};
+  std::atomic<uint64_t> magic_shapes_compiled_{0};
 };
 
 }  // namespace ldl

@@ -59,6 +59,19 @@ void DropUnreadBuiltins(const std::vector<const Term*>& head_args,
   *body = std::move(kept);
 }
 
+// Appends the magic rule `rule` to `rules`, less the built-ins nothing
+// reads (DropUnreadBuiltins). A rule left as m_p(X) :- m_p(X) -- the head's
+// own magic fact demanding itself, as a left-recursive literal bound on the
+// head's bound arguments does -- derives nothing and is not emitted.
+void AddMagicRule(RuleIr rule, ProgramIr* rules) {
+  DropUnreadBuiltins(rule.head_args, &rule.body);
+  if (rule.body.size() == 1 && rule.body[0].pred == rule.head_pred &&
+      rule.body[0].args == rule.head_args) {
+    return;
+  }
+  rules->rules.push_back(std::move(rule));
+}
+
 // Builds the supplementary-magic rewriting for one adorned rule with a
 // non-empty body, following its sip order: chain step k holds the literals
 // up to and including the k-th positive relational literal of the order
@@ -70,7 +83,7 @@ void EmitSupplementary(const RuleIr& rule, const std::vector<int>& order,
                        const std::vector<const Term*>& head_bound,
                        const AdornedProgram& adorned, Catalog* catalog,
                        const std::function<PredId(PredId)>& magic_pred,
-                       MagicProgram* result) {
+                       MagicShape* result) {
   std::vector<std::vector<int>> steps(1);
   for (int index : order) {
     steps.back().push_back(index);
@@ -170,7 +183,7 @@ void EmitSupplementary(const RuleIr& rule, const std::vector<int>& order,
         const LiteralIr& earlier = rule.body[steps[k][u]];
         if (!earlier.negated) magic_rule.body.push_back(earlier);
       }
-      result->rules.rules.push_back(std::move(magic_rule));
+      AddMagicRule(std::move(magic_rule), &result->rules);
     }
 
     // Advance the bound set with this step's positive literals.
@@ -211,13 +224,14 @@ void EmitSupplementary(const RuleIr& rule, const std::vector<int>& order,
 
 }  // namespace
 
-StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
-                                    const LiteralIr& goal,
-                                    const MagicOptions& options) {
+StatusOr<MagicShape> MagicRewriteShape(const ProgramIr& program,
+                                       Catalog* catalog, const LiteralIr& goal,
+                                       const MagicOptions& options) {
   LDL_ASSIGN_OR_RETURN(AdornedProgram adorned, AdornProgram(program, catalog, goal));
 
-  MagicProgram result;
+  MagicShape result;
   result.answer_pred = adorned.query_pred;
+  result.adornment = adorned.query_adornment;
 
   // Create magic predicates.
   auto magic_pred = [&](PredId adorned_pred) -> PredId {
@@ -274,8 +288,7 @@ StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
         magic_rule.head_args = BoundArgs(literal.args, callee_info.adornment);
         magic_rule.source_index = rule.source_index;
         magic_rule.body = prefix;
-        DropUnreadBuiltins(magic_rule.head_args, &magic_rule.body);
-        result.rules.rules.push_back(std::move(magic_rule));
+        AddMagicRule(std::move(magic_rule), &result.rules);
       }
       if (!literal.negated) prefix.push_back(literal);
     }
@@ -286,11 +299,8 @@ StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
     result.rules.rules.push_back(std::move(modified));
   }
 
-  // Seed: m_query(<bound goal args>).
-  RuleIr seed;
-  seed.head_pred = magic_pred(adorned.query_pred);
-  seed.head_args = BoundArgs(goal.args, adorned.query_adornment);
-  result.rules.rules.push_back(std::move(seed));
+  // The query's magic predicate, which the seed fact populates.
+  magic_pred(adorned.query_pred);
 
   // EDB predicates referenced by the rewritten program.
   std::vector<bool> seen(catalog->size(), false);
@@ -303,6 +313,28 @@ StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
       }
     }
   }
+  return result;
+}
+
+RuleIr MagicSeed(const MagicShape& shape, const LiteralIr& goal) {
+  RuleIr seed;
+  seed.head_pred = shape.magic_of.at(shape.answer_pred);
+  seed.head_args = BoundArgs(goal.args, shape.adornment);
+  return seed;
+}
+
+StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
+                                    const LiteralIr& goal,
+                                    const MagicOptions& options) {
+  LDL_ASSIGN_OR_RETURN(MagicShape shape,
+                       MagicRewriteShape(program, catalog, goal, options));
+  MagicProgram result;
+  RuleIr seed = MagicSeed(shape, goal);
+  result.rules = std::move(shape.rules);
+  result.rules.rules.push_back(std::move(seed));
+  result.answer_pred = shape.answer_pred;
+  result.edb_preds = std::move(shape.edb_preds);
+  result.magic_of = std::move(shape.magic_of);
   return result;
 }
 

@@ -11,8 +11,14 @@
 //     every built-in in an evaluable mode). Negated literals are dropped
 //     from magic-rule bodies, and so are built-ins whose bindings neither
 //     the magic head nor a later literal reads -- dropping only weakens the
-//     restriction, never the answers;
+//     restriction, never the answers -- and a magic rule that would only
+//     copy its head's magic predicate onto itself is not emitted;
 //   * the seed fact for the query's magic predicate.
+//
+// Everything but the seed depends only on the goal's predicate, its
+// adornment and MagicOptions, never on the goal's constants: that part is
+// the MagicShape, which callers answering many goals of one binding
+// pattern compile once; MagicSeed supplies the goal's seed fact.
 //
 // The rewritten program is generally not layered (§6); evaluate it with
 // Engine::EvaluateSaturating. Adorned, magic and supplementary predicates
@@ -24,6 +30,8 @@
 #ifndef LDL1_REWRITE_MAGIC_H_
 #define LDL1_REWRITE_MAGIC_H_
 
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -44,7 +52,23 @@ struct MagicOptions {
   bool supplementary = false;
 };
 
+// The goal-independent part of the rewriting for one (goal predicate,
+// adornment, MagicOptions): the rewritten rules without the seed fact.
+struct MagicShape {
+  ProgramIr rules;
+  // Query the answers from this (adorned) predicate.
+  PredId answer_pred = kInvalidPred;
+  // The goal's adornment (QueryAdornment); the seed takes the goal's
+  // arguments at its 'b' positions.
+  std::string adornment;
+  // Extensional predicates the evaluation database must be seeded with.
+  std::vector<PredId> edb_preds;
+  // Adorned predicate -> its magic predicate.
+  std::unordered_map<PredId, PredId> magic_of;
+};
+
 struct MagicProgram {
+  // The shape's rules with the seed fact appended last.
   ProgramIr rules;
   // Query the answers from this (adorned) predicate.
   PredId answer_pred = kInvalidPred;
@@ -54,7 +78,17 @@ struct MagicProgram {
   std::unordered_map<PredId, PredId> magic_of;
 };
 
-// Runs adornment + magic rewriting for `goal` over `program`.
+// Runs adornment + magic rewriting for `goal`'s binding pattern over
+// `program`, without the seed.
+StatusOr<MagicShape> MagicRewriteShape(const ProgramIr& program,
+                                       Catalog* catalog, const LiteralIr& goal,
+                                       const MagicOptions& options = {});
+
+// The seed fact m_<answer>(<bound goal args>) of `goal` under `shape`, which
+// must have been rewritten for a goal of the same predicate and adornment.
+RuleIr MagicSeed(const MagicShape& shape, const LiteralIr& goal);
+
+// MagicRewriteShape plus the seed of `goal`.
 StatusOr<MagicProgram> MagicRewrite(const ProgramIr& program, Catalog* catalog,
                                     const LiteralIr& goal,
                                     const MagicOptions& options = {});

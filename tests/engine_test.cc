@@ -89,16 +89,32 @@ TEST(Engine, SemiNaiveDoesLessMatching) {
 }
 
 TEST(Engine, PlanCacheHitsAcrossFixpointRounds) {
-  Session session;
+  // A fixpoint looks each (rule, order) plan up once, when it resolves its
+  // orders, and every round reuses it: one evaluation leaves exactly one
+  // plan per (rule, order) in the shared cache, and evaluating the same
+  // program again hits on every lookup.
+  PlanCache plans;
+  Session session(&plans);
   ASSERT_TRUE(session.Load(ParentChain(30)).ok());
   ASSERT_TRUE(session
                   .Load("anc(X, Y) :- parent(X, Y).\n"
                         "anc(X, Y) :- anc(X, Z), parent(Z, Y).")
                   .ok());
   ASSERT_TRUE(session.Evaluate().ok());
-  // Every round after the first reuses the compiled (rule, order) plans.
-  EXPECT_GT(session.last_eval_stats().plan_cache_hits, 0u);
-  EXPECT_GT(session.last_eval_stats().probe_hits, 0u);
+  const EvalStats first = session.last_eval_stats();
+  // The base rule's order, and the recursive rule's, which already fronts
+  // its one delta occurrence (anc): its delta variant hits.
+  EXPECT_EQ(plans.size(), 2u);
+  EXPECT_EQ(first.plan_cache_hits, 1u);
+  // 30 rounds of firings, 3 lookups.
+  EXPECT_GT(first.rule_firings, 30u);
+  EXPECT_GT(first.probe_hits, 0u);
+
+  session.InvalidateModel();
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(plans.size(), 2u);
+  EXPECT_EQ(session.last_eval_stats().plan_cache_hits,
+            first.plan_cache_hits + plans.size());
 }
 
 TEST(Engine, CompositeProbesReduceMatching) {

@@ -9,6 +9,7 @@
 
 #include "eval/profile.h"
 #include "ldl/ldl.h"
+#include "workload/workload.h"
 
 namespace ldl {
 namespace {
@@ -147,6 +148,39 @@ TEST(Profile, MagicQueryProfilesRewrittenRules) {
   ASSERT_EQ(result->profile.strata().size(), 1u);
   EXPECT_EQ(result->profile.strata()[0].stratum, -1);
   EXPECT_GT(result->profile.strata()[0].facts_derived, 0u);
+}
+
+// The §6 young program over a forest: the grouping rule young__bf fires
+// once per magic query. The positive part saturates, the grouping level
+// fires and derives the answer, the positive part resumes from that answer
+// (nothing reads it), and the level is not fired again over unchanged
+// inputs.
+TEST(Profile, MagicGroupingLevelFiresOnceOverUnchangedInputs) {
+  const SameGenerationWorkload forest = MakeSameGeneration(3, 2, 4);
+  Session session;
+  ASSERT_TRUE(session
+                  .Load(forest.facts +
+                        "a(X, Y) :- p(X, Y).\n"
+                        "a(X, Y) :- a(X, Z), a(Z, Y).\n"
+                        "sg(X, Y) :- siblings(X, Y).\n"
+                        "sg(X, Y) :- p(Z1, X), sg(Z1, Z2), p(Z2, Y).\n"
+                        "young(X, <Y>) :- !a(X, Z), sg(X, Y).\n")
+                  .ok());
+  QueryOptions options;
+  options.strategy = QueryStrategy::kMagic;
+  options.eval.profile = true;
+  auto result =
+      session.Query("young(" + forest.a_leaf + ", S)", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->tuples.size(), 1u);
+  bool saw_young = false;
+  for (const auto& [index, rule] : NonTimingFields(result->profile)) {
+    if (rule.label.rfind("young__bf(", 0) != 0) continue;
+    saw_young = true;
+    EXPECT_EQ(rule.counters.at("firings"), 1u) << rule.label;
+    EXPECT_EQ(rule.counters.at("facts_derived"), 1u) << rule.label;
+  }
+  EXPECT_TRUE(saw_young);
 }
 
 TEST(Profile, TopDownQueryFillsRollup) {

@@ -536,6 +536,134 @@ TEST(Service, MagicMaxFactsCountsReadThroughRows) {
   EXPECT_GT(first_ok, 3u);
 }
 
+// A magic query's rewrite and saturation plan depend only on its shape:
+// the goal predicate, which arguments are bound, and the strategy. Every
+// leaf of a forest shares one young(<leaf>, S) shape per strategy, so 48
+// leaves under two strategies compile two shapes, and no query after a
+// shape's first registers catalog predicates. New rules drop the compiled
+// shapes with the analysis they belong to.
+TEST(Service, BoundQueryShapeCompiledOnce) {
+  const SameGenerationWorkload forest = MakeSameGeneration(3, 2, 4);
+  Service service;
+  ASSERT_TRUE(service
+                  .Load(forest.facts + kYoungRules +
+                        "parent_of(X) :- p(X, Y).\n"
+                        "leaf(Y) :- p(X, Y), !parent_of(Y).\n")
+                  .ok());
+  auto leaves = service.Query("leaf(X)");
+  ASSERT_TRUE(leaves.ok()) << leaves.status();
+  ASSERT_EQ(leaves->tuples.size(), 48u);
+  const TermFactory& factory = service.snapshot()->factory();
+
+  std::vector<PreparedQuery> goals;
+  for (const Tuple& leaf : leaves->tuples) {
+    auto goal =
+        service.Prepare(StrCat("young(", factory.ToString(leaf[0]), ", S)"));
+    ASSERT_TRUE(goal.ok());
+    goals.push_back(*goal);
+  }
+  const uint64_t compiled_before = service.stats().magic_shapes_compiled;
+  uint64_t catalog_after_first = 0;
+  for (size_t i = 0; i < goals.size(); ++i) {
+    auto model = service.Query(goals[i]);
+    ASSERT_TRUE(model.ok());
+    ASSERT_EQ(model->tuples.size(), 1u) << goals[i].text();
+    for (QueryStrategy strategy : {QueryStrategy::kMagic,
+                                   QueryStrategy::kMagicSupplementary}) {
+      QueryOptions options;
+      options.strategy = strategy;
+      auto result = service.Query(goals[i], options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(Render(factory, result->tuples), Render(factory, model->tuples))
+          << goals[i].text() << " under " << ToString(strategy);
+    }
+    if (i == 0) catalog_after_first = service.stats().catalog_preds;
+  }
+  EXPECT_EQ(service.stats().magic_shapes_compiled - compiled_before, 2u);
+  EXPECT_EQ(service.stats().catalog_preds, catalog_after_first);
+
+  // A rule that gives the first leaf one more same-generation peer.
+  ASSERT_TRUE(service
+                  .Load(StrCat("sg(X, Y) :- peer(X, Y).\npeer(",
+                               factory.ToString(leaves->tuples[0][0]),
+                               ", zed).\n"))
+                  .ok());
+  auto model = service.Query(goals[0]);
+  ASSERT_TRUE(model.ok());
+  QueryOptions options;
+  options.strategy = QueryStrategy::kMagic;
+  auto result = service.Query(goals[0], options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(service.stats().magic_shapes_compiled - compiled_before, 3u);
+  EXPECT_EQ(Render(factory, result->tuples), Render(factory, model->tuples));
+  ASSERT_EQ(result->tuples.size(), 1u);
+  EXPECT_NE(factory.ToString(result->tuples[0][1]).find("zed"),
+            std::string::npos);
+}
+
+// Reader threads race on the first magic queries of one shape and of
+// different shapes while the writer loads new rules: every Load drops the
+// compiled shapes with its analysis, so each new snapshot's first queries
+// compile again under the catalog mutex while others wait for or read the
+// cache (tsan checks the synchronization). The loaded rules derive an
+// unrelated predicate, so the answers never change.
+TEST(ServiceStress, FirstQueriesRaceToCompileShapes) {
+  const SameGenerationWorkload forest = MakeSameGeneration(2, 2, 3);
+  const std::string program = forest.facts + kYoungRules;
+  const std::vector<std::string> goals = {
+      StrCat("young(", forest.a_leaf, ", S)"),
+      StrCat("young(", forest.an_inner, ", S)"),
+      StrCat("sg(", forest.a_leaf, ", Y)"),
+      "young(X, S)",
+  };
+  const std::vector<std::vector<std::string>> expected =
+      SessionAnswers(program, {}, goals);
+
+  Service service;
+  ASSERT_TRUE(service.Load(program).ok());
+  const std::vector<PreparedQuery> prepared = PrepareAll(&service, goals);
+
+  constexpr size_t kLoads = 8;
+  constexpr size_t kReaders = 4;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> arrived{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      while (arrived.load(std::memory_order_acquire) < kReaders + 1) {
+      }
+      for (size_t i = 0; !done.load(std::memory_order_acquire) || i < 8; ++i) {
+        QueryOptions options;
+        options.strategy = (r + i) % 2 == 0
+                               ? QueryStrategy::kMagic
+                               : QueryStrategy::kMagicSupplementary;
+        // Pairs of readers start on the same goal, so both the same shape
+        // and different shapes race.
+        const size_t g = (r / 2 + i) % goals.size();
+        std::shared_ptr<const ModelSnapshot> snapshot = service.snapshot();
+        auto result = snapshot->Query(prepared[g], options);
+        if (!result.ok() ||
+            Render(snapshot->factory(), result->tuples) != expected[g]) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+  arrived.fetch_add(1, std::memory_order_acq_rel);
+  for (size_t i = 0; i < kLoads; ++i) {
+    ASSERT_TRUE(service.Load(StrCat("unrelated", i, "(X) :- p(X, Y).")).ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0u)
+      << "a reader racing to compile a shape saw a wrong answer set";
+  // At most the 4 goals x 2 strategies, once per analysis.
+  EXPECT_LE(service.stats().magic_shapes_compiled, 8u * (kLoads + 1));
+}
+
 // Reader threads start top-down and magic goals on a freshly published
 // snapshot at the same moment, so their first probes race to build the
 // same lazy index (tsan checks the publication). The writes hang a chain
