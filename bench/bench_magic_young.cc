@@ -2,7 +2,9 @@
 // family forest; magic evaluation explores only the queried person's
 // ancestor chain and generation, while full evaluation materializes a, sg
 // and young for everyone. Expected shape: the gap grows with the forest
-// depth; magic never loses on bound queries.
+// depth; magic never loses on bound queries. The *Repeated arms time only
+// Session::Query on a session that is already loaded and has answered the
+// goal once.
 #include "base/str_util.h"
 #include "bench/bench_util.h"
 #include "workload/workload.h"
@@ -52,10 +54,47 @@ void RunYoung(benchmark::State& state, bool magic, bool supplementary = false) {
       last_profile);
 }
 
+// The repeated-query arm: one Session, loaded, analyzed and queried once
+// outside the timed loop, so each iteration times Session::Query alone --
+// the magic shape is compiled by then, as it is for a serving session.
+void RunYoungRepeated(benchmark::State& state, bool supplementary) {
+  size_t depth = static_cast<size_t>(state.range(0));
+  ldl::SameGenerationWorkload workload = ldl::MakeSameGeneration(3, 2, depth);
+  std::string goal = ldl::StrCat("young(", workload.a_leaf, ", S)");
+  ldl::QueryOptions options;
+  options.strategy = supplementary ? ldl::QueryStrategy::kMagicSupplementary
+                                   : ldl::QueryStrategy::kMagic;
+  auto session = ldl_bench::MakeSession(state, workload.facts, kRules);
+  if (session == nullptr) return;
+  auto warm = session->Query(goal, options);
+  if (!warm.ok() || warm->tuples.size() != 1) {
+    state.SkipWithError("expected exactly one young answer");
+    return;
+  }
+  ldl::EvalStats last;
+  for (auto _ : state) {
+    auto result = session->Query(goal, options);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(result->tuples);
+    last = result->stats;
+  }
+  state.counters["people"] = static_cast<double>(workload.person_count);
+  ldl_bench::RecordStats(state, last);
+}
+
 void BM_YoungFull(benchmark::State& state) { RunYoung(state, false); }
 void BM_YoungMagic(benchmark::State& state) { RunYoung(state, true); }
 void BM_YoungSupplementary(benchmark::State& state) {
   RunYoung(state, true, /*supplementary=*/true);
+}
+void BM_YoungMagicRepeated(benchmark::State& state) {
+  RunYoungRepeated(state, /*supplementary=*/false);
+}
+void BM_YoungSupplementaryRepeated(benchmark::State& state) {
+  RunYoungRepeated(state, /*supplementary=*/true);
 }
 
 }  // namespace
@@ -66,5 +105,9 @@ BENCHMARK(BM_YoungMagic)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_YoungSupplementary)->Arg(3)->Arg(5)->Arg(7)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_YoungMagicRepeated)->Arg(3)->Arg(4)->Arg(5)->Arg(6)->Arg(7)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_YoungSupplementaryRepeated)->Arg(3)->Arg(5)->Arg(7)
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

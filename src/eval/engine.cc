@@ -15,26 +15,16 @@ namespace ldl {
 
 namespace {
 
-// Body literal occurrences whose predicate is in `idb` (candidates for
-// semi-naive delta positioning).
-std::vector<int> RecursiveOccurrences(const RuleIr& rule,
-                                      const std::vector<bool>& idb) {
-  std::vector<int> result;
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    const LiteralIr& literal = rule.body[i];
-    if (!literal.is_builtin() && !literal.negated && literal.pred < idb.size() &&
-        idb[literal.pred]) {
-      result.push_back(static_cast<int>(i));
-    }
-  }
-  return result;
-}
-
 // Rounds a cardinality estimate into a profile counter (est_rows).
 uint64_t EstimateToCounter(double est) {
   if (!(est > 0.0)) return 0;  // also filters NaN
   return static_cast<uint64_t>(std::llround(std::min(est, 9e18)));
 }
+
+// Replanning hysteresis: a delta variant switches to the newly costed order
+// only when estimated_work(current) > kReplanCostRatio * estimated_work(best),
+// which keeps plan churn (and plan-cache pressure) low when estimates wobble.
+constexpr double kReplanCostRatio = 2.0;
 
 }  // namespace
 
@@ -48,83 +38,91 @@ RuleProfileEntry* Engine::ProfileEntry(EvalProfile* profile, const RuleIr& rule,
   return &entry;
 }
 
+StatusOr<ResolvedOrder> Engine::Resolve(const RuleIr& rule,
+                                        const OrderRequest& request,
+                                        EvalStats* stats) {
+  std::vector<Symbol> head_vars;
+  if (request.head_seeded) {
+    for (const Term* arg : rule.head_args) CollectVars(arg, &head_vars);
+  }
+  const std::vector<Symbol>* bound = request.head_seeded ? &head_vars : nullptr;
+  StatusOr<std::vector<int>> order =
+      request.costs == nullptr
+          ? OrderBodyLiterals(*catalog_, rule, request.front, bound)
+          : OrderBodyLiteralsCostBased(*catalog_, rule, *request.costs,
+                                       request.front, bound);
+  if (!order.ok()) return order.status();
+  if (request.costs != nullptr && request.count_reordered) {
+    StatusOr<std::vector<int>> syntactic =
+        OrderBodyLiterals(*catalog_, rule, request.front, bound);
+    if (syntactic.ok() && syntactic.value() != order.value()) {
+      ++stats->plans_reordered;
+    }
+  }
+  return Resolve(rule, std::move(order).value(), request.head_seeded, stats);
+}
+
+ResolvedOrder Engine::Resolve(const RuleIr& rule, std::vector<int> order,
+                              bool head_seeded, EvalStats* stats) {
+  std::shared_ptr<const JoinPlan> plan =
+      plans_->Get(rule, order, &stats->plan_cache_hits, head_seeded);
+  return ResolvedOrder{std::move(order), std::move(plan)};
+}
+
+RuleEvaluator Engine::Evaluator(const RuleIr& rule, const ResolvedOrder& resolved,
+                                const EvalOptions& options) {
+  return RuleEvaluator(factory_, &rule, resolved.order, options.builtin_limits,
+                       resolved.plan, &block_storage_);
+}
+
+Status Engine::InsertFact(const RuleIr& rule, int rule_index, int stratum,
+                          Database* db, EvalStats* stats,
+                          EvalProfile* profile) {
+  InstantiationResult inst = InstantiateArgs(*factory_, rule.head_args, Subst());
+  if (inst.unbound) return NotWellFormedError("fact with unbound variables");
+  RuleProfileEntry* entry = ProfileEntry(profile, rule, rule_index, stratum);
+  if (entry != nullptr) ++entry->counters.firings;
+  if (!inst.outside_universe && db->AddFact(rule.head_pred, inst.tuple)) {
+    ++stats->facts_derived;
+    if (entry != nullptr) ++entry->counters.facts_derived;
+  }
+  return Status::OK();
+}
+
 Status Engine::ApplyRule(const RuleIr& rule, const ResolvedOrder& resolved,
                          const std::vector<LiteralWindow>& windows, Database* db,
                          const EvalOptions& options, EvalStats* stats,
-                         bool* derived, RuleProfileEntry* entry) {
-  // When profiling, counters collect into a rule-local EvalStats first so
-  // this application's share can be attributed before folding into the
-  // evaluation totals.
-  EvalStats local_stats;
-  EvalStats* s = entry != nullptr ? &local_stats : stats;
-  ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
-
-  RuleEvaluator evaluator(factory_, &rule, resolved.order,
-                          options.builtin_limits, resolved.plan,
-                          &block_storage_);
-  ++s->rule_firings;
-
+                         bool* derived, RuleProfileEntry* entry, size_t delta_rows) {
+  RuleFiring firing(stats, entry);
+  firing.AddDeltaRows(delta_rows);
   // Heads are buffered, not inserted while enumerating: inserting would
   // invalidate row references for self-recursive rules.
   RowBuffer produced(rule.head_args.size());
-  LDL_RETURN_IF_ERROR(evaluator.CollectHeads(*db, windows, &produced, s));
-
+  LDL_RETURN_IF_ERROR(Evaluator(rule, resolved, options)
+                          .CollectHeads(*db, windows, &produced, firing.stats()));
   bool inserted = false;
   for (size_t i = 0; i < produced.size(); ++i) {
     if (db->AddFact(rule.head_pred, produced.row(i))) {
       inserted = true;
-      ++s->facts_derived;
+      ++firing.stats()->facts_derived;
     }
   }
   *derived = *derived || inserted;
-  if (entry != nullptr) {
-    ++entry->counters.firings;
-    AttributeStats(entry, local_stats);
-    stats->Add(local_stats);
-  }
   // Only an insert can push the database over the limit.
   return inserted ? CheckMaxFacts(*db, options) : Status::OK();
 }
 
-Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
-                                 const EvalOptions& options, EvalStats* stats,
-                                 bool* derived,
-                                 std::vector<GroupResult>* results_out,
-                                 RuleProfileEntry* entry) {
-  EvalStats local_stats;
-  EvalStats* s = entry != nullptr ? &local_stats : stats;
-  ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
-
-  // A grouping rule's body reads only strictly lower layers, which no rule
-  // of this stratum mutates -- so the per-rule snapshot here prices the
-  // stratum's input model whatever grouping rules ran before this one.
-  std::vector<int> order;
-  if (options.cost_based) {
-    LDL_ASSIGN_OR_RETURN(
-        order, OrderBodyLiteralsCostBased(*catalog_, rule,
-                                          CostModel::Snapshot(*db, *catalog_)));
-  } else {
-    LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
-  }
-  std::shared_ptr<const JoinPlan> plan =
-      plans_->Get(rule, order, &s->plan_cache_hits);
-  RuleEvaluator evaluator(factory_, &rule, order, options.builtin_limits,
-                          std::move(plan), &block_storage_);
-  ++s->rule_firings;
+Status Engine::FireGrouping(
+    const RuleIr& rule, const ResolvedOrder& resolved, Database* db,
+    const EvalOptions& options, EvalStats* stats, RuleProfileEntry* entry,
+    GroupCache* cache, const std::function<Status(GroupResult&, EvalStats*)>& insert) {
+  RuleFiring firing(stats, entry);
+  RuleEvaluator evaluator = Evaluator(rule, resolved, options);
   LDL_ASSIGN_OR_RETURN(std::vector<GroupResult> groups,
-                       ComputeGroups(*factory_, evaluator, *db, s));
-  for (const GroupResult& group : groups) {
-    if (db->AddFact(rule.head_pred, group.fact)) {
-      *derived = true;
-      ++s->facts_derived;
-    }
+                       ComputeGroups(*factory_, evaluator, *db, firing.stats(), cache));
+  for (GroupResult& group : groups) {
+    LDL_RETURN_IF_ERROR(insert(group, firing.stats()));
   }
-  if (entry != nullptr) {
-    ++entry->counters.firings;
-    AttributeStats(entry, local_stats);
-    stats->Add(local_stats);
-  }
-  if (results_out != nullptr) *results_out = std::move(groups);
   return Status::OK();
 }
 
@@ -132,28 +130,6 @@ StatusOr<std::vector<FixpointRule>> Engine::CompileFixpoint(
     const ProgramIr& program, const std::vector<int>& rule_indices,
     const std::vector<bool>* delta_preds, const CostModel* cost_model,
     EvalStats* stats) {
-  auto choose_order = [&](const RuleIr& rule,
-                          int forced) -> StatusOr<std::vector<int>> {
-    if (cost_model == nullptr) return OrderBodyLiterals(*catalog_, rule, forced);
-    StatusOr<std::vector<int>> order =
-        OrderBodyLiteralsCostBased(*catalog_, rule, *cost_model, forced);
-    if (order.ok()) {
-      // Observability: count adopted cost-based orders that differ from
-      // what the syntactic heuristic would have picked.
-      StatusOr<std::vector<int>> syntactic =
-          OrderBodyLiterals(*catalog_, rule, forced);
-      if (syntactic.ok() && syntactic.value() != order.value()) {
-        ++stats->plans_reordered;
-      }
-    }
-    return order;
-  };
-  auto resolve = [&](const RuleIr& rule, std::vector<int> order) {
-    std::shared_ptr<const JoinPlan> plan =
-        plans_->Get(rule, order, &stats->plan_cache_hits);
-    return ResolvedOrder{std::move(order), std::move(plan)};
-  };
-
   std::vector<FixpointRule> compiled;
   compiled.reserve(rule_indices.size());
   int replan_slots = 0;
@@ -161,8 +137,8 @@ StatusOr<std::vector<FixpointRule>> Engine::CompileFixpoint(
     const RuleIr& rule = program.rules[r];
     FixpointRule c;
     c.rule_index = r;
-    LDL_ASSIGN_OR_RETURN(std::vector<int> default_order, choose_order(rule, -1));
-    c.full = resolve(rule, std::move(default_order));
+    LDL_ASSIGN_OR_RETURN(
+        c.full, Resolve(rule, {.costs = cost_model, .count_reordered = true}, stats));
     if (delta_preds != nullptr) {
       // A variant has an ordering choice only with at least two positive
       // literals besides the pinned occurrence; the others skip the
@@ -170,23 +146,26 @@ StatusOr<std::vector<FixpointRule>> Engine::CompileFixpoint(
       // keeps the planner's per-round overhead at zero for the common
       // linear-recursion shape.
       int positives = 0;
-      for (const LiteralIr& literal : rule.body) {
-        if (!literal.is_builtin() && !literal.negated) ++positives;
+      std::vector<int> carriers;
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        const LiteralIr& literal = rule.body[i];
+        if (literal.is_builtin() || literal.negated) continue;
+        ++positives;
+        if (literal.pred < delta_preds->size() && (*delta_preds)[literal.pred]) {
+          carriers.push_back(static_cast<int>(i));
+        }
       }
-      for (int occurrence : RecursiveOccurrences(rule, *delta_preds)) {
+      for (int occurrence : carriers) {
         FixpointRule::DeltaVariant variant;
         variant.occurrence = occurrence;
         if (cost_model != nullptr && positives >= 3) {
           variant.replan_slot = replan_slots++;
         }
-        StatusOr<std::vector<int>> order = choose_order(rule, occurrence);
-        // Windows bind to body positions, not evaluation slots, so the
-        // default order stays correct for any delta occurrence; fronting
-        // the occurrence is only a join-ordering optimization. Fall back
-        // when an occurrence (e.g. an EDB predicate the default analysis
-        // never fronts) has no evaluable fronted order.
-        variant.resolved =
-            order.ok() ? resolve(rule, std::move(order).value()) : c.full;
+        LDL_ASSIGN_OR_RETURN(
+            variant.resolved,
+            Resolve(rule,
+                    {.front = occurrence, .costs = cost_model, .count_reordered = true},
+                    stats));
         c.variants.push_back(std::move(variant));
       }
     }
@@ -204,15 +183,10 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   // is sized to the catalog as it is here. Predicates registered later
   // cannot occur in these rules.
   const size_t pred_count = catalog_->size();
-  // Delta carriers: the IDB heads of this fixpoint, plus the seed's
-  // externally changed predicates when resuming incrementally.
+  // Delta carriers: the IDB heads of this fixpoint, plus -- resuming
+  // incrementally -- the seed predicates with rows past their watermark.
   std::vector<bool> delta_preds(pred_count, false);
   for (int r : rule_indices) delta_preds[program.rules[r].head_pred] = true;
-  if (seed != nullptr) {
-    for (PredId p = 0; p < pred_count && p < seed->delta_preds->size(); ++p) {
-      if ((*seed->delta_preds)[p]) delta_preds[p] = true;
-    }
-  }
   // A seeded resume always runs the semi-naive machinery: the model is
   // already a fixpoint over the pre-update inputs, so only the delta rows
   // can produce anything new -- and without any there is nothing to
@@ -222,10 +196,12 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   if (seed != nullptr) {
     const Database& view = *db;
     bool any_delta = false;
-    for (PredId p = 0; p < pred_count && !any_delta; ++p) {
-      const size_t mark =
-          p < seed->watermarks->size() ? (*seed->watermarks)[p] : 0;
-      any_delta = delta_preds[p] && view.relation(p).row_count() > mark;
+    for (PredId p = 0; p < pred_count; ++p) {
+      if (view.relation(p).row_count() == seed->OldRows(view, p)) continue;
+      if (p < seed->delta_preds->size() && (*seed->delta_preds)[p]) {
+        delta_preds[p] = true;
+      }
+      any_delta = any_delta || delta_preds[p];
     }
     if (!any_delta) {
       for (int r : rule_indices) {
@@ -304,9 +280,7 @@ Status Engine::RunFixpoint(const ProgramIr& program,
   for (PredId p = 0; p < pred_count; ++p) {
     if (!delta_preds[p]) continue;
     if (seed != nullptr) {
-      size_t mark =
-          p < seed->watermarks->size() ? (*seed->watermarks)[p] : 0;
-      low[p] = std::min(mark, view.relation(p).row_count());
+      low[p] = seed->OldRows(view, p);
     } else if (seminaive) {
       low[p] = view.relation(p).row_count();
     }
@@ -322,15 +296,10 @@ Status Engine::RunFixpoint(const ProgramIr& program,
     }
     for (const FixpointRule& c : rules) {
       const RuleIr& rule = program.rules[c.rule_index];
-      std::vector<LiteralWindow> windows(rule.body.size());
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const LiteralIr& literal = rule.body[i];
-        if (!literal.is_builtin() && !literal.negated) {
-          windows[i] = {0, snap[literal.pred]};
-        }
-      }
       LDL_RETURN_IF_ERROR(ApplyRule(
-          rule, c.full, windows, db, options, stats, derived,
+          rule, c.full,
+          PositiveWindows(rule, [&](PredId p, size_t) { return snap[p]; }),
+          db, options, stats, derived,
           ProfileEntry(profile, rule, c.rule_index, stratum_index)));
     }
     return Status::OK();
@@ -380,7 +349,7 @@ Status Engine::RunFixpoint(const ProgramIr& program,
     // Re-cost each live replannable variant against this round's window
     // sizes ([low, high) for the pinned occurrence, [0, low) for later
     // carriers) and switch its order -- and plan -- when the current one is
-    // estimated at more than replan_cost_ratio times the best. Every input
+    // estimated at more than kReplanCostRatio times the best. Every input
     // is a round-start snapshot, so the choice does not depend on rule
     // order within a round. Without replannable variants the snapshot is
     // never taken, so linear recursion pays nothing per round.
@@ -414,10 +383,9 @@ Status Engine::RunFixpoint(const ProgramIr& program,
             OrderCost best_cost = EstimateOrderCost(rule, best.value(),
                                                     round_model, &literal_rows);
             if (current_cost.total_work >
-                options.replan_cost_ratio * best_cost.total_work) {
-              resolved.order = std::move(best).value();
-              resolved.plan = plans_->Get(rule, resolved.order,
-                                          &stats->plan_cache_hits);
+                kReplanCostRatio * best_cost.total_work) {
+              resolved = Resolve(rule, std::move(best).value(),
+                                 /*head_seeded=*/false, stats);
               current_cost = best_cost;
               ++stats->replans;
             }
@@ -453,25 +421,17 @@ Status Engine::RunFixpoint(const ProgramIr& program,
       for (const FixpointRule::DeltaVariant& v : c.variants) {
         PredId delta_pred = rule.body[v.occurrence].pred;
         if (high[delta_pred] <= low[delta_pred]) continue;
-        std::vector<LiteralWindow> windows(rule.body.size());
-        for (size_t i = 0; i < rule.body.size(); ++i) {
-          const LiteralIr& literal = rule.body[i];
-          if (!literal.is_builtin() && !literal.negated) {
-            windows[i] = delta_preds[literal.pred] &&
-                                 static_cast<int>(i) > v.occurrence
-                             ? LiteralWindow{0, low[literal.pred]}
-                             : LiteralWindow{0, snap[literal.pred]};
-          }
-        }
+        std::vector<LiteralWindow> windows =
+            PositiveWindows(rule, [&](PredId p, size_t i) {
+              return delta_preds[p] && static_cast<int>(i) > v.occurrence
+                         ? low[p]
+                         : snap[p];
+            });
         windows[v.occurrence] = {low[delta_pred], high[delta_pred]};
-        RuleProfileEntry* entry =
-            ProfileEntry(profile, rule, c.rule_index, stratum_index);
-        if (entry != nullptr) {
-          entry->counters.delta_rows += high[delta_pred] - low[delta_pred];
-        }
-        LDL_RETURN_IF_ERROR(
-            ApplyRule(rule, v.replan_slot < 0 ? v.resolved : current(v),
-                      windows, db, options, stats, &derived, entry));
+        LDL_RETURN_IF_ERROR(ApplyRule(
+            rule, v.replan_slot < 0 ? v.resolved : current(v), windows, db, options,
+            stats, &derived, ProfileEntry(profile, rule, c.rule_index, stratum_index),
+            high[delta_pred] - low[delta_pred]));
       }
     }
     for (PredId p = 0; p < pred_count; ++p) {
@@ -496,16 +456,7 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
   for (int r : rules) {
     const RuleIr& rule = program.rules[r];
     if (rule.is_fact()) {
-      InstantiationResult inst = InstantiateArgs(*factory_, rule.head_args, Subst());
-      if (inst.unbound) {
-        return NotWellFormedError("fact with unbound variables");
-      }
-      RuleProfileEntry* entry = ProfileEntry(profile, rule, r, stratum_index);
-      if (entry != nullptr) ++entry->counters.firings;
-      if (!inst.outside_universe && db->AddFact(rule.head_pred, inst.tuple)) {
-        ++stats->facts_derived;
-        if (entry != nullptr) ++entry->counters.facts_derived;
-      }
+      LDL_RETURN_IF_ERROR(InsertFact(rule, r, stratum_index, db, stats, profile));
     } else if (rule.is_grouping()) {
       grouping_rules.push_back(r);
     } else {
@@ -514,11 +465,25 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
   }
 
   // Lemma 3.2.3: grouping rules fire once, over the stratum's input model
-  // (their bodies depend only on strictly lower layers).
+  // (their bodies depend only on strictly lower layers, which no rule of
+  // this stratum mutates -- so the per-rule snapshot prices the input model
+  // whatever grouping rules ran before this one).
   for (int r : grouping_rules) {
-    LDL_RETURN_IF_ERROR(ApplyGroupingRule(
-        program.rules[r], db, options, stats, &derived, nullptr,
-        ProfileEntry(profile, program.rules[r], r, stratum_index)));
+    const RuleIr& rule = program.rules[r];
+    CostModel costs;
+    if (options.cost_based) costs = CostModel::Snapshot(*db, *catalog_);
+    LDL_ASSIGN_OR_RETURN(
+        ResolvedOrder resolved,
+        Resolve(rule, {.costs = options.cost_based ? &costs : nullptr}, stats));
+    LDL_RETURN_IF_ERROR(FireGrouping(
+        rule, resolved, db, options, stats, ProfileEntry(profile, rule, r, stratum_index),
+        /*cache=*/nullptr, [&](GroupResult& group, EvalStats* s) {
+          if (db->AddFact(rule.head_pred, group.fact)) {
+            derived = true;
+            ++s->facts_derived;
+          }
+          return Status::OK();
+        }));
   }
   if (!normal_rules.empty()) {
     LDL_RETURN_IF_ERROR(Fixpoint(program, normal_rules, stratum_index, db,
@@ -574,24 +539,14 @@ Status Engine::EvaluateProgram(const ProgramIr& program,
                                const Stratification& stratification, Database* db,
                                const EvalOptions& options, EvalStats* stats,
                                EvalProfile* profile) {
-  EvalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  if (!options.profile) profile = nullptr;
-  if (profile != nullptr) profile->ReserveRules(program.rules.size());
-  ScopedSetInternCounter set_interns(factory_, stats);
-  uint64_t total_wall = 0;
-  ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
+  EvaluationScope scope(factory_, options, stats, profile, program.rules.size());
   if (options.mode == EvalOptions::Mode::kSemiNaive) {
     EnableDerivationCounts(program, stratification, db);
   }
   for (size_t s = 0; s < stratification.strata.size(); ++s) {
-    LDL_RETURN_IF_ERROR(EvaluateStratum(program, stratification.strata[s],
-                                        static_cast<int>(s), StratumMode::kFull,
-                                        db, options, stats, profile));
-  }
-  if (profile != nullptr) {
-    total_timer.Stop();
-    profile->add_total_wall_ns(total_wall);
+    LDL_RETURN_IF_ERROR(EvaluateStratum(
+        program, stratification.strata[s], static_cast<int>(s),
+        StratumMode::kFull, db, options, scope.stats(), scope.profile()));
   }
   return Status::OK();
 }
@@ -630,21 +585,15 @@ StatusOr<SaturationPlan> Engine::CompileSaturation(const ProgramIr& program,
                        CompileFixpoint(program, positive_rules,
                                        &plan.delta_preds_,
                                        /*cost_model=*/nullptr, &compile_stats));
-  auto resolve = [&](int r) -> StatusOr<SaturationPlan::LevelRule> {
-    const RuleIr& rule = program.rules[r];
-    LDL_ASSIGN_OR_RETURN(std::vector<int> order,
-                         OrderBodyLiterals(*catalog_, rule));
-    std::shared_ptr<const JoinPlan> join =
-        plans_->Get(rule, order, &compile_stats.plan_cache_hits);
-    return SaturationPlan::LevelRule{r, {std::move(order), std::move(join)}};
-  };
   for (int r : grouping_rules) {
-    LDL_ASSIGN_OR_RETURN(SaturationPlan::LevelRule rule, resolve(r));
-    plan.grouping_.push_back(std::move(rule));
+    LDL_ASSIGN_OR_RETURN(ResolvedOrder resolved,
+                         Resolve(program.rules[r], {}, &compile_stats));
+    plan.grouping_.push_back({r, std::move(resolved)});
   }
   for (int r : negation_rules) {
-    LDL_ASSIGN_OR_RETURN(SaturationPlan::LevelRule rule, resolve(r));
-    plan.negation_.push_back(std::move(rule));
+    LDL_ASSIGN_OR_RETURN(ResolvedOrder resolved,
+                         Resolve(program.rules[r], {}, &compile_stats));
+    plan.negation_.push_back({r, std::move(resolved)});
   }
 
   // Grouping and negation rules are not monotone, and the saturation never
@@ -717,35 +666,20 @@ Status Engine::EvaluateSaturating(const ProgramIr& program,
   if (plan.rule_count_ != program.rules.size()) {
     return InternalError("saturation plan was compiled from another program");
   }
-  EvalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  if (!options.profile) profile = nullptr;
-  if (profile != nullptr) {
-    profile->ReserveRules(program.rules.size() + seeds.size());
-  }
-  ScopedSetInternCounter set_interns(factory_, stats);
-  uint64_t total_wall = 0;
-  ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
+  EvaluationScope scope(factory_, options, stats, profile,
+                        program.rules.size() + seeds.size());
+  stats = scope.stats();
+  profile = scope.profile();
   // The saturation loop is unlayered; report it as one pseudo-stratum -1.
   StratumRollup rollup(profile, stats, /*stratum=*/-1, StratumMode::kFull);
   LDL_RETURN_IF_ERROR(CheckMaxFacts(*db, options));
-
-  auto add_fact = [&](const RuleIr& rule, int rule_index) -> Status {
-    InstantiationResult inst = InstantiateArgs(*factory_, rule.head_args, Subst());
-    if (inst.unbound) return NotWellFormedError("fact with unbound variables");
-    RuleProfileEntry* entry =
-        ProfileEntry(profile, rule, rule_index, /*stratum=*/-1);
-    if (entry != nullptr) ++entry->counters.firings;
-    if (!inst.outside_universe && db->AddFact(rule.head_pred, inst.tuple)) {
-      ++stats->facts_derived;
-      if (entry != nullptr) ++entry->counters.facts_derived;
-    }
-    return Status::OK();
-  };
-  for (int r : plan.facts_) LDL_RETURN_IF_ERROR(add_fact(program.rules[r], r));
+  for (int r : plan.facts_) {
+    LDL_RETURN_IF_ERROR(InsertFact(program.rules[r], r, -1, db, stats, profile));
+  }
   for (size_t i = 0; i < seeds.size(); ++i) {
-    LDL_RETURN_IF_ERROR(
-        add_fact(seeds[i], static_cast<int>(program.rules.size() + i)));
+    LDL_RETURN_IF_ERROR(InsertFact(seeds[i],
+                                   static_cast<int>(program.rules.size() + i),
+                                   -1, db, stats, profile));
   }
 
   // Per grouping rule: partition key -> emitted fact, for reconciliation.
@@ -760,73 +694,53 @@ Status Engine::EvaluateSaturating(const ProgramIr& program,
   // Group facts a regrown group replaced: the only rows the loop removes.
   size_t retracted = 0;
 
-  // Fires grouping rule g over the current state, reconciled per key.
-  auto fire_grouping = [&](size_t g, bool* changed) -> Status {
-    const SaturationPlan::LevelRule& compiled = plan.grouping_[g];
-    const RuleIr& rule = program.rules[compiled.rule_index];
-    RuleProfileEntry* entry =
-        ProfileEntry(profile, rule, compiled.rule_index, /*stratum=*/-1);
-    EvalStats group_local;
-    EvalStats* gs = entry != nullptr ? &group_local : stats;
-    ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns
-                                           : nullptr);
-    RuleEvaluator evaluator(factory_, &rule, compiled.resolved.order,
-                            options.builtin_limits, compiled.resolved.plan,
-                            &block_storage_);
-    ++gs->rule_firings;
-    LDL_ASSIGN_OR_RETURN(
-        std::vector<GroupResult> groups,
-        ComputeGroups(*factory_, evaluator, *db, gs, &group_caches[g]));
-    for (GroupResult& group : groups) {
-      auto it = emitted[g].find(group.key);
-      if (it == emitted[g].end()) {
-        if (db->AddFact(rule.head_pred, group.fact)) {
-          *changed = true;
-          ++gs->facts_derived;
-        }
-        emitted[g].emplace(std::move(group.key), std::move(group.fact));
-        continue;
+  // Adds a group of grouping rule g, reconciled per partition key.
+  auto reconcile = [&](size_t g, GroupResult& group, EvalStats* s,
+                       bool* changed) -> Status {
+    const RuleIr& rule = program.rules[plan.grouping_[g].rule_index];
+    auto it = emitted[g].find(group.key);
+    if (it == emitted[g].end()) {
+      if (db->AddFact(rule.head_pred, group.fact)) {
+        *changed = true;
+        ++s->facts_derived;
       }
-      if (it->second == group.fact) continue;
-      // The group regrew after it was first emitted. For admissible source
-      // programs the per-magic-tuple body is complete before the group
-      // first fires, so this indicates a non-layered source (see §6
-      // discussion). Replace, but only if the old fact is not claimed by
-      // another grouping rule, and require monotone growth.
-      const Term* old_set = it->second[rule.group_index];
-      const Term* new_set = group.fact[rule.group_index];
-      if (!old_set->is_set() || !new_set->is_set() ||
-          factory_->SetDifference(old_set, new_set)->size() != 0) {
-        return InternalError(
-            "a grouped set changed non-monotonically during magic "
-            "evaluation; source program is not admissible");
-      }
-      bool claimed_elsewhere = false;
-      for (size_t other = 0; other < emitted.size(); ++other) {
-        if (other == g) continue;
-        for (const auto& [key, fact] : emitted[other]) {
-          if (fact == it->second &&
-              program.rules[plan.grouping_[other].rule_index].head_pred ==
-                  rule.head_pred) {
-            claimed_elsewhere = true;
-            break;
-          }
-        }
-        if (claimed_elsewhere) break;
-      }
-      if (!claimed_elsewhere) {
-        db->relation(rule.head_pred).Erase(it->second);
-        ++retracted;
-      }
-      if (db->AddFact(rule.head_pred, group.fact)) ++gs->facts_derived;
-      it->second = std::move(group.fact);
-      *changed = true;
+      emitted[g].emplace(std::move(group.key), std::move(group.fact));
+      return Status::OK();
     }
-    if (entry != nullptr) {
-      ++entry->counters.firings;
-      AttributeStats(entry, group_local);
-      stats->Add(group_local);
+    if (it->second == group.fact) return Status::OK();
+    // The group regrew after it was first emitted. For admissible source
+    // programs the per-magic-tuple body is complete before the group
+    // first fires, so this indicates a non-layered source (see §6
+    // discussion). Replace, but only if the old fact is not claimed by
+    // another grouping rule, and require monotone growth.
+    const Term* old_set = it->second[rule.group_index];
+    const Term* new_set = group.fact[rule.group_index];
+    if (!old_set->is_set() || !new_set->is_set() ||
+        factory_->SetDifference(old_set, new_set)->size() != 0) {
+      return InternalError(
+          "a grouped set changed non-monotonically during magic "
+          "evaluation; source program is not admissible");
     }
+    bool claimed_elsewhere = false;
+    for (size_t other = 0; other < emitted.size(); ++other) {
+      if (other == g) continue;
+      for (const auto& [key, fact] : emitted[other]) {
+        if (fact == it->second &&
+            program.rules[plan.grouping_[other].rule_index].head_pred ==
+                rule.head_pred) {
+          claimed_elsewhere = true;
+          break;
+        }
+      }
+      if (claimed_elsewhere) break;
+    }
+    if (!claimed_elsewhere) {
+      db->relation(rule.head_pred).Erase(it->second);
+      ++retracted;
+    }
+    if (db->AddFact(rule.head_pred, group.fact)) ++s->facts_derived;
+    it->second = std::move(group.fact);
+    *changed = true;
     return Status::OK();
   };
 
@@ -879,7 +793,14 @@ Status Engine::EvaluateSaturating(const ProgramIr& program,
       fired[l] = true;
       fired_inputs[l] = inputs;
       for (size_t g : level.grouping) {
-        LDL_RETURN_IF_ERROR(fire_grouping(g, &changed));
+        const SaturationPlan::LevelRule& compiled = plan.grouping_[g];
+        const RuleIr& rule = program.rules[compiled.rule_index];
+        LDL_RETURN_IF_ERROR(FireGrouping(
+            rule, compiled.resolved, db, options, stats,
+            ProfileEntry(profile, rule, compiled.rule_index, /*stratum=*/-1),
+            &group_caches[g], [&](GroupResult& group, EvalStats* s) {
+              return reconcile(g, group, s, &changed);
+            }));
       }
       for (size_t i : level.negation) {
         const SaturationPlan::LevelRule& compiled = plan.negation_[i];
@@ -894,10 +815,6 @@ Status Engine::EvaluateSaturating(const ProgramIr& program,
     resuming = true;
   }
   rollup.Finish();
-  if (profile != nullptr) {
-    total_timer.Stop();
-    profile->add_total_wall_ns(total_wall);
-  }
   return Status::OK();
 }
 

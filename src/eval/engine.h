@@ -35,6 +35,8 @@
 #ifndef LDL1_EVAL_ENGINE_H_
 #define LDL1_EVAL_ENGINE_H_
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -70,10 +72,6 @@ struct EvalOptions {
   // they never depend on which rules ran earlier in the round; windows bind
   // to body positions, so an order changes cost, never the derived facts.
   bool cost_based = true;
-  // Replanning hysteresis: a delta variant switches to the newly costed
-  // order only when estimated_work(current) > ratio * estimated_work(best).
-  // Keeps plan churn (and plan-cache pressure) low when estimates wobble.
-  double replan_cost_ratio = 2.0;
   // Collect a per-rule / per-stratum EvalProfile (eval/profile.h) into the
   // EvalProfile* the caller passes alongside stats. Off, the engine never
   // reads the clock; the hot-path cost is one null test per application.
@@ -234,7 +232,46 @@ class Engine {
     // Predicates that may carry rows past their watermark (changed EDB
     // preds plus delta-maintained lower-stratum IDB preds).
     const std::vector<bool>* delta_preds;
+
+    // The pre-update extent of `pred`: its rows below the watermark.
+    size_t OldRows(const Database& db, PredId pred) const {
+      const size_t mark = pred < watermarks->size() ? (*watermarks)[pred] : 0;
+      return std::min(mark, db.relation(pred).row_count());
+    }
   };
+
+  // How Resolve picks a rule body's order. Fronting a positive occurrence
+  // or binding the head's variables first only binds variables earlier, and
+  // the mode table is monotone in them, so such an order exists whenever the
+  // rule's default one does; windows bind to body positions, so every order
+  // derives the same facts.
+  struct OrderRequest {
+    int front = -1;  // body occurrence evaluated first, or -1
+    // Cost-based order under this model (eval/cost.h); syntactic when null.
+    const CostModel* costs = nullptr;
+    // Bind the head's variables first; compiles a head-seeded plan.
+    bool head_seeded = false;
+    // Count a cost-based order unlike the syntactic one in plans_reordered.
+    bool count_reordered = false;
+  };
+
+  // The resolver: picks `rule`'s order per `request` and looks its plan up
+  // once (hits count into stats->plan_cache_hits). The second form looks up
+  // an order already chosen; no other code touches the plan cache.
+  StatusOr<ResolvedOrder> Resolve(const RuleIr& rule, const OrderRequest& request,
+                                  EvalStats* stats);
+  ResolvedOrder Resolve(const RuleIr& rule, std::vector<int> order,
+                        bool head_seeded, EvalStats* stats);
+
+  // The one way to run a rule: an evaluator for `resolved`, its blocks
+  // drawn from the engine's pool.
+  RuleEvaluator Evaluator(const RuleIr& rule, const ResolvedOrder& resolved,
+                          const EvalOptions& options);
+
+  // Inserts fact rule `rule`'s tuple (unless outside U): one profiled
+  // firing, and a derived fact when it is new.
+  Status InsertFact(const RuleIr& rule, int rule_index, int stratum,
+                    Database* db, EvalStats* stats, EvalProfile* profile);
 
   // Evaluates one stratum from its input model (the profile rollup is
   // labeled `mode`: kFull, or kRecomputed under Maintain).
@@ -243,23 +280,14 @@ class Engine {
                          const EvalOptions& options, EvalStats* stats,
                          EvalProfile* profile);
 
-  // Maintains one stratum whose worst head impact `mode` is kDelta,
-  // kShrink or kGroupRegrow, in three phases:
-  //   1. grouping heads classified kGroupRegrow regrow only the partitions
-  //      the inserted rows touch (RegrowGroupingRule);
-  //   2. when settled deletions below reach the normal rules, the stratum
-  //      either decrements the derivation counts of the head facts each
-  //      deleted row derived (non-recursive, grouping-free, counted heads,
-  //      at most one deleted-carrier occurrence per rule) and tombstones
-  //      rows reaching zero, or runs the two DRed phases -- over-delete to
-  //      fixpoint against the pre-deletion state (deleted rows transiently
-  //      revived), then rederive the over-deleted facts that survive;
-  //   3. the normal rules resume the seeded semi-naive fixpoint, so mixed
-  //      batches finish in the same pass.
+  // Maintains one stratum whose worst head impact `mode` is kDelta, kShrink
+  // or kGroupRegrow, in the three phases maintain.cc describes: regrow the
+  // kGroupRegrow grouping heads in place, retract what settled deletions
+  // below took away (derivation-count decrements or DRed), and resume the
+  // seeded semi-naive fixpoint, so mixed batches finish in one pass.
   // `removed_rows[p]` holds the tombstoned row ids of each predicate's
-  // settled deletions; the handler consumes the entries of the strata
-  // below and appends the stratum's own head deletions for the strata
-  // above.
+  // settled deletions; the handler consumes the entries of the strata below
+  // and appends the stratum's own head deletions for the strata above.
   Status MaintainStratum(const ProgramIr& program,
                          const std::vector<int>& rules, int stratum_index,
                          PredImpact mode, Database* db, const FixpointSeed& seed,
@@ -280,27 +308,30 @@ class Engine {
                             bool* derived, RuleProfileEntry* entry);
 
   // Applies one non-grouping rule under a resolved order (optionally with
-  // per-literal windows); inserts derived facts. Sets *derived if anything
-  // new appeared, and then checks max_facts. A non-null `entry` attributes
-  // one firing plus this application's counters and wall time to the
-  // rule's profile.
+  // per-literal windows) in one RuleFiring attributed to `entry`, driven by
+  // `delta_rows` delta rows; inserts derived facts. Sets *derived if anything
+  // new appeared, and then checks max_facts.
   Status ApplyRule(const RuleIr& rule, const ResolvedOrder& resolved,
                    const std::vector<LiteralWindow>& windows, Database* db,
                    const EvalOptions& options, EvalStats* stats, bool* derived,
-                   RuleProfileEntry* entry = nullptr);
+                   RuleProfileEntry* entry, size_t delta_rows = 0);
 
-  // Runs grouping rule(s) once over the current database, inserting results.
-  Status ApplyGroupingRule(const RuleIr& rule, Database* db,
-                           const EvalOptions& options, EvalStats* stats,
-                           bool* derived,
-                           std::vector<GroupResult>* results_out = nullptr,
-                           RuleProfileEntry* entry = nullptr);
+  // Fires grouping rule `rule` once under `resolved` (a RuleFiring, like
+  // ApplyRule) and hands each group (ComputeGroups, reusing `cache` when
+  // non-null) to `insert` with the firing's stats: stratified evaluation
+  // inserts it, saturation reconciles it per partition key.
+  Status FireGrouping(
+      const RuleIr& rule, const ResolvedOrder& resolved, Database* db,
+      const EvalOptions& options, EvalStats* stats, RuleProfileEntry* entry,
+      GroupCache* cache,
+      const std::function<Status(GroupResult&, EvalStats*)>& insert);
 
   // Fixpoint of `rule_indices` (non-grouping rules) over db: resolves each
   // rule's orders once (CompileFixpoint), then runs them (RunFixpoint).
   // With a non-null `seed` the fixpoint resumes incrementally: round 0 is
-  // skipped, the low watermarks start at the seed's values, and the delta
-  // machinery runs regardless of options.mode.
+  // skipped, the low watermarks start at the seed's values, the delta
+  // machinery runs regardless of options.mode, and the carriers are the
+  // heads plus the seed predicates with rows past their watermark.
   Status Fixpoint(const ProgramIr& program, const std::vector<int>& rule_indices,
                   int stratum_index, Database* db, const EvalOptions& options,
                   EvalStats* stats, bool* derived_any, EvalProfile* profile,

@@ -2,6 +2,7 @@
 #include "eval/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -13,55 +14,104 @@
 
 namespace ldl {
 
+namespace {
+
+// Revives settled deletions (the tombstoned ones among `rows`) for the
+// scope's lifetime, so an enumeration sees the old state. They go back to
+// tombstones when the scope ends, whether or not the enumeration succeeded.
+class ScopedRevive {
+ public:
+  explicit ScopedRevive(Database* db) : db_(db) {}
+  ~ScopedRevive() {
+    for (auto& [rel, row] : revived_) rel->SetLive(row, false);
+  }
+  ScopedRevive(const ScopedRevive&) = delete;
+  ScopedRevive& operator=(const ScopedRevive&) = delete;
+
+  void Revive(PredId pred, std::span<const size_t> rows) {
+    Relation& rel = db_->relation(pred);
+    for (size_t row : rows) {
+      if (rel.IsLive(row)) continue;
+      rel.SetLive(row, true);
+      revived_.emplace_back(&rel, row);
+    }
+  }
+
+ private:
+  Database* db_;
+  std::vector<std::pair<Relation*, size_t>> revived_;
+};
+
+// The heads that row `rid` of body occurrence `occurrence` derived in the
+// old state: calls on_head(head_row) for each live head row of a solution
+// of `evaluator`'s rule through that row, with the other positions under
+// `windows`, their old extents. The row itself is live for the enumeration
+// even when it is a settled deletion; the deletions of other positions take
+// part only when the caller revived them. on_head runs after the
+// enumeration, so it may change liveness.
+template <typename OnHead>
+Status ForEachOldHead(RuleEvaluator& evaluator,
+                      std::vector<LiteralWindow> windows, size_t occurrence,
+                      size_t rid, Database* db, EvalStats* stats,
+                      OnHead on_head) {
+  const RuleIr& rule = evaluator.rule();
+  windows[occurrence] = {rid, rid + 1};
+  RowBuffer heads(rule.head_args.size());
+  {
+    ScopedRevive row(db);
+    row.Revive(rule.body[occurrence].pred, {&rid, 1});
+    LDL_RETURN_IF_ERROR(evaluator.CollectHeads(*db, windows, &heads, stats));
+  }
+  Relation& head_rel = db->relation(rule.head_pred);
+  for (size_t i = 0; i < heads.size(); ++i) {
+    size_t head_row = head_rel.Find(heads.row(i));
+    if (head_row != Relation::npos && head_rel.IsLive(head_row)) {
+      on_head(head_row);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
-                                  const FixpointSeed& seed,
-                                  const EvalOptions& options, EvalStats* stats,
-                                  bool* derived, RuleProfileEntry* entry) {
-  EvalStats local_stats;
-  EvalStats* s = entry != nullptr ? &local_stats : stats;
-  ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
+                                  const FixpointSeed& seed, const EvalOptions& options,
+                                  EvalStats* stats, bool* derived,
+                                  RuleProfileEntry* entry) {
+  // Delta enumeration (semi-naive completeness): any body solution that
+  // involves at least one inserted row is found by the variant pinning that
+  // occurrence to its [watermark, row_count) window, one firing each. A
+  // solution seen by several variants contributes duplicate members, which
+  // the set union absorbs; solutions made only of pre-update rows are
+  // already reflected in the materialized groups and are never
+  // re-enumerated.
+  std::vector<std::pair<int, LiteralWindow>> deltas;
+  for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
+    const LiteralIr& literal = rule.body[occurrence];
+    if (literal.is_builtin()) continue;  // eligibility bars negation
+    const PredId pred = literal.pred;
+    if (pred >= seed.delta_preds->size() || !(*seed.delta_preds)[pred]) continue;
+    const size_t mark = seed.OldRows(*db, pred);
+    const size_t rows = db->relation(pred).row_count();
+    if (mark < rows) {
+      deltas.emplace_back(static_cast<int>(occurrence), LiteralWindow{mark, rows});
+    }
+  }
+  RuleFiring firing(stats, entry, deltas.size());
+  EvalStats* s = firing.stats();
 
   // Partitions exactly as ComputeGroups keys them (eval/grouping.cc).
   // Instantiation through the interner makes key -> non-group head values
   // injective, so the key identifies the one head fact to replace.
   GroupPartitions partitions;
-
-  // Delta enumeration (semi-naive completeness): any body solution that
-  // involves at least one inserted row is found by the variant pinning that
-  // occurrence to its [watermark, row_count) window. A solution seen by
-  // several variants contributes duplicate members, which the set union
-  // absorbs; solutions made only of pre-update rows are already reflected
-  // in the materialized groups and are never re-enumerated.
-  for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
-    const LiteralIr& occ_literal = rule.body[occurrence];
-    if (occ_literal.is_builtin()) continue;  // eligibility bars negation
-    PredId pred = occ_literal.pred;
-    if (pred >= seed.delta_preds->size() || !(*seed.delta_preds)[pred]) {
-      continue;
-    }
-    const size_t mark =
-        pred < seed.watermarks->size() ? (*seed.watermarks)[pred] : 0;
-    const size_t rows = db->relation(pred).row_count();
-    if (mark >= rows) continue;
-
-    LDL_ASSIGN_OR_RETURN(std::vector<int> order,
-                         FrontedOrder(*catalog_, rule, occurrence));
-    std::shared_ptr<const JoinPlan> plan =
-        plans_->Get(rule, order, &s->plan_cache_hits);
-    RuleEvaluator evaluator(factory_, &rule, order,
-                            options.builtin_limits, std::move(plan),
-                            &block_storage_);
-    ++s->rule_firings;
-
+  for (const auto& [occurrence, delta] : deltas) {
+    LDL_ASSIGN_OR_RETURN(ResolvedOrder resolved, Resolve(rule, {.front = occurrence}, s));
+    RuleEvaluator evaluator = Evaluator(rule, resolved, options);
+    // Nothing is inserted before every variant has run, so the other
+    // positions see their full relations.
     std::vector<LiteralWindow> windows(rule.body.size());
-    for (size_t j = 0; j < rule.body.size(); ++j) {
-      const LiteralIr& literal = rule.body[j];
-      if (!literal.is_builtin()) {
-        windows[j] = {0, db->relation(literal.pred).row_count()};
-      }
-    }
-    windows[occurrence] = {mark, rows};
-    if (entry != nullptr) entry->counters.delta_rows += rows - mark;
+    windows[occurrence] = delta;
+    firing.AddDeltaRows(delta.to - delta.from);
     LDL_RETURN_IF_ERROR(CollectGroupMembers(*factory_, evaluator, *db, windows,
                                             &partitions, s));
   }
@@ -120,12 +170,6 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
     if (db->AddFact(rule.head_pred, new_fact)) ++s->facts_derived;
     ++s->group_regrows;
     *derived = true;
-  }
-
-  if (entry != nullptr) {
-    ++entry->counters.firings;
-    AttributeStats(entry, local_stats);
-    stats->Add(local_stats);
   }
   return CheckMaxFacts(*db, options);
 }
@@ -195,13 +239,6 @@ Status Engine::MaintainStratum(
   auto has_deletions = [&](PredId p) {
     return p < removed_rows->size() && !(*removed_rows)[p].empty();
   };
-  // The pre-update ("old") extent of a body predicate: rows below the
-  // previous evaluation's watermark. Rows past it are this batch's
-  // insertions (or their consequences), which the old model never saw.
-  auto watermark_of = [&](PredId p) {
-    size_t mark = p < seed.watermarks->size() ? (*seed.watermarks)[p] : 0;
-    return std::min(mark, db->relation(p).row_count());
-  };
 
   // Rules that can lose solutions: at least one positive occurrence of a
   // predicate with settled deletions below.
@@ -245,6 +282,35 @@ Status Engine::MaintainStratum(
     }
   }
 
+  // The variants that enumerate what a row derived in the old state: one
+  // per positive body occurrence that can hold such a row -- a predicate
+  // with settled deletions or, on DRed's worklist, a head of this stratum
+  // -- with that occurrence fronted.
+  struct RetractVariant {
+    size_t occurrence;
+    PredId pred;
+    RuleEvaluator evaluator;
+    std::vector<LiteralWindow> old_windows;  // positive literals, old extents
+    RuleProfileEntry* entry;
+  };
+  std::vector<RetractVariant> variants;
+  for (int r : normal_rules) {
+    const RuleIr& rule = program.rules[r];
+    for (size_t i = 0; i < rule.body.size() && !affected_rules.empty(); ++i) {
+      const LiteralIr& literal = rule.body[i];
+      if (literal.is_builtin() || literal.negated ||
+          !(has_deletions(literal.pred) || is_head[literal.pred])) {
+        continue;
+      }
+      LDL_ASSIGN_OR_RETURN(ResolvedOrder resolved,
+                           Resolve(rule, {.front = static_cast<int>(i)}, stats));
+      variants.push_back(RetractVariant{
+          i, literal.pred, Evaluator(rule, resolved, options),
+          PositiveWindows(rule, [&](PredId p, size_t) { return seed.OldRows(*db, p); }),
+          ProfileEntry(profile, rule, r, stratum_index)});
+    }
+  }
+
   if (counting) {
     // ---- Counting fast path: each solution of the old model that involved
     // a deleted row decrements its head fact's derivation count; a fact
@@ -255,75 +321,30 @@ Status Engine::MaintainStratum(
     // is decremented exactly once. The watermark cap excludes this batch's
     // insertions everywhere: solutions involving them were never counted
     // (the insert resume below adds them against the post-deletion state).
-    for (int r : affected_rules) {
-      const RuleIr& rule = program.rules[r];
-      RuleProfileEntry* entry = ProfileEntry(profile, rule, r, stratum_index);
+    // The stratum is non-recursive, so the head relation is not in the body
+    // and decrementing after each enumeration is equivalent.
+    for (RetractVariant& v : variants) {
+      const RuleIr& rule = v.evaluator.rule();
       Relation& head_rel = db->relation(rule.head_pred);
-      for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
-        const LiteralIr& occ_literal = rule.body[occurrence];
-        if (occ_literal.is_builtin() || occ_literal.negated ||
-            !has_deletions(occ_literal.pred)) {
-          continue;
+      const std::vector<size_t>& deleted = (*removed_rows)[v.pred];
+      RuleFiring firing(stats, v.entry);
+      firing.AddDeltaRows(deleted.size());
+      ScopedRevive revive(db);
+      for (size_t j = 0; j < v.occurrence; ++j) {
+        const LiteralIr& literal = rule.body[j];
+        if (!literal.is_builtin() && !literal.negated && has_deletions(literal.pred)) {
+          revive.Revive(literal.pred, (*removed_rows)[literal.pred]);
         }
-        LDL_ASSIGN_OR_RETURN(std::vector<int> order,
-                             FrontedOrder(*catalog_, rule, occurrence));
-        std::shared_ptr<const JoinPlan> plan =
-            plans_->Get(rule, order, &stats->plan_cache_hits);
-        RuleEvaluator evaluator(factory_, &rule, order,
-                                options.builtin_limits, std::move(plan),
-                                &block_storage_);
-
-        std::vector<std::pair<Relation*, size_t>> revived;
-        for (size_t j = 0; j < occurrence; ++j) {
-          const LiteralIr& literal = rule.body[j];
-          if (literal.is_builtin() || literal.negated ||
-              !has_deletions(literal.pred)) {
-            continue;
-          }
-          Relation& rel = db->relation(literal.pred);
-          for (size_t row : (*removed_rows)[literal.pred]) {
-            rel.SetLive(row, true);
-            revived.emplace_back(&rel, row);
-          }
-        }
-        std::vector<LiteralWindow> windows(rule.body.size());
-        for (size_t j = 0; j < rule.body.size(); ++j) {
-          const LiteralIr& literal = rule.body[j];
-          if (!literal.is_builtin() && !literal.negated) {
-            windows[j] = {0, watermark_of(literal.pred)};
-          }
-        }
-        ++stats->rule_firings;
-        if (entry != nullptr) {
-          ++entry->counters.firings;
-          entry->counters.delta_rows +=
-              (*removed_rows)[occ_literal.pred].size();
-        }
-        Relation& occ_rel = db->relation(occ_literal.pred);
-        RowBuffer lost(rule.head_args.size());
-        Status status;
-        for (size_t rid : (*removed_rows)[occ_literal.pred]) {
-          occ_rel.SetLive(rid, true);
-          windows[occurrence] = {rid, rid + 1};
-          lost.Clear();
-          status = evaluator.CollectHeads(*db, windows, &lost, stats);
-          occ_rel.SetLive(rid, false);
-          if (!status.ok()) break;
-          // The stratum is non-recursive, so the head relation is not in
-          // the body and decrementing after the enumeration is equivalent.
-          for (size_t i = 0; i < lost.size(); ++i) {
-            size_t head_row = head_rel.Find(lost.row(i));
-            if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
-              continue;
-            }
-            ++stats->count_decrements;
-            if (head_rel.DecrementDerivation(head_row)) {
-              (*removed_rows)[rule.head_pred].push_back(head_row);
-            }
-          }
-        }
-        for (auto& [rel, row] : revived) rel->SetLive(row, false);
-        LDL_RETURN_IF_ERROR(status);
+      }
+      for (size_t rid : deleted) {
+        LDL_RETURN_IF_ERROR(ForEachOldHead(
+            v.evaluator, v.old_windows, v.occurrence, rid, db, firing.stats(),
+            [&](size_t head_row) {
+              ++stats->count_decrements;
+              if (head_rel.DecrementDerivation(head_row)) {
+                (*removed_rows)[rule.head_pred].push_back(head_row);
+              }
+            }));
       }
     }
     ++stats->strata_delta;
@@ -336,103 +357,39 @@ Status Engine::MaintainStratum(
     // state, which is what makes this an over-approximation -- and fed back
     // through the worklist for the recursive case.
     ++stats->strata_overdeleted;
-
-    struct ShrinkVariant {
-      size_t occurrence;
-      RuleEvaluator evaluator;
-      RuleProfileEntry* entry;
-    };
-    std::unordered_map<PredId, std::vector<ShrinkVariant>> variants_by_pred;
-    for (int r : normal_rules) {
-      const RuleIr& rule = program.rules[r];
-      RuleProfileEntry* entry = ProfileEntry(profile, rule, r, stratum_index);
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const LiteralIr& literal = rule.body[i];
-        if (literal.is_builtin() || literal.negated) continue;
-        // Only predicates that can appear on the worklist: deleted body
-        // preds and the stratum's own heads.
-        if (!has_deletions(literal.pred) &&
-            !(literal.pred < is_head.size() && is_head[literal.pred])) {
-          continue;
-        }
-        LDL_ASSIGN_OR_RETURN(std::vector<int> order,
-                             FrontedOrder(*catalog_, rule, i));
-        std::shared_ptr<const JoinPlan> plan =
-            plans_->Get(rule, order, &stats->plan_cache_hits);
-        variants_by_pred[literal.pred].push_back(ShrinkVariant{
-            i,
-            RuleEvaluator(factory_, &rule, order,
-                          options.builtin_limits, std::move(plan),
-                          &block_storage_),
-            entry});
-      }
-    }
-
-    // Revive the settled deletions of every deleted body predicate for the
-    // duration of phase 1.
-    std::vector<std::pair<Relation*, size_t>> revived;
-    std::vector<bool> revived_pred(catalog_->size(), false);
-    std::vector<std::pair<PredId, size_t>> worklist;
-    for (int r : normal_rules) {
-      for (const LiteralIr& literal : program.rules[r].body) {
-        if (literal.is_builtin() || literal.negated) continue;
-        PredId p = literal.pred;
-        if (p >= revived_pred.size() || revived_pred[p] || !has_deletions(p)) {
-          continue;
-        }
-        revived_pred[p] = true;
-        Relation& rel = db->relation(p);
-        for (size_t row : (*removed_rows)[p]) {
-          rel.SetLive(row, true);
-          revived.emplace_back(&rel, row);
-          worklist.emplace_back(p, row);
-        }
-      }
-    }
-
     // Over-deleted head rows (marked, still live until phase 1 ends).
     std::vector<std::unordered_set<size_t>> marked(catalog_->size());
-    Status phase1;
-    for (size_t idx = 0; idx < worklist.size() && phase1.ok(); ++idx) {
-      const auto [q, rid] = worklist[idx];
-      auto it = variants_by_pred.find(q);
-      if (it == variants_by_pred.end()) continue;
-      for (ShrinkVariant& v : it->second) {
-        const RuleIr& rule = v.evaluator.rule();
-        std::vector<LiteralWindow> windows(rule.body.size());
-        for (size_t j = 0; j < rule.body.size(); ++j) {
-          const LiteralIr& literal = rule.body[j];
-          if (!literal.is_builtin() && !literal.negated) {
-            windows[j] = {0, watermark_of(literal.pred)};
-          }
+    {
+      ScopedRevive revive(db);
+      std::vector<bool> revived(catalog_->size(), false);
+      std::vector<std::pair<PredId, size_t>> worklist;
+      for (const RetractVariant& v : variants) {
+        if (revived[v.pred] || !has_deletions(v.pred)) continue;
+        revived[v.pred] = true;
+        revive.Revive(v.pred, (*removed_rows)[v.pred]);
+        for (size_t row : (*removed_rows)[v.pred]) {
+          worklist.emplace_back(v.pred, row);
         }
-        windows[v.occurrence] = {rid, rid + 1};
-        ++stats->rule_firings;
-        if (v.entry != nullptr) {
-          ++v.entry->counters.firings;
-          ++v.entry->counters.delta_rows;
-        }
-        RowBuffer consequences(rule.head_args.size());
-        phase1 = v.evaluator.CollectHeads(*db, windows, &consequences, stats);
-        if (!phase1.ok()) break;
-        // Marking keeps rows live, so the enumeration above saw the same
-        // state whether the marks land during or after it.
-        Relation& head_rel = db->relation(rule.head_pred);
-        for (size_t i = 0; i < consequences.size(); ++i) {
-          size_t head_row = head_rel.Find(consequences.row(i));
-          if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
-            continue;
-          }
-          if (marked[rule.head_pred].insert(head_row).second) {
-            worklist.emplace_back(rule.head_pred, head_row);
-          }
+      }
+      for (size_t idx = 0; idx < worklist.size(); ++idx) {
+        const auto [q, rid] = worklist[idx];
+        for (RetractVariant& v : variants) {
+          if (v.pred != q) continue;
+          const PredId head = v.evaluator.rule().head_pred;
+          RuleFiring firing(stats, v.entry);
+          firing.AddDeltaRows(1);
+          // Marking keeps rows live, so the enumeration sees the same state
+          // whether the marks land during or after it.
+          LDL_RETURN_IF_ERROR(ForEachOldHead(
+              v.evaluator, v.old_windows, v.occurrence, rid, db,
+              firing.stats(), [&](size_t head_row) {
+                if (marked[head].insert(head_row).second) {
+                  worklist.emplace_back(head, head_row);
+                }
+              }));
         }
       }
     }
-    // Deleted rows go back to being tombstones whether or not phase 1
-    // succeeded; a clean database state outlives the error.
-    for (auto& [rel, row] : revived) rel->SetLive(row, false);
-    LDL_RETURN_IF_ERROR(phase1);
 
     // Tombstone the over-deleted rows (sorted for deterministic order), and
     // abandon any derivation counts DRed bypassed on the affected heads.
@@ -459,8 +416,7 @@ Status Engine::MaintainStratum(
     // fixpoint rounds. Fact-rule tuples survive unconditionally.
     for (int r : fact_rules) {
       const RuleIr& rule = program.rules[r];
-      InstantiationResult inst =
-          InstantiateArgs(*factory_, rule.head_args, Subst());
+      InstantiationResult inst = InstantiateArgs(*factory_, rule.head_args, Subst());
       if (inst.unbound || inst.outside_universe) continue;
       Relation& rel = db->relation(rule.head_pred);
       size_t row = rel.Find(inst.tuple);
@@ -469,21 +425,9 @@ Status Engine::MaintainStratum(
     std::unordered_map<PredId, std::vector<RuleEvaluator>> rederivers;
     for (int r : normal_rules) {
       const RuleIr& rule = program.rules[r];
-      std::vector<Symbol> head_vars;
-      for (const Term* arg : rule.head_args) CollectVars(arg, &head_vars);
-      std::vector<int> order;
-      StatusOr<std::vector<int>> bound =
-          OrderBodyLiterals(*catalog_, rule, -1, &head_vars);
-      if (bound.ok()) {
-        order = std::move(bound).value();
-      } else {
-        LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
-      }
-      std::shared_ptr<const JoinPlan> plan = plans_->Get(
-          rule, order, &stats->plan_cache_hits, /*head_seeded=*/true);
-      rederivers[rule.head_pred].emplace_back(factory_, &rule, order,
-                                              options.builtin_limits,
-                                              std::move(plan), &block_storage_);
+      LDL_ASSIGN_OR_RETURN(ResolvedOrder resolved,
+                           Resolve(rule, {.head_seeded = true}, stats));
+      rederivers[rule.head_pred].push_back(Evaluator(rule, resolved, options));
     }
     std::vector<std::pair<PredId, size_t>> dead;
     for (const auto& [h, row] : overdeleted) {
@@ -549,13 +493,9 @@ Status Engine::Maintain(const ProgramIr& program,
                         const std::vector<std::pair<PredId, Tuple>>& removed,
                         const EvalOptions& options, EvalStats* stats,
                         EvalProfile* profile) {
-  EvalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  if (!options.profile) profile = nullptr;
-  if (profile != nullptr) profile->ReserveRules(program.rules.size());
-  ScopedSetInternCounter set_interns(factory_, stats);
-  uint64_t total_wall = 0;
-  ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
+  EvaluationScope scope(factory_, options, stats, profile, program.rules.size());
+  stats = scope.stats();
+  profile = scope.profile();
 
   // Settle the EDB deletions up front: tombstone each removed fact's row
   // and record it in the per-predicate ledger. Absent facts are no-ops. A
@@ -640,10 +580,6 @@ Status Engine::Maintain(const ProgramIr& program,
     LDL_RETURN_IF_ERROR(EvaluateStratum(program, rules, stratum,
                                         StratumMode::kRecomputed, db, options,
                                         stats, profile));
-  }
-  if (profile != nullptr) {
-    total_timer.Stop();
-    profile->add_total_wall_ns(total_wall);
   }
   return Status::OK();
 }

@@ -351,7 +351,6 @@ bool Session::SameEvalConfig(const EvalOptions& options) const {
   return options.mode == last.mode && options.max_rounds == last.max_rounds &&
          options.max_facts == last.max_facts &&
          options.cost_based == last.cost_based &&
-         options.replan_cost_ratio == last.replan_cost_ratio &&
          options.builtin_limits.max_union_enumeration ==
              last.builtin_limits.max_union_enumeration &&
          options.builtin_limits.max_subset_enumeration ==

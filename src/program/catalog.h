@@ -64,13 +64,6 @@ struct PredicateInfo {
   // this predicate. Magic-set adornment must never bind these (§6,
   // footnote 6).
   std::vector<bool> grouped_args;
-
-  bool AnyGroupedArg() const {
-    for (bool g : grouped_args) {
-      if (g) return true;
-    }
-    return false;
-  }
 };
 
 class Catalog {

@@ -34,13 +34,11 @@ Status CheckRuleWellformed(const Catalog& catalog, const RuleIr& rule,
 
   // Schedule the body from no bound variables; whatever the schedule leaves
   // unbound was never bound by the positive part of the body.
-  const std::vector<int> order = ScheduleBody(rule, {}, PositiveOrder::kTextual);
   std::vector<Symbol> bound;
+  const std::vector<int> order =
+      ScheduleBody(rule, {}, PositiveOrder::kTextual, -1, &bound);
   std::vector<bool> scheduled(rule.body.size(), false);
-  for (int index : order) {
-    scheduled[index] = true;
-    if (!rule.body[index].negated) BindLiteralVars(rule.body[index], &bound);
-  }
+  for (int index : order) scheduled[index] = true;
 
   auto check_all_bound = [&](const Term* t, std::string_view context) -> Status {
     std::vector<Symbol> vars;
@@ -210,7 +208,8 @@ void PlaceReadyLiterals(const RuleIr& rule,
 }
 
 std::vector<int> ScheduleBody(const RuleIr& rule, std::vector<Symbol> bound,
-                              PositiveOrder positive_order, int forced_first) {
+                              PositiveOrder positive_order, int forced_first,
+                              std::vector<Symbol>* bound_after) {
   const size_t n = rule.body.size();
   const std::vector<std::vector<Symbol>> negation_shared = NegationSharedVars(rule);
   std::vector<int> order;
@@ -245,6 +244,7 @@ std::vector<int> ScheduleBody(const RuleIr& rule, std::vector<Symbol> bound,
     if (next < 0) break;  // only unready built-ins / negations remain
     place(static_cast<size_t>(next));
   }
+  if (bound_after != nullptr) *bound_after = std::move(bound);
   return order;
 }
 

@@ -95,10 +95,11 @@ enum class PositiveOrder {
 // relational literal per `positive_order`. If forced_first >= 0 that
 // literal goes first (semi-naive delta variant). Literals that never become
 // ready are left out, so the order is short exactly when the rule has no
-// evaluable order from `bound`.
+// evaluable order from `bound`. A non-null `bound_after` receives the
+// variables bound once the order has run.
 std::vector<int> ScheduleBody(const RuleIr& rule, std::vector<Symbol> bound,
-                              PositiveOrder positive_order,
-                              int forced_first = -1);
+                              PositiveOrder positive_order, int forced_first = -1,
+                              std::vector<Symbol>* bound_after = nullptr);
 
 // The kNotWellFormed error for a `rule` whose body literals outside
 // `order` (a short ScheduleBody result) never become ready.

@@ -149,7 +149,6 @@ class TermFactory {
     SetBuilder(SetBuilder&&) = default;
     SetBuilder& operator=(SetBuilder&&) = default;
 
-    void Reserve(size_t n) { elements_.reserve(n); }
     void Add(const Term* element) { elements_.push_back(element); }
     size_t size() const { return elements_.size(); }
     bool empty() const { return elements_.empty(); }

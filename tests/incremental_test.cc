@@ -259,6 +259,33 @@ TEST(Incremental, PositiveChainResumesWithoutRecompute) {
   EXPECT_EQ(result->tuples.size(), 3u);  // n1, n2, n3
 }
 
+TEST(Incremental, SeededFixpointResolvesOnlyGrownCarriers) {
+  // p's stratum reads two EDB predicates; the batch grows a and only
+  // retracts from b. The counting pass resolves b's fronted order; the
+  // resumed fixpoint then resolves its default order and the variant for
+  // a, but none for b, which has no rows past its watermark.
+  PlanCache plans;
+  Session session(&plans);
+  ASSERT_TRUE(session.Load("a(n0). b(n1). b(n2).\np(X, Y) :- a(X), b(Y).").ok());
+  EvalOptions options;
+  options.cost_based = false;
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_EQ(plans.size(), 1u);
+  ASSERT_TRUE(session.AddFacts("a(n7).").ok());
+  ASSERT_TRUE(session.RemoveFacts("b(n2).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.incremental_evals(), 1u);
+  const EvalStats& stats = session.last_eval_stats();
+  EXPECT_EQ(stats.count_decrements, 1u);
+  // New plan: b fronted. Hits: the default order and a's variant, which
+  // fronts a as the default order does.
+  EXPECT_EQ(plans.size(), 2u);
+  EXPECT_EQ(stats.plan_cache_hits, 2u);
+  auto result = session.Query("p(X, Y)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->tuples.size(), 2u);  // (n0, n1), (n7, n1)
+}
+
 TEST(Incremental, NegationInsertionRetractsDerivedFacts) {
   Session session;
   ASSERT_TRUE(session

@@ -84,6 +84,29 @@ TEST(Profile, CollectsPerRuleCounters) {
   EXPECT_FALSE(profile.topdown().used);
 }
 
+TEST(Profile, RetractionFiringsAttributeTheirCounters) {
+  // A deletion maintained by derivation-count decrements fires the rule once
+  // per deleted occurrence. That firing's solutions and matched tuples land
+  // on the rule's entry like a fixpoint firing's, so the entry accounts for
+  // the whole pass.
+  Session session;
+  ASSERT_TRUE(session.Load("a(n0). a(n1). b(n1). b(n2).\np(X, Y) :- a(X), b(Y).").ok());
+  EvalOptions options;
+  options.profile = true;
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.RemoveFacts("b(n2).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  const EvalStats& stats = session.last_eval_stats();
+  ASSERT_EQ(stats.count_decrements, 2u);  // p(n0, n2), p(n1, n2)
+  std::map<int, RuleSnapshot> rules = NonTimingFields(session.last_eval_profile());
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0].counters["firings"], stats.rule_firings);
+  EXPECT_EQ(rules[0].counters["delta_rows"], 1u);
+  EXPECT_EQ(rules[0].counters["solutions"], 2u);
+  EXPECT_EQ(rules[0].counters["solutions"], stats.solutions);
+  EXPECT_EQ(rules[0].counters["tuples_matched"], stats.tuples_matched);
+}
+
 TEST(Profile, OffByDefaultCollectsNothing) {
   Session session;
   ASSERT_TRUE(session.Load(AncestorChain(5)).ok());
