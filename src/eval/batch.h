@@ -12,13 +12,15 @@
 //   * probe kernel     -- hashes every selected row's probe key in one pass
 //                         over the block, then probes the composite index
 //                         with the precomputed hashes;
-//   * filter kernels   -- output-free comparison built-ins and ground
-//                         negation refine the selection vector in place (no
-//                         row copies);
-//   * per-row kernels  -- generic unification, output-producing built-ins,
-//                         and residual-variable negation run per input row
-//                         inside the block loop, so set/complex terms lose
-//                         nothing;
+//   * filter kernels   -- output-free comparison built-ins and negation
+//                         refine the selection vector in place (no row
+//                         copies). Negation is an anti-join: it hashes the
+//                         block's keys like the probe kernel, then keeps
+//                         the rows whose lookup finds no matching fact,
+//                         stopping at the first match;
+//   * per-row kernels  -- generic unification and output-producing
+//                         built-ins run per input row inside the block
+//                         loop, so set/complex terms lose nothing;
 //   * emit             -- head rows for a whole solution block are built
 //                         straight from plan slots into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the

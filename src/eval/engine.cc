@@ -52,7 +52,7 @@ StatusOr<ResolvedOrder> Engine::Resolve(const RuleIr& rule,
           : OrderBodyLiteralsCostBased(*catalog_, rule, *request.costs,
                                        request.front, bound);
   if (!order.ok()) return order.status();
-  if (request.costs != nullptr && request.count_reordered) {
+  if (request.costs != nullptr) {
     StatusOr<std::vector<int>> syntactic =
         OrderBodyLiterals(*catalog_, rule, request.front, bound);
     if (syntactic.ok() && syntactic.value() != order.value()) {
@@ -137,8 +137,7 @@ StatusOr<std::vector<FixpointRule>> Engine::CompileFixpoint(
     const RuleIr& rule = program.rules[r];
     FixpointRule c;
     c.rule_index = r;
-    LDL_ASSIGN_OR_RETURN(
-        c.full, Resolve(rule, {.costs = cost_model, .count_reordered = true}, stats));
+    LDL_ASSIGN_OR_RETURN(c.full, Resolve(rule, {.costs = cost_model}, stats));
     if (delta_preds != nullptr) {
       // A variant has an ordering choice only with at least two positive
       // literals besides the pinned occurrence; the others skip the
@@ -163,9 +162,7 @@ StatusOr<std::vector<FixpointRule>> Engine::CompileFixpoint(
         }
         LDL_ASSIGN_OR_RETURN(
             variant.resolved,
-            Resolve(rule,
-                    {.front = occurrence, .costs = cost_model, .count_reordered = true},
-                    stats));
+            Resolve(rule, {.front = occurrence, .costs = cost_model}, stats));
         c.variants.push_back(std::move(variant));
       }
     }

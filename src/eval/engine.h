@@ -248,11 +248,10 @@ class Engine {
   struct OrderRequest {
     int front = -1;  // body occurrence evaluated first, or -1
     // Cost-based order under this model (eval/cost.h); syntactic when null.
+    // An adopted order unlike the syntactic one counts in plans_reordered.
     const CostModel* costs = nullptr;
     // Bind the head's variables first; compiles a head-seeded plan.
     bool head_seeded = false;
-    // Count a cost-based order unlike the syntactic one in plans_reordered.
-    bool count_reordered = false;
   };
 
   // The resolver: picks `rule`'s order per `request` and looks its plan up

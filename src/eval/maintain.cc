@@ -422,12 +422,18 @@ Status Engine::MaintainStratum(
       size_t row = rel.Find(inst.tuple);
       if (row != Relation::npos && !rel.IsLive(row)) rel.SetLive(row, true);
     }
-    std::unordered_map<PredId, std::vector<RuleEvaluator>> rederivers;
+    struct Rederiver {
+      RuleEvaluator evaluator;
+      RuleProfileEntry* entry;
+    };
+    std::unordered_map<PredId, std::vector<Rederiver>> rederivers;
     for (int r : normal_rules) {
       const RuleIr& rule = program.rules[r];
       LDL_ASSIGN_OR_RETURN(ResolvedOrder resolved,
                            Resolve(rule, {.head_seeded = true}, stats));
-      rederivers[rule.head_pred].push_back(Evaluator(rule, resolved, options));
+      rederivers[rule.head_pred].push_back(Rederiver{
+          Evaluator(rule, resolved, options),
+          ProfileEntry(profile, rule, r, stratum_index)});
     }
     std::vector<std::pair<PredId, size_t>> dead;
     for (const auto& [h, row] : overdeleted) {
@@ -443,14 +449,17 @@ Status Engine::MaintainStratum(
         bool found = false;
         auto it = rederivers.find(h);
         if (it != rederivers.end()) {
-          for (RuleEvaluator& evaluator : it->second) {
-            LDL_RETURN_IF_ERROR(evaluator.ForEachBlockDeriving(
+          for (Rederiver& rederiver : it->second) {
+            // A rederivation check attributes its work to the rule's
+            // profile entry but is not a firing.
+            RuleFiring firing(stats, rederiver.entry, /*firings=*/0);
+            LDL_RETURN_IF_ERROR(rederiver.evaluator.ForEachBlockDeriving(
                 *db, tuple,
                 [&](const TupleBlock&) {
                   found = true;
                   return false;
                 },
-                stats));
+                firing.stats()));
             if (found) break;
           }
         }

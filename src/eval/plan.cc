@@ -73,6 +73,14 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
     std::vector<Symbol> literal_vars;
     for (const Term* arg : literal.args) CollectVars(arg, &literal_vars);
 
+    // True when every variable of `arg` is bound before this step.
+    auto all_bound = [&](const Term* arg) {
+      std::vector<Symbol> arg_vars;
+      CollectVars(arg, &arg_vars);
+      return std::all_of(arg_vars.begin(), arg_vars.end(),
+                         [&](Symbol var) { return bound[slots.Lookup(var)]; });
+    };
+
     auto fill_io = [&]() {
       for (Symbol var : literal_vars) {
         int slot = slots.Lookup(var);
@@ -99,11 +107,28 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
     }
 
     if (literal.negated) {
-      // Negation-as-failure binds nothing; residual variables are
-      // existential under the negation.
+      // Negation-as-failure binds nothing: an anti-join probing the bound
+      // columns. The other variables are existential under the negation.
       step.kind = StepKind::kNegated;
       fill_io();
       step.outputs.clear();
+      std::vector<Symbol> free_vars;
+      for (uint32_t column = 0; column < literal.args.size(); ++column) {
+        const Term* arg = literal.args[column];
+        if (all_bound(arg)) {
+          step.probe_cols.push_back(column);
+          if (arg->is_var()) {
+            step.probe.push_back(ValueRef{slots.Lookup(arg->symbol()), nullptr});
+          } else {
+            step.probe.push_back(ValueRef{-1, IsPointerConstant(arg) ? arg : nullptr});
+          }
+        } else if (!arg->is_var() || std::find(free_vars.begin(), free_vars.end(),
+                                               arg->symbol()) != free_vars.end()) {
+          step.residual = true;
+        } else {
+          free_vars.push_back(arg->symbol());
+        }
+      }
       plan.steps_.push_back(std::move(step));
       continue;
     }
@@ -148,17 +173,7 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
     step.kind = StepKind::kGenericScan;
     fill_io();
     for (uint32_t column = 0; column < literal.args.size(); ++column) {
-      const Term* arg = literal.args[column];
-      std::vector<Symbol> arg_vars;
-      CollectVars(arg, &arg_vars);
-      bool all_bound = true;
-      for (Symbol var : arg_vars) {
-        if (!bound[slots.Lookup(var)]) {
-          all_bound = false;
-          break;
-        }
-      }
-      if (all_bound) step.bound_columns.push_back(column);
+      if (all_bound(literal.args[column])) step.bound_columns.push_back(column);
     }
     for (const auto& [var, slot] : step.outputs) bound[slot] = true;
     plan.steps_.push_back(std::move(step));

@@ -14,9 +14,13 @@
 //     (functors, sets, scons, ...). Falls back to MatchArgs unification, but
 //     still probes on the statically bound columns after instantiating them
 //     through a scratch substitution.
-//   * kBuiltin / kNegated: evaluated through the existing builtin / NAF
-//     machinery over a scratch substitution materialized from the slots the
-//     literal mentions.
+//   * kNegated: an anti-join. The argument positions bound at this point
+//     form a probe spec like kScan's (a complex argument whose variables
+//     are all bound instantiates into the key at run time); the rest are
+//     existential under the negation, so the step asks only whether some
+//     live fact matches, and stops at the first.
+//   * kBuiltin: evaluated through the builtin machinery over a scratch
+//     substitution materialized from the slots the literal mentions.
 //
 // A head-seeded plan treats every head variable as bound before the first
 // step: its root input rows carry the unifiers of the head with one given
@@ -44,6 +48,8 @@
 namespace ldl {
 
 // A probe key component or head output: read from a slot or a constant.
+// In a kNegated probe spec, a ref with neither instantiates the column's
+// complex argument under the step's inputs.
 struct ValueRef {
   int slot = -1;                   // >= 0: read slots[slot]
   const Term* constant = nullptr;  // used when slot < 0
@@ -70,11 +76,18 @@ struct LiteralPlan {
   int literal_index;              // position in RuleIr::body
   PredId pred = kInvalidPred;     // relational literals only
 
-  // kScan: statically bound columns (the probe spec) and the match program
-  // for the remaining columns. probe_cols[i] is the column probe[i] feeds.
+  // kScan / kNegated: statically bound columns (the probe spec), ascending;
+  // probe_cols[i] is the column probe[i] feeds. kScan: the match program
+  // for the remaining columns.
   std::vector<uint32_t> probe_cols;
   std::vector<ValueRef> probe;
   std::vector<MatchOp> match;
+
+  // kNegated: a candidate row must also pass MatchArgs, because an unbound
+  // column holds a complex argument or a variable repeated in the literal.
+  // Otherwise every unbound column is a distinct variable and any row
+  // matching the key matches the literal.
+  bool residual = false;
 
   // kGenericScan: columns whose argument patterns are fully bound under the
   // slots available at this depth; instantiated at runtime to probe keys.

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -152,6 +153,7 @@ class Relation {
   RowRef row(size_t i) const { return {RowData(i), arity_}; }
 
   // Calls fn(row_index, tuple) for every live row with index in [from, to).
+  // An fn that returns bool stops the walk by returning false.
   template <typename Fn>
   void ForEachRow(size_t from, size_t to, Fn&& fn) const {
     if (to > row_count_) to = row_count_;
@@ -161,7 +163,12 @@ class Relation {
       const size_t end = std::min(to, i + ChunkRows(slot.chunk) - slot.offset);
       const Term* const* data = chunks_[slot.chunk].get() + slot.offset * arity_;
       for (; i < end; ++i, data += arity_) {
-        if (live_[i]) fn(i, RowRef{data, arity_});
+        if (!live_[i]) continue;
+        if constexpr (std::is_void_v<std::invoke_result_t<Fn&, size_t, RowRef>>) {
+          fn(i, RowRef{data, arity_});
+        } else if (!fn(i, RowRef{data, arity_})) {
+          return;
+        }
       }
     }
   }

@@ -162,6 +162,52 @@ InstantiationResult RuleEvaluator::InstantiateHead(const SolutionView& view) con
 // depth-first order, so counters depend only on the plan and the database.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Pass 1 of a probing step (kScan with a probe spec, kNegated with one):
+// materializes every selected row's key and, for partial keys, hashes it,
+// in one sweep over the block. A kNegated key column with a complex
+// argument instantiates under the row's inputs; when that falls outside U
+// the row's key starts with null and is not hashed.
+void GatherProbeKeys(TermFactory& factory, const LiteralIr& literal,
+                     const LiteralPlan& step, const TupleBlock& in, bool full_key,
+                     BlockStorage::StepScratch* scratch) {
+  const size_t key_width = step.probe.size();
+  const auto& sel = in.sel();
+  scratch->keys.resize(key_width * sel.size());
+  scratch->hashes.clear();
+  if (!full_key) scratch->hashes.reserve(sel.size());
+  Subst bindings;
+  for (size_t s = 0; s < sel.size(); ++s) {
+    const Term* const* src = in.row(sel[s]);
+    const Term** key = scratch->keys.data() + s * key_width;
+    bool outside_universe = false;
+    bool inputs_bound = false;
+    for (size_t i = 0; i < key_width; ++i) {
+      const ValueRef& ref = step.probe[i];
+      if (ref.slot >= 0 || ref.constant != nullptr) {
+        key[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
+        assert(key[i] != nullptr);
+        continue;
+      }
+      if (!inputs_bound) {
+        bindings.Clear();
+        for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+        inputs_bound = true;
+      }
+      key[i] = ApplySubst(factory, literal.args[step.probe_cols[i]], bindings);
+      if (key[i] == nullptr) outside_universe = true;
+    }
+    if (outside_universe) key[0] = nullptr;
+    if (!full_key) {
+      scratch->hashes.push_back(
+          outside_universe ? 0 : Relation::ProbeHash({key, key_width}));
+    }
+  }
+}
+
+}  // namespace
+
 Status RuleEvaluator::ProcessBlock(const Database& db,
                                    const std::vector<LiteralWindow>& windows,
                                    size_t depth, TupleBlock& in,
@@ -247,37 +293,66 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
     return status;
   }
 
-  // --- Negation step ------------------------------------------------------
+  // --- Negation step: anti-join -------------------------------------------
   if (step.kind == StepKind::kNegated) {
     // Negation as failure against the (completed) relation is a pure
-    // filter: refine the selection in place.
-    scratch.sel.clear();
+    // filter: a row stays iff no live fact matches the literal under it.
+    // Each lookup is one index_probes tick; the search stops at the first
+    // candidate that passes the residual match, if the step has one.
     const Relation& relation = db.relation(literal.pred);
-    for (uint32_t idx : in.sel()) {
-      const Term* const* src = in.row(idx);
-      Subst bindings;
-      for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
-      InstantiationResult inst = InstantiateArgs(*factory_, literal.args, bindings);
-      bool holds;
-      if (inst.unbound) {
-        // Residual variables are existential under the negation (e.g. the
-        // paper's !a(X, Z) with Z local): the negation holds iff *no* fact
-        // matches the pattern.
-        bool any_match = false;
-        relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef tuple) {
-          if (any_match) return;
-          ++stats->tuples_matched;
+    const size_t key_width = step.probe.size();
+    const bool full_key = key_width == literal.args.size();
+    if (key_width > 0) {
+      GatherProbeKeys(*factory_, literal, step, in, full_key, &scratch);
+    }
+    const auto& sel = in.sel();
+    scratch.sel.clear();
+    Subst bindings;
+    for (size_t s = 0; s < sel.size(); ++s) {
+      const Term* const* key =
+          key_width > 0 ? scratch.keys.data() + s * key_width : nullptr;
+      // A key outside U names no U-fact, so the negation holds (§2.2).
+      if (key != nullptr && key[0] == nullptr) {
+        scratch.sel.push_back(sel[s]);
+        continue;
+      }
+      if (step.residual) {
+        bindings.Clear();
+        const Term* const* src = in.row(sel[s]);
+        for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+      }
+      bool found = false;
+      auto matches = [&](RowRef tuple) {
+        ++stats->tuples_matched;
+        if (step.residual) {
           MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
-            any_match = true;
+            found = true;
             return false;
           });
-        });
-        holds = !any_match;
+        } else {
+          found = true;
+        }
+        return !found;
+      };
+      if (full_key) {
+        ++stats->index_probes;
+        const size_t row = relation.Find({key, key_width});
+        if (row != Relation::npos && relation.IsLive(row)) {
+          ++stats->probe_hits;
+          matches(relation.row(row));
+        }
+      } else if (key_width > 0) {
+        ++stats->index_probes;
+        relation.ProbeRowsHashed(step.probe_cols, {key, key_width}, scratch.hashes[s],
+                                 0, relation.row_count(), [&](size_t, RowRef tuple) {
+                                   ++stats->probe_hits;
+                                   return matches(tuple);
+                                 });
       } else {
-        // A tuple outside U is not a U-fact, so its negation holds (§2.2).
-        holds = inst.outside_universe || !relation.Contains(inst.tuple);
+        relation.ForEachRow(0, relation.row_count(),
+                            [&](size_t, RowRef tuple) { return matches(tuple); });
       }
-      if (holds) scratch.sel.push_back(idx);
+      if (!found) scratch.sel.push_back(sel[s]);
     }
     in.mutable_sel()->swap(scratch.sel);
     if (in.empty()) return Status::OK();
@@ -326,21 +401,7 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
       const bool full_key = key_width == relation.arity();
       const auto& sel = in.sel();
       stats->index_probes += sel.size();
-      scratch.keys.resize(key_width * sel.size());
-      scratch.hashes.clear();
-      scratch.hashes.reserve(sel.size());
-      for (size_t s = 0; s < sel.size(); ++s) {
-        const Term* const* src = in.row(sel[s]);
-        const Term** key = scratch.keys.data() + s * key_width;
-        for (size_t i = 0; i < key_width; ++i) {
-          const ValueRef& ref = step.probe[i];
-          key[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
-          assert(key[i] != nullptr);
-        }
-        if (!full_key) {
-          scratch.hashes.push_back(Relation::ProbeHash({key, key_width}));
-        }
-      }
+      GatherProbeKeys(*factory_, literal, step, in, full_key, &scratch);
       // Pass 2: probe, input rows in order.
       for (size_t s = 0; s < sel.size(); ++s) {
         if (!keep_going_ || !status.ok()) break;
@@ -437,11 +498,8 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
       }
     }
     if (!probed) {
-      bool stopped = false;
-      relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
-        if (stopped) return;
-        if (!try_row(tuple)) stopped = true;
-      });
+      relation.ForEachRow(window.from, to,
+                          [&](size_t, RowRef tuple) { return try_row(tuple); });
     }
   }
   if (status.ok() && keep_going_) flush();

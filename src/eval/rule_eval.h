@@ -2,8 +2,9 @@
 // passing, executed block-at-a-time.
 //
 // Body literals are statically reordered so that built-ins run as soon as
-// their inputs are bound and negated literals run once fully ground
-// (negation-as-failure against completed lower strata). The (rule, order)
+// their inputs are bound and negated literals run once their non-local
+// variables are bound (negation-as-failure against completed lower strata,
+// probing the bound columns). The (rule, order)
 // pair is compiled into a JoinPlan (see eval/plan.h): simple positive
 // literals execute as probe-spec + match-program steps over slot rows,
 // probing composite hash indexes on all statically bound columns; complex

@@ -46,7 +46,8 @@ const Term* TopDownEngine::CanonicalVar(size_t index) {
 }
 
 std::vector<const Term*> TopDownEngine::InstantiateCall(const LiteralIr& literal,
-                                                        const Subst& subst) {
+                                                        const Subst& subst,
+                                                        bool* outside_universe) {
   // Instantiate under the caller's bindings, then rename residual variables
   // to the shared canonical placeholders in first-occurrence order.
   std::vector<const Term*> instantiated;
@@ -54,7 +55,10 @@ std::vector<const Term*> TopDownEngine::InstantiateCall(const LiteralIr& literal
   std::vector<Symbol> seen;
   for (const Term* arg : literal.args) {
     const Term* inst = ApplySubst(*factory_, arg, subst);
-    if (inst == nullptr) inst = arg;  // outside-U: keep symbolic, matches nothing
+    if (inst == nullptr) {
+      inst = arg;  // outside U: keep symbolic
+      if (outside_universe != nullptr) *outside_universe = true;
+    }
     CollectVars(inst, &seen);
     instantiated.push_back(inst);
   }
@@ -339,10 +343,8 @@ void TopDownEngine::ForEachEdbRow(PredId pred,
     }
   }
   if (cols.empty()) {
-    bool stopped = false;
-    relation->ForEachRow(0, relation->row_count(), [&](size_t, RowRef row) {
-      if (!stopped) stopped = !fn(row);
-    });
+    relation->ForEachRow(0, relation->row_count(),
+                         [&](size_t, RowRef row) { return fn(row); });
     return;
   }
   relation->ProbeRows(cols, values, 0, relation->row_count(),
@@ -380,10 +382,16 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
   }
 
   if (literal.negated) {
-    // Complete the subquery, then require that nothing matches.
-    std::vector<const Term*> pattern = InstantiateCall(literal, *subst);
+    // Complete the subquery, then require that nothing matches. A literal
+    // that instantiates outside U names no U-fact, so its negation holds
+    // (§2.2).
+    bool outside_universe = false;
+    std::vector<const Term*> pattern =
+        InstantiateCall(literal, *subst, &outside_universe);
     bool any_match = false;
-    if (IsIdb(literal.pred)) {
+    if (outside_universe) {
+      // Nothing to search.
+    } else if (IsIdb(literal.pred)) {
       TableEntry* sub = nullptr;
       LDL_RETURN_IF_ERROR(SolveComplete(literal.pred, pattern, &sub));
       for (const Tuple& row : sub->rows) {

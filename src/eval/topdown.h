@@ -131,8 +131,11 @@ class TopDownEngine {
   std::vector<Symbol> BoundRuleVars(const Subst& subst) const;
 
   bool IsIdb(PredId pred) const;
+  // The literal's call pattern under `subst`. An argument that instantiates
+  // outside U stays symbolic and sets *outside_universe when given.
   std::vector<const Term*> InstantiateCall(const LiteralIr& literal,
-                                           const Subst& subst);
+                                           const Subst& subst,
+                                           bool* outside_universe = nullptr);
   const Term* CanonicalVar(size_t index);
 
   TermFactory* factory_;

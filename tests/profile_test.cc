@@ -107,6 +107,36 @@ TEST(Profile, RetractionFiringsAttributeTheirCounters) {
   EXPECT_EQ(rules[0].counters["tuples_matched"], stats.tuples_matched);
 }
 
+TEST(Profile, RederiveChecksAttributeTheirCounters) {
+  // Deleting parent(b, c) over-deletes anc(b, c) and anc(a, c); DRed's
+  // head-seeded check rederives anc(a, c) from parent(a, c). The checks'
+  // solutions and matched tuples land on the rules' entries, so the entries
+  // add up to the pass's totals. A check is not a firing.
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("parent(a, b). parent(b, c). parent(a, c).\n"
+                        "anc(X, Y) :- parent(X, Y).\n"
+                        "anc(X, Y) :- parent(X, Z), anc(Z, Y).")
+                  .ok());
+  EvalOptions options;
+  options.profile = true;
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.RemoveFacts("parent(b, c).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  const EvalStats& stats = session.last_eval_stats();
+  ASSERT_EQ(stats.strata_overdeleted, 1u);
+  ASSERT_GT(stats.rederive_rounds, 0u);
+  std::map<std::string, uint64_t> sums;
+  for (const auto& [index, rule] : NonTimingFields(session.last_eval_profile())) {
+    for (const auto& [name, value] : rule.counters) sums[name] += value;
+  }
+  EXPECT_EQ(sums["firings"], stats.rule_firings);
+  EXPECT_EQ(sums["solutions"], stats.solutions);
+  EXPECT_EQ(sums["tuples_matched"], stats.tuples_matched);
+  EXPECT_EQ(sums["index_probes"], stats.index_probes);
+  EXPECT_EQ(sums["probe_hits"], stats.probe_hits);
+}
+
 TEST(Profile, OffByDefaultCollectsNothing) {
   Session session;
   ASSERT_TRUE(session.Load(AncestorChain(5)).ok());
@@ -202,6 +232,28 @@ TEST(Profile, MagicGroupingLevelFiresOnceOverUnchangedInputs) {
     saw_young = true;
     EXPECT_EQ(rule.counters.at("firings"), 1u) << rule.label;
     EXPECT_EQ(rule.counters.at("facts_derived"), 1u) << rule.label;
+  }
+  EXPECT_TRUE(saw_young);
+}
+
+// The §6 young rule's !a(X, Z) has Z local: "X has no a fact". Each sg
+// binding probes a on X and stops at the first row, instead of matching the
+// whole of a per binding (482,160 tuples on this forest).
+TEST(Profile, ExistentialNegationProbesTheBoundColumns) {
+  const SameGenerationWorkload forest = MakeSameGeneration(3, 2, 4);
+  EvalProfile profile = ProfiledEvaluate(forest.facts +
+                                         "a(X, Y) :- p(X, Y).\n"
+                                         "a(X, Y) :- a(X, Z), a(Z, Y).\n"
+                                         "sg(X, Y) :- siblings(X, Y).\n"
+                                         "sg(X, Y) :- p(Z1, X), sg(Z1, Z2), p(Z2, Y).\n"
+                                         "young(X, <Y>) :- !a(X, Z), sg(X, Y).\n");
+  bool saw_young = false;
+  for (const auto& [index, rule] : NonTimingFields(profile)) {
+    if (rule.label.rfind("young(", 0) != 0) continue;
+    saw_young = true;
+    EXPECT_LE(rule.counters.at("tuples_matched"), 5000u) << rule.label;
+    EXPECT_GT(rule.counters.at("index_probes"), 0u) << rule.label;
+    EXPECT_GT(rule.counters.at("facts_derived"), 0u) << rule.label;
   }
   EXPECT_TRUE(saw_young);
 }

@@ -61,6 +61,18 @@ TEST_F(RelationTest, WindowedIteration) {
   EXPECT_EQ(seen, (std::vector<int64_t>{4, 5, 6}));
 }
 
+TEST_F(RelationTest, IterationStopsWhenVisitorReturnsFalse) {
+  Relation r(1);
+  for (int i = 0; i < 20; ++i) r.Insert(T({i}));
+  r.Erase(T({1}));
+  std::vector<int64_t> seen;
+  r.ForEachRow(0, r.row_count(), [&](size_t, RowRef t) {
+    seen.push_back(t[0]->int_value());
+    return seen.size() < 3;
+  });
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 2, 3}));
+}
+
 TEST_F(RelationTest, ProbeFindsMatchingRows) {
   Relation r(2);
   r.Insert(T({1, 10}));
