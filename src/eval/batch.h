@@ -18,11 +18,15 @@
 //                         block's keys like the probe kernel, then keeps
 //                         the rows whose lookup finds no matching fact,
 //                         stopping at the first match;
-//   * per-row kernels  -- generic unification and output-producing
-//                         built-ins run per input row inside the block
-//                         loop, so set/complex terms lose nothing;
+//   * residual match   -- a scan or probe whose literal has a complex
+//                         unbound column (functor, set, scons) matches each
+//                         candidate with MatchArgs under the row's inputs
+//                         instead of the match program; output-producing
+//                         built-ins also run per input row, so set and
+//                         complex terms lose nothing;
 //   * emit             -- head rows for a whole solution block are built
-//                         straight from plan slots into a flat RowBuffer
+//                         from plan slots (complex head arguments
+//                         instantiated per row) into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the
 //                         engine inserts in bulk once the rule application
 //                         has enumerated its solutions.
@@ -149,6 +153,10 @@ class RowBuffer {
   void AppendRow(const Term* const* src) {
     const Term** dst = AppendRow();
     for (size_t i = 0; i < width_; ++i) dst[i] = src[i];
+  }
+  void PopRow() {
+    data_.resize(data_.size() - width_);
+    --rows_;
   }
   void Clear() {
     data_.clear();

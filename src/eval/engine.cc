@@ -828,34 +828,14 @@ StatusOr<std::vector<Tuple>> QueryRelation(TermFactory* factory,
                                            const Relation& relation) {
   std::vector<Tuple> results;
   Subst subst;
-  // Ground scons-free goal arguments are interned pointers, so they select
-  // rows through the composite hash index instead of a relation scan.
-  // MatchArgs still verifies the whole row (patterns, repeated variables).
-  std::vector<uint32_t> probe_cols;
-  std::vector<const Term*> probe_values;
-  for (size_t i = 0; i < goal.args.size(); ++i) {
-    const Term* arg = goal.args[i];
-    if (arg->ground() && !arg->has_scons()) {
-      probe_cols.push_back(static_cast<uint32_t>(i));
-      probe_values.push_back(arg);
-    }
-  }
-  auto match_row = [&](RowRef tuple) {
+  EvalStats unused;  // a model query reports the evaluation's counters
+  ForEachCandidateRow(*factory, relation, goal.args, subst, &unused, [&](RowRef tuple) {
     MatchArgs(*factory, goal.args, tuple, &subst, [&]() {
       results.emplace_back(tuple.begin(), tuple.end());
       return false;  // one match per fact suffices
     });
-  };
-  if (probe_cols.empty()) {
-    relation.ForEachRow(0, relation.row_count(),
-                        [&](size_t, RowRef tuple) { match_row(tuple); });
-  } else {
-    relation.ProbeRows(probe_cols, probe_values, 0, relation.row_count(),
-                       [&](size_t, RowRef tuple) {
-                         match_row(tuple);
-                         return true;
-                       });
-  }
+    return true;
+  });
   return results;
 }
 

@@ -8,13 +8,6 @@ namespace ldl {
 
 namespace {
 
-// True for arguments that probe and match on interned pointer equality:
-// ground and scons-free (a ground scons term still needs evaluation before
-// it denotes an element of U).
-bool IsPointerConstant(const Term* t) { return t->ground() && !t->has_scons(); }
-
-bool IsSimpleArg(const Term* t) { return t->is_var() || IsPointerConstant(t); }
-
 struct SlotTable {
   std::vector<std::pair<Symbol, int>> sorted;  // by symbol
 
@@ -26,6 +19,51 @@ struct SlotTable {
     return it->second;
   }
 };
+
+// The ValueRef reading `arg`, whose variables are all bound: a slot for a
+// variable, the term itself for a ground scons-free constant (interned
+// pointers compare by identity), an instantiation otherwise.
+ValueRef RefFor(const Term* arg, const SlotTable& slots) {
+  if (arg->is_var()) return ValueRef{slots.Lookup(arg->symbol()), nullptr, false};
+  return ValueRef{-1, arg, !arg->ground() || arg->has_scons()};
+}
+
+// Compiles the probe spec and match program of relational literal
+// `literal` (positive or negated) at a depth where `bound` holds the bound
+// slots. A column is a key column when all its variables are bound; the
+// others are plain variables run by the match program or, when one is
+// complex, a residual MatchArgs.
+void CompileRelational(const LiteralIr& literal, const SlotTable& slots,
+                       const std::vector<bool>& bound, LiteralPlan* step) {
+  step->kind = literal.negated ? StepKind::kNegated : StepKind::kScan;
+  auto all_bound = [&](const Term* arg) {
+    std::vector<Symbol> arg_vars;
+    CollectVars(arg, &arg_vars);
+    return std::all_of(arg_vars.begin(), arg_vars.end(),
+                       [&](Symbol var) { return bound[slots.Lookup(var)]; });
+  };
+  std::vector<int> bound_here;  // slots a kBind in this literal writes
+  for (uint32_t column = 0; column < literal.args.size(); ++column) {
+    const Term* arg = literal.args[column];
+    if (all_bound(arg)) {
+      step->probe_cols.push_back(column);
+      step->probe.push_back(RefFor(arg, slots));
+    } else if (!arg->is_var()) {
+      step->residual = true;
+    } else {
+      const int slot = slots.Lookup(arg->symbol());
+      const bool repeated =
+          std::find(bound_here.begin(), bound_here.end(), slot) != bound_here.end();
+      step->match.push_back(
+          MatchOp{repeated ? MatchOpKind::kCheckSlot : MatchOpKind::kBind, column, slot});
+      if (!repeated) bound_here.push_back(slot);
+    }
+  }
+  // The anti-join runs no match program: a repeated existential variable
+  // is checked by the residual match too.
+  if (literal.negated && step->match.size() > bound_here.size()) step->residual = true;
+  if (step->residual || literal.negated) step->match.clear();
+}
 
 }  // namespace
 
@@ -69,134 +107,31 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
     LiteralPlan step;
     step.literal_index = literal_index;
     step.pred = literal.pred;
-
-    std::vector<Symbol> literal_vars;
-    for (const Term* arg : literal.args) CollectVars(arg, &literal_vars);
-
-    // True when every variable of `arg` is bound before this step.
-    auto all_bound = [&](const Term* arg) {
-      std::vector<Symbol> arg_vars;
-      CollectVars(arg, &arg_vars);
-      return std::all_of(arg_vars.begin(), arg_vars.end(),
-                         [&](Symbol var) { return bound[slots.Lookup(var)]; });
-    };
-
-    auto fill_io = [&]() {
-      for (Symbol var : literal_vars) {
-        int slot = slots.Lookup(var);
-        if (bound[slot]) {
-          step.inputs.emplace_back(var, slot);
-        } else {
-          step.outputs.emplace_back(var, slot);
-        }
-      }
-    };
-
     if (literal.is_builtin()) {
       step.kind = StepKind::kBuiltin;
-      fill_io();
-      // Negated built-ins only test; positive ones bind their free variables
-      // on every solution (mirrors BindLiteralVars in ScheduleBody).
-      if (literal.negated) {
-        step.outputs.clear();
-      } else {
-        for (const auto& [var, slot] : step.outputs) bound[slot] = true;
-      }
-      plan.steps_.push_back(std::move(step));
-      continue;
+    } else {
+      CompileRelational(literal, slots, bound, &step);
     }
-
+    std::vector<Symbol> literal_vars;
+    for (const Term* arg : literal.args) CollectVars(arg, &literal_vars);
+    for (Symbol var : literal_vars) {
+      const int slot = slots.Lookup(var);
+      (bound[slot] ? step.inputs : step.outputs).emplace_back(var, slot);
+    }
+    // A negated literal binds nothing (negation as failure; a negated
+    // built-in only tests). A positive one binds its free variables on
+    // every solution (mirrors BindLiteralVars in ScheduleBody).
     if (literal.negated) {
-      // Negation-as-failure binds nothing: an anti-join probing the bound
-      // columns. The other variables are existential under the negation.
-      step.kind = StepKind::kNegated;
-      fill_io();
       step.outputs.clear();
-      std::vector<Symbol> free_vars;
-      for (uint32_t column = 0; column < literal.args.size(); ++column) {
-        const Term* arg = literal.args[column];
-        if (all_bound(arg)) {
-          step.probe_cols.push_back(column);
-          if (arg->is_var()) {
-            step.probe.push_back(ValueRef{slots.Lookup(arg->symbol()), nullptr});
-          } else {
-            step.probe.push_back(ValueRef{-1, IsPointerConstant(arg) ? arg : nullptr});
-          }
-        } else if (!arg->is_var() || std::find(free_vars.begin(), free_vars.end(),
-                                               arg->symbol()) != free_vars.end()) {
-          step.residual = true;
-        } else {
-          free_vars.push_back(arg->symbol());
-        }
-      }
-      plan.steps_.push_back(std::move(step));
-      continue;
+    } else {
+      for (const auto& [var, slot] : step.outputs) bound[slot] = true;
     }
-
-    bool simple = true;
-    for (const Term* arg : literal.args) {
-      if (!IsSimpleArg(arg)) {
-        simple = false;
-        break;
-      }
-    }
-
-    if (simple) {
-      step.kind = StepKind::kScan;
-      // Variables already bound within this literal (repeated occurrences).
-      std::vector<int> bound_here;
-      for (uint32_t column = 0; column < literal.args.size(); ++column) {
-        const Term* arg = literal.args[column];
-        if (!arg->is_var()) {
-          step.probe_cols.push_back(column);
-          step.probe.push_back(ValueRef{-1, arg});
-          continue;
-        }
-        int slot = slots.Lookup(arg->symbol());
-        if (bound[slot]) {
-          step.probe_cols.push_back(column);
-          step.probe.push_back(ValueRef{slot, nullptr});
-        } else if (std::find(bound_here.begin(), bound_here.end(), slot) !=
-                   bound_here.end()) {
-          step.match.push_back(MatchOp{MatchOpKind::kCheckSlot, column, slot, nullptr});
-        } else {
-          step.match.push_back(MatchOp{MatchOpKind::kBind, column, slot, nullptr});
-          bound_here.push_back(slot);
-        }
-      }
-      for (int slot : bound_here) bound[slot] = true;
-      plan.steps_.push_back(std::move(step));
-      continue;
-    }
-
-    // Generic fallback; still probe on statically bound columns.
-    step.kind = StepKind::kGenericScan;
-    fill_io();
-    for (uint32_t column = 0; column < literal.args.size(); ++column) {
-      if (all_bound(literal.args[column])) step.bound_columns.push_back(column);
-    }
-    for (const auto& [var, slot] : step.outputs) bound[slot] = true;
     plan.steps_.push_back(std::move(step));
   }
 
-  // 3. Head emitter: direct slot reads when every argument is simple.
-  plan.head_simple_ = true;
-  for (const Term* arg : rule.head_args) {
-    if (!IsSimpleArg(arg)) {
-      plan.head_simple_ = false;
-      break;
-    }
-  }
-  if (plan.head_simple_) {
-    plan.head_.reserve(rule.head_args.size());
-    for (const Term* arg : rule.head_args) {
-      if (arg->is_var()) {
-        plan.head_.push_back(ValueRef{slots.Lookup(arg->symbol()), nullptr});
-      } else {
-        plan.head_.push_back(ValueRef{-1, arg});
-      }
-    }
-  }
+  // 3. Head emitter: every head variable is bound after the last step.
+  plan.head_.reserve(rule.head_args.size());
+  for (const Term* arg : rule.head_args) plan.head_.push_back(RefFor(arg, slots));
   return plan;
 }
 

@@ -5,22 +5,20 @@
 // body literal becomes a LiteralPlan that the evaluator executes over a flat
 // slot array instead of a symbol-keyed substitution.
 //
-//   * kScan: a positive literal whose arguments are all plain variables or
-//     ground scons-free constants. The statically bound argument positions
-//     form a (possibly composite) probe spec fed from slots/constants; the
-//     remaining columns run a match program (bind slot / check slot / check
-//     constant) with no generic unification.
-//   * kGenericScan: a positive literal with complex argument patterns
-//     (functors, sets, scons, ...). Falls back to MatchArgs unification, but
-//     still probes on the statically bound columns after instantiating them
-//     through a scratch substitution.
-//   * kNegated: an anti-join. The argument positions bound at this point
-//     form a probe spec like kScan's (a complex argument whose variables
-//     are all bound instantiates into the key at run time); the rest are
-//     existential under the negation, so the step asks only whether some
-//     live fact matches, and stops at the first.
+//   * kScan: a positive relational literal. The argument positions whose
+//     variables are all bound at this depth form a (possibly composite)
+//     probe spec (ValueRef: a slot, a constant, or a complex argument
+//     instantiated under the step's inputs). The remaining columns run a
+//     match program (bind slot / check slot) when they are plain variables;
+//     when one of them is a complex pattern (functor, set, scons) a
+//     residual MatchArgs over the step's inputs binds the outputs instead.
+//   * kNegated: an anti-join with the same probe spec; the other columns
+//     are existential under the negation, so the step asks only whether
+//     some live fact matches, and stops at the first.
 //   * kBuiltin: evaluated through the builtin machinery over a scratch
 //     substitution materialized from the slots the literal mentions.
+//
+// The head is a ValueRef per argument in the same form.
 //
 // A head-seeded plan treats every head variable as bound before the first
 // step: its root input rows carry the unifiers of the head with one given
@@ -47,28 +45,28 @@
 
 namespace ldl {
 
-// A probe key component or head output: read from a slot or a constant.
-// In a kNegated probe spec, a ref with neither instantiates the column's
-// complex argument under the step's inputs.
+// A probe key column or head argument: a slot read, a pointer constant (a
+// ground scons-free term), or an argument instantiated under the row's
+// bindings (a complex term whose variables are all bound, or a ground term
+// holding scons, which must be evaluated before it denotes an element of U).
 struct ValueRef {
-  int slot = -1;                   // >= 0: read slots[slot]
-  const Term* constant = nullptr;  // used when slot < 0
+  int slot = -1;               // >= 0: read slots[slot]
+  const Term* term = nullptr;  // slot < 0: the constant, or the argument
+  bool instantiate = false;    // instantiate `term` instead of reading it
 };
 
 enum class MatchOpKind : uint8_t {
-  kBind,        // slots[slot] = tuple[column]
-  kCheckSlot,   // tuple[column] == slots[slot] (repeated variable)
-  kCheckConst,  // tuple[column] == constant
+  kBind,       // slots[slot] = tuple[column]
+  kCheckSlot,  // tuple[column] == slots[slot] (repeated variable)
 };
 
 struct MatchOp {
   MatchOpKind kind;
   uint32_t column;
-  int slot = -1;
-  const Term* constant = nullptr;
+  int slot;
 };
 
-enum class StepKind : uint8_t { kScan, kGenericScan, kBuiltin, kNegated };
+enum class StepKind : uint8_t { kScan, kNegated, kBuiltin };
 
 // Compiled form of one body literal at its position in the join order.
 struct LiteralPlan {
@@ -76,26 +74,22 @@ struct LiteralPlan {
   int literal_index;              // position in RuleIr::body
   PredId pred = kInvalidPred;     // relational literals only
 
-  // kScan / kNegated: statically bound columns (the probe spec), ascending;
-  // probe_cols[i] is the column probe[i] feeds. kScan: the match program
-  // for the remaining columns.
+  // kScan / kNegated: the key columns (the probe spec), ascending;
+  // probe_cols[i] is the column probe[i] feeds. kScan without residual:
+  // the match program for the remaining columns.
   std::vector<uint32_t> probe_cols;
   std::vector<ValueRef> probe;
   std::vector<MatchOp> match;
 
-  // kNegated: a candidate row must also pass MatchArgs, because an unbound
-  // column holds a complex argument or a variable repeated in the literal.
-  // Otherwise every unbound column is a distinct variable and any row
-  // matching the key matches the literal.
+  // A candidate row must pass MatchArgs under the step's inputs instead of
+  // the match program: a non-key column holds a complex argument (or, in
+  // kNegated, a variable repeated in the literal).
   bool residual = false;
 
-  // kGenericScan: columns whose argument patterns are fully bound under the
-  // slots available at this depth; instantiated at runtime to probe keys.
-  std::vector<uint32_t> bound_columns;
-
-  // kGenericScan / kBuiltin / kNegated: variables of this literal bound
-  // before the step (materialized into the scratch substitution) and
-  // variables the step newly binds (harvested back into slots).
+  // Variables of this literal bound before the step (materialized into a
+  // scratch substitution when a key column, a residual match or a builtin
+  // needs one) and variables the step newly binds (harvested back into
+  // slots by a residual match or a builtin).
   std::vector<std::pair<Symbol, int>> inputs;
   std::vector<std::pair<Symbol, int>> outputs;
 };
@@ -104,7 +98,7 @@ class JoinPlan {
  public:
   // Compiles `rule` under `order` (from OrderBodyLiterals; pass the head
   // variables as its `initially_bound` when head_seeded). Never fails:
-  // anything that cannot be specialized becomes a generic step.
+  // every literal compiles to one of the three step kinds.
   static JoinPlan Compile(const RuleIr& rule, const std::vector<int>& order,
                           bool head_seeded = false);
 
@@ -118,9 +112,7 @@ class JoinPlan {
   // Slot of `var`, or -1 if the rule does not mention it.
   int SlotOf(Symbol var) const;
 
-  // True when every head argument is a plain variable or a ground scons-free
-  // constant, so head tuples can be built straight from slots.
-  bool head_simple() const { return head_simple_; }
+  // One ValueRef per head argument.
   const std::vector<ValueRef>& head() const { return head_; }
 
   // Head-seeded plans: the slots of the head variables, which every root
@@ -132,7 +124,6 @@ class JoinPlan {
   std::vector<LiteralPlan> steps_;
   std::vector<std::pair<Symbol, int>> var_slots_;
   size_t slot_count_ = 0;
-  bool head_simple_ = false;
   std::vector<ValueRef> head_;
   bool head_seeded_ = false;
   std::vector<int> seeded_slots_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "eval/bindings.h"
 #include "program/wellformed.h"
@@ -93,31 +94,117 @@ Status RuleEvaluator::ForEachBlockDeriving(const Database& db, RowRef head,
   return ProcessBlock(db, {}, 0, root, sink, stats);
 }
 
-Status RuleEvaluator::EmitHeads(const TupleBlock& block, RowBuffer* out) const {
-  if (plan_->head_simple()) {
-    // Every argument reads a slot or is a ground scons-free constant, so no
-    // term rebuilding (and no outside-U case) is possible.
-    const std::vector<ValueRef>& head = plan_->head();
-    for (uint32_t idx : block.sel()) {
-      const Term* const* src = block.row(idx);
-      const Term** dst = out->AppendRow();
-      for (size_t i = 0; i < head.size(); ++i) {
-        const ValueRef& ref = head[i];
-        dst[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
-        if (dst[i] == nullptr) {
-          return InternalError("head variable unbound in a body solution");
-        }
+// ---------------------------------------------------------------------------
+// Block kernels (see eval/batch.h). Every counter increment, window clamp,
+// and candidate visit happens per (input row, candidate row) pair in
+// depth-first order, so counters depend only on the plan and the database.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Reads `refs` from slot row `row` into `out`. The first ref to instantiate
+// binds the bound `inputs` into *bindings. Returns false at the first ref it
+// cannot resolve: with *unbound set when the ref read an unbound slot or
+// left a variable free, and clear when the ref fell outside U (§2.2).
+bool ResolveRefs(TermFactory& factory, std::span<const ValueRef> refs,
+                 std::span<const std::pair<Symbol, int>> inputs,
+                 const Term* const* row, Subst* bindings, const Term** out,
+                 bool* unbound) {
+  bool inputs_bound = false;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    const ValueRef& ref = refs[i];
+    if (!ref.instantiate) {
+      out[i] = ref.slot >= 0 ? row[ref.slot] : ref.term;
+      if (out[i] != nullptr) continue;
+      *unbound = true;
+      return false;
+    }
+    if (!inputs_bound) {
+      bindings->Clear();
+      for (const auto& [var, slot] : inputs) {
+        if (row[slot] != nullptr) bindings->Bind(var, row[slot]);
       }
+      inputs_bound = true;
     }
-    return Status::OK();
+    bool ground = true;
+    out[i] = InstantiateGround(factory, ref.term, *bindings, &ground);
+    if (out[i] != nullptr) continue;
+    *unbound = !ground;
+    return false;
   }
-  for (uint32_t idx : block.sel()) {
-    InstantiationResult inst =
-        InstantiateHead(SolutionView(plan_.get(), {block.row(idx), block.width()}));
-    if (inst.unbound) {
-      return InternalError("head variable unbound in a body solution");
+  return true;
+}
+
+// Pass 1 of a probing step (kScan or kNegated with a probe spec):
+// materializes every selected row's key and, for partial keys, hashes it,
+// in one sweep over the block. A key column with a complex argument
+// instantiates under the row's inputs; when that falls outside U the row's
+// key starts with null and is not hashed. Returns the number of such rows.
+size_t GatherProbeKeys(TermFactory& factory, const LiteralPlan& step,
+                       const TupleBlock& in, bool full_key,
+                       BlockStorage::StepScratch* scratch) {
+  const size_t key_width = step.probe.size();
+  const auto& sel = in.sel();
+  scratch->keys.resize(key_width * sel.size());
+  scratch->hashes.clear();
+  if (!full_key) scratch->hashes.reserve(sel.size());
+  size_t outside_universe = 0;
+  Subst bindings;
+  for (size_t s = 0; s < sel.size(); ++s) {
+    const Term** key = scratch->keys.data() + s * key_width;
+    bool unbound = false;
+    const bool resolved = ResolveRefs(factory, step.probe, step.inputs, in.row(sel[s]),
+                                      &bindings, key, &unbound);
+    assert(!unbound);
+    if (!resolved) {
+      key[0] = nullptr;
+      ++outside_universe;
     }
-    if (!inst.outside_universe) out->AppendRow(inst.tuple.data());
+    if (!full_key) {
+      scratch->hashes.push_back(resolved ? Relation::ProbeHash({key, key_width}) : 0);
+    }
+  }
+  return outside_universe;
+}
+
+// Pass 2 for selected row `s`: calls fn(tuple) for each live row in
+// [from, to) matching its key -- one Relation::Find for a full key (the
+// relation's dedup table, no composite index), ProbeRowsHashed for a partial
+// one -- counting one probe_hits per row. fn returns false to stop.
+template <typename Fn>
+void ProbeKey(const Relation& relation, const LiteralPlan& step,
+              const BlockStorage::StepScratch& scratch, size_t s, bool full_key,
+              size_t from, size_t to, EvalStats* stats, Fn&& fn) {
+  const size_t key_width = step.probe.size();
+  const Term* const* key = scratch.keys.data() + s * key_width;
+  if (full_key) {
+    const size_t row = relation.Find({key, key_width});
+    if (row != Relation::npos && row >= from && row < to && relation.IsLive(row)) {
+      ++stats->probe_hits;
+      fn(relation.row(row));
+    }
+    return;
+  }
+  relation.ProbeRowsHashed(step.probe_cols, {key, key_width}, scratch.hashes[s], from,
+                           to, [&](size_t, RowRef tuple) {
+                             ++stats->probe_hits;
+                             return fn(tuple);
+                           });
+}
+
+}  // namespace
+
+Status RuleEvaluator::EmitHeads(const TupleBlock& block, RowBuffer* out) const {
+  Subst bindings;
+  for (uint32_t idx : block.sel()) {
+    const Term** dst = out->AppendRow();
+    bool unbound = false;
+    if (ResolveRefs(*factory_, plan_->head(), plan_->var_slots(), block.row(idx),
+                    &bindings, dst, &unbound)) {
+      continue;
+    }
+    if (unbound) return InternalError("head variable unbound in a body solution");
+    out->PopRow();  // the head falls outside U: no fact
   }
   return Status::OK();
 }
@@ -137,76 +224,15 @@ Status RuleEvaluator::CollectHeads(const Database& db,
 }
 
 InstantiationResult RuleEvaluator::InstantiateHead(const SolutionView& view) const {
-  if (plan_->head_simple()) {
-    InstantiationResult result;
-    const std::vector<ValueRef>& head = plan_->head();
-    result.tuple.reserve(head.size());
-    for (const ValueRef& ref : head) {
-      const Term* value = ref.slot >= 0 ? view.slots()[ref.slot] : ref.constant;
-      if (value == nullptr) {
-        result.unbound = true;
-        return result;
-      }
-      result.tuple.push_back(value);
-    }
-    return result;
-  }
-  Subst scratch;
-  view.AppendBindings(&scratch);
-  return InstantiateArgs(*factory_, rule_->head_args, scratch);
-}
-
-// ---------------------------------------------------------------------------
-// Block kernels (see eval/batch.h). Every counter increment, window clamp,
-// and candidate visit happens per (input row, candidate row) pair in
-// depth-first order, so counters depend only on the plan and the database.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Pass 1 of a probing step (kScan with a probe spec, kNegated with one):
-// materializes every selected row's key and, for partial keys, hashes it,
-// in one sweep over the block. A kNegated key column with a complex
-// argument instantiates under the row's inputs; when that falls outside U
-// the row's key starts with null and is not hashed.
-void GatherProbeKeys(TermFactory& factory, const LiteralIr& literal,
-                     const LiteralPlan& step, const TupleBlock& in, bool full_key,
-                     BlockStorage::StepScratch* scratch) {
-  const size_t key_width = step.probe.size();
-  const auto& sel = in.sel();
-  scratch->keys.resize(key_width * sel.size());
-  scratch->hashes.clear();
-  if (!full_key) scratch->hashes.reserve(sel.size());
+  InstantiationResult result;
+  result.tuple.resize(plan_->head().size());
   Subst bindings;
-  for (size_t s = 0; s < sel.size(); ++s) {
-    const Term* const* src = in.row(sel[s]);
-    const Term** key = scratch->keys.data() + s * key_width;
-    bool outside_universe = false;
-    bool inputs_bound = false;
-    for (size_t i = 0; i < key_width; ++i) {
-      const ValueRef& ref = step.probe[i];
-      if (ref.slot >= 0 || ref.constant != nullptr) {
-        key[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
-        assert(key[i] != nullptr);
-        continue;
-      }
-      if (!inputs_bound) {
-        bindings.Clear();
-        for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
-        inputs_bound = true;
-      }
-      key[i] = ApplySubst(factory, literal.args[step.probe_cols[i]], bindings);
-      if (key[i] == nullptr) outside_universe = true;
-    }
-    if (outside_universe) key[0] = nullptr;
-    if (!full_key) {
-      scratch->hashes.push_back(
-          outside_universe ? 0 : Relation::ProbeHash({key, key_width}));
-    }
+  if (!ResolveRefs(*factory_, plan_->head(), plan_->var_slots(), view.slots().data(),
+                   &bindings, result.tuple.data(), &result.unbound)) {
+    result.outside_universe = !result.unbound;
   }
+  return result;
 }
-
-}  // namespace
 
 Status RuleEvaluator::ProcessBlock(const Database& db,
                                    const std::vector<LiteralWindow>& windows,
@@ -302,17 +328,13 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
     const Relation& relation = db.relation(literal.pred);
     const size_t key_width = step.probe.size();
     const bool full_key = key_width == literal.args.size();
-    if (key_width > 0) {
-      GatherProbeKeys(*factory_, literal, step, in, full_key, &scratch);
-    }
+    if (key_width > 0) GatherProbeKeys(*factory_, step, in, full_key, &scratch);
     const auto& sel = in.sel();
     scratch.sel.clear();
     Subst bindings;
     for (size_t s = 0; s < sel.size(); ++s) {
-      const Term* const* key =
-          key_width > 0 ? scratch.keys.data() + s * key_width : nullptr;
       // A key outside U names no U-fact, so the negation holds (§2.2).
-      if (key != nullptr && key[0] == nullptr) {
+      if (key_width > 0 && scratch.keys[s * key_width] == nullptr) {
         scratch.sel.push_back(sel[s]);
         continue;
       }
@@ -334,20 +356,10 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
         }
         return !found;
       };
-      if (full_key) {
+      if (key_width > 0) {
         ++stats->index_probes;
-        const size_t row = relation.Find({key, key_width});
-        if (row != Relation::npos && relation.IsLive(row)) {
-          ++stats->probe_hits;
-          matches(relation.row(row));
-        }
-      } else if (key_width > 0) {
-        ++stats->index_probes;
-        relation.ProbeRowsHashed(step.probe_cols, {key, key_width}, scratch.hashes[s],
-                                 0, relation.row_count(), [&](size_t, RowRef tuple) {
-                                   ++stats->probe_hits;
-                                   return matches(tuple);
-                                 });
+        ProbeKey(relation, step, scratch, s, full_key, 0, relation.row_count(), stats,
+                 matches);
       } else {
         relation.ForEachRow(0, relation.row_count(),
                             [&](size_t, RowRef tuple) { return matches(tuple); });
@@ -364,146 +376,83 @@ Status RuleEvaluator::ProcessBlock(const Database& db,
   if (!windows.empty()) window = windows[step.literal_index];
   size_t to = std::min(window.to, relation.row_count());
 
-  // --- Specialized scan/probe step ---------------------------------------
-  if (step.kind == StepKind::kScan) {
-    // Match program over one candidate: append the input row, bind/check
-    // against the appended copy (kBind before kCheckSlot on the same slot
-    // handles repeated variables within the literal), pop on failure.
-    auto try_row = [&](const Term* const* src, RowRef tuple) -> bool {
-      ++stats->tuples_matched;
-      if (out.full() && !flush()) return false;
-      const Term** dst = out.AppendRow(src);
-      bool matched = true;
-      for (const MatchOp& op : step.match) {
-        switch (op.kind) {
-          case MatchOpKind::kBind:
-            dst[op.slot] = tuple[op.column];
-            break;
-          case MatchOpKind::kCheckSlot:
-            if (tuple[op.column] != dst[op.slot]) matched = false;
-            break;
-          case MatchOpKind::kCheckConst:
-            if (tuple[op.column] != op.constant) matched = false;
-            break;
-        }
-        if (!matched) break;
-      }
-      if (!matched) out.PopRow();
-      return true;
-    };
-
+  // --- Scan/probe step ----------------------------------------------------
+  // Enumerates the candidates of every selected input row: begin_row(src)
+  // runs before a row's candidates, then try_row(src, tuple) per candidate
+  // (false stops that row's candidates). Rows with a key column outside U
+  // are skipped: they count no probe and match no fact.
+  auto scan = [&](auto&& begin_row, auto&& try_row) -> Status {
+    const auto& sel = in.sel();
     if (!step.probe.empty()) {
-      // Pass 1: materialize every selected row's probe key and hash them in
-      // one sweep over the block (one index_probes tick per input binding).
-      // A key covering every column names at most one fact, which the
-      // relation's own dedup table finds -- no composite index is built.
-      const size_t key_width = step.probe.size();
-      const bool full_key = key_width == relation.arity();
-      const auto& sel = in.sel();
-      stats->index_probes += sel.size();
-      GatherProbeKeys(*factory_, literal, step, in, full_key, &scratch);
-      // Pass 2: probe, input rows in order.
+      // Pass 1: materialize and hash every selected row's key (one
+      // index_probes tick per key). Pass 2: probe, input rows in order.
+      const bool full_key = step.probe.size() == relation.arity();
+      stats->index_probes +=
+          sel.size() - GatherProbeKeys(*factory_, step, in, full_key, &scratch);
       for (size_t s = 0; s < sel.size(); ++s) {
         if (!keep_going_ || !status.ok()) break;
+        if (scratch.keys[s * step.probe.size()] == nullptr) continue;
         const Term* const* src = in.row(sel[s]);
-        const Term* const* key = scratch.keys.data() + s * key_width;
-        if (full_key) {
-          const size_t row = relation.Find({key, key_width});
-          if (row != Relation::npos && row >= window.from && row < to &&
-              relation.IsLive(row)) {
-            ++stats->probe_hits;
-            try_row(src, relation.row(row));
-          }
-          continue;
-        }
-        relation.ProbeRowsHashed(step.probe_cols, {key, key_width},
-                                 scratch.hashes[s], window.from, to,
-                                 [&](size_t, RowRef tuple) {
-                                   ++stats->probe_hits;
-                                   return try_row(src, tuple);
-                                 });
+        begin_row(src);
+        ProbeKey(relation, step, scratch, s, full_key, window.from, to, stats,
+                 [&](RowRef tuple) { return try_row(src, tuple); });
       }
-      if (status.ok() && keep_going_) flush();
-      return status;
-    }
-
-    // Unbound scan: gather the window's live rows once per input block
-    // (the per-candidate tombstone branch and chunk lookup amortized across
-    // every input row), then run the match program over the dense array.
-    scratch.live_rows.clear();
-    relation.CollectLiveRows(window.from, to, &scratch.live_rows);
-    for (uint32_t idx : in.sel()) {
-      if (!keep_going_ || !status.ok()) break;
-      const Term* const* src = in.row(idx);
-      for (const Term* const* row : scratch.live_rows) {
-        if (!try_row(src, {row, relation.arity()})) break;
+    } else {
+      // Unbound scan: gather the window's live rows once per input block
+      // (the per-candidate tombstone branch and chunk lookup amortized
+      // across every input row), then match over the dense array.
+      scratch.live_rows.clear();
+      relation.CollectLiveRows(window.from, to, &scratch.live_rows);
+      for (uint32_t idx : sel) {
+        if (!keep_going_ || !status.ok()) break;
+        const Term* const* src = in.row(idx);
+        begin_row(src);
+        for (const Term* const* row : scratch.live_rows) {
+          if (!try_row(src, {row, relation.arity()})) break;
+        }
       }
     }
     if (status.ok() && keep_going_) flush();
     return status;
-  }
+  };
 
-  // --- Generic step ---------------------------------------------------------
-  // Complex argument patterns (functors, sets, scons): per-row unification
-  // inside the block loop, still probing on the statically bound columns
-  // after instantiating them.
-  for (uint32_t idx : in.sel()) {
-    if (!keep_going_ || !status.ok()) break;
-    const Term* const* src = in.row(idx);
+  if (step.residual) {
+    // A complex unbound column: MatchArgs under the row's inputs, one output
+    // row per unifier, outputs harvested from the bindings.
     Subst bindings;
-    for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
-
-    auto try_row = [&](RowRef tuple) -> bool {
-      ++stats->tuples_matched;
-      return MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
-        if (out.full() && !flush()) return false;
-        const Term** dst = out.AppendRow(src);
-        for (const auto& [var, slot] : step.outputs) {
-          dst[slot] = bindings.Lookup(var);
-        }
-        return keep_going_;
-      });
-    };
-
-    bool probed = false;
-    if (!step.bound_columns.empty()) {
-      std::vector<const Term*> values;
-      values.reserve(step.bound_columns.size());
-      std::vector<uint32_t> cols;
-      cols.reserve(step.bound_columns.size());
-      bool outside_universe = false;
-      for (uint32_t column : step.bound_columns) {
-        const Term* value = ApplySubst(*factory_, literal.args[column], bindings);
-        if (value == nullptr) {
-          // Instantiates outside U (scons on a non-set): no fact can match.
-          outside_universe = true;
-          break;
-        }
-        // Statically bound columns instantiate to ground scons-free terms;
-        // anything else would indicate a compile/runtime boundness mismatch,
-        // so skip the column rather than probe with a bad key.
-        if (!value->ground() || value->has_scons()) continue;
-        cols.push_back(column);
-        values.push_back(value);
-      }
-      if (outside_universe) continue;
-      if (!cols.empty()) {
-        ++stats->index_probes;
-        relation.ProbeRows(cols, values, window.from, to,
-                           [&](size_t, RowRef tuple) {
-                             ++stats->probe_hits;
-                             return try_row(tuple);
-                           });
-        probed = true;
-      }
-    }
-    if (!probed) {
-      relation.ForEachRow(window.from, to,
-                          [&](size_t, RowRef tuple) { return try_row(tuple); });
-    }
+    return scan(
+        [&](const Term* const* src) {
+          bindings.Clear();
+          for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+        },
+        [&](const Term* const* src, RowRef tuple) {
+          ++stats->tuples_matched;
+          return MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
+            if (out.full() && !flush()) return false;
+            const Term** dst = out.AppendRow(src);
+            for (const auto& [var, slot] : step.outputs) dst[slot] = bindings.Lookup(var);
+            return keep_going_;
+          });
+        });
   }
-  if (status.ok() && keep_going_) flush();
-  return status;
+  // Match program over one candidate: append the input row, bind/check
+  // against the appended copy (kBind before kCheckSlot on the same slot
+  // handles repeated variables within the literal), pop on failure.
+  return scan([](const Term* const*) {},
+              [&](const Term* const* src, RowRef tuple) {
+                ++stats->tuples_matched;
+                if (out.full() && !flush()) return false;
+                const Term** dst = out.AppendRow(src);
+                for (const MatchOp& op : step.match) {
+                  if (op.kind == MatchOpKind::kBind) {
+                    dst[op.slot] = tuple[op.column];
+                  } else if (tuple[op.column] != dst[op.slot]) {
+                    out.PopRow();
+                    break;
+                  }
+                }
+                return true;
+              });
 }
 
 }  // namespace ldl

@@ -4,18 +4,20 @@
 // Body literals are statically reordered so that built-ins run as soon as
 // their inputs are bound and negated literals run once their non-local
 // variables are bound (negation-as-failure against completed lower strata,
-// probing the bound columns). The (rule, order)
-// pair is compiled into a JoinPlan (see eval/plan.h): simple positive
-// literals execute as probe-spec + match-program steps over slot rows,
-// probing composite hash indexes on all statically bound columns; complex
-// literals fall back to generic unification. RuleEvaluator runs the plan
-// over TupleBlocks (eval/batch.h).
+// probing the bound columns). The (rule, order) pair is compiled into a
+// JoinPlan (see eval/plan.h): every relational literal probes the
+// relation on the columns bound at its depth (the dedup table for a full
+// key, a composite hash index otherwise) and matches the remaining columns
+// with a match program over slot rows, or with MatchArgs when one of them
+// is a complex pattern. RuleEvaluator runs the plan over TupleBlocks
+// (eval/batch.h).
 #ifndef LDL1_EVAL_RULE_EVAL_H_
 #define LDL1_EVAL_RULE_EVAL_H_
 
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/status.h"
@@ -85,6 +87,47 @@ struct EvalStats {
   }
 };
 
+// Calls fn(row) for the live rows of `relation` that `args` can match under
+// `subst`: an index probe on the argument positions that instantiate to
+// ground scons-free terms (interned, so the index compares pointers), a scan
+// when there is none. Stops once fn returns false; the caller matches each
+// row (MatchArgs). Counts one index_probes per probe, probe_hits per row a
+// probe returns and tuples_matched per row handed to fn. This serves the
+// model's goal lookups and top-down's EDB subgoals; the join plan's kScan
+// step does the same work a block at a time.
+template <typename Fn>
+void ForEachCandidateRow(TermFactory& factory, const Relation& relation,
+                         std::span<const Term* const> args, const Subst& subst,
+                         EvalStats* stats, Fn&& fn) {
+  std::vector<uint32_t> cols;
+  std::vector<const Term*> values;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const Term* value = subst.Walk(args[i]);
+    // Under an empty subst a non-ground argument stays non-ground, so a
+    // model query skips rebuilding it.
+    if (!value->ground() && !value->is_var() && !subst.empty()) {
+      value = ApplySubst(factory, value, subst);
+    }
+    if (value != nullptr && value->ground() && !value->has_scons()) {
+      cols.push_back(static_cast<uint32_t>(i));
+      values.push_back(value);
+    }
+  }
+  auto visit = [&](size_t, RowRef row) {
+    ++stats->tuples_matched;
+    return fn(row);
+  };
+  if (cols.empty()) {
+    relation.ForEachRow(0, relation.row_count(), visit);
+    return;
+  }
+  ++stats->index_probes;
+  relation.ProbeRows(cols, values, 0, relation.row_count(), [&](size_t i, RowRef row) {
+    ++stats->probe_hits;
+    return visit(i, row);
+  });
+}
+
 // Computes the evaluation order for `rule`'s body: ScheduleBody
 // (program/wellformed.h) with the most-bound positive literal next. If
 // forced_first >= 0 that literal occurrence is scheduled first (semi-naive
@@ -129,8 +172,8 @@ class RuleEvaluator {
                               const BlockFn& sink, EvalStats* stats);
 
   // Appends the head fact of every selected solution in `block` to `out`,
-  // skipping heads that fall outside U. Simple heads are read straight from
-  // plan slots; complex heads are instantiated per row.
+  // skipping heads that fall outside U. Head arguments are read from plan
+  // slots, or instantiated per row when complex.
   Status EmitHeads(const TupleBlock& block, RowBuffer* out) const;
 
   // ForEachBlock + EmitHeads: the head facts of every body solution.

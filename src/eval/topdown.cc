@@ -84,7 +84,7 @@ StatusOr<TopDownEngine::TableEntry*> TopDownEngine::TableFor(
     factory_->AppendTo(t, &key);
     key += ',';
   }
-  ++stats_.calls;
+  ++calls_;
   auto [it, inserted] = tables_.try_emplace(std::move(key));
   if (inserted) {
     it->second.pred = pred;
@@ -97,7 +97,7 @@ Status TopDownEngine::Insert(TableEntry* entry, const Tuple& fact) {
   if (entry->index.insert(fact).second) {
     entry->rows.push_back(fact);
     grew_ = true;
-    ++stats_.answers;
+    ++stats_.facts_derived;
     if (++total_rows_ > options_.max_table_rows) {
       return ResourceExhaustedError("top-down tables exceeded max_table_rows");
     }
@@ -128,7 +128,7 @@ Status TopDownEngine::SolveComplete(PredId pred,
     if (++rounds > options_.max_rounds) {
       return ResourceExhaustedError("top-down fixpoint exceeded max_rounds");
     }
-    ++stats_.restarts;
+    ++stats_.iterations;
     for (auto& [key, table] : tables_) {
       if (!table.complete && in_scope(table)) table.started = false;
     }
@@ -160,7 +160,7 @@ Status TopDownEngine::SolveCall(PredId pred,
   for (size_t r = 0; r < program_->rules.size(); ++r) {
     const RuleIr& rule = program_->rules[r];
     if (rule.head_pred != pred) continue;
-    ++stats_.expansions;
+    ++stats_.rule_firings;
     // Per-rule attribution: each expansion counts as a firing and its wall
     // time accrues to the rule, mirroring the bottom-up paths.
     RuleProfileEntry* rule_profile = nullptr;
@@ -323,32 +323,12 @@ Status TopDownEngine::ExpandGroupingRule(const RuleIr& rule, TableEntry* entry,
 template <typename Fn>
 void TopDownEngine::ForEachEdbRow(PredId pred,
                                   std::span<const Term* const> args,
-                                  const Subst& subst, Fn&& fn) const {
+                                  const Subst& subst, Fn&& fn) {
   // FindRelation, not relation(): the EDB may be a published snapshot that
   // concurrent readers share, whose deque must never grow.
   const Relation* relation = edb_->FindRelation(pred);
   if (relation == nullptr) return;
-  // Probe columns: arguments bound to ground, scons-free terms. Interned
-  // ground terms compare by pointer, which is what the index verifies.
-  std::vector<uint32_t> cols;
-  std::vector<const Term*> values;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const Term* value = subst.Walk(args[i]);
-    if (!value->ground() && !value->is_var()) {
-      value = ApplySubst(*factory_, value, subst);
-    }
-    if (value != nullptr && value->ground() && !value->has_scons()) {
-      cols.push_back(static_cast<uint32_t>(i));
-      values.push_back(value);
-    }
-  }
-  if (cols.empty()) {
-    relation->ForEachRow(0, relation->row_count(),
-                         [&](size_t, RowRef row) { return fn(row); });
-    return;
-  }
-  relation->ProbeRows(cols, values, 0, relation->row_count(),
-                      [&](size_t, RowRef row) { return fn(row); });
+  ForEachCandidateRow(*factory_, *relation, args, subst, &stats_, std::forward<Fn>(fn));
 }
 
 Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& order,
@@ -395,6 +375,7 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
       TableEntry* sub = nullptr;
       LDL_RETURN_IF_ERROR(SolveComplete(literal.pred, pattern, &sub));
       for (const Tuple& row : sub->rows) {
+        ++stats_.tuples_matched;
         Subst probe;
         MatchArgs(*factory_, pattern, row, &probe, [&]() {
           any_match = true;
@@ -444,7 +425,9 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
     // Snapshot the size: recursive calls may append to the same table while
     // we iterate; the outer fixpoint picks up late rows.
     const size_t limit = sub->rows.size();
-    for (size_t i = 0; i < limit && continue_with(sub->rows[i]); ++i) {
+    for (size_t i = 0; i < limit; ++i) {
+      ++stats_.tuples_matched;
+      if (!continue_with(sub->rows[i])) break;
     }
     return inner;
   }
@@ -475,6 +458,7 @@ StatusOr<std::vector<Tuple>> TopDownEngine::Query(const LiteralIr& goal) {
   LDL_RETURN_IF_ERROR(SolveComplete(goal.pred, pattern, &entry));
   Subst subst;
   for (const Tuple& row : entry->rows) {
+    ++stats_.tuples_matched;
     MatchArgs(*factory_, goal.args, row, &subst, [&]() {
       results.push_back(row);
       return false;

@@ -19,7 +19,7 @@
 //   * EDB subgoals probe instead of scanning: the argument positions the
 //     caller's bindings make ground (and scons-free) select rows through the
 //     relation's lazily built hash index on those columns
-//     (Relation::ProbeRows), and each row is matched in place. A subgoal
+//     (ForEachCandidateRow), and each row is matched in place. A subgoal
 //     with no bound position scans. The EDB is read only through
 //     Database::FindRelation, so it may be a published snapshot that other
 //     readers probe concurrently (ldl::Service); the indexes a query builds
@@ -42,6 +42,7 @@
 #include "eval/builtins.h"
 #include "eval/profile.h"
 #include "eval/relation.h"
+#include "eval/rule_eval.h"
 #include "program/ir.h"
 #include "program/stratify.h"
 
@@ -52,13 +53,6 @@ struct TopDownOptions {
   size_t max_call_depth = 2048;      // SLD recursion depth
   size_t max_table_rows = 1u << 24;  // total answers across tables
   BuiltinLimits builtin_limits;
-};
-
-struct TopDownStats {
-  size_t calls = 0;        // table lookups (memo hits + misses)
-  size_t expansions = 0;   // rule-body evaluations
-  size_t answers = 0;      // distinct facts tabled
-  size_t restarts = 0;     // outer fixpoint rounds
 };
 
 class TopDownEngine {
@@ -77,12 +71,18 @@ class TopDownEngine {
   // on the same engine instance.
   StatusOr<std::vector<Tuple>> Query(const LiteralIr& goal);
 
-  const TopDownStats& stats() const { return stats_; }
+  // Counters in the bottom-up engines' terms: rule_firings counts rule
+  // expansions, facts_derived distinct facts tabled, iterations outer
+  // fixpoint restarts; tuples_matched, index_probes and probe_hits count
+  // the EDB rows and table rows the subgoals visit.
+  const EvalStats& stats() const { return stats_; }
+  // Table lookups (memo hits + misses).
+  size_t calls() const { return calls_; }
   size_t table_count() const { return tables_.size(); }
 
   // Attributes rule expansions (firings + wall time) to *profile while
   // solving; null (the default) disables collection. The caller fills the
-  // profile's TopDownProfile rollup from stats() afterwards.
+  // profile's TopDownProfile rollup from stats() and calls() afterwards.
   void set_profile(EvalProfile* profile) { profile_ = profile; }
 
  private:
@@ -119,13 +119,12 @@ class TopDownEngine {
                    const std::function<bool(const Subst&)>& yield,
                    bool* keep_going);
 
-  // Calls fn(row) for the live rows of EDB predicate `pred` that `args`
-  // can match under `subst`: an index probe on the positions bound to
-  // ground, scons-free terms, a scan when there is none. Stops once fn
-  // returns false. A predicate the EDB holds no relation for has no rows.
+  // ForEachCandidateRow (eval/rule_eval.h) over EDB predicate `pred`,
+  // counting into stats_. A predicate the EDB holds no relation for has no
+  // rows.
   template <typename Fn>
   void ForEachEdbRow(PredId pred, std::span<const Term* const> args,
-                     const Subst& subst, Fn&& fn) const;
+                     const Subst& subst, Fn&& fn);
 
   Status Insert(TableEntry* entry, const Tuple& fact);
   std::vector<Symbol> BoundRuleVars(const Subst& subst) const;
@@ -149,7 +148,8 @@ class TopDownEngine {
   // re-analysis (ldl::Service writer) cannot flip a subgoal between IDB
   // and EDB treatment mid-evaluation.
   std::vector<bool> idb_;
-  TopDownStats stats_;
+  EvalStats stats_;
+  size_t calls_ = 0;
   EvalProfile* profile_ = nullptr;
 
   std::map<std::string, TableEntry> tables_;

@@ -517,18 +517,16 @@ StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
   ScopedWallTimer timer(options.eval.profile ? &topdown_wall : nullptr);
   LDL_ASSIGN_OR_RETURN(result.tuples, topdown.Query(goal));
   timer.Stop();
-  result.stats.facts_derived = topdown.stats().answers;
-  result.stats.rule_firings = topdown.stats().expansions;
-  result.stats.iterations = topdown.stats().restarts;
+  result.stats = topdown.stats();
   if (options.eval.profile) {
     result.profile.add_total_wall_ns(topdown_wall);
     TopDownProfile& rollup = result.profile.topdown();
     rollup.used = true;
     rollup.wall_ns = topdown_wall;
-    rollup.calls = topdown.stats().calls;
-    rollup.expansions = topdown.stats().expansions;
-    rollup.answers = topdown.stats().answers;
-    rollup.restarts = topdown.stats().restarts;
+    rollup.calls = topdown.calls();
+    rollup.expansions = topdown.stats().rule_firings;
+    rollup.answers = topdown.stats().facts_derived;
+    rollup.restarts = topdown.stats().iterations;
     rollup.tables = topdown.table_count();
   }
   return result;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/str_util.h"
 #include "ldl/ldl.h"
 #include "workload/workload.h"
@@ -270,6 +272,133 @@ TEST(Engine, SconsOnNonSetProducesNoFact) {
   auto facts = Facts(session, "bad", 1);
   ASSERT_TRUE(facts.ok()) << facts.status();
   EXPECT_TRUE(facts->empty());
+}
+
+// Positive literals with complex arguments (functors, set constructors,
+// scons) in the join plan: a column whose variables are all bound is a key
+// column instantiated under the row's bindings, and an unbound complex
+// column is matched by unification. Answers are hand-computed and must hold
+// under every query strategy.
+struct ComplexLiteralCase {
+  const char* what;
+  const char* program;
+  const char* goal;
+  std::vector<std::string> answers;  // sorted tuples
+};
+
+const ComplexLiteralCase kComplexLiteralCases[] = {
+    {"unbound functor column",
+     "r(a, f(1)). r(b, g(2)). r(c, f(3)).\n"
+     "q(X, Y) :- r(X, f(Y)).\n",
+     "q(X, Y)", {"(a, 1)", "(c, 3)"}},
+    {"unbound functor column, bound goal",
+     "r(a, f(1)). r(b, g(2)). r(c, f(3)).\n"
+     "q(X, Y) :- r(X, f(Y)).\n",
+     "q(c, Y)", {"(c, 3)"}},
+    // {X} matches singletons only, so {a, b} is no answer.
+    {"set-constructor column, unbound",
+     "cost({a}, 1). cost({b}, 2). cost({a, b}, 3).\n"
+     "single(X, C) :- cost({X}, C).\n",
+     "single(X, C)", {"(a, 1)", "(b, 2)"}},
+    {"set-constructor column, bound by the goal",
+     "cost({a}, 1). cost({b}, 2). cost({a, b}, 3).\n"
+     "single(X, C) :- cost({X}, C).\n",
+     "single(a, C)", {"(a, 1)"}},
+    // scons(1, 7) is not an element of U: the d(7) row has no answer.
+    {"bound scons column outside U",
+     "d(7). d({2}). v({1}, p). v({1, 2}, q).\n"
+     "w(Y, Z) :- d(Y), v(scons(1, Y), Z).\n",
+     "w(Y, Z)", {"({2}, q)"}},
+    {"bound scons column outside U, bound goal",
+     "d(7). d({2}). v({1}, p). v({1, 2}, q).\n"
+     "w(Y, Z) :- d(Y), v(scons(1, Y), Z).\n",
+     "w(7, Z)", {}},
+    {"complex column next to a repeated variable",
+     "t(a, a, f(1)). t(a, b, f(2)). t(c, c, g(3)). t(d, d, f(4)).\n"
+     "q(X, Y) :- t(X, X, f(Y)).\n",
+     "q(X, Y)", {"(a, 1)", "(d, 4)"}},
+    {"complex column next to a repeated variable, bound goal",
+     "t(a, a, f(1)). t(a, b, f(2)). t(c, c, g(3)). t(d, d, f(4)).\n"
+     "q(X, Y) :- t(X, X, f(Y)).\n",
+     "q(d, Y)", {"(d, 4)"}},
+    {"all-complex full key",
+     "k(a, 1). k(b, 3).\n"
+     "pair(f(a), {1}). pair(f(b), {2}). pair(f(c), {3}). pair(f(d), {4}).\n"
+     "hit(X, Y) :- k(X, Y), pair(f(X), {Y}).\n",
+     "hit(X, Y)", {"(a, 1)"}},
+};
+
+TEST(Engine, ComplexPositiveLiterals) {
+  for (const ComplexLiteralCase& row : kComplexLiteralCases) {
+    SCOPED_TRACE(row.what);
+    Session session;
+    ASSERT_TRUE(session.Load(row.program).ok());
+    for (QueryStrategy strategy :
+         {QueryStrategy::kModel, QueryStrategy::kMagic,
+          QueryStrategy::kMagicSupplementary, QueryStrategy::kTopDown}) {
+      QueryOptions options;
+      options.strategy = strategy;
+      auto result = session.Query(row.goal, options);
+      ASSERT_TRUE(result.ok()) << ToString(strategy) << ": " << result.status();
+      std::vector<std::string> answers;
+      for (const Tuple& t : result->tuples) answers.push_back(session.FormatTuple(t));
+      std::sort(answers.begin(), answers.end());
+      EXPECT_EQ(answers, row.answers) << ToString(strategy);
+    }
+  }
+}
+
+// A set-constructor column bound by the magic seed is a key column: the
+// rewritten rule probes cost on the instantiated {a}.
+TEST(Engine, BoundSetConstructorColumnProbes) {
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("cost({a}, 1). cost({b}, 2). cost({a, b}, 3).\n"
+                        "single(X, C) :- cost({X}, C).\n")
+                  .ok());
+  QueryOptions options;
+  options.strategy = QueryStrategy::kMagic;
+  auto result = session.Query("single(a, C)", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->tuples.size(), 1u);
+  EXPECT_GE(result->stats.index_probes, 1u);
+  EXPECT_GE(result->stats.probe_hits, 1u);
+}
+
+// A key column that instantiates outside U skips its row without a probe:
+// of d's two rows only Y = {2} probes v.
+TEST(Engine, KeyOutsideUniverseCountsNoProbe) {
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("d(7). d({2}). v({1}, p). v({1, 2}, q).\n"
+                        "w(Y, Z) :- d(Y), v(scons(1, Y), Z).\n")
+                  .ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.last_eval_stats().index_probes, 1u);
+  EXPECT_EQ(session.last_eval_stats().probe_hits, 1u);
+}
+
+// Complex key columns covering every column name at most one fact, which
+// the relation's dedup table finds: no composite index is built.
+TEST(Engine, AllComplexFullKeyUsesTheDedupTable) {
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("k(a, 1). k(b, 3).\n"
+                        "pair(f(a), {1}). pair(f(b), {2}). pair(f(c), {3}). "
+                        "pair(f(d), {4}).\n"
+                        "hit(X, Y) :- k(X, Y), pair(f(X), {Y}).\n")
+                  .ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  const Relation& pair = session.database().relation(session.catalog().Find("pair", 2));
+  EXPECT_EQ(session.last_eval_stats().index_probes, 2u);  // one per k row
+  EXPECT_EQ(session.last_eval_stats().probe_hits, 1u);    // pair(f(a), {1})
+  EXPECT_EQ(pair.index_count(), 0u);
+  QueryOptions options;
+  options.strategy = QueryStrategy::kMagic;
+  auto result = session.Query("hit(a, Y)", options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->tuples.size(), 1u);
+  EXPECT_EQ(pair.index_count(), 0u);
 }
 
 TEST(Engine, ArithmeticChains) {

@@ -70,6 +70,34 @@ TEST(TopDown, BoundQueryTouchesLessThanFullEvaluation) {
   EXPECT_LT(result->stats.facts_derived, 200u);
 }
 
+// Top-down reports in the bottom-up engines' EvalStats terms: the EDB rows
+// its probes return and the table rows it reads count like a join's, and
+// expansions/answers/restarts keep their rule_firings/facts_derived/
+// iterations mapping, which the profile rollup mirrors.
+TEST(TopDown, BoundGoalReportsMatchingCounters) {
+  Session session;
+  ASSERT_TRUE(session.Load(ParentChain(20, "p")).ok());
+  ASSERT_TRUE(session
+                  .Load("anc(X, Y) :- p(X, Y).\n"
+                        "anc(X, Y) :- p(X, Z), anc(Z, Y).")
+                  .ok());
+  QueryOptions topdown;
+  topdown.strategy = ldl::QueryStrategy::kTopDown;
+  topdown.eval.profile = true;
+  auto result = session.Query("anc(p10, X)", topdown);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->tuples.size(), 10u);  // p11 .. p20
+  EXPECT_GT(result->stats.tuples_matched, 0u);
+  EXPECT_GT(result->stats.index_probes, 0u);
+  EXPECT_GT(result->stats.probe_hits, 0u);
+  EXPECT_LE(result->stats.probe_hits, result->stats.tuples_matched);
+  const TopDownProfile& rollup = result->profile.topdown();
+  EXPECT_EQ(result->stats.rule_firings, rollup.expansions);
+  EXPECT_EQ(result->stats.facts_derived, rollup.answers);
+  EXPECT_EQ(result->stats.iterations, rollup.restarts);
+  EXPECT_GT(rollup.calls, 0u);
+}
+
 TEST(TopDown, StratifiedNegation) {
   Session session;
   ASSERT_TRUE(session
