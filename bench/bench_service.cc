@@ -22,12 +22,29 @@
 //   write_p50_us  write->visible latency, 50th percentile (microseconds)
 //   write_p99_us  write->visible latency, 99th percentile
 //   model_facts   facts in the published model (anc + parent)
+//
+// BM_ServiceReparent is the reparent write of the anc_serve workload on the
+// same 1,500-person forest: move a random person under a new parent at its
+// old parent's depth (AddFacts of the new edge, then RemoveFacts of the old
+// one; depths, and so the model size, stay put, and no cycle can form).
+// Every 20th write re-adds a removed edge instead, moving a person back
+// under an earlier parent: a tombstoned EDB row comes back through the
+// insert delta. The removed rows pile up as tombstones until maintenance
+// compacts their relation. Reported counters:
+//
+//   write_p50_us    write->visible latency, 50th percentile (microseconds)
+//   write_p99_us    write->visible latency, 99th percentile
+//   compactions     relations compacted over the run (ServiceStats)
+//   dead_row_ratio  tombstoned share of the published model's rows,
+//                   sum(raw_rows - rows) / sum(raw_rows), averaged over
+//                   the writes
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -188,7 +205,133 @@ void BM_ServiceWrite(benchmark::State& state) {
   state.counters["model_facts"] = static_cast<double>(model_facts);
 }
 
+constexpr size_t kReparentPeople = 1500;
+constexpr size_t kReparentsPerIteration = 16;  // two writes each
+constexpr size_t kReaddEvery = 10;             // reparents: every 20th write
+
+// sum(raw_rows - rows) / sum(raw_rows) over the snapshot's relations.
+double DeadRowRatio(const ldl::ModelSnapshot& snapshot) {
+  const ldl::Database& db = snapshot.database();
+  size_t raw = 0;
+  size_t live = 0;
+  for (ldl::PredId pred = 0; pred < db.catalog()->size(); ++pred) {
+    if (const ldl::Relation* relation = db.FindRelation(pred)) {
+      raw += relation->row_count();
+      live += relation->size();
+    }
+  }
+  return raw == 0 ? 0 : static_cast<double>(raw - live) / static_cast<double>(raw);
+}
+
+void BM_ServiceReparent(benchmark::State& state) {
+  // The ParentRandomTree law: person i > 0 gets a parent uniform in [0, i).
+  ldl::Rng tree_rng(11);
+  std::vector<size_t> parent(kReparentPeople, 0);
+  std::vector<size_t> depth(kReparentPeople, 0);
+  std::vector<std::vector<size_t>> by_depth(1, std::vector<size_t>{0});
+  std::string program;
+  for (size_t i = 1; i < kReparentPeople; ++i) {
+    parent[i] = tree_rng.Below(i);
+    depth[i] = depth[parent[i]] + 1;
+    if (by_depth.size() <= depth[i]) by_depth.resize(depth[i] + 1);
+    by_depth[depth[i]].push_back(i);
+    program += "parent(p" + std::to_string(parent[i]) + ", p" +
+               std::to_string(i) + ").\n";
+  }
+  program +=
+      "anc(X, Y) :- parent(X, Y).\n"
+      "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
+  ldl::Service service;
+  ldl::Status status = service.Load(program);
+  if (!status.ok()) {
+    state.SkipWithError(status.ToString().c_str());
+    return;
+  }
+  const size_t model_facts = service.snapshot()->total_facts();
+
+  auto edge = [](size_t from, size_t child) {
+    return "parent(p" + std::to_string(from) + ", p" + std::to_string(child) +
+           ").";
+  };
+  ldl::Rng rng(7);
+  // (old parent, child) of the moves since the last re-add.
+  std::vector<std::pair<size_t, size_t>> removed;
+  std::vector<double> latencies_us;
+  double dead_ratio_sum = 0;
+  size_t reparents = 0;
+  auto timed_write = [&](const std::string& fact, bool add) {
+    auto t0 = std::chrono::steady_clock::now();
+    ldl::Status write = add ? service.AddFacts(fact) : service.RemoveFacts(fact);
+    auto t1 = std::chrono::steady_clock::now();
+    latencies_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    dead_ratio_sum += DeadRowRatio(*service.snapshot());
+    return write.ok();
+  };
+  for (auto _ : state) {
+    const size_t first = latencies_us.size();
+    for (size_t r = 0; r < kReparentsPerIteration; ++r) {
+      size_t child = 0;
+      size_t to = 0;
+      // A re-add moves a person back under a parent it had since the last
+      // re-add, so its edge row is still a tombstone unless compaction
+      // dropped it. That parent sits at the current parent's depth; edges
+      // whose move was already undone are skipped.
+      if (++reparents % kReaddEvery == 0) {
+        while (child == 0 && !removed.empty()) {
+          const size_t pick = rng.Below(removed.size());
+          const auto [old_parent, moved] = removed[pick];
+          removed[pick] = removed.back();
+          removed.pop_back();
+          if (parent[moved] != old_parent) {
+            child = moved;
+            to = old_parent;
+          }
+        }
+        removed.clear();
+      }
+      while (child == 0) {
+        const size_t candidate = 1 + rng.Below(kReparentPeople - 1);
+        const std::vector<size_t>& peers = by_depth[depth[candidate] - 1];
+        const size_t peer = peers[rng.Below(peers.size())];
+        if (peer != parent[candidate]) {
+          child = candidate;
+          to = peer;
+        }
+      }
+      const size_t from = parent[child];
+      if (!timed_write(edge(to, child), true) ||
+          !timed_write(edge(from, child), false)) {
+        state.SkipWithError("write failed");
+        return;
+      }
+      parent[child] = to;
+      removed.emplace_back(from, child);
+    }
+    double seconds = 0;
+    for (size_t i = first; i < latencies_us.size(); ++i) {
+      seconds += latencies_us[i] * 1e-6;
+    }
+    state.SetIterationTime(seconds);
+  }
+  if (service.snapshot()->total_facts() != model_facts) {
+    state.SkipWithError("same-depth moves changed the model size");
+    return;
+  }
+  const double writes = static_cast<double>(latencies_us.size());
+  std::sort(latencies_us.begin(), latencies_us.end());
+  state.counters["write_p50_us"] = Percentile(&latencies_us, 0.50);
+  state.counters["write_p99_us"] = Percentile(&latencies_us, 0.99);
+  state.counters["compactions"] =
+      static_cast<double>(service.stats().compactions);
+  state.counters["dead_row_ratio"] = writes == 0 ? 0 : dead_ratio_sum / writes;
+}
+
 }  // namespace
+
+BENCHMARK(BM_ServiceReparent)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_ServiceWrite)
     ->UseManualTime()

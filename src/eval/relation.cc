@@ -104,6 +104,72 @@ bool Relation::Insert(RowRef tuple) {
   return true;
 }
 
+void Relation::Compact() {
+  assert(!frozen_);
+  // New ids in row order: remap[old] is the live row's new id. Assigning
+  // them in order keeps every index bucket sorted, so the buckets below
+  // are rewritten in place.
+  std::vector<uint32_t> remap(row_count_, kDeadRow);
+  uint32_t next = 0;
+  for (size_t row = 0; row < row_count_; ++row) {
+    if (live_[row]) remap[row] = next++;
+  }
+  // Move the live rows into fresh chunks; snapshots keep the old ones.
+  std::vector<Chunk> chunks;
+  for (size_t row = 0; row < row_count_; ++row) {
+    if (remap[row] == kDeadRow) continue;
+    const RowSlot at = Locate(remap[row]);
+    if (at.chunk == chunks.size()) {
+      chunks.push_back(std::make_shared_for_overwrite<const Term*[]>(
+          ChunkRows(at.chunk) * arity_));
+    }
+    const Term* const* tuple = RowData(row);
+    std::copy(tuple, tuple + arity_, chunks[at.chunk].get() + at.offset * arity_);
+  }
+  chunks_ = std::move(chunks);
+  if (counted_) {
+    for (size_t row = 0; row < row_count_; ++row) {
+      if (remap[row] != kDeadRow) counts_[remap[row]] = counts_[row];
+    }
+    counts_.resize(next);
+  }
+  // The dedup table keeps each entry's hash bits, so it is refilled in
+  // place from the entries of live rows without touching a row. It keeps
+  // its size: fewer rows only lower its load.
+  std::vector<uint64_t> entries;
+  entries.reserve(next);
+  for (uint64_t entry : table_) {
+    if (entry != kEmptySlot && remap[EntryRow(entry)] != kDeadRow) {
+      entries.push_back(TableEntry(entry, remap[EntryRow(entry)]));
+    }
+  }
+  std::fill(table_.begin(), table_.end(), kEmptySlot);
+  const size_t mask = table_.size() - 1;
+  for (uint64_t entry : entries) {
+    size_t idx = (entry >> 32) & mask;
+    while (table_[idx] != kEmptySlot) idx = (idx + 1) & mask;
+    table_[idx] = entry;
+  }
+  // Built indexes keep their nodes and keys; each bucket drops its dead
+  // rows and renumbers the rest, and emptied buckets go.
+  for (CompositeIndex* index = index_head_.load(std::memory_order_acquire);
+       index != nullptr; index = index->next) {
+    for (auto it = index->map.begin(); it != index->map.end();) {
+      std::vector<uint32_t>& rows = it->second;
+      size_t kept = 0;
+      for (uint32_t row : rows) {
+        if (remap[row] != kDeadRow) rows[kept++] = remap[row];
+      }
+      rows.resize(kept);
+      it = kept == 0 ? index->map.erase(it) : std::next(it);
+    }
+  }
+  assert(next == live_count_);
+  row_count_ = next;
+  live_.assign(next, true);
+  ++epoch_;
+}
+
 bool Relation::Contains(RowRef tuple) const {
   const size_t row = FindRow(tuple);
   return row != kNoRow && live_[row];

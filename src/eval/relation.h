@@ -4,10 +4,12 @@
 // and tombstone deletion (needed by the magic-set scheduler's group
 // reconciliation).
 //
-// Rows are written once and never moved or overwritten, so a published
-// snapshot (ShareFrom) reads the writer's chunks in place: the writer only
-// ever appends past the snapshot's row count, and Clear() starts fresh
-// chunks instead of reusing the old ones.
+// Rows are written once and never overwritten, so a published snapshot
+// (ShareFrom) reads the writer's chunks in place: the writer only ever
+// appends past the snapshot's row count, and Clear() and Compact() start
+// fresh chunks instead of reusing the old ones. Compact() moves the live
+// rows into the fresh chunks (dropping the tombstones); snapshots keep the
+// old chunks and never see the move.
 //
 // Concurrency contract: one writer inserts; any number of readers of a
 // published snapshot (ldl::Service queries) probe and scan concurrently. The
@@ -92,7 +94,8 @@ class Relation {
 
   // Row id of `tuple` regardless of liveness (the newest row holding it;
   // tombstoned rows stay in the dedup table until a re-insert supersedes
-  // them), or npos. Callers check IsLive() as needed.
+  // them or Compact() drops them), or npos. Callers check IsLive() as
+  // needed.
   size_t Find(RowRef tuple) const;
 
   // Toggles a row's tombstone directly by id. Incremental deletion (DRed)
@@ -252,6 +255,15 @@ class Relation {
   // otherwise-live database.
   void Clear();
 
+  // Drops the tombstones: moves the live rows, in row order and with their
+  // derivation counts, into fresh chunks, rebuilds the dedup table over
+  // them, refills every built index in place (its node stays linked, as
+  // across Clear()) and bumps epoch(). Row ids change, so delta windows and
+  // watermarks taken before it are void. The distinct sketches are kept
+  // (they over-approximate either way). Snapshots sharing the old chunks
+  // keep reading them.
+  void Compact();
+
   // Makes this empty relation a frozen view of `source`'s current rows. The
   // view shares source's row chunks (no row is copied) and takes its own
   // copy of the live bitmap and the distinct sketches; derivation counts
@@ -263,9 +275,10 @@ class Relation {
   void ShareFrom(const Relation& source);
   bool frozen() const { return frozen_; }
 
-  // Incremented on every Clear(). Lets holders of a long-lived Relation
-  // reference detect that row ids restarted (e.g. across an incremental
-  // recompute round) and refresh any cached row positions.
+  // Incremented on every Clear() and Compact(). Lets holders of a
+  // long-lived Relation reference detect that row ids restarted (e.g.
+  // across an incremental recompute round) and refresh any cached row
+  // positions.
   uint64_t epoch() const { return epoch_; }
 
   // --- Planner statistics (eval/cost.h) -----------------------------------
@@ -290,13 +303,13 @@ class Relation {
  private:
   struct CompositeIndex {
     std::vector<uint32_t> cols;
-    // Combined key hash -> row ids. Rows are never removed (tombstoned rows
-    // keep their entries, so DRed's SetLive needs no index repair); probes
-    // filter on live_.
+    // Combined key hash -> row ids. Tombstoned rows keep their entries
+    // until Compact() refills the map from the live rows, so DRed's SetLive
+    // needs no index repair; probes filter on live_.
     std::unordered_map<uint64_t, std::vector<uint32_t>> map;
     // Next-older index; the list is append-at-head and never unlinked
-    // outside the destructor (Clear() empties the maps but keeps the nodes
-    // linked), so readers can walk it lock-free.
+    // outside the destructor (Clear() and Compact() empty the maps but keep
+    // the nodes linked), so readers can walk it lock-free.
     CompositeIndex* next = nullptr;
   };
 
@@ -308,6 +321,8 @@ class Relation {
   // re-slots entries from the bits alone.
   static constexpr uint64_t kEmptySlot = ~uint64_t{0};
   static constexpr size_t kNoRow = static_cast<size_t>(-1);
+  // A tombstoned row in Compact()'s old-to-new row map.
+  static constexpr uint32_t kDeadRow = ~uint32_t{0};
   static uint64_t TableEntry(uint64_t hash, size_t row) {
     return (hash & ~uint64_t{0xffffffff}) | row;
   }
@@ -393,8 +408,9 @@ class Relation {
   bool counted_ = false;
   // Dedup table: power-of-two sized, linear probing, entries are row ids.
   // Tombstoned rows stay in the table until a re-insert of their tuple
-  // points the slot at the fresh row. Maintained by Insert on a writable
-  // relation; built once, on first lookup, on a frozen one.
+  // points the slot at the fresh row, or Compact() refills the table from
+  // the live rows. Maintained by Insert on a writable relation; built once,
+  // on first lookup, on a frozen one.
   mutable std::vector<uint64_t> table_;
   mutable std::once_flag table_once_;
   bool frozen_ = false;
@@ -404,7 +420,7 @@ class Relation {
   static constexpr size_t kSketchWords = 16;  // 1024 bits
   using ColumnSketch = std::array<uint64_t, kSketchWords>;
   std::vector<ColumnSketch> sketches_;
-  uint64_t epoch_ = 0;  // bumped by Clear()
+  uint64_t epoch_ = 0;  // bumped by Clear() and Compact()
   // Built indexes; relations see at most a handful of distinct probe
   // shapes, so a linear walk of the list by column set beats map overhead.
   mutable std::atomic<CompositeIndex*> index_head_{nullptr};

@@ -90,9 +90,11 @@ struct EvalStats {
 // Calls fn(row) for the live rows of `relation` that `args` can match under
 // `subst`: an index probe on the argument positions that instantiate to
 // ground scons-free terms (interned, so the index compares pointers), a scan
-// when there is none. Stops once fn returns false; the caller matches each
-// row (MatchArgs). Counts one index_probes per probe, probe_hits per row a
-// probe returns and tuples_matched per row handed to fn. This serves the
+// when there is none, and a dedup-table lookup (Relation::Find) when every
+// position does, so a fully ground goal builds no index. Stops once fn
+// returns false; the caller matches each row (MatchArgs). Counts one
+// index_probes per probe or lookup, probe_hits per row it returns and
+// tuples_matched per row handed to fn. This serves the
 // model's goal lookups and top-down's EDB subgoals; the join plan's kScan
 // step does the same work a block at a time.
 template <typename Fn>
@@ -122,6 +124,14 @@ void ForEachCandidateRow(TermFactory& factory, const Relation& relation,
     return;
   }
   ++stats->index_probes;
+  if (cols.size() == args.size()) {
+    const size_t row = relation.Find(values);
+    if (row != Relation::npos && relation.IsLive(row)) {
+      ++stats->probe_hits;
+      visit(row, relation.row(row));
+    }
+    return;
+  }
   relation.ProbeRows(cols, values, 0, relation.row_count(), [&](size_t i, RowRef row) {
     ++stats->probe_hits;
     return visit(i, row);

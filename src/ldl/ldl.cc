@@ -28,6 +28,13 @@ constexpr StrategyName kStrategyNames[] = {
     {QueryStrategy::kTopDown, "topdown", "top-down"},
 };
 
+// Maintenance leaves deleted and superseded rows behind as tombstones,
+// which every scan and probe of the relation still steps over. After a
+// maintenance pass, a relation with at least kCompactMinDeadRows dead rows
+// that make up more than one row in kCompactDeadShare is compacted.
+constexpr size_t kCompactMinDeadRows = 64;
+constexpr size_t kCompactDeadShare = 8;
+
 }  // namespace
 
 const char* ToString(QueryStrategy strategy) {
@@ -155,15 +162,9 @@ Status Session::AddFacts(std::string_view source) {
     if (fact.outside_universe) continue;
     AppendEdbFact(fact.pred, fact.tuple, /*added=*/true);
     if (evaluated_) {
-      const Relation& rel = db_->relation(fact.pred);
-      const size_t existing = rel.Find(fact.tuple);
-      if (existing != Relation::npos && !rel.IsLive(existing)) {
-        // Re-adding a tombstoned EDB row. The insert delta would handle it
-        // (the re-insert lands in a fresh row), but rebuilding is the only
-        // thing that compacts dead rows away, so drop the model and let
-        // the next Evaluate() start from scratch (counted in full_evals).
-        InvalidateModel();
-      } else if (db_->AddFact(fact.pred, fact.tuple)) {
+      // A re-added fact whose row was tombstoned lands in a fresh row past
+      // the watermark, so the insert delta handles it like any new fact.
+      if (db_->AddFact(fact.pred, fact.tuple)) {
         MarkChanged(fact.pred);
       } else if (!pending_removed_.empty()) {
         // The fact is already a live model row: if its deletion is still
@@ -364,6 +365,17 @@ void Session::RecordWatermarks() {
   }
 }
 
+void Session::CompactDeadRows() {
+  for (PredId p = 0; p < catalog_.size(); ++p) {
+    Relation& rel = db_->relation(p);
+    const size_t dead = rel.row_count() - rel.size();
+    if (dead >= kCompactMinDeadRows && dead * kCompactDeadShare > rel.row_count()) {
+      rel.Compact();
+      ++compactions_;
+    }
+  }
+}
+
 void Session::MarkChanged(PredId pred) {
   if (pending_changed_.size() < catalog_.size()) {
     pending_changed_.resize(catalog_.size(), false);
@@ -466,6 +478,7 @@ Status Session::Maintain(const EvalOptions& options) {
   evaluated_with_profile_ = options.profile;
   last_eval_options_ = options;
   ++incremental_evals_;
+  CompactDeadRows();
   RecordWatermarks();
   ClearPendingDelta();
   return Status::OK();

@@ -277,7 +277,9 @@ class Session {
   // current model and no pending changes under the same options this is a
   // cheap cache hit; with pending EDB insertions and deletions (AddFacts,
   // RemoveFacts) it maintains the model incrementally, dropping it if
-  // maintenance fails; otherwise it materializes from scratch.
+  // maintenance fails, and then compacts the relations that maintenance
+  // left mostly tombstoned (compactions()); otherwise it materializes from
+  // scratch.
   // last_eval_stats()/last_eval_profile() always describe the run that
   // produced the current model (the incremental one after a delta
   // maintenance pass).
@@ -356,6 +358,9 @@ class Session {
   size_t eval_cache_hits() const { return eval_cache_hits_; }
   size_t incremental_evals() const { return incremental_evals_; }
   size_t full_evals() const { return full_evals_; }
+  // How many relations maintenance passes have compacted
+  // (Relation::Compact).
+  size_t compactions() const { return compactions_; }
   // Bumped every time Analyze() rebuilds the program/stratification.
   // ldl::Service uses it to decide whether a new snapshot can share the
   // previous snapshot's analyzed-program state.
@@ -383,6 +388,10 @@ class Session {
   // Snapshots per-predicate row counts after a successful evaluation (the
   // deltas of the next incremental round start past these).
   void RecordWatermarks();
+  // Compacts every relation whose tombstones passed the dead-row threshold
+  // (ldl.cc). Runs after a successful maintenance pass, before its
+  // watermarks are recorded: compaction renumbers rows.
+  void CompactDeadRows();
   // Marks `pred` as carrying new EDB rows since the last evaluation.
   void MarkChanged(PredId pred);
   void ClearPendingDelta();
@@ -449,6 +458,7 @@ class Session {
   size_t eval_cache_hits_ = 0;
   size_t incremental_evals_ = 0;
   size_t full_evals_ = 0;
+  size_t compactions_ = 0;
 };
 
 // Formats query-result tuples as sorted fact strings, e.g.

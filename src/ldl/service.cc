@@ -85,6 +85,7 @@ Status Service::Apply(Fn&& mutate) {
     LDL_RETURN_IF_ERROR(mutate(&writer_));
     LDL_RETURN_IF_ERROR(writer_.Evaluate(eval_options_));
   }
+  compactions_.store(writer_.compactions(), std::memory_order_relaxed);
   PublishLocked();
   writes_applied_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -197,6 +198,7 @@ ServiceStats Service::stats() const {
   out.cached_plans = plans_.size();
   out.magic_shapes_compiled =
       magic_shapes_compiled_.load(std::memory_order_relaxed);
+  out.compactions = compactions_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -73,7 +73,8 @@ namespace ldl {
   X(snapshot_refs, "references on the live snapshot (incl. the service's)") \
   X(catalog_preds, "predicates in the shared catalog")                      \
   X(cached_plans, "compiled plans in the shared plan cache")                \
-  X(magic_shapes_compiled, "bound-query shapes compiled for magic queries")
+  X(magic_shapes_compiled, "bound-query shapes compiled for magic queries") \
+  X(compactions, "writer relations compacted after maintenance")
 
 // A point-in-time copy of the serving counters (Service::stats()).
 struct ServiceStats {
@@ -214,6 +215,9 @@ class Service {
   std::atomic<uint64_t> writes_applied_{0};
   std::atomic<uint64_t> analyses_shared_{0};
   std::atomic<uint64_t> magic_shapes_compiled_{0};
+  // writer_.compactions() as of the last write (readers must not touch
+  // writer_).
+  std::atomic<uint64_t> compactions_{0};
 };
 
 }  // namespace ldl

@@ -401,6 +401,40 @@ TEST(Engine, AllComplexFullKeyUsesTheDedupTable) {
   EXPECT_EQ(pair.index_count(), 0u);
 }
 
+// A goal whose every argument is ground names at most one fact: the model
+// lookup and top-down's EDB subgoal find it in the dedup table and build no
+// index, still counting one probe per lookup (plus a hit when the fact is
+// there).
+TEST(Engine, FullyGroundGoalUsesTheDedupTable) {
+  Session session;
+  ASSERT_TRUE(session.Load("k(a, 1). k(b, 3).\nq(X, Y) :- k(X, Y).\n").ok());
+  auto hit = session.Query("k(a, 1)");
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->tuples.size(), 1u);
+  const Relation& k = session.database().relation(session.catalog().Find("k", 2));
+  auto miss = session.Query("k(a, 3)");
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_TRUE(miss->tuples.empty());
+  EXPECT_EQ(k.index_count(), 0u);
+
+  // Top-down re-runs the subgoal until its answer table settles: every
+  // probe of the present fact hits it, and the absent one is probed once.
+  QueryOptions options;
+  options.strategy = QueryStrategy::kTopDown;
+  auto found = session.Query("q(b, 3)", options);
+  ASSERT_TRUE(found.ok()) << found.status();
+  EXPECT_EQ(found->tuples.size(), 1u);
+  EXPECT_GE(found->stats.index_probes, 1u);
+  EXPECT_EQ(found->stats.probe_hits, found->stats.index_probes);
+  auto absent = session.Query("q(b, 1)", options);
+  ASSERT_TRUE(absent.ok()) << absent.status();
+  EXPECT_TRUE(absent->tuples.empty());
+  EXPECT_EQ(absent->stats.index_probes, 1u);
+  EXPECT_EQ(absent->stats.probe_hits, 0u);
+  EXPECT_EQ(absent->stats.tuples_matched, 0u);
+  EXPECT_EQ(k.index_count(), 0u);
+}
+
 TEST(Engine, ArithmeticChains) {
   Session session;
   ASSERT_TRUE(session

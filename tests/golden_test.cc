@@ -206,9 +206,11 @@ struct MaintenanceStep {
 
 // Fixed update sequences per corpus program. Each covers an insert-only
 // batch, a delete-only batch and a mixed batch; re-adding a retracted fact
-// exercises the rebuild a tombstoned EDB row forces. The corpus reaches
-// neither the derivation-count deletion path nor in-place group regrowth,
-// so two inline programs (kInlineMaintenancePrograms) add those.
+// sends a tombstoned EDB row back through the insert delta, in a fresh row.
+// No step leaves enough dead rows to compact (Relation::Compact moves the
+// live rows into fresh chunks; snapshots keep the old ones). The corpus
+// reaches neither the derivation-count deletion path nor in-place group
+// regrowth, so two inline programs (kInlineMaintenancePrograms) add those.
 const std::map<std::string, std::vector<MaintenanceStep>>& MaintenanceSteps() {
   static const auto* steps =
       new std::map<std::string, std::vector<MaintenanceStep>>{

@@ -848,8 +848,7 @@ TEST(Incremental, RemoveThenReaddBeforeEvaluateCancelsOut) {
 }
 
 // Removing a fact, evaluating, and re-adding the same fact must restore
-// the original model (the engine falls back to a full pass if the re-add
-// revives a tombstoned row below the delta watermark).
+// the original model; the re-add is an insertion into a fresh row.
 TEST(Incremental, RemoveThenReaddAfterEvaluateStaysConsistent) {
   Session session;
   ASSERT_TRUE(session
@@ -956,6 +955,163 @@ TEST(Incremental, RevivedCountedRowKeepsCountsExact) {
   ASSERT_TRUE(scratch.Load("c(1).\n" + rules).ok());
   ASSERT_TRUE(scratch.Evaluate(options).ok());
   EXPECT_EQ(Materialize(session), Materialize(scratch));
+}
+
+// Derivation counts of every live row of a counted relation, by fact text.
+std::map<std::string, uint32_t> DerivationCounts(Session& session) {
+  std::map<std::string, uint32_t> counts;
+  for (PredId pred = 0; pred < session.catalog().size(); ++pred) {
+    const Relation& rel = session.database().relation(pred);
+    if (!rel.counted()) continue;
+    rel.ForEachRow(0, rel.row_count(), [&](size_t row, RowRef tuple) {
+      counts[session.FormatFact(pred, Tuple(tuple.begin(), tuple.end()))] =
+          rel.derivation_count(row);
+    });
+  }
+  return counts;
+}
+
+// `session`'s maintained model equals a from-scratch evaluation of
+// `program` (the same rules over the EDB the session now holds), counts
+// included, and satisfies every rule (§2.2).
+void ExpectScratchModel(Session& session, const std::string& program) {
+  Session scratch;
+  ASSERT_TRUE(scratch.Load(program).ok());
+  ASSERT_TRUE(scratch.Evaluate().ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
+  EXPECT_EQ(DerivationCounts(session), DerivationCounts(scratch));
+  std::string why;
+  auto is_model = IsModel(session.factory(), session.catalog(),
+                          session.program(), session.database(), &why);
+  ASSERT_TRUE(is_model.ok()) << is_model.status();
+  EXPECT_TRUE(*is_model) << why;
+}
+
+// Re-adding an EDB fact whose row an earlier write tombstoned is an
+// ordinary insertion: the fact lands in a fresh row past the watermark and
+// the insert delta maintains the model, with no full re-evaluation. Here
+// through counted (non-recursive) strata: the re-add must restore the
+// derivation counts the deletion decremented.
+TEST(Incremental, ReaddedTombstonedFactStaysIncrementalCounted) {
+  const std::string rules =
+      "src(X) :- e(X, Y).\n"
+      "pair(X, Z) :- e(X, Y), n(Z).\n";
+  Session session;
+  ASSERT_TRUE(session.Load("e(a, b). e(b, c). e(a, c). n(a). n(b).\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("e(a, b). e(b, c).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_GE(session.last_eval_stats().count_decrements, 1u);
+  ExpectScratchModel(session, "e(a, c). n(a). n(b).\n" + rules);
+
+  ASSERT_TRUE(session.AddFacts("e(a, b). e(b, c).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  EXPECT_EQ(session.incremental_evals(), 2u);
+  ExpectScratchModel(session, "e(a, b). e(b, c). e(a, c). n(a). n(b).\n" + rules);
+
+  // The restored counts are exact: one more deletion decrements src(a) to
+  // one (e(a, c) still supports it) instead of deleting it.
+  ASSERT_TRUE(session.RemoveFacts("e(a, b).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  ExpectScratchModel(session, "e(b, c). e(a, c). n(a). n(b).\n" + rules);
+}
+
+// The same through a recursive (DRed) stratum, where the re-added edge
+// re-derives anc facts the deletion over-deleted and could not rederive:
+// they come back in fresh rows, and the facts above them follow.
+TEST(Incremental, ReaddedTombstonedFactStaysIncrementalDRed) {
+  const std::string rules =
+      "anc(X, Y) :- parent(X, Y).\n"
+      "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
+  const std::string edb =
+      "parent(r, p0). parent(p0, p1). parent(p1, p2). parent(p2, p3).\n";
+  Session session;
+  ASSERT_TRUE(session.Load(edb + rules).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("parent(p0, p1).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.last_eval_stats().strata_overdeleted, 1u);
+  ExpectScratchModel(session,
+                     "parent(r, p0). parent(p1, p2). parent(p2, p3).\n" + rules);
+  const Relation& anc = session.database().relation(session.catalog().Find("anc", 2));
+  const size_t dead = anc.row_count() - anc.size();
+  ASSERT_GE(dead, 6u);  // anc(r|p0, p1|p2|p3)
+
+  ASSERT_TRUE(session.AddFacts("parent(p0, p1).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  EXPECT_EQ(session.incremental_evals(), 2u);
+  EXPECT_EQ(session.last_eval_stats().strata_delta, 1u);
+  // The tombstones stay (too few to compact); the facts are fresh rows.
+  EXPECT_EQ(anc.row_count() - anc.size(), dead);
+  ExpectScratchModel(session, edb + rules);
+  auto result = session.Query("anc(r, X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->tuples.size(), 4u);
+}
+
+// A maintenance pass that leaves a relation mostly tombstoned compacts it.
+// The next pass's deltas start past the renumbered rows, and compaction
+// carries the derivation counts over exactly, so later deletions on the
+// counting path still decrement the right rows.
+TEST(Incremental, CountingDeletionAfterCompactionStaysExact) {
+  const std::string rules =
+      "r(X) :- a(X).\n"
+      "r(X) :- b(X).\n"
+      "r(X) :- c(X).\n";
+  auto facts = [](const char* pred, int from, int to, int step) {
+    std::string text;
+    for (int i = from; i < to; i += step) {
+      text += std::string(pred) + "(" + std::to_string(i) + ").\n";
+    }
+    return text;
+  };
+  const std::string added = "a(1). a(11). a(12).\n";
+  const std::string b = facts("b", 0, 200, 2);
+  const std::string c = facts("c", 0, 10, 1);
+  Session session;
+  ASSERT_TRUE(session.Load(facts("a", 0, 200, 1) + b + c + rules).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  const PredId r_pred = session.catalog().Find("r", 1);
+  ASSERT_TRUE(session.database().relation(r_pred).counted());
+
+  // Every a-fact goes: a is left all tombstones and r loses its 95 odd
+  // rows past 9 (their only support). Both are compacted.
+  ASSERT_TRUE(session.RemoveFacts(facts("a", 0, 200, 1)).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.compactions(), 2u);
+  const Relation& r = session.database().relation(r_pred);
+  EXPECT_EQ(r.row_count(), r.size());
+  EXPECT_EQ(r.size(), 105u);
+  EXPECT_TRUE(r.counted());
+  ExpectScratchModel(session, b + c + rules);
+
+  // Insertions into the compacted relations are deltas past the new
+  // watermarks: a(11) derives r(11), a(1) and a(12) add a derivation to
+  // r(1) and r(12).
+  ASSERT_TRUE(session.AddFacts(added).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(r.size(), 106u);
+  ExpectScratchModel(session, added + b + c + rules);
+
+  // r(0), r(2), ... r(8) have two derivations left (b and c): removing
+  // their b-facts decrements them to one and they stay.
+  ASSERT_TRUE(session.RemoveFacts(facts("b", 0, 10, 2)).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.last_eval_stats().count_decrements, 5u);
+  EXPECT_EQ(session.last_eval_stats().strata_overdeleted, 0u);
+  EXPECT_EQ(r.size(), 106u);
+  ExpectScratchModel(session, added + facts("b", 10, 200, 2) + c + rules);
+
+  // The c-facts take the last derivation of r(0) ... r(9) but r(1).
+  ASSERT_TRUE(session.RemoveFacts(c).ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.last_eval_stats().count_decrements, 10u);
+  EXPECT_EQ(r.size(), 97u);
+  EXPECT_EQ(session.full_evals(), 1u);
+  ExpectScratchModel(session, added + facts("b", 10, 200, 2) + rules);
 }
 
 // The deletion-side tentpole equivalence: alternating randomized insert

@@ -270,6 +270,84 @@ TEST_F(RelationTest, ClearRetainsIndexesAndBumpsEpoch) {
   EXPECT_EQ(r.index_count(), 1u);  // the retained index was reused
 }
 
+// Compact drops the tombstones: the live rows keep their order and their
+// derivation counts, and lookups, probes and built indexes answer as
+// before, over renumbered rows.
+TEST_F(RelationTest, CompactKeepsLiveRowsCountsAndIndexes) {
+  Relation r(2);
+  r.EnableCounts();
+  for (int i = 0; i < 100; ++i) r.Insert(T({i, i % 7}));
+  for (int i = 0; i < 100; i += 3) r.Insert(T({i, i % 7}));  // count 2
+  const std::vector<uint32_t> by_first = {0};
+  const std::vector<uint32_t> by_second = {1};
+  const std::vector<uint32_t> by_both = {1, 0};
+  auto probe = [&](std::span<const uint32_t> cols, Tuple values) {
+    std::vector<Tuple> hits;
+    r.ProbeRows(cols, values, 0, r.row_count(), [&](size_t, RowRef row) {
+      hits.emplace_back(row.begin(), row.end());
+      return true;
+    });
+    return hits;
+  };
+  probe(by_first, T({0}));
+  probe(by_second, T({0}));
+  probe(by_both, T({0, 0}));
+  for (int i = 0; i < 100; i += 2) ASSERT_TRUE(r.Erase(T({i, i % 7})));
+  r.SetLive(r.Find(T({1, 1})), false);
+  ASSERT_TRUE(r.Insert(T({4, 4})));  // re-insert: a fresh row, count 1
+  ASSERT_GT(r.row_count() - r.size(), 50u);
+
+  struct Observed {
+    std::vector<Tuple> rows;
+    std::vector<uint32_t> counts;
+    std::vector<bool> contains;
+    std::vector<std::vector<Tuple>> probes;
+    bool operator==(const Observed&) const = default;
+  };
+  auto observe = [&] {
+    Observed o;
+    r.ForEachRow(0, r.row_count(), [&](size_t i, RowRef row) {
+      o.rows.emplace_back(row.begin(), row.end());
+      o.counts.push_back(r.derivation_count(i));
+      EXPECT_EQ(r.Find(row), i);
+    });
+    for (int i = 0; i < 100; ++i) {
+      o.contains.push_back(r.Contains(T({i, i % 7})));
+      o.probes.push_back(probe(by_first, T({i})));
+    }
+    for (int k = 0; k < 7; ++k) {
+      o.probes.push_back(probe(by_second, T({k})));
+      o.probes.push_back(probe(by_both, T({k, k})));
+    }
+    return o;
+  };
+  const Observed before = observe();
+  const size_t live = r.size();
+  const uint64_t epoch = r.epoch();
+  ASSERT_EQ(r.index_count(), 3u);
+
+  r.Compact();
+  EXPECT_EQ(r.size(), live);
+  EXPECT_EQ(r.row_count(), live);
+  EXPECT_GT(r.epoch(), epoch);
+  EXPECT_EQ(r.index_count(), 3u);
+  EXPECT_TRUE(r.counted());
+  EXPECT_EQ(observe(), before);
+  EXPECT_EQ(before.rows.back(), T({4, 4}));
+  EXPECT_EQ(before.counts.front(), 2u);  // (3, 3): inserted twice
+  // Erased facts are gone from the dedup table, not just dead.
+  EXPECT_EQ(r.Find(T({0, 0})), Relation::npos);
+  EXPECT_EQ(r.Stats().raw_rows, live);
+
+  // The compacted relation keeps deduplicating, counting and indexing.
+  EXPECT_FALSE(r.Insert(T({3, 3})));
+  EXPECT_EQ(r.derivation_count(r.Find(T({3, 3}))), 3u);
+  EXPECT_TRUE(r.Insert(T({0, 0})));
+  EXPECT_EQ(r.Find(T({0, 0})), live);
+  EXPECT_EQ(probe(by_both, T({0, 0})), (std::vector<Tuple>{T({0, 0})}));
+  EXPECT_EQ(r.index_count(), 3u);
+}
+
 TEST_F(RelationTest, DatabaseCopyFrom) {
   Catalog catalog(&interner_);
   PredId p = catalog.GetOrCreate("p", 1);
@@ -370,6 +448,32 @@ TEST_F(SharedRelationTest, FrozenLookupFindsNewestRow) {
   EXPECT_TRUE(snapshot.Contains(T({3, 3})));
   EXPECT_EQ(snapshot.size(), 20u);
   EXPECT_EQ(snapshot.Stats().column_distinct, writer.Stats().column_distinct);
+}
+
+// Compacting the writer moves its live rows into fresh chunks; a view
+// taken before keeps reading the old ones, tombstones included.
+TEST_F(SharedRelationTest, ViewTakenBeforeCompactReadsItsOwnRows) {
+  Relation writer(2);
+  for (int i = 0; i < 12; ++i) writer.Insert(T({i, i}));
+  for (int i = 0; i < 12; i += 3) writer.Erase(T({i, i}));
+  Relation snapshot;
+  snapshot.ShareFrom(writer);
+  const FrozenView frozen = View(snapshot);
+  const Term* const* shared_row = snapshot.row(1).data();
+  ASSERT_EQ(shared_row, writer.row(1).data());
+
+  writer.Compact();
+  EXPECT_EQ(writer.row_count(), 8u);
+  EXPECT_EQ(writer.row(0)[0]->int_value(), 1);
+  EXPECT_NE(writer.row(0).data(), shared_row);
+  EXPECT_EQ(View(snapshot), frozen);
+  EXPECT_EQ(snapshot.row(1).data(), shared_row);
+  for (int i = 0; i < 12; ++i) writer.Insert(T({i, i}));
+  writer.Erase(T({1, 1}));
+  EXPECT_EQ(View(snapshot), frozen);
+  EXPECT_EQ(snapshot.row_count(), 12u);
+  EXPECT_FALSE(snapshot.Contains(T({0, 0})));
+  EXPECT_TRUE(snapshot.Contains(T({1, 1})));
 }
 
 // Rows cross chunk boundaries intact: an 8-row first chunk, doubling, then

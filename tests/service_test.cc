@@ -124,6 +124,7 @@ TEST(Service, StatsCountServingActivity) {
   EXPECT_EQ(stats.snapshots_published, 3u);  // ctor + Load + AddFacts
   EXPECT_GE(stats.analyses_shared, 1u);
   EXPECT_GE(stats.snapshot_refs, 1u);
+  EXPECT_EQ(stats.compactions, 0u);  // nothing was deleted
 
   std::string formatted = FormatServiceStats(stats);
   EXPECT_NE(formatted.find("queries_served=3"), std::string::npos);
@@ -251,8 +252,9 @@ TEST(ServiceStress, TopDownSingleThreadEval) {
 // Snapshots share the writer's row storage. A reader holding an early
 // snapshot must keep seeing exactly that version while the writer appends
 // into the shared tail chunks, tombstones shared rows, clears a recomputed
-// stratum (childless/1 sits above a negation) and throws its whole database
-// away on the re-add fallback.
+// stratum (childless/1 sits above a negation), re-adds tombstoned edges
+// and compacts relations the leaf removals left mostly dead (their live
+// rows move to fresh chunks; the snapshot keeps the old ones).
 TEST(ServiceStress, HeldSnapshotsStayFrozen) {
   std::string program =
       "anc(X, Y) :- parent(X, Y).\n"
@@ -312,9 +314,9 @@ TEST(ServiceStress, HeldSnapshotsStayFrozen) {
     });
   }
 
-  // Leaf adds and removes, a reparent-style remove/add of an original edge,
-  // and every 25th write a re-add of a removed edge (the session rebuilds
-  // its database from scratch).
+  // Leaf adds and removes, and every 25th write a reparent-style remove/add
+  // of an original edge (the re-add lands in a fresh row). The removed
+  // leaves pile up as tombstones until maintenance compacts them away.
   size_t writes = 0;
   for (int i = 0; writes < 240; ++i) {
     const std::string leaf = "parent(p" + std::to_string(i % kPeople) +
@@ -334,6 +336,8 @@ TEST(ServiceStress, HeldSnapshotsStayFrozen) {
       writes += 2;
     }
   }
+  // Compaction ran while the readers still held the first snapshot.
+  EXPECT_GE(service.stats().compactions, 1u);
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
 
