@@ -38,6 +38,17 @@
 //   dead_row_ratio  tombstoned share of the published model's rows,
 //                   sum(raw_rows - rows) / sum(raw_rows), averaged over
 //                   the writes
+//
+// BM_ServiceModelRead is the point-read arm: one reader asks warm kModel
+// goals anc(X, p<i>) (the ancestors of a random person) over the 1,500-
+// person ParentRandomTree forest of BM_ServiceWrite, each goal prepared and
+// read once before timing, so its lookup is compiled and the anc index
+// built. Each read is timed on
+// its own. Reported counters:
+//
+//   read_p50_ns  Service::Query latency, 50th percentile (nanoseconds)
+//   read_p99_ns  Service::Query latency, 99th percentile
+//   answers      mean answers per read
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -57,10 +68,10 @@ constexpr size_t kChain = 256;            // anc over a 256-node parent chain
 constexpr size_t kQueriesPerReader = 128;  // per iteration
 constexpr size_t kWriterUpdates = 8;       // per iteration (writer arm)
 
-double Percentile(std::vector<double>* sorted_us, double q) {
-  if (sorted_us->empty()) return 0;
-  size_t index = static_cast<size_t>(q * (sorted_us->size() - 1));
-  return (*sorted_us)[index];
+double Percentile(std::vector<double>* sorted, double q) {
+  if (sorted->empty()) return 0;
+  size_t index = static_cast<size_t>(q * (sorted->size() - 1));
+  return (*sorted)[index];
 }
 
 // args: {readers, with_writer}
@@ -327,9 +338,65 @@ void BM_ServiceReparent(benchmark::State& state) {
   state.counters["dead_row_ratio"] = writes == 0 ? 0 : dead_ratio_sum / writes;
 }
 
+constexpr size_t kReadsPerIteration = 256;
+
+void BM_ServiceModelRead(benchmark::State& state) {
+  ldl::Service service;
+  std::string program = ldl::ParentRandomTree(kReparentPeople, /*seed=*/11);
+  program +=
+      "anc(X, Y) :- parent(X, Y).\n"
+      "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
+  ldl::Status status = service.Load(program);
+  if (!status.ok()) {
+    state.SkipWithError(status.ToString().c_str());
+    return;
+  }
+  std::vector<ldl::PreparedQuery> goals;
+  for (size_t i = 0; i < kReparentPeople; ++i) {
+    ldl::StatusOr<ldl::PreparedQuery> goal =
+        service.Prepare("anc(X, p" + std::to_string(i) + ")");
+    if (!goal.ok() || !service.Query(*goal).ok()) {
+      state.SkipWithError("warm-up read failed");
+      return;
+    }
+    goals.push_back(std::move(*goal));
+  }
+  ldl::Rng rng(7);
+  std::vector<double> latencies_ns;
+  size_t answers = 0;
+  for (auto _ : state) {
+    double seconds = 0;
+    for (size_t r = 0; r < kReadsPerIteration; ++r) {
+      const ldl::PreparedQuery& goal = goals[rng.Below(goals.size())];
+      auto t0 = std::chrono::steady_clock::now();
+      ldl::StatusOr<ldl::QueryResult> result = service.Query(goal);
+      auto t1 = std::chrono::steady_clock::now();
+      if (!result.ok()) {
+        state.SkipWithError(result.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(result->tuples.data());
+      answers += result->tuples.size();
+      const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+      latencies_ns.push_back(ns);
+      seconds += ns * 1e-9;
+    }
+    state.SetIterationTime(seconds);
+  }
+  const double reads = static_cast<double>(latencies_ns.size());
+  std::sort(latencies_ns.begin(), latencies_ns.end());
+  state.counters["read_p50_ns"] = Percentile(&latencies_ns, 0.50);
+  state.counters["read_p99_ns"] = Percentile(&latencies_ns, 0.99);
+  state.counters["answers"] = reads == 0 ? 0 : static_cast<double>(answers) / reads;
+}
+
 }  // namespace
 
 BENCHMARK(BM_ServiceReparent)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+BENCHMARK(BM_ServiceModelRead)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 

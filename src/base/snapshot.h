@@ -9,8 +9,8 @@
 //
 // Publish and Acquire are both tiny critical sections on one mutex (a
 // shared_ptr copy / move), so readers never wait on snapshot *construction*
-// and writers never wait on readers *using* a snapshot -- only on the
-// pointer swap itself.
+// or *destruction* and writers never wait on readers *using* a snapshot --
+// only on the pointer swap itself.
 #ifndef LDL1_BASE_SNAPSHOT_H_
 #define LDL1_BASE_SNAPSHOT_H_
 
@@ -31,11 +31,17 @@ class SnapshotSlot {
 
   // Installs `snapshot` as the current version and returns its version
   // number (1 for the first publication). The previous snapshot is released
-  // (and destroyed here if no reader still holds it).
+  // after the lock is dropped (and destroyed here if no reader still holds
+  // it), so Acquire never waits for a retired snapshot's destructor.
   uint64_t Publish(std::shared_ptr<const T> snapshot) {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::move(snapshot);
-    return ++version_;
+    std::shared_ptr<const T> retired;
+    uint64_t version = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      retired = std::exchange(current_, std::move(snapshot));
+      version = ++version_;
+    }
+    return version;
   }
 
   // The current snapshot (nullptr before the first Publish). The returned

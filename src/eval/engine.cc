@@ -820,23 +820,7 @@ StatusOr<std::vector<Tuple>> Engine::Query(const LiteralIr& goal,
   if (goal.is_builtin() || goal.negated) {
     return InvalidArgumentError("queries must be positive, non-builtin literals");
   }
-  return QueryRelation(factory_, goal, db.relation(goal.pred));
-}
-
-StatusOr<std::vector<Tuple>> QueryRelation(TermFactory* factory,
-                                           const LiteralIr& goal,
-                                           const Relation& relation) {
-  std::vector<Tuple> results;
-  Subst subst;
-  EvalStats unused;  // a model query reports the evaluation's counters
-  ForEachCandidateRow(*factory, relation, goal.args, subst, &unused, [&](RowRef tuple) {
-    MatchArgs(*factory, goal.args, tuple, &subst, [&]() {
-      results.emplace_back(tuple.begin(), tuple.end());
-      return false;  // one match per fact suffices
-    });
-    return true;
-  });
-  return results;
+  return GoalLookup(*factory_, goal.args).Run(*factory_, db.relation(goal.pred));
 }
 
 }  // namespace ldl

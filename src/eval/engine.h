@@ -211,9 +211,10 @@ class Engine {
                             EvalProfile* profile = nullptr);
 
   // Enumerates facts of goal's predicate matching the goal's argument
-  // patterns. The goal must be positive and non-builtin. Const and safe to
-  // call from concurrent readers of an immutable database (delegates to
-  // QueryRelation below).
+  // patterns, in row order. The goal must be positive and non-builtin.
+  // Compiles the goal's GoalLookup (eval/rule_eval.h) and runs it; a
+  // prepared goal holds its lookup instead. Const and safe to call from
+  // concurrent readers of an immutable database.
   StatusOr<std::vector<Tuple>> Query(const LiteralIr& goal,
                                      const Database& db) const;
 
@@ -379,15 +380,6 @@ class Engine {
   // blocks.
   BlockStoragePool block_storage_;
 };
-
-// The read-side core of Engine::Query: enumerates the facts of `relation`
-// matching the goal's argument patterns, probing the relation's composite
-// hash index on all ground scons-free argument positions. Pure read --
-// concurrent callers over an immutable relation only contend on the lazy
-// index build, which Relation handles internally.
-StatusOr<std::vector<Tuple>> QueryRelation(TermFactory* factory,
-                                           const LiteralIr& goal,
-                                           const Relation& relation);
 
 }  // namespace ldl
 

@@ -22,6 +22,74 @@ StatusOr<std::vector<int>> OrderBodyLiterals(
   return order;
 }
 
+GoalProbe BuildGoalProbe(TermFactory& factory, std::span<const Term* const> args,
+                         const Subst& subst) {
+  GoalProbe probe;
+  for (uint32_t column = 0; column < args.size(); ++column) {
+    const Term* value = subst.Walk(args[column]);
+    // Under an empty subst a non-ground argument stays non-ground, so a
+    // model query skips rebuilding it.
+    if (!value->ground() && !value->is_var() && !subst.empty()) {
+      value = ApplySubst(factory, value, subst);
+    }
+    if (value != nullptr && value->ground() && !value->has_scons()) {
+      probe.cols.push_back(column);
+      probe.values.push_back(value);
+    }
+  }
+  probe.full_key = !probe.cols.empty() && probe.cols.size() == args.size();
+  if (!probe.cols.empty() && !probe.full_key) {
+    probe.hash = Relation::ProbeHash(probe.values);
+  }
+  return probe;
+}
+
+GoalLookup::GoalLookup(TermFactory& factory, std::span<const Term* const> args)
+    : probe_(BuildGoalProbe(factory, args, Subst())) {
+  size_t key = 0;  // next entry of probe_.cols
+  for (uint32_t column = 0; column < args.size(); ++column) {
+    if (key < probe_.cols.size() && probe_.cols[key] == column) {
+      ++key;
+      continue;
+    }
+    if (!args[column]->is_var()) {
+      residual_ = true;
+      break;
+    }
+    // Interned: the same variable is the same pointer, and no key column
+    // holds one.
+    const auto first = std::find(args.begin(), args.begin() + column, args[column]);
+    if (first != args.begin() + column) {
+      checks_.push_back(MatchOp{MatchOpKind::kCheckSlot, column,
+                                static_cast<int>(first - args.begin())});
+    }
+  }
+  if (residual_) {
+    checks_.clear();
+    args_.assign(args.begin(), args.end());
+  }
+}
+
+std::vector<Tuple> GoalLookup::Run(TermFactory& factory, const Relation& relation) const {
+  std::vector<Tuple> answers;
+  EvalStats unused;  // a model read reports the evaluation's counters
+  Subst subst;
+  ForEachProbedRow(relation, probe_, &unused, [&](RowRef row) {
+    if (residual_) {
+      MatchArgs(factory, args_, row, &subst, [&]() {
+        answers.emplace_back(row.begin(), row.end());
+        return false;  // one match per fact suffices
+      });
+    } else if (std::all_of(checks_.begin(), checks_.end(), [&](const MatchOp& check) {
+                 return row[check.column] == row[check.slot];
+               })) {
+      answers.emplace_back(row.begin(), row.end());
+    }
+    return true;
+  });
+  return answers;
+}
+
 RuleEvaluator::RuleEvaluator(TermFactory* factory, const RuleIr* rule,
                              const std::vector<int>& order, BuiltinLimits limits,
                              std::shared_ptr<const JoinPlan> plan,

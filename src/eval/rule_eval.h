@@ -87,56 +87,89 @@ struct EvalStats {
   }
 };
 
-// Calls fn(row) for the live rows of `relation` that `args` can match under
-// `subst`: an index probe on the argument positions that instantiate to
-// ground scons-free terms (interned, so the index compares pointers), a scan
-// when there is none, and a dedup-table lookup (Relation::Find) when every
-// position does, so a fully ground goal builds no index. Stops once fn
-// returns false; the caller matches each row (MatchArgs). Counts one
-// index_probes per probe or lookup, probe_hits per row it returns and
-// tuples_matched per row handed to fn. This serves the
-// model's goal lookups and top-down's EDB subgoals; the join plan's kScan
-// step does the same work a block at a time.
-template <typename Fn>
-void ForEachCandidateRow(TermFactory& factory, const Relation& relation,
-                         std::span<const Term* const> args, const Subst& subst,
-                         EvalStats* stats, Fn&& fn) {
+// The probe spec of a goal looked up outside a join plan (a kModel read or
+// a top-down EDB subgoal): the argument positions that instantiate to
+// ground scons-free terms (interned, so the relation compares pointers),
+// those terms, whether they cover every position, and the combined hash of
+// a partial key.
+struct GoalProbe {
   std::vector<uint32_t> cols;
   std::vector<const Term*> values;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const Term* value = subst.Walk(args[i]);
-    // Under an empty subst a non-ground argument stays non-ground, so a
-    // model query skips rebuilding it.
-    if (!value->ground() && !value->is_var() && !subst.empty()) {
-      value = ApplySubst(factory, value, subst);
-    }
-    if (value != nullptr && value->ground() && !value->has_scons()) {
-      cols.push_back(static_cast<uint32_t>(i));
-      values.push_back(value);
-    }
-  }
+  bool full_key = false;
+  uint64_t hash = 0;
+};
+
+// The one probe builder for goal lookups: the probe spec of `args` under
+// `subst`. Top-down builds one per EDB subgoal call, GoalLookup one when it
+// is compiled.
+GoalProbe BuildGoalProbe(TermFactory& factory, std::span<const Term* const> args,
+                         const Subst& subst);
+
+// Calls fn(row) for the live rows of `relation` that `probe` selects, in
+// row order: a scan when it has no key column, one dedup-table lookup
+// (Relation::Find) for a full key, so a fully ground goal builds no index,
+// and a composite-index probe otherwise. Stops once fn returns false.
+// Counts one index_probes per probe or lookup, probe_hits per row it
+// returns and tuples_matched per row handed to fn. A GoalLookup checks
+// each row itself; a top-down EDB subgoal, which must bind its variables,
+// leaves the MatchArgs of each row to its caller. The join plan's kScan
+// step does the same work a block at a time.
+template <typename Fn>
+void ForEachProbedRow(const Relation& relation, const GoalProbe& probe,
+                      EvalStats* stats, Fn&& fn) {
   auto visit = [&](size_t, RowRef row) {
     ++stats->tuples_matched;
     return fn(row);
   };
-  if (cols.empty()) {
+  if (probe.cols.empty()) {
     relation.ForEachRow(0, relation.row_count(), visit);
     return;
   }
   ++stats->index_probes;
-  if (cols.size() == args.size()) {
-    const size_t row = relation.Find(values);
+  if (probe.full_key) {
+    const size_t row = relation.Find(probe.values);
     if (row != Relation::npos && relation.IsLive(row)) {
       ++stats->probe_hits;
       visit(row, relation.row(row));
     }
     return;
   }
-  relation.ProbeRows(cols, values, 0, relation.row_count(), [&](size_t i, RowRef row) {
-    ++stats->probe_hits;
-    return visit(i, row);
-  });
+  relation.ProbeRowsHashed(probe.cols, probe.values, probe.hash, 0, relation.row_count(),
+                           [&](size_t i, RowRef row) {
+                             ++stats->probe_hits;
+                             return visit(i, row);
+                           });
 }
+
+// A goal's lookup over a stored relation, compiled once: what a kModel
+// read runs (a PreparedQuery holds one from Prepare on; Engine::Query
+// compiles one per call). Its probe spec keys on the goal's ground
+// scons-free arguments. Every other argument is normally a plain variable.
+// A goal's variables are numbered by the column of their first occurrence,
+// so a candidate row is its own slot array: a repeated variable compiles to
+// a kCheckSlot (row[column] == row[slot]) and a first occurrence to
+// nothing, and a matching row is copied out with no substitution and no
+// unifier. When a non-key argument is complex (a functor or set with
+// variables, or a term holding scons) the lookup is residual: each
+// candidate row runs MatchArgs over the goal instead.
+class GoalLookup {
+ public:
+  GoalLookup() = default;
+  GoalLookup(TermFactory& factory, std::span<const Term* const> args);
+
+  // The live rows of `relation` the goal matches, copied in row order. A
+  // pure read: concurrent callers over a frozen relation only contend on
+  // the lazy index build, which Relation handles internally.
+  std::vector<Tuple> Run(TermFactory& factory, const Relation& relation) const;
+
+  bool residual() const { return residual_; }
+
+ private:
+  GoalProbe probe_;
+  std::vector<MatchOp> checks_;    // kCheckSlot only
+  bool residual_ = false;
+  std::vector<const Term*> args_;  // the goal's arguments, when residual
+};
 
 // Computes the evaluation order for `rule`'s body: ScheduleBody
 // (program/wellformed.h) with the most-bound positive literal next. If

@@ -328,7 +328,8 @@ void TopDownEngine::ForEachEdbRow(PredId pred,
   // concurrent readers share, whose deque must never grow.
   const Relation* relation = edb_->FindRelation(pred);
   if (relation == nullptr) return;
-  ForEachCandidateRow(*factory_, *relation, args, subst, &stats_, std::forward<Fn>(fn));
+  ForEachProbedRow(*relation, BuildGoalProbe(*factory_, args, subst), &stats_,
+                   std::forward<Fn>(fn));
 }
 
 Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& order,

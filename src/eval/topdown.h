@@ -18,8 +18,8 @@
 //
 //   * EDB subgoals probe instead of scanning: the argument positions the
 //     caller's bindings make ground (and scons-free) select rows through the
-//     relation's lazily built hash index on those columns
-//     (ForEachCandidateRow), and each row is matched in place. A subgoal
+//     relation's lazily built hash index on those columns (BuildGoalProbe,
+//     ForEachProbedRow), and each row is matched in place. A subgoal
 //     with no bound position scans. The EDB is read only through
 //     Database::FindRelation, so it may be a published snapshot that other
 //     readers probe concurrently (ldl::Service); the indexes a query builds
@@ -119,9 +119,9 @@ class TopDownEngine {
                    const std::function<bool(const Subst&)>& yield,
                    bool* keep_going);
 
-  // ForEachCandidateRow (eval/rule_eval.h) over EDB predicate `pred`,
-  // counting into stats_. A predicate the EDB holds no relation for has no
-  // rows.
+  // ForEachProbedRow (eval/rule_eval.h) over EDB predicate `pred` with the
+  // probe spec of `args` under `subst`, counting into stats_; fn matches
+  // each row. A predicate the EDB holds no relation for has no rows.
   template <typename Fn>
   void ForEachEdbRow(PredId pred, std::span<const Term* const> args,
                      const Subst& subst, Fn&& fn);

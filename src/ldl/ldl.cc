@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "base/str_util.h"
 #include "eval/bindings.h"
@@ -642,7 +643,7 @@ StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
 StatusOr<PreparedQuery> Session::Prepare(std::string_view goal_text) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
   LDL_ASSIGN_OR_RETURN(LiteralIr goal, ParseGoal(goal_text));
-  return PreparedQuery(goal_text, std::move(goal));
+  return PreparedQuery(goal_text, std::move(goal), factory_);
 }
 
 StatusOr<QueryResult> Session::Query(std::string_view goal_text,
@@ -681,7 +682,7 @@ StatusOr<QueryResult> Session::Query(const PreparedQuery& prepared,
   if (!magic_strategy || !goal_has_rules) {
     QueryResult result;
     LDL_RETURN_IF_ERROR(EnsureEvaluated(options.eval));
-    LDL_ASSIGN_OR_RETURN(result.tuples, engine_.Query(goal, *db_));
+    result.tuples = prepared.lookup().Run(factory_, std::as_const(*db_).relation(goal.pred));
     result.stats = last_eval_stats_;
     if (options.eval.profile) result.profile = last_eval_profile_;
     return result;

@@ -92,10 +92,14 @@ class Service;
 // A goal parsed, checked and lowered once, queryable many times. Hot goals
 // skip the per-call reparse; ldl::Service additionally requires prepared
 // goals on its concurrent read path so querying never mutates shared parser
-// state. A PreparedQuery stays valid for the lifetime of the Session or
-// Service that prepared it -- PredIds and interned terms survive later
-// Load()/Analyze() rounds -- though answers always reflect the model it is
-// asked against, not the one it was prepared under.
+// state. Preparing also compiles the goal's lookup (GoalLookup,
+// eval/rule_eval.h), which every kModel read of the goal runs: it probes
+// the model and copies the matching rows, with no unifier unless an
+// argument is a complex pattern. A PreparedQuery stays valid for the
+// lifetime of the Session or Service that prepared it -- PredIds and
+// interned terms survive later Load()/Analyze() rounds -- though answers
+// always reflect the model it is asked against, not the one it was prepared
+// under.
 class PreparedQuery {
  public:
   PreparedQuery() = default;
@@ -103,16 +107,18 @@ class PreparedQuery {
   // The goal text this query was prepared from.
   const std::string& text() const { return text_; }
   const LiteralIr& goal() const { return goal_; }
+  const GoalLookup& lookup() const { return lookup_; }
   bool valid() const { return goal_.pred != kInvalidPred; }
 
  private:
   friend class Session;
   friend class Service;
-  PreparedQuery(std::string_view text, LiteralIr goal)
-      : text_(text), goal_(std::move(goal)) {}
+  PreparedQuery(std::string_view text, LiteralIr goal, TermFactory& factory)
+      : text_(text), goal_(std::move(goal)), lookup_(factory, goal_.args) {}
 
   std::string text_;
   LiteralIr goal_ = {};
+  GoalLookup lookup_;
 };
 
 // Provides a scratch evaluation database with the EDB facts of exactly the

@@ -54,7 +54,7 @@ StatusOr<QueryResult> ModelSnapshot::Query(const PreparedQuery& prepared,
   QueryResult result;
   const Relation* relation = db_->FindRelation(goal.pred);
   if (relation != nullptr) {
-    LDL_ASSIGN_OR_RETURN(result.tuples, QueryRelation(factory_, goal, *relation));
+    result.tuples = prepared.lookup().Run(*factory_, *relation);
   }
   result.stats = eval_stats_;
   return result;
@@ -169,7 +169,7 @@ StatusOr<PreparedQuery> Service::Prepare(std::string_view goal_text) {
       LiteralIr goal,
       LowerLiteral(writer_.factory(), writer_.catalog(), goal_ast));
   prepares_.fetch_add(1, std::memory_order_relaxed);
-  return PreparedQuery(goal_text, std::move(goal));
+  return PreparedQuery(goal_text, std::move(goal), writer_.factory());
 }
 
 StatusOr<QueryResult> Service::Query(const PreparedQuery& prepared,

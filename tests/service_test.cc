@@ -5,12 +5,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/snapshot.h"
 #include "base/str_util.h"
 #include "eval/bindings.h"
 #include "ldl/ldl.h"
@@ -129,6 +134,152 @@ TEST(Service, StatsCountServingActivity) {
   std::string formatted = FormatServiceStats(stats);
   EXPECT_NE(formatted.find("queries_served=3"), std::string::npos);
   EXPECT_NE(formatted.find("snapshots_published=3"), std::string::npos);
+}
+
+// kModel goal lookups (GoalLookup, eval/rule_eval.h) answer from the stored
+// model with literal expected answers, listed in the relation's row order.
+// t(2, b) is removed before any read, so t holds a tombstone.
+constexpr char kLookupProgram[] = R"(
+  q(a, a). q(a, b). q(b, b). q(c, a).
+  r(a, 1, a). r(a, 1, b). r(b, 2, b). r(c, 1, c).
+  p(f(1), x). p(g(2), y). p(f(3), z).
+  s({1, 2}, a). s({3}, b). s({1, 2, 3}, c). s({1}, d).
+  k(a, 1). k(b, 3).
+  t(1, a). t(2, b). t(3, c). t(4, d).
+  none(X, Y) :- q(X, Y), k(Y, X).
+)";
+
+struct LookupCase {
+  const char* goal;
+  // Whether each candidate row runs MatchArgs (a complex non-key argument).
+  bool residual;
+  std::vector<std::string> answers;  // in row order
+};
+
+const std::vector<LookupCase>& LookupCases() {
+  static const std::vector<LookupCase> cases = {
+      {"q(X, Y)", false, {"(a, a)", "(a, b)", "(b, b)", "(c, a)"}},
+      {"q(a, Y)", false, {"(a, a)", "(a, b)"}},
+      {"q(X, X)", false, {"(a, a)", "(b, b)"}},
+      {"r(X, 1, X)", false, {"(a, 1, a)", "(c, 1, c)"}},
+      {"q(_, b)", false, {"(a, b)", "(b, b)"}},
+      {"q(_, _)", false, {"(a, a)", "(a, b)", "(b, b)", "(c, a)"}},
+      {"p(f(X), Y)", true, {"(f(1), x)", "(f(3), z)"}},
+      {"p(f(3), Y)", false, {"(f(3), z)"}},
+      {"s({1, X}, Y)", true, {"({1, 2}, a)", "({1}, d)"}},
+      {"s(scons(3, {1, 2}), Y)", true, {"({1, 2, 3}, c)"}},
+      {"s({1, 2}, Y)", false, {"({1, 2}, a)"}},
+      {"k(a, 1)", false, {"(a, 1)"}},
+      {"k(a, 3)", false, {}},
+      {"t(X, Y)", false, {"(1, a)", "(3, c)", "(4, d)"}},
+      {"t(2, Y)", false, {}},
+      {"t(2, b)", false, {}},
+      {"t(X, c)", false, {"(3, c)"}},
+      {"none(X, Y)", false, {}},
+  };
+  return cases;
+}
+
+// The answers in the order they came, not sorted.
+std::vector<std::string> RenderInOrder(const TermFactory& factory,
+                                       const std::vector<Tuple>& tuples) {
+  std::vector<std::string> out;
+  for (const Tuple& tuple : tuples) out.push_back(FormatTuple(factory, tuple));
+  return out;
+}
+
+// Whether `tuples` are live rows of `relation` (nullptr reads as empty)
+// appearing in its row order.
+bool InRowOrder(const Relation* relation, const std::vector<Tuple>& tuples) {
+  size_t next = 0;
+  if (relation != nullptr) {
+    relation->ForEachRow(0, relation->row_count(), [&](size_t, RowRef row) {
+      if (next < tuples.size() &&
+          std::equal(row.begin(), row.end(), tuples[next].begin(), tuples[next].end())) {
+        ++next;
+      }
+    });
+  }
+  return next == tuples.size();
+}
+
+TEST(GoalLookup, SessionModelReadsMatchLiteralAnswers) {
+  Session session;
+  ASSERT_TRUE(session.Load(kLookupProgram).ok());
+  // Materialized first, so maintenance tombstones t(2, b) in place.
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("t(2, b).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  auto t = session.Prepare("t(X, Y)");
+  ASSERT_TRUE(t.ok());
+  const Relation* t_rows = session.database().FindRelation(t->goal().pred);
+  ASSERT_NE(t_rows, nullptr);
+  EXPECT_EQ(t_rows->row_count() - t_rows->size(), 1u);  // the tombstone
+  for (const LookupCase& c : LookupCases()) {
+    auto prepared = session.Prepare(c.goal);
+    ASSERT_TRUE(prepared.ok()) << c.goal;
+    EXPECT_EQ(prepared->lookup().residual(), c.residual) << c.goal;
+    auto result = session.Query(*prepared);
+    ASSERT_TRUE(result.ok()) << c.goal;
+    EXPECT_EQ(RenderInOrder(session.factory(), result->tuples), c.answers) << c.goal;
+    EXPECT_TRUE(InRowOrder(session.database().FindRelation(prepared->goal().pred),
+                           result->tuples))
+        << c.goal;
+  }
+}
+
+TEST(GoalLookup, ServiceModelReadsMatchLiteralAnswers) {
+  Service service;
+  ASSERT_TRUE(service.Load(kLookupProgram).ok());
+  ASSERT_TRUE(service.RemoveFacts("t(2, b).").ok());
+  const std::shared_ptr<const ModelSnapshot> snapshot = service.snapshot();
+  auto t = service.Prepare("t(X, Y)");
+  ASSERT_TRUE(t.ok());
+  const Relation* t_rows = snapshot->database().FindRelation(t->goal().pred);
+  ASSERT_NE(t_rows, nullptr);
+  EXPECT_EQ(t_rows->row_count() - t_rows->size(), 1u);  // the tombstone
+  for (const LookupCase& c : LookupCases()) {
+    auto prepared = service.Prepare(c.goal);
+    ASSERT_TRUE(prepared.ok()) << c.goal;
+    EXPECT_EQ(prepared->lookup().residual(), c.residual) << c.goal;
+    auto result = snapshot->Query(*prepared);
+    ASSERT_TRUE(result.ok()) << c.goal;
+    EXPECT_EQ(RenderInOrder(snapshot->factory(), result->tuples), c.answers) << c.goal;
+    EXPECT_TRUE(InRowOrder(snapshot->database().FindRelation(prepared->goal().pred),
+                           result->tuples))
+        << c.goal;
+  }
+}
+
+// Publish releases the retired snapshot after dropping the slot's lock: a
+// snapshot whose destructor waits for another thread's Acquire sees it
+// return. Were the destructor run under the lock, the wait would time out
+// (and the reader would get through once Publish returned).
+TEST(SnapshotSlot, RetiredSnapshotIsReleasedOutsideTheLock) {
+  struct Retiree {
+    std::function<void()> on_destroy;
+    ~Retiree() {
+      if (on_destroy) on_destroy();
+    }
+  };
+  std::promise<void> acquired;
+  std::thread reader;
+  bool acquired_in_time = false;
+  SnapshotSlot<Retiree> slot;
+  auto first = std::make_shared<Retiree>();
+  first->on_destroy = [&] {
+    std::future<void> done = acquired.get_future();
+    reader = std::thread([&] {
+      slot.Acquire();
+      acquired.set_value();
+    });
+    acquired_in_time = done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  };
+  slot.Publish(std::move(first));
+  slot.Publish(std::make_shared<Retiree>());  // retires and frees `first`
+  ASSERT_TRUE(reader.joinable());
+  reader.join();
+  EXPECT_TRUE(acquired_in_time);
 }
 
 // Supplementary-magic rewrites name their sup$ predicates after the adorned
