@@ -5,9 +5,12 @@
 // grows with n.
 //
 // The serving arm (BM_AncestorServe*) answers bound goals from one
-// long-lived ldl::Service over random forests of 1k-64k people. Expected
-// shape: per-query p50 stays flat as n grows -- a bound query reads the
-// published snapshot in place, so its work follows the answer, not the EDB.
+// long-lived ldl::Service over random forests of 1k-64k people: bound-first
+// anc(p<k>, Y) (a person's descendants) and, in BM_AncestorServeFreeFirst*,
+// free-first anc(X, p<k>) (a person's ancestors). Expected shape: per-query
+// p50 stays flat as n grows -- a bound query reads the published snapshot in
+// place, and the sip passes the bound argument into the recursive call
+// whichever side it is on, so its work follows the answer, not the EDB.
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -168,16 +171,25 @@ constexpr const char* kServeRules =
 constexpr size_t kServeGoals = 16;
 constexpr size_t kMaxServeAnswers = 32;
 
-// One Service per forest size, loaded on first use and shared by the three
-// strategy arms (a long-lived server answers every strategy).
+// Which argument of anc a serve goal binds to the target person.
+enum class GoalShape {
+  kBoundFirst,  // anc(p<k>, Y): the target's descendants
+  kFreeFirst,   // anc(X, p<k>): the target's ancestors
+};
+
+// One Service per forest size, loaded on first use and shared by the
+// strategy and goal-shape arms (a long-lived server answers every strategy).
 struct ServeFixture {
   ldl::Service service;
-  std::vector<ldl::PreparedQuery> goals;
+  std::vector<ldl::PreparedQuery> bound_first;
+  std::vector<ldl::PreparedQuery> free_first;
 };
 
 // People of ParentRandomTree(n, 7) with 1 to kMaxServeAnswers descendants:
 // the first kServeGoals of them from person n / 16 on. Replays the
-// generator's parent draws (person i's parent is uniform in [0, i)).
+// generator's parent draws (person i's parent is uniform in [0, i)). Their
+// ancestor counts, a random recursive tree's depths, stay far below the
+// answer bound too (about ln n).
 std::vector<size_t> ServeTargets(size_t n) {
   ldl::Rng rng(7);
   std::vector<size_t> parent(n, 0);
@@ -200,13 +212,18 @@ ServeFixture* GetServeFixture(benchmark::State& state, size_t n) {
   auto fresh = std::make_unique<ServeFixture>();
   ldl::Status status =
       fresh->service.Load(ldl::ParentRandomTree(n, /*seed=*/7) + kServeRules);
-  for (size_t k : ServeTargets(n)) {
-    if (!status.ok()) break;
-    auto goal = fresh->service.Prepare(ldl::StrCat("anc(p", k, ", Y)"));
+  auto prepare = [&](const std::string& text,
+                     std::vector<ldl::PreparedQuery>* goals) {
+    if (!status.ok()) return;
+    auto goal = fresh->service.Prepare(text);
     status = goal.status();
-    if (goal.ok()) fresh->goals.push_back(std::move(goal).value());
+    if (goal.ok()) goals->push_back(std::move(goal).value());
+  };
+  for (size_t k : ServeTargets(n)) {
+    prepare(ldl::StrCat("anc(p", k, ", Y)"), &fresh->bound_first);
+    prepare(ldl::StrCat("anc(X, p", k, ")"), &fresh->free_first);
   }
-  if (!status.ok() || fresh->goals.empty()) {
+  if (!status.ok() || fresh->bound_first.empty()) {
     state.SkipWithError(status.ok() ? "no serve targets"
                                     : status.ToString().c_str());
     return nullptr;
@@ -215,13 +232,17 @@ ServeFixture* GetServeFixture(benchmark::State& state, size_t n) {
   return fixture.get();
 }
 
-// Per-query latency of bound-first anc(p<k>, Y) goals, rotating over the
-// fixture's targets. Every goal runs once untimed first, so the timed
-// queries find the snapshot's indexes built.
-void AncestorServe(benchmark::State& state, ldl::QueryStrategy strategy) {
+// Per-query latency of `shape` goals, rotating over the fixture's targets.
+// Every goal runs once untimed first, so the timed queries find the
+// snapshot's indexes built.
+void AncestorServe(benchmark::State& state, ldl::QueryStrategy strategy,
+                   GoalShape shape) {
   const size_t n = static_cast<size_t>(state.range(0));
   ServeFixture* fixture = GetServeFixture(state, n);
   if (fixture == nullptr) return;
+  const std::vector<ldl::PreparedQuery>& goals =
+      shape == GoalShape::kBoundFirst ? fixture->bound_first
+                                      : fixture->free_first;
   std::shared_ptr<const ldl::ModelSnapshot> snapshot =
       fixture->service.snapshot();
   ldl::QueryOptions options;
@@ -241,7 +262,7 @@ void AncestorServe(benchmark::State& state, ldl::QueryStrategy strategy) {
     answers += result->tuples.size();
     return true;
   };
-  for (const ldl::PreparedQuery& goal : fixture->goals) {
+  for (const ldl::PreparedQuery& goal : goals) {
     if (!run(goal)) return;
   }
   answers = 0;
@@ -249,11 +270,11 @@ void AncestorServe(benchmark::State& state, ldl::QueryStrategy strategy) {
   size_t next = 0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    if (!run(fixture->goals[next])) return;
+    if (!run(goals[next])) return;
     latencies_us.push_back(std::chrono::duration<double, std::micro>(
                                std::chrono::steady_clock::now() - t0)
                                .count());
-    next = (next + 1) % fixture->goals.size();
+    next = (next + 1) % goals.size();
   }
   std::sort(latencies_us.begin(), latencies_us.end());
   state.counters["p50_us"] =
@@ -266,13 +287,24 @@ void AncestorServe(benchmark::State& state, ldl::QueryStrategy strategy) {
 }
 
 void BM_AncestorServeMagic(benchmark::State& state) {
-  AncestorServe(state, ldl::QueryStrategy::kMagic);
+  AncestorServe(state, ldl::QueryStrategy::kMagic, GoalShape::kBoundFirst);
 }
 void BM_AncestorServeMagicSup(benchmark::State& state) {
-  AncestorServe(state, ldl::QueryStrategy::kMagicSupplementary);
+  AncestorServe(state, ldl::QueryStrategy::kMagicSupplementary,
+                GoalShape::kBoundFirst);
 }
 void BM_AncestorServeTopDown(benchmark::State& state) {
-  AncestorServe(state, ldl::QueryStrategy::kTopDown);
+  AncestorServe(state, ldl::QueryStrategy::kTopDown, GoalShape::kBoundFirst);
+}
+void BM_AncestorServeFreeFirstMagic(benchmark::State& state) {
+  AncestorServe(state, ldl::QueryStrategy::kMagic, GoalShape::kFreeFirst);
+}
+void BM_AncestorServeFreeFirstMagicSup(benchmark::State& state) {
+  AncestorServe(state, ldl::QueryStrategy::kMagicSupplementary,
+                GoalShape::kFreeFirst);
+}
+void BM_AncestorServeFreeFirstTopDown(benchmark::State& state) {
+  AncestorServe(state, ldl::QueryStrategy::kTopDown, GoalShape::kFreeFirst);
 }
 
 }  // namespace
@@ -294,5 +326,11 @@ BENCHMARK(BM_AncestorServeMagicSup)->RangeMultiplier(4)->Range(1024, 65536)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AncestorServeTopDown)->RangeMultiplier(4)->Range(1024, 65536)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AncestorServeFreeFirstMagic)->RangeMultiplier(4)
+    ->Range(1024, 65536)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AncestorServeFreeFirstMagicSup)->RangeMultiplier(4)
+    ->Range(1024, 65536)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AncestorServeFreeFirstTopDown)->RangeMultiplier(4)
+    ->Range(1024, 65536)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -15,7 +15,7 @@ StatusOr<std::vector<int>> OrderBodyLiterals(
     const std::vector<Symbol>* initially_bound) {
   std::vector<int> order = ScheduleBody(
       rule, initially_bound != nullptr ? *initially_bound : std::vector<Symbol>{},
-      PositiveOrder::kMostBound, forced_first);
+      forced_first);
   if (order.size() < rule.body.size()) {
     return UnevaluableBodyError(catalog, rule, order);
   }

@@ -172,7 +172,7 @@ class GoalLookup {
 };
 
 // Computes the evaluation order for `rule`'s body: ScheduleBody
-// (program/wellformed.h) with the most-bound positive literal next. If
+// (program/wellformed.h), the order the sip follows too. If
 // forced_first >= 0 that literal occurrence is scheduled first (semi-naive
 // delta variant). `initially_bound` seeds the boundness analysis (e.g. head
 // variables bound by a top-down call pattern). Returns kNotWellFormed if no

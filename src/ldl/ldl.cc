@@ -32,9 +32,14 @@ constexpr StrategyName kStrategyNames[] = {
 // Maintenance leaves deleted and superseded rows behind as tombstones,
 // which every scan and probe of the relation still steps over. After a
 // maintenance pass, a relation with at least kCompactMinDeadRows dead rows
-// that make up more than one row in kCompactDeadShare is compacted.
+// that make up more than one row in kCompactDeadShare is compacted. The
+// EDB list's erased slots are compacted by the same rule.
 constexpr size_t kCompactMinDeadRows = 64;
 constexpr size_t kCompactDeadShare = 8;
+
+bool WorthCompacting(size_t dead, size_t rows) {
+  return dead >= kCompactMinDeadRows && dead * kCompactDeadShare > rows;
+}
 
 }  // namespace
 
@@ -369,8 +374,7 @@ void Session::RecordWatermarks() {
 void Session::CompactDeadRows() {
   for (PredId p = 0; p < catalog_.size(); ++p) {
     Relation& rel = db_->relation(p);
-    const size_t dead = rel.row_count() - rel.size();
-    if (dead >= kCompactMinDeadRows && dead * kCompactDeadShare > rel.row_count()) {
+    if (WorthCompacting(rel.row_count() - rel.size(), rel.row_count())) {
       rel.Compact();
       ++compactions_;
     }
@@ -411,22 +415,38 @@ Session::EdbOrigin Session::EraseEdbFact(
   *chosen = occurrences.back();
   occurrences.pop_back();
   if (occurrences.empty()) edb_index_.erase(it);
-  size_t last = edb_facts_.size() - 1;
-  if (pos != last) {
-    // Swap-and-pop: the final fact moves into the vacated slot; retarget
-    // its index entry from `last` to `pos`.
-    edb_facts_[pos] = std::move(edb_facts_[last]);
-    edb_added_[pos] = edb_added_[last];
-    std::vector<size_t>& positions = edb_index_[edb_facts_[pos]];
-    *std::find(positions.begin(), positions.end(), last) = pos;
-  }
-  edb_facts_.pop_back();
-  edb_added_.pop_back();
+  // Tombstone the slot instead of moving another fact into it: the other
+  // facts keep their order, so answer order does not depend on whether a
+  // model existed when the fact went.
+  edb_facts_[pos] = {kInvalidPred, Tuple()};
+  edb_added_[pos] = false;
+  if (WorthCompacting(++edb_tombstones_, edb_facts_.size())) CompactEdbFacts();
   return origin;
+}
+
+void Session::CompactEdbFacts() {
+  std::vector<size_t> moved_to(edb_facts_.size());
+  size_t live = 0;
+  for (size_t i = 0; i < edb_facts_.size(); ++i) {
+    if (edb_facts_[i].first == kInvalidPred) continue;
+    moved_to[i] = live;
+    if (live != i) {
+      edb_facts_[live] = std::move(edb_facts_[i]);
+      edb_added_[live] = edb_added_[i];
+    }
+    ++live;
+  }
+  edb_facts_.resize(live);
+  edb_added_.resize(live);
+  for (auto& [fact, positions] : edb_index_) {
+    for (size_t& pos : positions) pos = moved_to[pos];
+  }
+  edb_tombstones_ = 0;
 }
 
 void Session::RebuildEdbIndex() {
   edb_added_.assign(edb_facts_.size(), false);
+  edb_tombstones_ = 0;
   edb_index_.clear();
   for (size_t i = 0; i < edb_facts_.size(); ++i) {
     edb_index_[edb_facts_[i]].push_back(i);
@@ -447,7 +467,9 @@ Status Session::Evaluate(const EvalOptions& options) {
   if (evaluated_ && pending_delta_) return Maintain(options);
 
   db_ = std::make_unique<Database>(&catalog_);
-  for (const auto& [pred, tuple] : edb_facts_) db_->AddFact(pred, tuple);
+  for (const auto& [pred, tuple] : edb_facts_) {
+    if (pred != kInvalidPred) db_->AddFact(pred, tuple);
+  }
   last_eval_stats_ = EvalStats();
   last_eval_profile_.Clear();
   LDL_RETURN_IF_ERROR(engine_.EvaluateProgram(
@@ -488,7 +510,9 @@ Status Session::Maintain(const EvalOptions& options) {
 Status Session::EvaluateInto(const Stratification& stratification, Database* db,
                              const EvalOptions& options) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  for (const auto& [pred, tuple] : edb_facts_) db->AddFact(pred, tuple);
+  for (const auto& [pred, tuple] : edb_facts_) {
+    if (pred != kInvalidPred) db->AddFact(pred, tuple);
+  }
   return engine_.EvaluateProgram(program_, stratification, db, options);
 }
 
@@ -667,7 +691,7 @@ StatusOr<QueryResult> Session::Query(const PreparedQuery& prepared,
     std::vector<bool> wanted(catalog_.size(), false);
     for (PredId pred : preds) wanted[pred] = true;
     for (const auto& [pred, tuple] : edb_facts_) {
-      if (wanted[pred]) scratch->AddFact(pred, tuple);
+      if (pred != kInvalidPred && wanted[pred]) scratch->AddFact(pred, tuple);
     }
   };
 

@@ -386,9 +386,11 @@ class Session {
   void AppendEdbFact(PredId pred, const Tuple& tuple, bool added);
   // Where an erased EDB occurrence came from (kNone: there was none).
   enum class EdbOrigin { kNone, kLoaded, kAdded };
-  // Erases one occurrence, an AddFacts() one when there is any
-  // (swap-and-pop; edb_facts_ order is not stable).
+  // Erases one occurrence, an AddFacts() one when there is any, leaving a
+  // tombstone in its slot so the other facts keep their order.
   EdbOrigin EraseEdbFact(const std::pair<PredId, Tuple>& fact);
+  // Drops edb_facts_'s tombstones, keeping the live facts' order.
+  void CompactEdbFacts();
   // Indexes edb_facts_ freshly rebuilt from loaded text (none of it added).
   void RebuildEdbIndex();
   // Snapshots per-predicate row counts after a successful evaluation (the
@@ -414,9 +416,12 @@ class Session {
   ProgramAst expanded_ast_;  // after ExpandLdl15
   ProgramIr program_;        // non-fact rules
   // The EDB multiset: loaded facts (minus cancellations) plus the facts
-  // AddFacts() committed, which edb_added_ (parallel) flags.
+  // AddFacts() committed, which edb_added_ (parallel) flags. An erased
+  // fact's slot holds a tombstone (kInvalidPred) that readers skip, until
+  // EraseEdbFact compacts them by the relations' dead-row rule.
   std::vector<std::pair<PredId, Tuple>> edb_facts_;
   std::vector<bool> edb_added_;
+  size_t edb_tombstones_ = 0;
   // AddFacts() facts whose predicate later loaded text gave a proper rule:
   // program facts from then on, re-lowered into program_ by every Analyze().
   std::vector<std::pair<PredId, Tuple>> added_program_facts_;

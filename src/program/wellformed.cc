@@ -35,8 +35,7 @@ Status CheckRuleWellformed(const Catalog& catalog, const RuleIr& rule,
   // Schedule the body from no bound variables; whatever the schedule leaves
   // unbound was never bound by the positive part of the body.
   std::vector<Symbol> bound;
-  const std::vector<int> order =
-      ScheduleBody(rule, {}, PositiveOrder::kTextual, -1, &bound);
+  const std::vector<int> order = ScheduleBody(rule, {}, -1, &bound);
   std::vector<bool> scheduled(rule.body.size(), false);
   for (int index : order) scheduled[index] = true;
 
@@ -208,7 +207,7 @@ void PlaceReadyLiterals(const RuleIr& rule,
 }
 
 std::vector<int> ScheduleBody(const RuleIr& rule, std::vector<Symbol> bound,
-                              PositiveOrder positive_order, int forced_first,
+                              int forced_first,
                               std::vector<Symbol>* bound_after) {
   const size_t n = rule.body.size();
   const std::vector<std::vector<Symbol>> negation_shared = NegationSharedVars(rule);
@@ -226,16 +225,14 @@ std::vector<int> ScheduleBody(const RuleIr& rule, std::vector<Symbol> bound,
     // Every ready built-in and negation first: they only filter or bind
     // deterministically, so running them early is always good.
     PlaceReadyLiterals(rule, negation_shared, scheduled, bound, place);
-    // Then the next positive relational literal.
+    // Then the positive relational literal with the most bound arguments.
     int next = -1;
     int next_score = -1;
     for (size_t i = 0; i < n; ++i) {
       const LiteralIr& literal = rule.body[i];
       if (scheduled[i] || literal.is_builtin() || literal.negated) continue;
       int score = 0;
-      if (positive_order == PositiveOrder::kMostBound) {
-        for (const Term* arg : literal.args) score += TermVarsBound(arg, bound);
-      }
+      for (const Term* arg : literal.args) score += TermVarsBound(arg, bound);
       if (score > next_score) {
         next_score = score;
         next = static_cast<int>(i);

@@ -84,21 +84,16 @@ void PlaceReadyLiterals(const RuleIr& rule,
                         const std::vector<Symbol>& bound,
                         const std::function<void(size_t)>& place);
 
-// How ScheduleBody picks the next positive relational literal.
-enum class PositiveOrder {
-  kTextual,    // the first unscheduled one: the left-to-right sip
-  kMostBound,  // the most bound argument positions; ties go textually
-};
-
-// Orders `rule`'s body from the variables in `bound`: built-ins and negated
-// literals go in as soon as they are ready, otherwise the next positive
-// relational literal per `positive_order`. If forced_first >= 0 that
-// literal goes first (semi-naive delta variant). Literals that never become
-// ready are left out, so the order is short exactly when the rule has no
-// evaluable order from `bound`. A non-null `bound_after` receives the
-// variables bound once the order has run.
+// The one body order. Orders `rule`'s body from the variables in `bound`:
+// built-ins and negated literals go in as soon as they are ready, otherwise
+// the positive relational literal with the most bound argument positions
+// (ties go textually). If forced_first >= 0 that literal goes first
+// (semi-naive delta variant). Literals that never become ready are left out,
+// so the order is short exactly when the rule has no evaluable order from
+// `bound`. A non-null `bound_after` receives the variables bound once the
+// order has run.
 std::vector<int> ScheduleBody(const RuleIr& rule, std::vector<Symbol> bound,
-                              PositiveOrder positive_order, int forced_first = -1,
+                              int forced_first = -1,
                               std::vector<Symbol>* bound_after = nullptr);
 
 // The kNotWellFormed error for a `rule` whose body literals outside

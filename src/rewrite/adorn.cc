@@ -77,7 +77,7 @@ StatusOr<AdornedProgram> AdornProgram(const ProgramIr& program, Catalog* catalog
     for (const RuleIr* rule : rules_by_head[pred]) {
       RuleIr adorned_rule = *rule;
       adorned_rule.head_pred = adorned_head;
-      Sip sip = BuildLeftToRightSip(*catalog, *rule, adornment);
+      Sip sip = BuildSip(*catalog, *rule, adornment);
       for (size_t j = 0; j < adorned_rule.body.size(); ++j) {
         LiteralIr& literal = adorned_rule.body[j];
         if (literal.is_builtin()) continue;

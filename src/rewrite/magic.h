@@ -7,8 +7,9 @@
 //     in front of its body;
 //   * magic rules: for each adorned (including negated) body literal, a
 //     rule deriving its magic predicate from the head's magic predicate and
-//     the body literals before it in the sip order (Sip::order, which runs
-//     every built-in in an evaluable mode). Negated literals are dropped
+//     the body literals before it in the sip order (Sip::order: the
+//     planner's bound-first order, which runs every built-in in an
+//     evaluable mode). Negated literals are dropped
 //     from magic-rule bodies, and so are built-ins whose bindings neither
 //     the magic head nor a later literal reads -- dropping only weakens the
 //     restriction, never the answers -- and a magic rule that would only
@@ -47,8 +48,8 @@ struct MagicOptions {
   // This shares every body-prefix join between the magic rules and the
   // modified rule instead of recomputing it ([BR87]'s supplementary magic;
   // the paper notes in §6 that the related methods extend to LDL1 the same
-  // way). The chain follows the sip order, so it is evaluable left to
-  // right.
+  // way). The chain follows the sip order, so each step is evaluable from
+  // the one before it.
   bool supplementary = false;
 };
 

@@ -28,8 +28,8 @@ std::string AdornLiteral(const Catalog& catalog, const LiteralIr& literal,
 
 }  // namespace
 
-Sip BuildLeftToRightSip(const Catalog& catalog, const RuleIr& rule,
-                        const std::string& head_adornment) {
+Sip BuildSip(const Catalog& catalog, const RuleIr& rule,
+             const std::string& head_adornment) {
   Sip sip;
   sip.literal_adornments.resize(rule.body.size());
 
@@ -42,7 +42,7 @@ Sip BuildLeftToRightSip(const Catalog& catalog, const RuleIr& rule,
     }
   }
 
-  sip.order = ScheduleBody(rule, bound, PositiveOrder::kTextual);
+  sip.order = ScheduleBody(rule, bound);
   for (size_t j = 0; j < rule.body.size(); ++j) {
     if (std::find(sip.order.begin(), sip.order.end(), static_cast<int>(j)) ==
         sip.order.end()) {

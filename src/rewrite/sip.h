@@ -2,21 +2,26 @@
 //
 // A sip for a rule (given the bound head arguments) describes how bindings
 // flow from the head and already-evaluated body literals into each body
-// literal. We implement the left-to-right sip. Its body order comes from the
-// shared scheduler (ScheduleBody, program/wellformed.h), which enforces the
-// paper's conditions on a sip:
+// literal. §6 allows any sip that respects grouping, negation and the
+// built-ins' modes; ours follows the planner's bound-first scheduler
+// (ScheduleBody, program/wellformed.h), so the magic rules pass bindings in
+// the order evaluation runs the body: after the ready built-ins and
+// negations, the positive literal with the most bound argument positions
+// goes next, ties in textual order. A free-first goal such as anc(X, c)
+// under anc(X, Y) :- parent(X, Z), anc(Z, Y) thus calls anc(Z, Y) first
+// with Y bound, rather than scanning parent with nothing bound.
 //
-//   * built-ins run only in an evaluable mode: each goes in as soon as the
-//     mode table finds it ready;
+// The paper's conditions on a sip hold whatever the positive order:
+//
+//   * built-ins run only in an evaluable mode: the scheduler places each as
+//     soon as the mode table (LiteralStaticallyReady) finds it ready;
 //   * negated body literals are fully evaluated: each goes in once the
 //     variables it shares with the rule are bound, receives bindings and
 //     contributes none;
 //   * the head's grouped argument <X> never passes bindings into the body
 //     (§6, footnote 6): the grouped head position is always free, and
-//     bindings into a callee's grouped argument positions are suppressed
-//     likewise (its adornment stays 'f' there).
-//
-// Between those, positive literals go in textual order.
+//     AdornLiteral suppresses bindings into a callee's grouped argument
+//     positions likewise (its adornment stays 'f' there).
 #ifndef LDL1_REWRITE_SIP_H_
 #define LDL1_REWRITE_SIP_H_
 
@@ -37,12 +42,12 @@ struct Sip {
   std::vector<std::string> literal_adornments;
 };
 
-// Builds the left-to-right sip for `rule` under `head_adornment` (one char
-// per head argument; 'f' is forced at the grouped position). A rule the
-// range restriction rejects may have literals that never become ready;
-// they end the order in textual order.
-Sip BuildLeftToRightSip(const Catalog& catalog, const RuleIr& rule,
-                        const std::string& head_adornment);
+// Builds the sip for `rule` under `head_adornment` (one char per head
+// argument; 'f' is forced at the grouped position). A rule the range
+// restriction rejects may have literals that never become ready; they end
+// the order in textual order.
+Sip BuildSip(const Catalog& catalog, const RuleIr& rule,
+             const std::string& head_adornment);
 
 }  // namespace ldl
 

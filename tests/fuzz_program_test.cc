@@ -270,7 +270,8 @@ void CheckEnginesAgreeAndModelHolds(ProgramGenerator& generator) {
   ASSERT_TRUE(is_model.ok()) << is_model.status();
   EXPECT_TRUE(*is_model) << why;
 
-  // 3. magic answers match stratified answers on bound goals.
+  // 3. magic answers match stratified answers on bound goals, bound-first
+  // and (arity 2) free-first.
   QueryOptions magic;
   magic.strategy = ldl::QueryStrategy::kMagic;
   QueryOptions supplementary = magic;
@@ -282,15 +283,21 @@ void CheckEnginesAgreeAndModelHolds(ProgramGenerator& generator) {
     if (pred == kInvalidPred || !session.catalog().info(pred).has_rules) continue;
     const Relation& relation = session.database().relation(pred);
     // Bind the first argument to a value that occurs (if any) and to one
-    // that does not.
+    // that does not; for arity 2, bind only the second argument likewise.
+    const bool binary = generator.arities()[i] == 2;
     std::vector<std::string> goals;
     if (!relation.empty()) {
-      goals.push_back(StrCat(
-          "d", i, "(", session.factory().ToString(relation.row(0)[0]),
-          generator.arities()[i] == 2 ? ", X)" : ")"));
+      goals.push_back(StrCat("d", i, "(",
+                             session.factory().ToString(relation.row(0)[0]),
+                             binary ? ", X)" : ")"));
+      if (binary) {
+        goals.push_back(StrCat("d", i, "(X, ",
+                               session.factory().ToString(relation.row(0)[1]),
+                               ")"));
+      }
     }
-    goals.push_back(StrCat("d", i, "(n0",
-                           generator.arities()[i] == 2 ? ", X)" : ")"));
+    goals.push_back(StrCat("d", i, "(n0", binary ? ", X)" : ")"));
+    if (binary) goals.push_back(StrCat("d", i, "(X, n0)"));
     for (const std::string& goal : goals) {
       auto full = session.Query(goal);
       ASSERT_TRUE(full.ok()) << goal << ": " << full.status();

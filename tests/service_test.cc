@@ -251,6 +251,53 @@ TEST(GoalLookup, ServiceModelReadsMatchLiteralAnswers) {
   }
 }
 
+// Removing an EDB fact keeps the others in order, so answer order does not
+// depend on whether a model existed when the fact went. The Session removes
+// before its first Evaluate; the Service's second Load rebuilds the model
+// from the EDB list, replaying the removal.
+TEST(EdbOrder, RemovalKeepsTheOtherFactsInOrder) {
+  constexpr const char* kFacts = "t(1, a). t(2, b). t(3, c). t(4, d).";
+  const std::vector<std::string> want = {"(1, a)", "(3, c)", "(4, d)"};
+
+  Session session;
+  ASSERT_TRUE(session.Load(kFacts).ok());
+  ASSERT_TRUE(session.RemoveFacts("t(2, b).").ok());
+  auto from_session = session.Query("t(X, Y)");
+  ASSERT_TRUE(from_session.ok()) << from_session.status();
+  EXPECT_EQ(RenderInOrder(session.factory(), from_session->tuples), want);
+
+  Service service;
+  ASSERT_TRUE(service.Load(kFacts).ok());
+  ASSERT_TRUE(service.RemoveFacts("t(2, b).").ok());
+  ASSERT_TRUE(service.Load("u(X) :- t(X, Y).").ok());
+  auto from_service = service.Query("t(X, Y)");
+  ASSERT_TRUE(from_service.ok()) << from_service.status();
+  EXPECT_EQ(RenderInOrder(service.snapshot()->factory(), from_service->tuples),
+            want);
+}
+
+// Enough removals to compact the EDB list's tombstones (at least 64, more
+// than one slot in 8) leave the survivors in load order, and later removals
+// still find their facts.
+TEST(EdbOrder, CompactionKeepsTheSurvivorsInOrder) {
+  std::string facts;
+  for (int i = 0; i < 200; ++i) facts += StrCat("t(", i, ").\n");
+  std::string evens;
+  for (int i = 0; i < 200; i += 2) evens += StrCat("t(", i, ").\n");
+  std::vector<std::string> want;
+  for (int i = 3; i < 200; i += 2) want.push_back(StrCat("(", i, ")"));
+  want.push_back("(200)");
+
+  Session session;
+  ASSERT_TRUE(session.Load(facts).ok());
+  ASSERT_TRUE(session.RemoveFacts(evens).ok());
+  ASSERT_TRUE(session.AddFacts("t(200).").ok());
+  ASSERT_TRUE(session.RemoveFacts("t(1).").ok());
+  auto result = session.Query("t(X)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(RenderInOrder(session.factory(), result->tuples), want);
+}
+
 // Publish releases the retired snapshot after dropping the slot's lock: a
 // snapshot whose destructor waits for another thread's Acquire sees it
 // return. Were the destructor run under the lock, the wait would time out
