@@ -1,8 +1,9 @@
 #include "rewrite/magic.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/str_util.h"
@@ -23,7 +24,7 @@ std::vector<const Term*> BoundArgs(const std::vector<const Term*>& args,
   return result;
 }
 
-// Leaves out of a plain magic rule's `body` every built-in that binds
+// Leaves out of a magic rule's `body` every built-in that binds
 // variables only to leave them unread by the head and by the literals kept
 // after it: such a built-in multiplies the rule's solutions (a member/2
 // enumerating a set the callee never sees) without restricting its head.
@@ -59,168 +60,167 @@ void DropUnreadBuiltins(const std::vector<const Term*>& head_args,
   *body = std::move(kept);
 }
 
-// Appends the magic rule `rule` to `rules`, less the built-ins nothing
-// reads (DropUnreadBuiltins). A rule left as m_p(X) :- m_p(X) -- the head's
-// own magic fact demanding itself, as a left-recursive literal bound on the
-// head's bound arguments does -- derives nothing and is not emitted.
-void AddMagicRule(RuleIr rule, ProgramIr* rules) {
-  DropUnreadBuiltins(rule.head_args, &rule.body);
-  if (rule.body.size() == 1 && rule.body[0].pred == rule.head_pred &&
-      rule.body[0].args == rule.head_args) {
-    return;
-  }
-  rules->rules.push_back(std::move(rule));
-}
-
-// Builds the supplementary-magic rewriting for one adorned rule with a
-// non-empty body, following its sip order: chain step k holds the literals
-// up to and including the k-th positive relational literal of the order
-// (a trailing run of built-ins and negations is a step of its own).
-// `sup_prefix` names the rule's supplementary chain; step k's predicate is
-// "<sup_prefix>$<k>".
-void EmitSupplementary(const RuleIr& rule, const std::vector<int>& order,
-                       const std::string& sup_prefix, PredId head_magic,
-                       const std::vector<const Term*>& head_bound,
-                       const AdornedProgram& adorned, Catalog* catalog,
-                       const std::function<PredId(PredId)>& magic_pred,
-                       MagicShape* result) {
-  std::vector<std::vector<int>> steps(1);
-  for (int index : order) {
-    steps.back().push_back(index);
-    const LiteralIr& literal = rule.body[index];
-    if (!literal.is_builtin() && !literal.negated) steps.emplace_back();
-  }
-  if (steps.back().empty()) steps.pop_back();
-
-  auto used_later = [&](size_t from_step, Symbol var) {
-    for (const Term* arg : rule.head_args) {
-      if (OccursIn(arg, var)) return true;
-    }
-    for (size_t k = from_step; k < steps.size(); ++k) {
-      for (int index : steps[k]) {
-        for (const Term* arg : rule.body[index].args) {
-          if (OccursIn(arg, var)) return true;
+// True when the magic-rule `body` keeps a set built-in that enumerates: a
+// partition or member that binds a variable, yielding one solution per split
+// or element. Such a prefix is worth materializing once rather than
+// re-joining for every later literal.
+bool Enumerates(const std::vector<LiteralIr>& body) {
+  std::vector<Symbol> bound;
+  for (const LiteralIr& literal : body) {
+    if (literal.is_builtin() && (literal.builtin == BuiltinKind::kMember ||
+                                 literal.builtin == BuiltinKind::kPartition)) {
+      std::vector<Symbol> vars;
+      BindLiteralVars(literal, &vars);
+      for (Symbol var : vars) {
+        if (std::find(bound.begin(), bound.end(), var) == bound.end()) {
+          return true;
         }
       }
     }
-    return false;
-  };
-
-  size_t sup_steps = 0;
-  auto make_sup = [&](const std::vector<Symbol>& vars) {
-    PredId pred = catalog->GetOrCreate(StrCat(sup_prefix, "$", sup_steps++),
-                                       static_cast<uint32_t>(vars.size()));
-    catalog->mutable_info(pred).has_rules = true;
-    return pred;
-  };
-  // sup heads reuse the variable Term pointers found in the rule (every
-  // bound var symbol occurs somewhere in the head or body).
-  std::unordered_map<Symbol, const Term*> var_terms;
-  {
-    std::function<void(const Term*)> scan = [&](const Term* t) {
-      if (t->is_var()) {
-        var_terms.emplace(t->symbol(), t);
-        return;
-      }
-      for (const Term* arg : t->args()) scan(arg);
-    };
-    for (const Term* arg : rule.head_args) scan(arg);
-    for (const LiteralIr& literal : rule.body) {
-      for (const Term* arg : literal.args) scan(arg);
-    }
+    BindLiteralVars(literal, &bound);
   }
-  auto vars_to_terms = [&](const std::vector<Symbol>& vars) {
-    std::vector<const Term*> terms;
-    for (Symbol var : vars) terms.push_back(var_terms.at(var));
-    return terms;
-  };
-
-  // The variables of `vars` still needed from chain step `from_step` on.
-  auto live = [&](size_t from_step, std::vector<Symbol> vars) {
-    std::erase_if(vars, [&](Symbol var) { return !used_later(from_step, var); });
-    return vars;
-  };
-
-  // V_0: bound head variables still needed later.
-  std::vector<Symbol> head_bound_vars;
-  for (const Term* arg : head_bound) CollectVars(arg, &head_bound_vars);
-  std::vector<Symbol> v_prev = live(0, head_bound_vars);
-  PredId sup_prev = make_sup(v_prev);
-  // The literal reading the previous chain step.
-  auto sup_literal = [&] {
-    LiteralIr literal;
-    literal.pred = sup_prev;
-    literal.args = vars_to_terms(v_prev);
-    return literal;
-  };
-  {
-    RuleIr sup0;
-    sup0.head_pred = sup_prev;
-    sup0.head_args = vars_to_terms(v_prev);
-    sup0.source_index = rule.source_index;
-    LiteralIr guard;
-    guard.pred = head_magic;
-    guard.args = head_bound;
-    sup0.body.push_back(std::move(guard));
-    result->rules.rules.push_back(std::move(sup0));
-  }
-
-  std::vector<Symbol> bound_so_far = head_bound_vars;
-  for (size_t k = 0; k < steps.size(); ++k) {
-    // Magic rules for adorned literals in this step read sup_{k-1} plus any
-    // same-step literals scheduled before them (deferred built-ins may bind
-    // the adorned literal's arguments within the step).
-    for (size_t t = 0; t < steps[k].size(); ++t) {
-      const LiteralIr& literal = rule.body[steps[k][t]];
-      if (literal.is_builtin() || !adorned.IsAdorned(literal.pred)) continue;
-      const AdornedInfo& callee_info = adorned.adorned.at(literal.pred);
-      RuleIr magic_rule;
-      magic_rule.head_pred = magic_pred(literal.pred);
-      magic_rule.head_args = BoundArgs(literal.args, callee_info.adornment);
-      magic_rule.source_index = rule.source_index;
-      magic_rule.body.push_back(sup_literal());
-      for (size_t u = 0; u < t; ++u) {
-        const LiteralIr& earlier = rule.body[steps[k][u]];
-        if (!earlier.negated) magic_rule.body.push_back(earlier);
-      }
-      AddMagicRule(std::move(magic_rule), &result->rules);
-    }
-
-    // Advance the bound set with this step's positive literals.
-    for (int index : steps[k]) {
-      const LiteralIr& literal = rule.body[index];
-      if (literal.negated) continue;
-      for (const Term* arg : literal.args) CollectVars(arg, &bound_so_far);
-    }
-
-    if (k + 1 == steps.size()) {
-      // Final step feeds the modified rule directly.
-      RuleIr modified;
-      modified.head_pred = rule.head_pred;
-      modified.head_args = rule.head_args;
-      modified.group_index = rule.group_index;
-      modified.group_var = rule.group_var;
-      modified.source_index = rule.source_index;
-      modified.body.push_back(sup_literal());
-      for (int index : steps[k]) modified.body.push_back(rule.body[index]);
-      result->rules.rules.push_back(std::move(modified));
-      return;
-    }
-
-    // Live set after this step.
-    std::vector<Symbol> v_next = live(k + 1, bound_so_far);
-    RuleIr sup_rule;
-    PredId sup_next = make_sup(v_next);
-    sup_rule.head_pred = sup_next;
-    sup_rule.head_args = vars_to_terms(v_next);
-    sup_rule.source_index = rule.source_index;
-    sup_rule.body.push_back(sup_literal());
-    for (int index : steps[k]) sup_rule.body.push_back(rule.body[index]);
-    result->rules.rules.push_back(std::move(sup_rule));
-    sup_prev = sup_next;
-    v_prev = std::move(v_next);
-  }
+  return false;
 }
+
+// Appends the distinct variables of `t` to `out` as the Term pointers found
+// in it, in CollectVars' first-occurrence order.
+void CollectVarTerms(const Term* t, std::vector<const Term*>* out) {
+  if (t->ground()) return;
+  if (t->is_var()) {
+    if (std::none_of(out->begin(), out->end(), [&](const Term* var) {
+          return var->symbol() == t->symbol();
+        })) {
+      out->push_back(t);
+    }
+    return;
+  }
+  for (const Term* arg : t->args()) CollectVarTerms(arg, out);
+}
+
+// Emits the magic rules and the modified rule of adorned rules into a shape.
+class RuleEmitter {
+ public:
+  RuleEmitter(const AdornedProgram& adorned, Catalog* catalog,
+              MagicShape* shape)
+      : adorned_(adorned), catalog_(catalog), shape_(shape) {}
+
+  // The magic predicate m_<adorned_pred>, created on first use.
+  PredId MagicPred(PredId adorned_pred) {
+    auto it = shape_->magic_of.find(adorned_pred);
+    if (it != shape_->magic_of.end()) return it->second;
+    const std::string& adornment = adorned_.adorned.at(adorned_pred).adornment;
+    PredId id = catalog_->GetOrCreate(
+        StrCat("m_", Name(adorned_pred)),
+        static_cast<uint32_t>(
+            std::count(adornment.begin(), adornment.end(), 'b')));
+    catalog_->mutable_info(id).has_rules = true;
+    shape_->magic_of.emplace(adorned_pred, id);
+    shape_->rules.magic_preds.push_back(id);
+    return id;
+  }
+
+  // Walks `rule`'s sip `order` keeping the prefix: the literals that the
+  // next magic rule or the modified rule reads, starting from the head's
+  // magic literal. Each adorned body literal gets a magic rule reading the
+  // prefix's non-negated literals, less the built-ins whose bindings nothing
+  // reads (DropUnreadBuiltins). After the k-th positive relational literal
+  // -- a chain boundary -- with k >= `first_sup` and literals left, the
+  // prefix is materialized as
+  //   sup$<head>$<ordinal>$<k>(live vars) :- prefix.
+  // and the walk continues from that sup literal; k = 0 materializes the
+  // head's magic literal itself (step 0). A magic rule left copying the
+  // head's magic set onto itself -- m_p(X) :- m_p(X), or the same through
+  // step 0, as a left-recursive literal bound on the head's bound arguments
+  // gives -- derives nothing and is not emitted. With nothing materialized
+  // the modified rule is `rule` in textual order with the magic literal in
+  // front; otherwise it reads the last sup literal and the literals after
+  // it.
+  void EmitRule(const RuleIr& rule, const std::vector<int>& order,
+                size_t ordinal, size_t first_sup) {
+    LiteralIr guard;
+    guard.pred = MagicPred(rule.head_pred);
+    guard.args = BoundArgs(rule.head_args,
+                           adorned_.adorned.at(rule.head_pred).adornment);
+    std::vector<LiteralIr> prefix = {guard};
+    std::vector<const Term*> bound;
+    for (const Term* arg : guard.args) CollectVarTerms(arg, &bound);
+    bool materialized = false;
+    auto materialize = [&](size_t k, size_t next) {
+      LiteralIr sup;
+      for (const Term* var : bound) {
+        auto reads = [&](const Term* arg) {
+          return OccursIn(arg, var->symbol());
+        };
+        bool live =
+            std::any_of(rule.head_args.begin(), rule.head_args.end(), reads);
+        for (size_t j = next; j < order.size() && !live; ++j) {
+          const std::vector<const Term*>& args = rule.body[order[j]].args;
+          live = std::any_of(args.begin(), args.end(), reads);
+        }
+        if (live) sup.args.push_back(var);
+      }
+      sup.pred = catalog_->GetOrCreate(
+          StrCat("sup$", Name(rule.head_pred), "$", ordinal, "$", k),
+          static_cast<uint32_t>(sup.args.size()));
+      catalog_->mutable_info(sup.pred).has_rules = true;
+      RuleIr sup_rule;
+      sup_rule.head_pred = sup.pred;
+      sup_rule.head_args = sup.args;
+      sup_rule.source_index = rule.source_index;
+      sup_rule.body = std::move(prefix);
+      shape_->rules.rules.push_back(std::move(sup_rule));
+      prefix = {std::move(sup)};
+      materialized = true;
+    };
+    if (first_sup == 0 && !rule.body.empty()) materialize(0, 0);
+    const PredId start = prefix[0].pred;
+
+    size_t boundary = 0;
+    for (size_t i = 0; i < order.size(); ++i) {
+      const LiteralIr& literal = rule.body[order[i]];
+      if (!literal.is_builtin() && adorned_.IsAdorned(literal.pred)) {
+        RuleIr magic_rule;
+        magic_rule.head_pred = MagicPred(literal.pred);
+        magic_rule.head_args = BoundArgs(
+            literal.args, adorned_.adorned.at(literal.pred).adornment);
+        magic_rule.source_index = rule.source_index;
+        for (const LiteralIr& read : prefix) {
+          if (!read.negated) magic_rule.body.push_back(read);
+        }
+        DropUnreadBuiltins(magic_rule.head_args, &magic_rule.body);
+        if (magic_rule.body.size() != 1 || magic_rule.body[0].pred != start ||
+            magic_rule.head_pred != guard.pred ||
+            magic_rule.head_args != guard.args) {
+          shape_->rules.rules.push_back(std::move(magic_rule));
+        }
+      }
+      prefix.push_back(literal);
+      if (literal.negated) continue;
+      for (const Term* arg : literal.args) CollectVarTerms(arg, &bound);
+      if (!literal.is_builtin() && ++boundary >= first_sup &&
+          i + 1 < order.size()) {
+        materialize(boundary, i + 1);
+      }
+    }
+
+    RuleIr modified = rule;
+    if (materialized) {
+      modified.body = std::move(prefix);
+    } else {
+      modified.body.insert(modified.body.begin(), std::move(guard));
+    }
+    shape_->rules.rules.push_back(std::move(modified));
+  }
+
+ private:
+  std::string_view Name(PredId pred) const {
+    return catalog_->interner()->Lookup(catalog_->info(pred).name);
+  }
+
+  const AdornedProgram& adorned_;
+  Catalog* catalog_;
+  MagicShape* shape_;
+};
 
 }  // namespace
 
@@ -232,22 +232,8 @@ StatusOr<MagicShape> MagicRewriteShape(const ProgramIr& program,
   MagicShape result;
   result.answer_pred = adorned.query_pred;
   result.adornment = adorned.query_adornment;
-
-  // Create magic predicates.
-  auto magic_pred = [&](PredId adorned_pred) -> PredId {
-    auto it = result.magic_of.find(adorned_pred);
-    if (it != result.magic_of.end()) return it->second;
-    const AdornedInfo& info = adorned.adorned.at(adorned_pred);
-    size_t bound_count = static_cast<size_t>(
-        std::count(info.adornment.begin(), info.adornment.end(), 'b'));
-    PredId id = catalog->GetOrCreate(
-        StrCat("m_", catalog->interner()->Lookup(catalog->info(adorned_pred).name)),
-        static_cast<uint32_t>(bound_count));
-    catalog->mutable_info(id).has_rules = true;
-    result.magic_of.emplace(adorned_pred, id);
-    result.rules.magic_preds.push_back(id);
-    return id;
-  };
+  RuleEmitter emitter(adorned, catalog, &result);
+  std::vector<RuleIr>& rules = result.rules.rules;
 
   // Per adorned head: how many of its rules have been rewritten so far.
   // Numbering the supplementary chains by this ordinal keeps their names a
@@ -256,51 +242,28 @@ StatusOr<MagicShape> MagicRewriteShape(const ProgramIr& program,
   for (size_t r = 0; r < adorned.rules.rules.size(); ++r) {
     const RuleIr& rule = adorned.rules.rules[r];
     const std::vector<int>& order = adorned.sip_orders[r];
-    const AdornedInfo& head_info = adorned.adorned.at(rule.head_pred);
-    PredId head_magic = magic_pred(rule.head_pred);
-    std::vector<const Term*> head_bound =
-        BoundArgs(rule.head_args, head_info.adornment);
     const size_t ordinal = rules_per_head[rule.head_pred]++;
-
-    if (options.supplementary && !rule.body.empty()) {
-      EmitSupplementary(
-          rule, order,
-          StrCat("sup$",
-                 catalog->interner()->Lookup(catalog->info(rule.head_pred).name),
-                 "$", ordinal),
-          head_magic, head_bound, adorned, catalog, magic_pred, &result);
+    if (options.supplementary) {
+      emitter.EmitRule(rule, order, ordinal, /*first_sup=*/0);
       continue;
     }
-
-    // Magic rules for adorned body literals, one per occurrence: the head's
-    // magic predicate and the non-negated literals before it in the sip
-    // order, less the built-ins whose bindings nothing reads.
-    LiteralIr head_magic_lit;
-    head_magic_lit.pred = head_magic;
-    head_magic_lit.args = head_bound;
-    std::vector<LiteralIr> prefix = {head_magic_lit};
-    for (int j : order) {
-      const LiteralIr& literal = rule.body[j];
-      if (!literal.is_builtin() && adorned.IsAdorned(literal.pred)) {
-        const AdornedInfo& callee_info = adorned.adorned.at(literal.pred);
-        RuleIr magic_rule;
-        magic_rule.head_pred = magic_pred(literal.pred);
-        magic_rule.head_args = BoundArgs(literal.args, callee_info.adornment);
-        magic_rule.source_index = rule.source_index;
-        magic_rule.body = prefix;
-        AddMagicRule(std::move(magic_rule), &result.rules);
-      }
-      if (!literal.negated) prefix.push_back(literal);
+    // kMagic: plain magic, unless one of the rule's magic rules (all it
+    // emitted but the modified rule, last) enumerates. Then every chain
+    // boundary but step 0 is materialized, so that prefix is joined once
+    // instead of once per later literal and per semi-naive variant.
+    const size_t begin = rules.size();
+    emitter.EmitRule(rule, order, ordinal, /*first_sup=*/SIZE_MAX);
+    if (std::any_of(rules.begin() + begin, rules.end() - 1,
+                    [](const RuleIr& magic) {
+                      return Enumerates(magic.body);
+                    })) {
+      rules.resize(begin);
+      emitter.EmitRule(rule, order, ordinal, /*first_sup=*/1);
     }
-
-    // Modified rule: magic guard in front.
-    RuleIr modified = rule;
-    modified.body.insert(modified.body.begin(), std::move(head_magic_lit));
-    result.rules.rules.push_back(std::move(modified));
   }
 
   // The query's magic predicate, which the seed fact populates.
-  magic_pred(adorned.query_pred);
+  emitter.MagicPred(adorned.query_pred);
 
   // EDB predicates referenced by the rewritten program.
   std::vector<bool> seen(catalog->size(), false);

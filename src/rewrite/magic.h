@@ -13,8 +13,15 @@
 //     from magic-rule bodies, and so are built-ins whose bindings neither
 //     the magic head nor a later literal reads -- dropping only weakens the
 //     restriction, never the answers -- and a magic rule that would only
-//     copy its head's magic predicate onto itself is not emitted;
+//     copy its head's magic set onto itself is not emitted;
 //   * the seed fact for the query's magic predicate.
+//
+// One walk over each rule's sip order emits both variants. It keeps the
+// prefix a magic rule or the modified rule reads, and after a positive
+// relational literal (a chain boundary) it either carries the prefix on
+// inline or materializes it as a supplementary predicate ([BR87]) that
+// later rules read instead: the supplementary variant is plain magic with
+// every step materialized. MagicOptions says which.
 //
 // Everything but the seed depends only on the goal's predicate, its
 // adornment and MagicOptions, never on the goal's constants: that part is
@@ -26,8 +33,9 @@
 // are all named deterministically, so repeated rewrites of the same goal
 // shape reuse the same catalog entries (and the plans compiled for them)
 // instead of growing the catalog per query. A supplementary predicate is
-// named sup$<adorned head>$<n>$<k>: the k-th chain step of the n-th adorned
-// rule for that head.
+// named sup$<adorned head>$<n>$<k>: the prefix through the k-th positive
+// relational literal of the n-th adorned rule for that head (k = 0: the
+// head's magic literal alone).
 #ifndef LDL1_REWRITE_MAGIC_H_
 #define LDL1_REWRITE_MAGIC_H_
 
@@ -41,15 +49,19 @@
 namespace ldl {
 
 struct MagicOptions {
-  // Use supplementary predicates: per rule, the chain
+  // Materialize every step of every rule as a supplementary predicate:
   //   sup_0(bound head vars)        <- m_head(bound head args).
   //   sup_j(live vars after L_j)    <- sup_{j-1}(...), L_j.
-  // with magic rules reading sup_{j-1} and the modified rule reading sup_n.
-  // This shares every body-prefix join between the magic rules and the
-  // modified rule instead of recomputing it ([BR87]'s supplementary magic;
-  // the paper notes in §6 that the related methods extend to LDL1 the same
-  // way). The chain follows the sip order, so each step is evaluable from
-  // the one before it.
+  // with magic rules reading sup_{j-1} and the modified rule reading the
+  // last sup_j ([BR87]'s supplementary magic; the paper notes in §6 that
+  // the related methods extend to LDL1 the same way). The chain follows
+  // the sip order, so each step is evaluable from the one before it.
+  //
+  // When false (plain magic), a rule is chained only where that pays: when
+  // one of its magic rules enumerates -- keeps a partition or member that
+  // binds a variable -- its steps after the first are materialized, so
+  // that prefix is joined once rather than once per later literal. Every
+  // other rule is rewritten with its prefixes inline.
   bool supplementary = false;
 };
 

@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "base/str_util.h"
+#include "eval/profile.h"
 #include "ldl/ldl.h"
 #include "ldl/service.h"
 #include "parser/parser.h"
@@ -514,6 +519,159 @@ TEST(SupplementaryMagic, EmitsSupChains) {
     EXPECT_FALSE(model.empty());
     EXPECT_EQ(answers(QueryStrategy::kMagic), model);
     EXPECT_EQ(answers(QueryStrategy::kMagicSupplementary), model);
+  }
+}
+
+// The corpus programs the rewrite golden pins, each with its stored goals.
+std::vector<std::filesystem::path> CorpusPrograms() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LDL1_CORPUS_DIR)) {
+    if (entry.path().extension() == ".ldl") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+// The rewrite of `goal_ast` over `session`'s program under kMagic, or
+// under kMagicSupplementary when `supplementary` is set.
+StatusOr<MagicProgram> RewriteGoal(Session& session, const LiteralAst& goal_ast,
+                                   bool supplementary) {
+  LDL_ASSIGN_OR_RETURN(
+      LiteralIr goal,
+      LowerLiteral(session.factory(), session.catalog(), goal_ast));
+  MagicOptions options;
+  options.supplementary = supplementary;
+  return MagicRewrite(session.program(), &session.catalog(), goal, options);
+}
+
+std::string PredName(const Session& session, PredId pred) {
+  return std::string(
+      session.interner().Lookup(session.catalog().info(pred).name));
+}
+
+// A magic rule whose only source is its own head's magic set -- directly,
+// m_p(X) :- m_p(X), or through the copy a step-0 sup predicate makes of it,
+// sup$p$n$0(X) :- m_p(X) -- derives nothing (the paper's deletable 1') and
+// must not be emitted in either mode.
+TEST(Magic, SupplementaryEmitsNoSelfCopy) {
+  size_t rewrites = 0;
+  for (const std::filesystem::path& path : CorpusPrograms()) {
+    Session session;
+    ASSERT_TRUE(session.LoadFile(path.string()).ok()) << path;
+    ASSERT_TRUE(session.Analyze().ok()) << path;
+    for (const QueryAst& query : session.stored_queries()) {
+      for (bool supplementary : {false, true}) {
+        auto magic = RewriteGoal(session, query.goal, supplementary);
+        ASSERT_TRUE(magic.ok()) << path << ": " << magic.status();
+        ++rewrites;
+        // The rules that only copy one literal: what each head copies.
+        std::map<PredId, const LiteralIr*> copies;
+        for (const RuleIr& rule : magic->rules.rules) {
+          if (rule.body.size() == 1) copies[rule.head_pred] = &rule.body[0];
+        }
+        std::vector<PredId> magic_preds;
+        for (const auto& [adorned, magic_pred] : magic->magic_of) {
+          magic_preds.push_back(magic_pred);
+        }
+        for (const RuleIr& rule : magic->rules.rules) {
+          if (rule.body.size() != 1 ||
+              std::find(magic_preds.begin(), magic_preds.end(),
+                        rule.head_pred) == magic_preds.end()) {
+            continue;
+          }
+          const LiteralIr* source = &rule.body[0];
+          if (PredName(session, source->pred).starts_with("sup$") &&
+              copies.count(source->pred) > 0) {
+            source = copies[source->pred];
+          }
+          EXPECT_FALSE(source->pred == rule.head_pred &&
+                       source->args == rule.head_args)
+              << path.filename()
+              << (supplementary ? " magic-sup: " : " magic: ")
+              << FormatRuleLabel(session.factory(), session.catalog(), rule);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rewrites, 12u);  // 6 stored goals x 2 modes
+}
+
+// kMagic materializes a rule's prefixes as sup$ chains only when one of its
+// magic rules enumerates (keeps a partition or member that binds a
+// variable); every other rule is rewritten as plain magic. Each row: a
+// corpus program (or, without a .ldl suffix, program text), a goal, and the
+// adorned head whose rule is chained (nullptr: none is).
+struct ChainCase {
+  const char* program;
+  const char* goal;
+  const char* chained_head;
+};
+
+// The magic rule of path(Z, Y) keeps the member that enumerates S.
+constexpr char kMemberProgram[] =
+    "e(1, 2). e(2, 3). e(3, 4). e(5, 6). e(6, 7). g({1, 5}).\n"
+    "path(X, Y) :- e(X, Y).\n"
+    "path(X, Y) :- e(X, Z), path(Z, Y).\n"
+    "reach(S, Y) :- g(S), member(X, S), e(X, Z), path(Z, Y).\n";
+
+constexpr ChainCase kChainCases[] = {
+    {"ancestor.ldl", "ancestor(abe, X)", nullptr},
+    {"ancestor.ldl", "ancestor(X, dina)", nullptr},
+    {"young.ldl", "young(ella, S)", nullptr},
+    {"young.ldl", "sg(ella, Y)", nullptr},
+    {"sets.ldl", "elems(X)", nullptr},
+    // tc(S, C) :- partition(S, S1, S2), tc(S1, C1), ...: the magic rule of
+    // tc(S1, C1) keeps the partition that enumerates S1.
+    {"bom.ldl", "result(1, C)", "tc__bf"},
+    {kMemberProgram, "reach({1, 5}, Y)", "reach__bf"},
+    // The magic rule of the second grouping literal joins r and part$0, but
+    // a join alone does not chain.
+    {"school.ldl", "by_teacher(smith, S, D)", nullptr},
+};
+
+TEST(Magic, ChainsOnlyWhereThePrefixEnumerates) {
+  for (const ChainCase& row : kChainCases) {
+    SCOPED_TRACE(row.goal);
+    Session session;
+    const std::string program = row.program;
+    ASSERT_TRUE(
+        (program.ends_with(".ldl")
+             ? session.LoadFile(StrCat(LDL1_CORPUS_DIR, "/", program))
+             : session.Load(program))
+            .ok());
+    ASSERT_TRUE(session.Analyze().ok());
+    auto goal_ast = ParseLiteralText(row.goal, &session.interner());
+    ASSERT_TRUE(goal_ast.ok());
+    auto magic = RewriteGoal(session, *goal_ast, /*supplementary=*/false);
+    ASSERT_TRUE(magic.ok()) << magic.status();
+    size_t sup_rules = 0;
+    for (const RuleIr& rule : magic->rules.rules) {
+      std::string name = PredName(session, rule.head_pred);
+      if (!name.starts_with("sup$")) continue;
+      ++sup_rules;
+      ASSERT_NE(row.chained_head, nullptr) << name;
+      EXPECT_TRUE(name.starts_with(StrCat("sup$", row.chained_head, "$")))
+          << name;
+    }
+    EXPECT_EQ(sup_rules > 0, row.chained_head != nullptr);
+
+    auto answers = [&](QueryStrategy strategy) {
+      QueryOptions options;
+      options.strategy = strategy;
+      auto result = session.Query(row.goal, options);
+      EXPECT_TRUE(result.ok()) << ToString(strategy) << ": " << result.status();
+      std::vector<std::string> out;
+      if (!result.ok()) return out;
+      for (const Tuple& t : result->tuples) {
+        out.push_back(session.FormatTuple(t));
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    const std::vector<std::string> model = answers(QueryStrategy::kModel);
+    EXPECT_FALSE(model.empty());
+    EXPECT_EQ(answers(QueryStrategy::kMagic), model);
   }
 }
 

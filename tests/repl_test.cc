@@ -81,12 +81,36 @@ TEST(Repl, MagicModeAndStats) {
       "e(1,2). e(2,3).\n"
       "t(X,Y) :- e(X,Y).\n"
       "t(X,Y) :- e(X,Z), t(Z,Y).\n"
-      ":magic on\n"
+      ":strategy magic\n"
       "? t(1,X).\n"
       ":stats\n"
       ":quit\n");
   EXPECT_NE(out.find("[magic]"), std::string::npos) << out;
   EXPECT_NE(out.find("firings="), std::string::npos) << out;
+}
+
+// :rewrite prints the current strategy's rewritten rules in the rewrite
+// golden's format; a strategy that rewrites nothing is an error.
+TEST(Repl, RewritePrintsTheRewrittenRules) {
+  const std::string corpus = std::string(LDL1_CORPUS_DIR) + "/ancestor.ldl";
+  std::string out = RunRepl(
+      ":strategy magic\n"
+      ":rewrite ancestor(X, dina)\n"
+      ":quit\n",
+      corpus);
+  EXPECT_NE(out.find("== ancestor(X, dina) magic\n"
+                     "ancestor__fb(X, Y) :- m_ancestor__fb(Y), parent(X, Y)\n"
+                     "ancestor__fb(X, Y) :- m_ancestor__fb(Y), parent(X, Z), "
+                     "ancestor__fb(Z, Y)\n"
+                     "m_ancestor__fb(dina)\n"),
+            std::string::npos)
+      << out;
+  int exit_code = 0;
+  out = RunRepl(":rewrite ancestor(X, dina)\n:quit\n", corpus, &exit_code);
+  EXPECT_NE(out.find(":rewrite needs :strategy magic or magic-sup (is model)"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(exit_code, 0);
 }
 
 TEST(Repl, PlanDumpsJoinOrderWithEstimates) {

@@ -18,7 +18,8 @@
 //                        after the first query join the EDB (see :facts)
 //   :warnings            §7 finiteness warnings
 //   :strategy [name]     query strategy: model, magic, magic-sup, topdown
-//   :magic on|off|sup    shorthand for :strategy magic / model / magic-sup
+//   :rewrite goal        the rules the current magic :strategy rewrites
+//                        goal's binding pattern into, one per line
 //   :naive on|off        switch the fixpoint engine (default: semi-naive)
 //   :stats               stats of the last evaluation + per-predicate
 //                        dead-row (tombstone) ratios
@@ -47,6 +48,7 @@
 #include "eval/profile.h"
 #include "ldl/ldl.h"
 #include "ldl/service.h"
+#include "rewrite/magic.h"
 
 namespace {
 
@@ -84,7 +86,7 @@ void PrintHelp() {
       "meta: :help :quit :strata :preds :facts p/2 :plan p/2 :program\n"
       "      :warnings :why f(a)\n"
       "      :retract f(a).\n"
-      "      :strategy [%s]  :magic on|off|sup\n"
+      "      :strategy [%s]  :rewrite goal\n"
       "      :naive on|off  :stats\n"
       "      :serve [N] goal\n"
       "      :profile [on|off]  :profile dump [file]\n",
@@ -315,6 +317,39 @@ void ShowPlan(ReplState& state, const std::string& spec) {
   if (shown == 0) std::printf("no rules for %s\n", spec.c_str());
 }
 
+// Prints the magic rewriting of `goal` under the current :strategy as the
+// rewrite golden (tests/golden/rewrite/) records it: a "== goal strategy"
+// line, then one rule per line in emission order, the seed fact last.
+void ShowRewrite(ReplState& state, const std::string& goal) {
+  if (state.strategy != ldl::QueryStrategy::kMagic &&
+      state.strategy != ldl::QueryStrategy::kMagicSupplementary) {
+    Fail(state, ldl::StrCat(":rewrite needs :strategy magic or magic-sup (is ",
+                            ldl::ToString(state.strategy), ")"));
+    return;
+  }
+  auto prepared = state.session.Prepare(goal);
+  if (!prepared.ok()) {
+    Fail(state, prepared.status().ToString());
+    return;
+  }
+  ldl::MagicOptions options;
+  options.supplementary =
+      state.strategy == ldl::QueryStrategy::kMagicSupplementary;
+  auto magic = ldl::MagicRewrite(state.session.program(),
+                                 &state.session.catalog(), prepared->goal(),
+                                 options);
+  if (!magic.ok()) {
+    Fail(state, magic.status().ToString());
+    return;
+  }
+  std::printf("== %s %s\n", goal.c_str(), ldl::ToString(state.strategy));
+  for (const ldl::RuleIr& rule : magic->rules.rules) {
+    std::printf("%s\n", ldl::FormatRuleLabel(state.session.factory(),
+                                             state.session.catalog(), rule)
+                            .c_str());
+  }
+}
+
 void ShowStats(ReplState& state) {
   // Generated from the EvalStats X-macro: every counter prints, including
   // ones added later.
@@ -452,17 +487,15 @@ bool HandleLine(ReplState& state, const std::string& raw) {
       } else {
         RunServe(state, threads, goal);
       }
-    } else if (command == "magic") {
-      // Back-compat shorthand for :strategy.
-      state.strategy = argument == "off" ? ldl::QueryStrategy::kModel
-                       : argument == "sup"
-                           ? ldl::QueryStrategy::kMagicSupplementary
-                           : ldl::QueryStrategy::kMagic;
-      bool magic = state.strategy != ldl::QueryStrategy::kModel;
-      std::printf("magic %s%s\n", magic ? "on" : "off",
-                  state.strategy == ldl::QueryStrategy::kMagicSupplementary
-                      ? " (supplementary)"
-                      : "");
+    } else if (command == "rewrite") {
+      // :rewrite anc(a, X) -- everything after the command is the goal.
+      std::string goal(ldl::StripWhitespace(line.substr(1 + command.size())));
+      if (!goal.empty() && goal.back() == '.') goal.pop_back();
+      if (goal.empty()) {
+        Fail(state, "usage: :rewrite goal");
+      } else {
+        ShowRewrite(state, goal);
+      }
     } else if (command == "naive") {
       state.naive = argument != "off";
       std::printf("engine: %s\n", state.naive ? "naive" : "semi-naive");
