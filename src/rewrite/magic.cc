@@ -62,8 +62,8 @@ void DropUnreadBuiltins(const std::vector<const Term*>& head_args,
 
 // True when the magic-rule `body` keeps a set built-in that enumerates: a
 // partition or member that binds a variable, yielding one solution per split
-// or element. Such a prefix is worth materializing once rather than
-// re-joining for every later literal.
+// or element. Such a prefix is worth storing once: the rules that re-ran it
+// would re-split or re-scan every set for each new fact they join.
 bool Enumerates(const std::vector<LiteralIr>& body) {
   std::vector<Symbol> bound;
   for (const LiteralIr& literal : body) {
@@ -101,8 +101,11 @@ void CollectVarTerms(const Term* t, std::vector<const Term*>* out) {
 class RuleEmitter {
  public:
   RuleEmitter(const AdornedProgram& adorned, Catalog* catalog,
-              MagicShape* shape)
-      : adorned_(adorned), catalog_(catalog), shape_(shape) {}
+              MagicShape* shape, bool supplementary)
+      : adorned_(adorned),
+        catalog_(catalog),
+        shape_(shape),
+        supplementary_(supplementary) {}
 
   // The magic predicate m_<adorned_pred>, created on first use.
   PredId MagicPred(PredId adorned_pred) {
@@ -123,20 +126,23 @@ class RuleEmitter {
   // next magic rule or the modified rule reads, starting from the head's
   // magic literal. Each adorned body literal gets a magic rule reading the
   // prefix's non-negated literals, less the built-ins whose bindings nothing
-  // reads (DropUnreadBuiltins). After the k-th positive relational literal
-  // -- a chain boundary -- with k >= `first_sup` and literals left, the
-  // prefix is materialized as
+  // reads (DropUnreadBuiltins). Where that body still Enumerates, the
+  // prefix is first materialized as
   //   sup$<head>$<ordinal>$<k>(live vars) :- prefix.
-  // and the walk continues from that sup literal; k = 0 materializes the
-  // head's magic literal itself (step 0). A magic rule left copying the
-  // head's magic set onto itself -- m_p(X) :- m_p(X), or the same through
-  // step 0, as a left-recursive literal bound on the head's bound arguments
-  // gives -- derives nothing and is not emitted. With nothing materialized
-  // the modified rule is `rule` in textual order with the magic literal in
+  // and the magic rule, like the rest of the walk, reads that sup literal
+  // instead, so no magic rule re-runs an enumerator. The supplementary
+  // variant also materializes the head's magic literal itself (step 0,
+  // k = 0) and the prefix after every positive relational literal (a chain
+  // boundary) with literals left; k counts a rule's materializations from
+  // 0 there and from 1 in plain magic. A magic rule left copying the head's
+  // magic set onto itself -- m_p(X) :- m_p(X), or the same through step 0,
+  // as a left-recursive literal bound on the head's bound arguments gives --
+  // derives nothing and is not emitted. With nothing materialized the
+  // modified rule is `rule` in textual order with the magic literal in
   // front; otherwise it reads the last sup literal and the literals after
   // it.
   void EmitRule(const RuleIr& rule, const std::vector<int>& order,
-                size_t ordinal, size_t first_sup) {
+                size_t ordinal) {
     LiteralIr guard;
     guard.pred = MagicPred(rule.head_pred);
     guard.args = BoundArgs(rule.head_args,
@@ -144,8 +150,11 @@ class RuleEmitter {
     std::vector<LiteralIr> prefix = {guard};
     std::vector<const Term*> bound;
     for (const Term* arg : guard.args) CollectVarTerms(arg, &bound);
+    size_t step = supplementary_ ? 0 : 1;
     bool materialized = false;
-    auto materialize = [&](size_t k, size_t next) {
+    // Stores the prefix over the variables that the head or the literals
+    // from order[next] on read.
+    auto materialize = [&](size_t next) {
       LiteralIr sup;
       for (const Term* var : bound) {
         auto reads = [&](const Term* arg) {
@@ -160,7 +169,7 @@ class RuleEmitter {
         if (live) sup.args.push_back(var);
       }
       sup.pred = catalog_->GetOrCreate(
-          StrCat("sup$", Name(rule.head_pred), "$", ordinal, "$", k),
+          StrCat("sup$", Name(rule.head_pred), "$", ordinal, "$", step++),
           static_cast<uint32_t>(sup.args.size()));
       catalog_->mutable_info(sup.pred).has_rules = true;
       RuleIr sup_rule;
@@ -172,10 +181,9 @@ class RuleEmitter {
       prefix = {std::move(sup)};
       materialized = true;
     };
-    if (first_sup == 0 && !rule.body.empty()) materialize(0, 0);
+    if (supplementary_ && !rule.body.empty()) materialize(0);
     const PredId start = prefix[0].pred;
 
-    size_t boundary = 0;
     for (size_t i = 0; i < order.size(); ++i) {
       const LiteralIr& literal = rule.body[order[i]];
       if (!literal.is_builtin() && adorned_.IsAdorned(literal.pred)) {
@@ -188,6 +196,10 @@ class RuleEmitter {
           if (!read.negated) magic_rule.body.push_back(read);
         }
         DropUnreadBuiltins(magic_rule.head_args, &magic_rule.body);
+        if (Enumerates(magic_rule.body)) {
+          materialize(i);
+          magic_rule.body = prefix;
+        }
         if (magic_rule.body.size() != 1 || magic_rule.body[0].pred != start ||
             magic_rule.head_pred != guard.pred ||
             magic_rule.head_args != guard.args) {
@@ -197,9 +209,8 @@ class RuleEmitter {
       prefix.push_back(literal);
       if (literal.negated) continue;
       for (const Term* arg : literal.args) CollectVarTerms(arg, &bound);
-      if (!literal.is_builtin() && ++boundary >= first_sup &&
-          i + 1 < order.size()) {
-        materialize(boundary, i + 1);
+      if (supplementary_ && !literal.is_builtin() && i + 1 < order.size()) {
+        materialize(i + 1);
       }
     }
 
@@ -220,6 +231,7 @@ class RuleEmitter {
   const AdornedProgram& adorned_;
   Catalog* catalog_;
   MagicShape* shape_;
+  const bool supplementary_;
 };
 
 }  // namespace
@@ -232,8 +244,7 @@ StatusOr<MagicShape> MagicRewriteShape(const ProgramIr& program,
   MagicShape result;
   result.answer_pred = adorned.query_pred;
   result.adornment = adorned.query_adornment;
-  RuleEmitter emitter(adorned, catalog, &result);
-  std::vector<RuleIr>& rules = result.rules.rules;
+  RuleEmitter emitter(adorned, catalog, &result, options.supplementary);
 
   // Per adorned head: how many of its rules have been rewritten so far.
   // Numbering the supplementary chains by this ordinal keeps their names a
@@ -241,25 +252,8 @@ StatusOr<MagicShape> MagicRewriteShape(const ProgramIr& program,
   std::unordered_map<PredId, size_t> rules_per_head;
   for (size_t r = 0; r < adorned.rules.rules.size(); ++r) {
     const RuleIr& rule = adorned.rules.rules[r];
-    const std::vector<int>& order = adorned.sip_orders[r];
-    const size_t ordinal = rules_per_head[rule.head_pred]++;
-    if (options.supplementary) {
-      emitter.EmitRule(rule, order, ordinal, /*first_sup=*/0);
-      continue;
-    }
-    // kMagic: plain magic, unless one of the rule's magic rules (all it
-    // emitted but the modified rule, last) enumerates. Then every chain
-    // boundary but step 0 is materialized, so that prefix is joined once
-    // instead of once per later literal and per semi-naive variant.
-    const size_t begin = rules.size();
-    emitter.EmitRule(rule, order, ordinal, /*first_sup=*/SIZE_MAX);
-    if (std::any_of(rules.begin() + begin, rules.end() - 1,
-                    [](const RuleIr& magic) {
-                      return Enumerates(magic.body);
-                    })) {
-      rules.resize(begin);
-      emitter.EmitRule(rule, order, ordinal, /*first_sup=*/1);
-    }
+    emitter.EmitRule(rule, adorned.sip_orders[r],
+                     rules_per_head[rule.head_pred]++);
   }
 
   // The query's magic predicate, which the seed fact populates.

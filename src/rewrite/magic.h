@@ -16,12 +16,14 @@
 //     copy its head's magic set onto itself is not emitted;
 //   * the seed fact for the query's magic predicate.
 //
-// One walk over each rule's sip order emits both variants. It keeps the
-// prefix a magic rule or the modified rule reads, and after a positive
-// relational literal (a chain boundary) it either carries the prefix on
-// inline or materializes it as a supplementary predicate ([BR87]) that
-// later rules read instead: the supplementary variant is plain magic with
-// every step materialized. MagicOptions says which.
+// One walk over each rule's sip order emits both variants, each rule once.
+// It keeps the prefix a magic rule or the modified rule reads, carried on
+// inline or materialized as a supplementary predicate ([BR87]) that later
+// rules read instead. Both variants materialize a prefix whose magic rule
+// would keep an enumerating set built-in (a partition or member that binds
+// a variable), so no magic rule re-runs one; the supplementary variant also
+// materializes the head's magic literal and the prefix after every positive
+// relational literal (a chain boundary). MagicOptions says which.
 //
 // Everything but the seed depends only on the goal's predicate, its
 // adornment and MagicOptions, never on the goal's constants: that part is
@@ -33,9 +35,10 @@
 // are all named deterministically, so repeated rewrites of the same goal
 // shape reuse the same catalog entries (and the plans compiled for them)
 // instead of growing the catalog per query. A supplementary predicate is
-// named sup$<adorned head>$<n>$<k>: the prefix through the k-th positive
-// relational literal of the n-th adorned rule for that head (k = 0: the
-// head's magic literal alone).
+// named sup$<adorned head>$<n>$<k>: the k-th prefix materialized in the n-th
+// adorned rule for that head, counted in sip order; k = 0 is the head's
+// magic literal alone (step 0), which only the supplementary variant
+// stores, so plain magic counts from 1.
 #ifndef LDL1_REWRITE_MAGIC_H_
 #define LDL1_REWRITE_MAGIC_H_
 
@@ -57,11 +60,10 @@ struct MagicOptions {
   // the related methods extend to LDL1 the same way). The chain follows
   // the sip order, so each step is evaluable from the one before it.
   //
-  // When false (plain magic), a rule is chained only where that pays: when
-  // one of its magic rules enumerates -- keeps a partition or member that
-  // binds a variable -- its steps after the first are materialized, so
-  // that prefix is joined once rather than once per later literal. Every
-  // other rule is rewritten with its prefixes inline.
+  // When false (plain magic), a rule's prefixes stay inline, as in the
+  // paper, except one whose magic rule would keep an enumerating partition
+  // or member: that prefix is stored once (in both variants), and the
+  // magic rule and the rest of the rule read it.
   bool supplementary = false;
 };
 

@@ -12,6 +12,7 @@
 #include "ldl/ldl.h"
 #include "ldl/service.h"
 #include "parser/parser.h"
+#include "program/wellformed.h"
 #include "rewrite/adorn.h"
 #include "rewrite/magic.h"
 #include "rewrite/sip.h"
@@ -550,55 +551,98 @@ std::string PredName(const Session& session, PredId pred) {
       session.interner().Lookup(session.catalog().info(pred).name));
 }
 
-// A magic rule whose only source is its own head's magic set -- directly,
-// m_p(X) :- m_p(X), or through the copy a step-0 sup predicate makes of it,
-// sup$p$n$0(X) :- m_p(X) -- derives nothing (the paper's deletable 1') and
-// must not be emitted in either mode.
+// The magic rule of path(Z, Y) keeps the member that enumerates S.
+constexpr char kMemberProgram[] =
+    "e(1, 2). e(2, 3). e(3, 4). e(5, 6). e(6, 7). g({1, 5}).\n"
+    "path(X, Y) :- e(X, Y).\n"
+    "path(X, Y) :- e(X, Z), path(Z, Y).\n"
+    "reach(S, Y) :- g(S), member(X, S), e(X, Z), path(Z, Y).\n";
+
+// True when `body` keeps a partition or member that binds a variable no
+// literal before it binds: one solution per split or element.
+bool KeepsEnumerator(const std::vector<LiteralIr>& body) {
+  std::vector<Symbol> bound;
+  for (const LiteralIr& literal : body) {
+    std::vector<Symbol> vars;
+    BindLiteralVars(literal, &vars);
+    if (literal.is_builtin() &&
+        (literal.builtin == BuiltinKind::kMember ||
+         literal.builtin == BuiltinKind::kPartition) &&
+        std::any_of(vars.begin(), vars.end(), [&](Symbol var) {
+          return std::find(bound.begin(), bound.end(), var) == bound.end();
+        })) {
+      return true;
+    }
+    bound.insert(bound.end(), vars.begin(), vars.end());
+  }
+  return false;
+}
+
+// Checks the magic rules of `goal_ast`'s rewrite in both modes: none is
+// the paper's deletable 1' -- a rule whose only source is its own head's
+// magic set, directly, m_p(X) :- m_p(X), or through the copy a step-0 sup
+// predicate makes of it, sup$p$n$0(X) :- m_p(X) -- and none re-runs an
+// enumerator, which the emitter stores once as a sup$ predicate instead.
+void ExpectMagicRulesCopyAndEnumerateNothing(Session& session,
+                                             const LiteralAst& goal_ast,
+                                             const std::string& label) {
+  for (bool supplementary : {false, true}) {
+    auto magic = RewriteGoal(session, goal_ast, supplementary);
+    ASSERT_TRUE(magic.ok()) << label << ": " << magic.status();
+    // The rules that only copy one literal: what each head copies.
+    std::map<PredId, const LiteralIr*> copies;
+    for (const RuleIr& rule : magic->rules.rules) {
+      if (rule.body.size() == 1) copies[rule.head_pred] = &rule.body[0];
+    }
+    std::vector<PredId> magic_preds;
+    for (const auto& [adorned, magic_pred] : magic->magic_of) {
+      magic_preds.push_back(magic_pred);
+    }
+    for (const RuleIr& rule : magic->rules.rules) {
+      if (std::find(magic_preds.begin(), magic_preds.end(), rule.head_pred) ==
+          magic_preds.end()) {
+        continue;
+      }
+      const std::string where = StrCat(
+          label, supplementary ? " magic-sup: " : " magic: ",
+          FormatRuleLabel(session.factory(), session.catalog(), rule));
+      EXPECT_FALSE(KeepsEnumerator(rule.body)) << where;
+      if (rule.body.size() != 1) continue;
+      const LiteralIr* source = &rule.body[0];
+      if (PredName(session, source->pred).starts_with("sup$") &&
+          copies.count(source->pred) > 0) {
+        source = copies[source->pred];
+      }
+      EXPECT_FALSE(source->pred == rule.head_pred &&
+                   source->args == rule.head_args)
+          << where;
+    }
+  }
+}
+
 TEST(Magic, SupplementaryEmitsNoSelfCopy) {
-  size_t rewrites = 0;
+  size_t goals = 0;
   for (const std::filesystem::path& path : CorpusPrograms()) {
     Session session;
     ASSERT_TRUE(session.LoadFile(path.string()).ok()) << path;
     ASSERT_TRUE(session.Analyze().ok()) << path;
     for (const QueryAst& query : session.stored_queries()) {
-      for (bool supplementary : {false, true}) {
-        auto magic = RewriteGoal(session, query.goal, supplementary);
-        ASSERT_TRUE(magic.ok()) << path << ": " << magic.status();
-        ++rewrites;
-        // The rules that only copy one literal: what each head copies.
-        std::map<PredId, const LiteralIr*> copies;
-        for (const RuleIr& rule : magic->rules.rules) {
-          if (rule.body.size() == 1) copies[rule.head_pred] = &rule.body[0];
-        }
-        std::vector<PredId> magic_preds;
-        for (const auto& [adorned, magic_pred] : magic->magic_of) {
-          magic_preds.push_back(magic_pred);
-        }
-        for (const RuleIr& rule : magic->rules.rules) {
-          if (rule.body.size() != 1 ||
-              std::find(magic_preds.begin(), magic_preds.end(),
-                        rule.head_pred) == magic_preds.end()) {
-            continue;
-          }
-          const LiteralIr* source = &rule.body[0];
-          if (PredName(session, source->pred).starts_with("sup$") &&
-              copies.count(source->pred) > 0) {
-            source = copies[source->pred];
-          }
-          EXPECT_FALSE(source->pred == rule.head_pred &&
-                       source->args == rule.head_args)
-              << path.filename()
-              << (supplementary ? " magic-sup: " : " magic: ")
-              << FormatRuleLabel(session.factory(), session.catalog(), rule);
-        }
-      }
+      ExpectMagicRulesCopyAndEnumerateNothing(session, query.goal,
+                                              path.filename().string());
+      ++goals;
     }
   }
-  EXPECT_EQ(rewrites, 12u);  // 6 stored goals x 2 modes
+  EXPECT_EQ(goals, 6u);
+  Session session;
+  ASSERT_TRUE(session.Load(kMemberProgram).ok());
+  ASSERT_TRUE(session.Analyze().ok());
+  auto goal_ast = ParseLiteralText("reach({1, 5}, Y)", &session.interner());
+  ASSERT_TRUE(goal_ast.ok());
+  ExpectMagicRulesCopyAndEnumerateNothing(session, *goal_ast, "reach");
 }
 
-// kMagic materializes a rule's prefixes as sup$ chains only when one of its
-// magic rules enumerates (keeps a partition or member that binds a
+// kMagic materializes a rule's prefix as a sup$ predicate only where a
+// magic rule would enumerate (keep a partition or member that binds a
 // variable); every other rule is rewritten as plain magic. Each row: a
 // corpus program (or, without a .ldl suffix, program text), a goal, and the
 // adorned head whose rule is chained (nullptr: none is).
@@ -608,13 +652,6 @@ struct ChainCase {
   const char* chained_head;
 };
 
-// The magic rule of path(Z, Y) keeps the member that enumerates S.
-constexpr char kMemberProgram[] =
-    "e(1, 2). e(2, 3). e(3, 4). e(5, 6). e(6, 7). g({1, 5}).\n"
-    "path(X, Y) :- e(X, Y).\n"
-    "path(X, Y) :- e(X, Z), path(Z, Y).\n"
-    "reach(S, Y) :- g(S), member(X, S), e(X, Z), path(Z, Y).\n";
-
 constexpr ChainCase kChainCases[] = {
     {"ancestor.ldl", "ancestor(abe, X)", nullptr},
     {"ancestor.ldl", "ancestor(X, dina)", nullptr},
@@ -622,7 +659,8 @@ constexpr ChainCase kChainCases[] = {
     {"young.ldl", "sg(ella, Y)", nullptr},
     {"sets.ldl", "elems(X)", nullptr},
     // tc(S, C) :- partition(S, S1, S2), tc(S1, C1), ...: the magic rule of
-    // tc(S1, C1) keeps the partition that enumerates S1.
+    // tc(S1, C1) would keep the partition that enumerates S1, so the prefix
+    // through it is stored once, as sup$tc__bf$2$1(S, S1, S2).
     {"bom.ldl", "result(1, C)", "tc__bf"},
     {kMemberProgram, "reach({1, 5}, Y)", "reach__bf"},
     // The magic rule of the second grouping literal joins r and part$0, but
@@ -675,6 +713,16 @@ TEST(Magic, ChainsOnlyWhereThePrefixEnumerates) {
   }
 }
 
+// The §1 bill of materials over MakeBom's part_of/cost facts (bench_bom).
+constexpr char kBomProgram[] =
+    "p(P, S) :- part_of(P, S).\n"
+    "q(X, C) :- cost(X, C).\n"
+    "part(P, <S>) :- p(P, S).\n"
+    "tc({X}, C) :- q(X, C).\n"
+    "tc({X}, C) :- part(X, S), tc(S, C).\n"
+    "tc(S, C) :- partition(S, S1, S2), tc(S1, C1), tc(S2, C2), +(C1, C2, C).\n"
+    "result(X, C) :- tc({X}, C).\n";
+
 TEST(SupplementaryMagic, BomPartitionRuleWorks) {
   // The partition built-in precedes its inputs textually; the sip order
   // must place it once its input is bound and still give an evaluable
@@ -682,14 +730,7 @@ TEST(SupplementaryMagic, BomPartitionRuleWorks) {
   BomWorkload workload = MakeBom(16, 3);
   Session session;
   ASSERT_TRUE(session.Load(workload.facts).ok());
-  ASSERT_TRUE(session.Load(
-      "p(P, S) :- part_of(P, S).\n"
-      "q(X, C) :- cost(X, C).\n"
-      "part(P, <S>) :- p(P, S).\n"
-      "tc({X}, C) :- q(X, C).\n"
-      "tc({X}, C) :- part(X, S), tc(S, C).\n"
-      "tc(S, C) :- partition(S, S1, S2), tc(S1, C1), tc(S2, C2), +(C1, C2, C).\n"
-      "result(X, C) :- tc({X}, C).").ok());
+  ASSERT_TRUE(session.Load(kBomProgram).ok());
   QueryOptions plain;
   plain.strategy = ldl::QueryStrategy::kMagic;
   QueryOptions supplementary = plain;
@@ -702,6 +743,46 @@ TEST(SupplementaryMagic, BomPartitionRuleWorks) {
   ASSERT_EQ(a->tuples.size(), 1u);
   ASSERT_EQ(b->tuples.size(), 1u);
   EXPECT_EQ(a->tuples[0][1], b->tuples[0][1]);
+}
+
+// With m_tc__bf(S), partition(S, S1, S2) stored once as a sup$ predicate,
+// a new tc(S1, C1) fact probes the splits that asked for S1 instead of
+// rescanning m_tc__bf and re-splitting every set in it. The bound sits
+// below the 27.5k tuples a rewrite that re-runs the partition matches here
+// in either mode.
+TEST(Magic, BomStoresThePartitionPrefixOnce) {
+  const BomWorkload workload = MakeBom(48, 21);
+  const std::string goal = StrCat("result(", workload.root, ", C)");
+  struct Run {
+    std::vector<std::string> answers;
+    uint64_t matched = 0;
+  };
+  auto run = [&](QueryStrategy strategy) {
+    Run out;
+    Session session;
+    EXPECT_TRUE(session.Load(workload.facts).ok());
+    EXPECT_TRUE(session.Load(kBomProgram).ok());
+    QueryOptions options;
+    options.strategy = strategy;
+    auto result = session.Query(goal, options);
+    EXPECT_TRUE(result.ok()) << ToString(strategy) << ": " << result.status();
+    if (!result.ok()) return out;
+    for (const Tuple& t : result->tuples) {
+      out.answers.push_back(session.FormatTuple(t));
+    }
+    std::sort(out.answers.begin(), out.answers.end());
+    out.matched = result->stats.tuples_matched;
+    return out;
+  };
+  const Run topdown = run(QueryStrategy::kTopDown);
+  ASSERT_EQ(topdown.answers.size(), 1u);
+  for (QueryStrategy strategy :
+       {QueryStrategy::kMagic, QueryStrategy::kMagicSupplementary}) {
+    SCOPED_TRACE(ToString(strategy));
+    const Run magic = run(strategy);
+    EXPECT_EQ(magic.answers, topdown.answers);
+    EXPECT_LT(magic.matched, 15000u);
+  }
 }
 
 }  // namespace
