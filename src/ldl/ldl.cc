@@ -81,109 +81,65 @@ Session::Session(PlanCache* shared_plans)
 
 Status Session::Load(std::string_view source) {
   LDL_ASSIGN_OR_RETURN(ProgramAst parsed, ParseProgram(source, &interner_));
-  for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-  for (QueryAst& query : parsed.queries) ast_.queries.push_back(std::move(query));
-  analyzed_ = false;
-  evaluated_ = false;
-  ClearPendingDelta();
-  return Status::OK();
-}
-
-Status Session::AddFacts(std::string_view source) {
-  LDL_ASSIGN_OR_RETURN(ProgramAst parsed, ParseProgram(source, &interner_));
-
-  // Anything beyond ground facts -- or any complication below (facts of
-  // derived predicates, LDL1.5 text expanding into rules, lowering
-  // trouble) -- takes the conservative Load() path: accumulate the parsed
-  // text and invalidate the analysis.
-  auto fallback = [&]() {
-    for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-    for (QueryAst& query : parsed.queries) {
-      ast_.queries.push_back(std::move(query));
+  // Only a batch of plain ground facts of extensional predicates keeps the
+  // analysis; every other clause waits in the AST for Analyze().
+  bool keep_analysis = analyzed_ && parsed.queries.empty();
+  std::vector<GroundFact> facts;
+  facts.reserve(parsed.rules.size());
+  for (RuleAst& clause : parsed.rules) {
+    std::optional<GroundFact> fact = LowerGroundFact(clause);
+    if (!fact.has_value()) {
+      keep_analysis = false;
+      ast_.rules.push_back(std::move(clause));
+      continue;
     }
+    keep_analysis = keep_analysis && !catalog_.info(fact->pred).has_rules;
+    facts.push_back(std::move(*fact));
+  }
+  for (QueryAst& query : parsed.queries) ast_.queries.push_back(std::move(query));
+  if (!keep_analysis) {
     analyzed_ = false;
     evaluated_ = false;
     ClearPendingDelta();
-    return Status::OK();
-  };
-
-  bool facts_only = parsed.queries.empty();
-  for (const RuleAst& rule : parsed.rules) {
-    if (!rule.is_fact()) {
-      facts_only = false;
-      break;
-    }
-  }
-  if (!facts_only) return fallback();
-  if (!analyzed_) {
-    // No analysis to preserve; accumulate like Load() (which already left
-    // the session un-analyzed).
-    for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-    return Status::OK();
   }
 
-  // Mirror Analyze() for just these clauses: expand, check they are still
-  // plain facts, and lower them against the live catalog.
-  ProgramAst fact_ast;
-  fact_ast.rules = parsed.rules;
-  StatusOr<ProgramAst> expanded =
-      ExpandLdl15(fact_ast, &interner_, ldl15_options_);
-  if (!expanded.ok()) return fallback();  // the error resurfaces in Analyze()
-  struct LoweredFact {
-    PredId pred;
-    Tuple tuple;
-    bool outside_universe;
-  };
-  std::vector<LoweredFact> lowered;
-  lowered.reserve(expanded->rules.size());
-  for (const RuleAst& rule : expanded->rules) {
-    if (!rule.is_fact()) return fallback();
-    // Facts of predicates with proper rules stay in the program (they take
-    // part in stratification and magic rewriting) -- full path. LowerRule
-    // leaves has_rules untouched for facts, so this incremental path never
-    // perturbs the flag concurrent snapshot readers consult.
-    PredId existing = catalog_.Find(
-        rule.head.predicate, static_cast<uint32_t>(rule.head.args.size()));
-    if (existing != kInvalidPred && catalog_.info(existing).has_rules) {
-      return fallback();
-    }
-    StatusOr<RuleIr> ir = LowerRule(factory_, catalog_, rule, /*source_index=*/-1);
-    if (!ir.ok()) return fallback();
-    InstantiationResult inst = InstantiateArgs(factory_, ir->head_args, Subst());
-    if (inst.unbound) return fallback();  // "fact with variables", per Analyze
-    lowered.push_back(
-        {ir->head_pred, std::move(inst.tuple), inst.outside_universe});
-  }
-
-  // Commit: the analysis stays valid. The facts join the EDB multiset only
-  // (not the AST -- Analyze() carries them across re-analysis, so a
-  // long-lived session does not grow with its write history). If a model
-  // is live, append the rows directly and mark genuinely new facts as the
-  // pending delta for the next (incremental) Evaluate().
-  for (LoweredFact& fact : lowered) {
+  for (GroundFact& fact : facts) {
+    if (!fact.outside_universe) AppendEdbFact(fact.pred, fact.tuple);
+    if (!keep_analysis) continue;
     if (std::find(edb_preds_.begin(), edb_preds_.end(), fact.pred) ==
         edb_preds_.end()) {
       edb_preds_.push_back(fact.pred);
     }
-    if (fact.outside_universe) continue;
-    AppendEdbFact(fact.pred, fact.tuple, /*added=*/true);
-    if (evaluated_) {
-      // A re-added fact whose row was tombstoned lands in a fresh row past
-      // the watermark, so the insert delta handles it like any new fact.
-      if (db_->AddFact(fact.pred, fact.tuple)) {
-        MarkChanged(fact.pred);
-      } else if (!pending_removed_.empty()) {
-        // The fact is already a live model row: if its deletion is still
-        // pending from an earlier RemoveFacts, re-adding it cancels the
-        // deletion.
-        std::pair<PredId, Tuple> key{fact.pred, fact.tuple};
-        auto it =
-            std::find(pending_removed_.begin(), pending_removed_.end(), key);
-        if (it != pending_removed_.end()) pending_removed_.erase(it);
-      }
+    if (!evaluated_ || fact.outside_universe) continue;
+    // A live model takes the new facts as the pending delta for the next
+    // (incremental) Evaluate(). A re-added fact whose row was tombstoned
+    // lands in a fresh row past the watermark, so the insert delta handles
+    // it like any new fact.
+    if (db_->AddFact(fact.pred, fact.tuple)) {
+      MarkChanged(fact.pred);
+    } else if (!pending_removed_.empty()) {
+      // The fact is already a live model row: if its deletion is still
+      // pending from an earlier RemoveFacts, re-adding it cancels the
+      // deletion.
+      std::pair<PredId, Tuple> key{fact.pred, fact.tuple};
+      auto it = std::find(pending_removed_.begin(), pending_removed_.end(), key);
+      if (it != pending_removed_.end()) pending_removed_.erase(it);
     }
   }
   return Status::OK();
+}
+
+Status Session::AddFacts(std::string_view source) { return Load(source); }
+
+std::optional<Session::GroundFact> Session::LowerGroundFact(
+    const RuleAst& clause) {
+  if (!clause.is_fact()) return std::nullopt;
+  StatusOr<RuleIr> ir = LowerRule(factory_, catalog_, clause, /*source_index=*/-1);
+  if (!ir.ok() || !CheckRuleWellformed(catalog_, *ir, wellformed_options_).ok()) {
+    return std::nullopt;
+  }
+  InstantiationResult inst = InstantiateArgs(factory_, ir->head_args, Subst());
+  return GroundFact{ir->head_pred, std::move(inst.tuple), inst.outside_universe};
 }
 
 Status Session::RemoveFacts(std::string_view source) {
@@ -197,53 +153,80 @@ Status Session::RemoveFacts(std::string_view source) {
     }
   }
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  ProgramAst fact_ast;
-  fact_ast.rules = std::move(parsed.rules);
-  LDL_ASSIGN_OR_RETURN(ProgramAst expanded,
-                       ExpandLdl15(fact_ast, &interner_, ldl15_options_));
   // Pass 1: validate and lower the whole batch before touching any session
   // state, so an error anywhere in the batch (derived predicate,
-  // non-ground fact, non-fact clause) leaves the session observably
-  // unchanged -- RemoveFacts is all-or-nothing.
+  // non-ground fact) leaves the session observably unchanged --
+  // RemoveFacts is all-or-nothing.
   std::vector<std::pair<PredId, Tuple>> batch;
-  batch.reserve(expanded.rules.size());
-  for (const RuleAst& rule : expanded.rules) {
-    if (!rule.is_fact()) {
-      return InvalidArgumentError("RemoveFacts accepts only facts");
-    }
+  batch.reserve(parsed.rules.size());
+  for (const RuleAst& clause : parsed.rules) {
     PredId existing = catalog_.Find(
-        rule.head.predicate, static_cast<uint32_t>(rule.head.args.size()));
+        clause.head.predicate, static_cast<uint32_t>(clause.head.args.size()));
     if (existing == kInvalidPred) continue;  // unknown predicate: no-op
     if (catalog_.info(existing).has_rules) {
       return InvalidArgumentError(
           "RemoveFacts cannot remove facts of a derived predicate");
     }
-    LDL_ASSIGN_OR_RETURN(RuleIr ir,
-                         LowerRule(factory_, catalog_, rule, /*source_index=*/-1));
-    InstantiationResult inst = InstantiateArgs(factory_, ir.head_args, Subst());
-    if (inst.unbound) {
+    std::optional<GroundFact> fact = LowerGroundFact(clause);
+    if (!fact.has_value()) {
       return InvalidArgumentError("RemoveFacts needs ground facts");
     }
-    if (inst.outside_universe) continue;
-    batch.emplace_back(ir.head_pred, std::move(inst.tuple));
+    if (!fact->outside_universe) {
+      batch.emplace_back(fact->pred, std::move(fact->tuple));
+    }
   }
   // Pass 2: apply. Each removal cancels one EDB occurrence; the fact only
   // becomes a pending deletion for the live model when its *last*
   // occurrence goes (multiset semantics).
   for (std::pair<PredId, Tuple>& fact : batch) {
-    const EdbOrigin erased = EraseEdbFact(fact);
-    if (erased == EdbOrigin::kNone) continue;  // absent: no-op
-    // Remember a cancellation of loaded text: Analyze() rebuilds
-    // edb_facts_ from the AST, which still carries the removed fact's
-    // clause. (AddFacts() occurrences are erased first and need no record,
-    // so the record stays bounded by the loaded text.)
-    if (erased == EdbOrigin::kLoaded) ++removed_edb_counts_[fact];
+    if (!EraseEdbFact(fact)) continue;  // absent: no-op
     if (evaluated_ && edb_index_.find(fact) == edb_index_.end()) {
       pending_removed_.push_back(std::move(fact));
       pending_delta_ = true;
     }
   }
   return Status::OK();
+}
+
+void Session::DiscardWrites() {
+  // The facts written since the mark leave the index, newest first: each
+  // is the latest occurrence of its fact.
+  for (size_t pos = edb_facts_.size(); pos-- > edb_mark_;) {
+    if (edb_facts_[pos].first == kInvalidPred) {
+      --edb_tombstones_;
+      continue;
+    }
+    auto it = edb_index_.find(edb_facts_[pos]);
+    it->second.pop_back();
+    if (it->second.empty()) edb_index_.erase(it);
+  }
+  edb_facts_.resize(edb_mark_);
+  // Then the erased slots come back, latest erasure first, so each fact's
+  // occurrences return to their order.
+  for (auto it = erased_.rbegin(); it != erased_.rend(); ++it) {
+    const auto [pos, pred] = *it;
+    if (pos >= edb_mark_) continue;
+    edb_facts_[pos].first = pred;
+    edb_index_[edb_facts_[pos]].push_back(pos);
+    --edb_tombstones_;
+  }
+  erased_.clear();
+
+  const bool ast_changed = ast_.rules.size() != ast_rules_mark_ ||
+                           ast_.queries.size() != ast_queries_mark_;
+  ast_.rules.erase(ast_.rules.begin() + ast_rules_mark_, ast_.rules.end());
+  ast_.queries.erase(ast_.queries.begin() + ast_queries_mark_,
+                     ast_.queries.end());
+  if (ast_changed || analysis_epoch_ != analysis_epoch_mark_) {
+    analyzed_ = false;
+    evaluated_ = false;
+  }
+  // Rows a write appended to the live model cannot be taken back out.
+  if (std::find(pending_changed_.begin(), pending_changed_.end(), true) !=
+      pending_changed_.end()) {
+    evaluated_ = false;
+  }
+  ClearPendingDelta();
 }
 
 void Session::InvalidateModel() {
@@ -268,79 +251,43 @@ Status Session::Analyze() {
   // Shapes compiled from the previous rules answer them, not the new ones.
   magic_shapes_.Clear();
   LDL_ASSIGN_OR_RETURN(expanded_ast_, ExpandLdl15(ast_, &interner_, ldl15_options_));
-  LDL_ASSIGN_OR_RETURN(ProgramIr all, LowerProgram(factory_, catalog_, expanded_ast_));
-  LDL_RETURN_IF_ERROR(CheckProgramWellformed(catalog_, all, wellformed_options_));
+  LDL_ASSIGN_OR_RETURN(ProgramIr program,
+                       LowerProgram(factory_, catalog_, expanded_ast_));
+  LDL_RETURN_IF_ERROR(
+      CheckProgramWellformed(catalog_, program, wellformed_options_));
 
-  // Split ground facts of extensional predicates out of the rule set: they
-  // seed the database directly. Facts of predicates that also have proper
-  // rules stay in the program (they take part in stratification and magic
-  // rewriting).
+  // Multiset facts of a predicate with a proper rule are program facts
+  // (they take part in stratification and magic rewriting); the other
+  // multiset predicates are the EDB, which seeds the database directly.
   std::vector<bool> has_proper_rule(catalog_.size(), false);
-  for (const RuleIr& rule : all.rules) {
+  for (const RuleIr& rule : program.rules) {
     if (!rule.is_fact()) has_proper_rule[rule.head_pred] = true;
   }
-  // Facts committed through AddFacts() live only in the EDB multiset;
-  // carry them across the rebuild below.
-  std::vector<std::pair<PredId, Tuple>> carried;
-  for (size_t i = 0; i < edb_facts_.size(); ++i) {
-    if (edb_added_[i]) carried.push_back(std::move(edb_facts_[i]));
-  }
-  program_.rules.clear();
-  edb_facts_.clear();
-  edb_preds_.clear();
+  std::vector<PredId> edb_preds;
   std::vector<bool> edb_seen(catalog_.size(), false);
-  for (RuleIr& rule : all.rules) {
-    if (rule.is_fact() && !has_proper_rule[rule.head_pred]) {
-      InstantiationResult inst =
-          InstantiateArgs(factory_, rule.head_args, Subst());
-      if (inst.unbound) {
-        return NotWellFormedError("fact with variables");  // caught earlier
-      }
-      if (!inst.outside_universe) {
-        edb_facts_.emplace_back(rule.head_pred, std::move(inst.tuple));
-      }
-      if (!edb_seen[rule.head_pred]) {
-        edb_seen[rule.head_pred] = true;
-        edb_preds_.push_back(rule.head_pred);
-      }
-      // Extensional predicates carry no rules.
-      catalog_.mutable_info(rule.head_pred).has_rules = false;
-    } else {
-      program_.rules.push_back(std::move(rule));
-    }
-  }
-
-  // Apply accumulated RemoveFacts() cancellations: the AST still carries
-  // the removed facts' clauses, so each recorded removal cancels one
-  // occurrence of the rebuilt fact.
-  RebuildEdbIndex();
-  for (const auto& [removed, count] : removed_edb_counts_) {
-    for (size_t i = 0;
-         i < count && EraseEdbFact(removed) != EdbOrigin::kNone; ++i) {
-    }
-  }
-  // Re-append the carried AddFacts() facts. One whose predicate the loaded
-  // text has since given a proper rule becomes a program fact for good,
-  // exactly as if its clause had been loaded.
-  for (auto& [pred, tuple] : carried) {
+  for (const auto& [pred, tuple] : edb_facts_) {
+    if (pred == kInvalidPred) continue;
     if (has_proper_rule[pred]) {
-      added_program_facts_.emplace_back(pred, std::move(tuple));
-      continue;
-    }
-    if (!edb_seen[pred]) {
+      RuleIr fact;
+      fact.head_pred = pred;
+      fact.head_args = tuple;
+      program.rules.push_back(std::move(fact));
+    } else if (!edb_seen[pred]) {
       edb_seen[pred] = true;
-      edb_preds_.push_back(pred);
+      edb_preds.push_back(pred);
     }
-    AppendEdbFact(pred, tuple, /*added=*/true);
   }
-  for (const auto& [pred, tuple] : added_program_facts_) {
-    RuleIr fact;
-    fact.head_pred = pred;
-    fact.head_args = tuple;
-    program_.rules.push_back(std::move(fact));
-  }
+  LDL_ASSIGN_OR_RETURN(stratification_, Stratify(catalog_, program));
 
-  LDL_ASSIGN_OR_RETURN(stratification_, Stratify(catalog_, program_));
+  // Only the rules analyzed here make a predicate intensional: clear the
+  // flag an earlier (or failed, or discarded) analysis left on any other.
+  for (PredId p = 0; p < has_proper_rule.size(); ++p) {
+    if (!has_proper_rule[p] && catalog_.info(p).has_rules) {
+      catalog_.mutable_info(p).has_rules = false;
+    }
+  }
+  program_ = std::move(program);
+  edb_preds_ = std::move(edb_preds);
   analyzed_ = true;
   evaluated_ = false;
   ++analysis_epoch_;
@@ -395,33 +342,24 @@ void Session::ClearPendingDelta() {
   pending_delta_ = false;
 }
 
-void Session::AppendEdbFact(PredId pred, const Tuple& tuple, bool added) {
+void Session::AppendEdbFact(PredId pred, const Tuple& tuple) {
   edb_index_[{pred, tuple}].push_back(edb_facts_.size());
   edb_facts_.emplace_back(pred, tuple);
-  edb_added_.push_back(added);
 }
 
-Session::EdbOrigin Session::EraseEdbFact(
-    const std::pair<PredId, Tuple>& fact) {
+bool Session::EraseEdbFact(const std::pair<PredId, Tuple>& fact) {
   auto it = edb_index_.find(fact);
-  if (it == edb_index_.end()) return EdbOrigin::kNone;
-  std::vector<size_t>& occurrences = it->second;
-  auto chosen = std::find_if(occurrences.begin(), occurrences.end(),
-                             [&](size_t pos) { return edb_added_[pos]; });
-  if (chosen == occurrences.end()) --chosen;
-  const size_t pos = *chosen;
-  const EdbOrigin origin =
-      edb_added_[pos] ? EdbOrigin::kAdded : EdbOrigin::kLoaded;
-  *chosen = occurrences.back();
-  occurrences.pop_back();
-  if (occurrences.empty()) edb_index_.erase(it);
+  if (it == edb_index_.end()) return false;
+  const size_t pos = it->second.back();
+  it->second.pop_back();
+  if (it->second.empty()) edb_index_.erase(it);
   // Tombstone the slot instead of moving another fact into it: the other
   // facts keep their order, so answer order does not depend on whether a
   // model existed when the fact went.
-  edb_facts_[pos] = {kInvalidPred, Tuple()};
-  edb_added_[pos] = false;
-  if (WorthCompacting(++edb_tombstones_, edb_facts_.size())) CompactEdbFacts();
-  return origin;
+  erased_.emplace_back(pos, edb_facts_[pos].first);
+  edb_facts_[pos].first = kInvalidPred;
+  ++edb_tombstones_;
+  return true;
 }
 
 void Session::CompactEdbFacts() {
@@ -430,57 +368,61 @@ void Session::CompactEdbFacts() {
   for (size_t i = 0; i < edb_facts_.size(); ++i) {
     if (edb_facts_[i].first == kInvalidPred) continue;
     moved_to[i] = live;
-    if (live != i) {
-      edb_facts_[live] = std::move(edb_facts_[i]);
-      edb_added_[live] = edb_added_[i];
-    }
+    if (live != i) edb_facts_[live] = std::move(edb_facts_[i]);
     ++live;
   }
   edb_facts_.resize(live);
-  edb_added_.resize(live);
   for (auto& [fact, positions] : edb_index_) {
     for (size_t& pos : positions) pos = moved_to[pos];
   }
   edb_tombstones_ = 0;
 }
 
-void Session::RebuildEdbIndex() {
-  edb_added_.assign(edb_facts_.size(), false);
-  edb_tombstones_ = 0;
-  edb_index_.clear();
-  for (size_t i = 0; i < edb_facts_.size(); ++i) {
-    edb_index_[edb_facts_[i]].push_back(i);
+void Session::SeedEdb(Database* db) const {
+  for (const auto& [pred, tuple] : edb_facts_) {
+    if (pred != kInvalidPred && !catalog_.info(pred).has_rules) {
+      db->AddFact(pred, tuple);
+    }
   }
+}
+
+void Session::CommitWrites() {
+  if (WorthCompacting(edb_tombstones_, edb_facts_.size())) CompactEdbFacts();
+  erased_.clear();
+  edb_mark_ = edb_facts_.size();
+  ast_rules_mark_ = ast_.rules.size();
+  ast_queries_mark_ = ast_.queries.size();
+  analysis_epoch_mark_ = analysis_epoch_;
 }
 
 Status Session::Evaluate(const EvalOptions& options) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  if (evaluated_ && (!options.profile || evaluated_with_profile_) &&
-      SameEvalConfig(options)) {
-    if (!pending_delta_) {
-      // Nothing changed since the model was materialized under this same
-      // configuration: the model, stats and profile are all current.
-      ++eval_cache_hits_;
-      return Status::OK();
-    }
+  if (evaluated_ && pending_delta_) {
+    LDL_RETURN_IF_ERROR(Maintain(options));
+  } else if (evaluated_ && (!options.profile || evaluated_with_profile_) &&
+             SameEvalConfig(options)) {
+    // Nothing changed since the model was materialized under this same
+    // configuration: the model, stats and profile are all current.
+    ++eval_cache_hits_;
+  } else {
+    // A failure below leaves a half-built database: no model until the
+    // evaluation succeeds.
+    evaluated_ = false;
+    db_ = std::make_unique<Database>(&catalog_);
+    SeedEdb(db_.get());
+    last_eval_stats_ = EvalStats();
+    last_eval_profile_.Clear();
+    LDL_RETURN_IF_ERROR(engine_.EvaluateProgram(
+        program_, stratification_, db_.get(), options, &last_eval_stats_,
+        options.profile ? &last_eval_profile_ : nullptr));
+    evaluated_ = true;
+    evaluated_with_profile_ = options.profile;
+    last_eval_options_ = options;
+    ++full_evals_;
+    RecordWatermarks();
+    ClearPendingDelta();
   }
-  if (evaluated_ && pending_delta_) return Maintain(options);
-
-  db_ = std::make_unique<Database>(&catalog_);
-  for (const auto& [pred, tuple] : edb_facts_) {
-    if (pred != kInvalidPred) db_->AddFact(pred, tuple);
-  }
-  last_eval_stats_ = EvalStats();
-  last_eval_profile_.Clear();
-  LDL_RETURN_IF_ERROR(engine_.EvaluateProgram(
-      program_, stratification_, db_.get(), options, &last_eval_stats_,
-      options.profile ? &last_eval_profile_ : nullptr));
-  evaluated_ = true;
-  evaluated_with_profile_ = options.profile;
-  last_eval_options_ = options;
-  ++full_evals_;
-  RecordWatermarks();
-  ClearPendingDelta();
+  CommitWrites();
   return Status::OK();
 }
 
@@ -510,9 +452,7 @@ Status Session::Maintain(const EvalOptions& options) {
 Status Session::EvaluateInto(const Stratification& stratification, Database* db,
                              const EvalOptions& options) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  for (const auto& [pred, tuple] : edb_facts_) {
-    if (pred != kInvalidPred) db->AddFact(pred, tuple);
-  }
+  SeedEdb(db);
   return engine_.EvaluateProgram(program_, stratification, db, options);
 }
 

@@ -11,12 +11,18 @@
 //   auto answers = session.Query("ancestor(adam, X)");
 //
 // Load() accepts full LDL1.5 (sets, grouping, negation, complex head/body
-// terms); Analyze() macro-expands to LDL1, lowers, checks well-formedness
-// and admissibility, and stratifies. Evaluate() materializes the standard
-// minimal model bottom-up (Theorem 1). Query() answers a goal using the
-// selected QueryStrategy: against the materialized model, via the
-// Generalized Magic Sets rewriting (§6) in a fresh database, or through the
-// memoized top-down baseline.
+// terms). It lowers every plain ground fact into one EDB multiset at once
+// and keeps the other clauses -- rules, stored queries, facts that need the
+// LDL1.5 expander -- for Analyze(), which macro-expands them to LDL1,
+// lowers, checks well-formedness and admissibility, and stratifies.
+// AddFacts() is Load() by another name, and RemoveFacts() cancels
+// occurrences in the same multiset, so the EDB has one source of truth and
+// re-analysis never replays the write history. Evaluate() materializes the
+// standard minimal model of the rules plus the current facts bottom-up
+// (Theorem 1), and DiscardWrites() undoes the writes since the last
+// successful one. Query() answers a goal using the selected QueryStrategy:
+// against the materialized model, via the Generalized Magic Sets rewriting
+// (§6) in a fresh database, or through the memoized top-down baseline.
 #ifndef LDL1_LDL_LDL_H_
 #define LDL1_LDL_LDL_H_
 
@@ -25,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -237,46 +244,64 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // Parses and accumulates rules, facts and stored queries. May be called
-  // repeatedly; invalidates previous analysis.
+  // Parses `source` and writes it. Each plain ground fact -- a fact clause
+  // with no group whose arguments lower to ground terms that pass
+  // CheckRuleWellformed -- joins the EDB multiset at once; every other
+  // clause (rules, stored queries, facts the LDL1.5 expander must rewrite
+  // or that are not well formed) joins ast() and is checked by the next
+  // Analyze(), so its error surfaces there. A batch of nothing but such
+  // facts, all of predicates without proper rules, keeps the analysis:
+  // with a live model, the new facts join it as a pending delta and the
+  // next Evaluate()/Query() maintains it incrementally (Engine::Maintain).
+  // Any other batch invalidates the analysis. A fact whose predicate has a
+  // proper rule is a program fact (see Analyze()). May be called
+  // repeatedly.
   Status Load(std::string_view source);
 
   // Load() for a file on disk (.ldl program text).
   Status LoadFile(const std::string& path);
 
-  // Incremental update entry point: parses `source` and, when it contains
-  // only ground facts of extensional predicates and the session is already
-  // analyzed, registers them as a pending EDB delta -- the materialized
-  // model (if any) stays alive and the next Evaluate()/Query() maintains
-  // it via Engine::Maintain instead of re-deriving everything.
-  // Anything else (rules, stored queries, facts of derived predicates,
-  // LDL1.5 text that expands into rules) falls back to Load() semantics
-  // and invalidates the analysis. Always safe to call; never changes the
-  // final model vs. Load() + full re-evaluation. Facts committed on the
-  // incremental path join the EDB multiset but not ast(); a later Analyze()
-  // carries them over, and RemoveFacts() erases them outright.
+  // The same write as Load(), named for callers that stream facts into a
+  // live model. Never changes the final model vs. a fresh Load() + full
+  // evaluation.
   Status AddFacts(std::string_view source);
 
-  // Removes previously loaded ground EDB facts (each removal cancels one
-  // occurrence; absent facts are ignored). `source` must contain only
-  // facts. The batch is atomic: it is validated in full before any state
-  // changes, so an error (stored query, proper rule, derived predicate,
-  // non-ground fact) leaves the session observably unchanged. A live
-  // materialized model survives deletions -- the facts whose last
-  // occurrence was removed become a pending deletion delta and the next
-  // Evaluate()/Query() maintains the model incrementally via
-  // Engine::Maintain, together with any pending insertions
-  // (derivation-count decrements or DRed over-delete/rederive; strata
-  // reached through grouping or negation still recompute conservatively).
+  // Removes ground EDB facts (each removal cancels one occurrence, the
+  // latest written; absent facts are ignored). `source` must contain only
+  // facts, lowered as Load() lowers them. The batch is atomic: it is
+  // validated in full before any state changes, so an error (stored query,
+  // proper rule, derived predicate, non-ground fact) leaves the session
+  // observably unchanged. A live materialized model survives deletions --
+  // the facts whose last occurrence was removed become a pending deletion
+  // delta and the next Evaluate()/Query() maintains the model
+  // incrementally via Engine::Maintain, together with any pending
+  // insertions (derivation-count decrements or DRed over-delete/rederive;
+  // strata reached through grouping or negation still recompute
+  // conservatively).
   Status RemoveFacts(std::string_view source);
+
+  // Undoes every Load(), AddFacts() and RemoveFacts() since the last
+  // successful Evaluate() (since construction if there was none): ast()
+  // and the EDB multiset return to what they held then, erased facts
+  // included, and the pending delta is dropped. A model those writes
+  // appended rows to is dropped (the next Evaluate() rebuilds it), and the
+  // next use re-analyzes when they changed the analysis. ldl::Service calls
+  // it when a write or its evaluation fails, so a failed write leaves the
+  // writer as it was.
+  void DiscardWrites();
 
   // Drops the materialized model (analysis stays valid); the next
   // Evaluate() rebuilds from scratch. For tests and benchmarks that need
   // to force the full path.
   void InvalidateModel();
 
-  // Expands LDL1.5, lowers, checks well-formedness, stratifies. Idempotent;
-  // called implicitly by Evaluate()/Query().
+  // Expands LDL1.5, lowers, checks well-formedness, stratifies -- ast()
+  // only. The EDB multiset is never rebuilt: a multiset fact whose
+  // predicate has a proper rule becomes a program fact, appended after the
+  // rules in multiset order, and the other multiset predicates are the
+  // EDB (edb_preds(); their has_rules flag is cleared, as is every flag
+  // no analyzed rule backs). Idempotent; called implicitly by
+  // Evaluate()/Query().
   Status Analyze();
 
   // Bottom-up stratified evaluation into the session database. With a
@@ -285,7 +310,9 @@ class Session {
   // RemoveFacts) it maintains the model incrementally, dropping it if
   // maintenance fails, and then compacts the relations that maintenance
   // left mostly tombstoned (compactions()); otherwise it materializes from
-  // scratch.
+  // scratch. Success also commits the writes since the last one (see
+  // DiscardWrites()) and compacts the EDB list's erased slots by the same
+  // dead-row rule.
   // last_eval_stats()/last_eval_profile() always describe the run that
   // produced the current model (the incremental one after a delta
   // maintenance pass).
@@ -346,6 +373,9 @@ class Session {
   Engine& engine() { return engine_; }
   const Engine& engine() const { return engine_; }
   const ProgramIr& program() const { return program_; }
+  // The rules, stored queries and other clauses that are not plain ground
+  // facts, as loaded (LDL1.5); the ground facts live in the EDB multiset
+  // and the model. expanded_ast() is their LDL1 expansion.
   const ProgramAst& ast() const { return ast_; }
   const ProgramAst& expanded_ast() const { return expanded_ast_; }
   const Stratification& stratification() const { return stratification_; }
@@ -355,8 +385,8 @@ class Session {
   // EvalOptions::profile set.
   const EvalProfile& last_eval_profile() const { return last_eval_profile_; }
   bool evaluated() const { return evaluated_; }
-  // Extensional predicates discovered by the last Analyze() (plus any
-  // AddFacts() since).
+  // Extensional predicates: those of the EDB multiset's facts at the last
+  // Analyze(), plus any that a write since then kept the analysis for.
   const std::vector<PredId>& edb_preds() const { return edb_preds_; }
   // How the session's Evaluate() calls resolved (for tests and benches):
   // cache hits (model already current), incremental maintenance runs, and
@@ -380,19 +410,31 @@ class Session {
   // (Engine::Maintain). On engine failure the model is dropped so a
   // half-applied maintenance pass can never be observed.
   Status Maintain(const EvalOptions& options);
-  // edb_facts_ mutation helpers that keep edb_index_ and edb_added_
-  // consistent. `added` marks a fact committed by AddFacts() rather than
-  // read from loaded text.
-  void AppendEdbFact(PredId pred, const Tuple& tuple, bool added);
-  // Where an erased EDB occurrence came from (kNone: there was none).
-  enum class EdbOrigin { kNone, kLoaded, kAdded };
-  // Erases one occurrence, an AddFacts() one when there is any, leaving a
-  // tombstone in its slot so the other facts keep their order.
-  EdbOrigin EraseEdbFact(const std::pair<PredId, Tuple>& fact);
+  // A written clause lowered as a ground fact (LowerGroundFact).
+  struct GroundFact {
+    PredId pred;
+    Tuple tuple;
+    bool outside_universe;  // scons on a non-set: no row (§2.2)
+  };
+  // The one lowering of written facts, for Load(), AddFacts() and
+  // RemoveFacts(): `clause` as a ground fact when it is a fact clause with
+  // no group whose arguments lower to ground terms and pass
+  // CheckRuleWellformed; nullopt otherwise.
+  std::optional<GroundFact> LowerGroundFact(const RuleAst& clause);
+  // edb_facts_ mutation helpers that keep edb_index_ consistent.
+  void AppendEdbFact(PredId pred, const Tuple& tuple);
+  // Erases the latest occurrence of `fact`, leaving a tombstone in its
+  // slot so the other facts keep their order, and logs it for
+  // DiscardWrites(). False when there was none.
+  bool EraseEdbFact(const std::pair<PredId, Tuple>& fact);
   // Drops edb_facts_'s tombstones, keeping the live facts' order.
   void CompactEdbFacts();
-  // Indexes edb_facts_ freshly rebuilt from loaded text (none of it added).
-  void RebuildEdbIndex();
+  // Adds the EDB to `db`: the multiset's live facts of predicates without
+  // proper rules (Analyze() made the others program facts).
+  void SeedEdb(Database* db) const;
+  // After a successful Evaluate(): compacts the EDB list if worth it and
+  // marks the current writes as the ones DiscardWrites() returns to.
+  void CommitWrites();
   // Snapshots per-predicate row counts after a successful evaluation (the
   // deltas of the next incremental round start past these).
   void RecordWatermarks();
@@ -412,19 +454,16 @@ class Session {
   Catalog catalog_;
   Engine engine_;
 
-  ProgramAst ast_;           // as loaded (LDL1.5)
+  ProgramAst ast_;           // non-fact clauses as loaded (LDL1.5)
   ProgramAst expanded_ast_;  // after ExpandLdl15
-  ProgramIr program_;        // non-fact rules
-  // The EDB multiset: loaded facts (minus cancellations) plus the facts
-  // AddFacts() committed, which edb_added_ (parallel) flags. An erased
-  // fact's slot holds a tombstone (kInvalidPred) that readers skip, until
-  // EraseEdbFact compacts them by the relations' dead-row rule.
+  ProgramIr program_;        // rules, then the program facts
+  // The EDB multiset: every ground fact written, loaded or added, minus
+  // the occurrences RemoveFacts() cancelled, in write order. An erased
+  // fact's slot keeps its tuple under a tombstone predicate (kInvalidPred)
+  // that readers skip, until a successful Evaluate() compacts them by the
+  // relations' dead-row rule.
   std::vector<std::pair<PredId, Tuple>> edb_facts_;
-  std::vector<bool> edb_added_;
   size_t edb_tombstones_ = 0;
-  // AddFacts() facts whose predicate later loaded text gave a proper rule:
-  // program facts from then on, re-lowered into program_ by every Analyze().
-  std::vector<std::pair<PredId, Tuple>> added_program_facts_;
   std::vector<PredId> edb_preds_;
   Stratification stratification_;
   std::unique_ptr<Database> db_;
@@ -449,17 +488,18 @@ class Session {
   std::vector<bool> pending_changed_;
   bool pending_delta_ = false;
   // Occurrence positions of each distinct fact in edb_facts_ (duplicates
-  // share one key). Keeps RemoveFacts and the Analyze() cancellation
-  // replay O(1) per fact instead of a list scan.
+  // share one key), in write order. Keeps RemoveFacts O(1) per fact
+  // instead of a list scan.
   std::unordered_map<std::pair<PredId, Tuple>, std::vector<size_t>, EdbFactHash>
       edb_index_;
-  // RemoveFacts() cancellations of loaded facts, multiset-correct: how
-  // many occurrences of each fact to drop after Analyze() rebuilds
-  // edb_facts_ from the AST (which still holds the removed facts' clauses).
-  // Bounded by the loaded text: removals of AddFacts() facts erase them
-  // outright.
-  std::unordered_map<std::pair<PredId, Tuple>, size_t, EdbFactHash>
-      removed_edb_counts_;
+  // What DiscardWrites() returns to, taken by CommitWrites(): the sizes of
+  // edb_facts_ and ast_, the analysis epoch, and the slots erased since
+  // (position, predicate), in erasure order.
+  size_t edb_mark_ = 0;
+  size_t ast_rules_mark_ = 0;
+  size_t ast_queries_mark_ = 0;
+  uint64_t analysis_epoch_mark_ = 0;
+  std::vector<std::pair<size_t, PredId>> erased_;
   // Facts whose *last* EDB occurrence was removed while a model was live:
   // the deletion half of the pending delta, consumed by the next
   // Maintain().

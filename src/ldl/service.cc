@@ -82,8 +82,16 @@ Status Service::Apply(Fn&& mutate) {
     // keeps Apply simple and only stalls those compiles (not magic
     // evaluations, nor model/top-down reads) while a write is in flight.
     std::lock_guard<std::mutex> catalog_lock(catalog_mu_);
-    LDL_RETURN_IF_ERROR(mutate(&writer_));
-    LDL_RETURN_IF_ERROR(writer_.Evaluate(eval_options_));
+    Status status = mutate(&writer_);
+    if (status.ok()) status = writer_.Evaluate(eval_options_);
+    if (!status.ok()) {
+      // Nothing was published: put the writer back where the last
+      // published write left it, so the next write does not inherit this
+      // one.
+      writer_.DiscardWrites();
+      writes_rolled_back_.fetch_add(1, std::memory_order_relaxed);
+      return status;
+    }
   }
   compactions_.store(writer_.compactions(), std::memory_order_relaxed);
   PublishLocked();
@@ -191,6 +199,7 @@ ServiceStats Service::stats() const {
   out.queries_served = queries_served_.load(std::memory_order_relaxed);
   out.prepares = prepares_.load(std::memory_order_relaxed);
   out.writes_applied = writes_applied_.load(std::memory_order_relaxed);
+  out.writes_rolled_back = writes_rolled_back_.load(std::memory_order_relaxed);
   out.snapshots_published = slot_.version();
   out.analyses_shared = analyses_shared_.load(std::memory_order_relaxed);
   out.snapshot_refs = static_cast<uint64_t>(slot_.snapshot_refs());

@@ -14,8 +14,10 @@
 //   * Load/AddFacts/RemoveFacts are serialized on a writer mutex. Each
 //     successful write re-evaluates the model (incrementally when the
 //     update is a pure EDB delta) and atomically publishes a fresh
-//     snapshot. Failed writes publish nothing; readers keep the last good
-//     model.
+//     snapshot. A failed write -- a parse or analysis error, or an
+//     evaluation that trips a limit -- publishes nothing and leaves the
+//     writer as it was (Session::DiscardWrites): readers keep the last
+//     good model, and the next write starts from it.
 //   * Query/Prepare run concurrently with each other and with writes.
 //     Readers never block writers and writes never block readers: a reader
 //     holds whichever snapshot was current when it started and keeps it
@@ -68,6 +70,7 @@ namespace ldl {
   X(queries_served, "queries answered (all strategies, all snapshots)")     \
   X(prepares, "goals prepared")                                             \
   X(writes_applied, "successful Load/AddFacts/RemoveFacts calls")           \
+  X(writes_rolled_back, "failed writes undone (Session::DiscardWrites)")    \
   X(snapshots_published, "model snapshots published")                       \
   X(analyses_shared, "publications that reused the prior analysis")         \
   X(snapshot_refs, "references on the live snapshot (incl. the service's)") \
@@ -156,7 +159,8 @@ class Service {
   // --- Write path: serialized, each success publishes a snapshot. ---
 
   // Loads program text (rules, facts, stored queries), re-evaluates and
-  // publishes. Parse/analysis errors leave the previous snapshot serving.
+  // publishes. A failed write (parse, analysis or evaluation error) is
+  // undone and leaves the previous snapshot serving.
   Status Load(std::string_view source);
   // Adds ground EDB facts; the model is maintained incrementally when
   // possible (Session::AddFacts semantics) and republished.
@@ -213,6 +217,7 @@ class Service {
   mutable std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> prepares_{0};
   std::atomic<uint64_t> writes_applied_{0};
+  std::atomic<uint64_t> writes_rolled_back_{0};
   std::atomic<uint64_t> analyses_shared_{0};
   std::atomic<uint64_t> magic_shapes_compiled_{0};
   // writer_.compactions() as of the last write (readers must not touch

@@ -18,12 +18,21 @@
 // fires it. A fourth enumerates grouped sets with member, or splits them
 // with partition, ahead of a derived literal, so the magic rewrites must
 // store that prefix once rather than have a magic rule re-run it.
+//
+// A write-script sweep drives generated programs through an ldl::Service
+// with random scripts of fact additions, removals, facts-only loads and one
+// write that trips max_facts. After every write the version bumps exactly
+// when the write succeeded, and the snapshot's model and every stored goal
+// answer as a fresh Session over the net EDB, whose model IsModel (§2.2)
+// accepts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "base/str_util.h"
 #include "ldl/ldl.h"
+#include "ldl/service.h"
 #include "semantics/model.h"
 #include "workload/workload.h"
 
@@ -417,6 +426,183 @@ TEST_P(FuzzSetEnumeratorSweep, EnginesAgreeAndModelHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSetEnumeratorSweep,
                          ::testing::Range(uint64_t{1}, uint64_t{25}));
+
+// Every non-empty relation of `db` as "name/arity" -> sorted fact texts, so
+// models of different interners compare.
+std::map<std::string, std::vector<std::string>> RenderModel(
+    const TermFactory& factory, const Database& db) {
+  std::map<std::string, std::vector<std::string>> model;
+  const Catalog& catalog = *db.catalog();
+  for (PredId pred = 0; pred < catalog.size(); ++pred) {
+    const Relation* relation = db.FindRelation(pred);
+    if (relation == nullptr || relation->empty()) continue;
+    std::vector<std::string>& facts = model[catalog.DebugName(pred)];
+    for (const Tuple& tuple : relation->Snapshot()) {
+      facts.push_back(FormatTuple(factory, tuple));
+    }
+    std::sort(facts.begin(), facts.end());
+  }
+  return model;
+}
+
+// Runs one write script over `generator`'s program through a Service; see
+// the file comment. Returns how many writes failed.
+size_t CheckWriteScript(ProgramGenerator& generator, uint64_t seed) {
+  const std::string source = generator.Generate(kDerived);
+  SCOPED_TRACE(source);
+  std::string rules;
+  std::vector<std::string> edb;  // the net EDB, one fact text per occurrence
+  for (std::string_view line : StrSplit(source, '\n')) {
+    if (line.empty()) continue;
+    if (line.find(":-") == std::string_view::npos) {
+      edb.emplace_back(line);
+    } else {
+      StrAppend(rules, line, "\n");
+    }
+  }
+  auto fresh_session = [&](Session& fresh) {
+    std::string text = rules;
+    for (const std::string& fact : edb) StrAppend(text, fact, "\n");
+    EXPECT_TRUE(fresh.Load(text).ok());
+    EXPECT_TRUE(fresh.Evaluate().ok());
+  };
+  Session initial;
+  fresh_session(initial);
+
+  // A limit the ordinary writes stay under, and a chain of fresh edges
+  // longer than it for the write that must trip it.
+  EvalOptions limited;
+  limited.max_facts = 4 * initial.database().TotalFacts() + 200;
+  std::string trip;
+  for (size_t i = 0; i <= limited.max_facts; ++i) {
+    StrAppend(trip, "e(t", i, ", t", i + 1, ").\n");
+  }
+
+  Service service(limited);
+  EXPECT_TRUE(service.Load(source).ok());
+  // The stored goals: every derived predicate free, and bound on n0 under
+  // a strategy that reads the snapshot in place.
+  struct Goal {
+    PreparedQuery prepared;
+    QueryOptions options;
+  };
+  std::vector<Goal> goals;
+  const QueryStrategy kBound[] = {QueryStrategy::kMagic,
+                                  QueryStrategy::kMagicSupplementary,
+                                  QueryStrategy::kTopDown};
+  for (size_t i = 0; i < kDerived; ++i) {
+    const bool binary = generator.arities()[i] == 2;
+    for (const std::string& text :
+         {StrCat("d", i, binary ? "(X, Y)" : "(X)"),
+          StrCat("d", i, binary ? "(n0, Y)" : "(n0)")}) {
+      auto prepared = service.Prepare(text);
+      EXPECT_TRUE(prepared.ok()) << text;
+      if (!prepared.ok()) return 0;
+      QueryOptions options;
+      if (goals.size() % 2 == 1) options.strategy = kBound[i % 3];
+      goals.push_back({*prepared, options});
+    }
+  }
+
+  Rng rng(seed);
+  const size_t kWrites = 12;
+  const size_t trip_at = 2 + rng.Below(8);
+  size_t failed = 0;
+  for (size_t w = 0; w < kWrites; ++w) {
+    auto random_fact = [&]() {
+      const uint64_t from = rng.Below(8);
+      return rng.Below(3) == 0 ? StrCat("b(n", from, ").")
+                               : StrCat("e(n", from, ", n", rng.Below(8), ").");
+    };
+    std::string batch;
+    std::vector<std::string> added;
+    std::vector<std::string> removed;
+    Status status;
+    const uint64_t version = service.snapshot()->version();
+    const uint64_t kind = w == trip_at ? 3 : rng.Below(3);
+    if (kind == 3) {
+      status = service.AddFacts(trip);
+      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+    } else if (kind == 2 && !edb.empty()) {
+      // Remove one or two loaded or written occurrences, and sometimes a
+      // fact that is not there.
+      for (size_t k = 1 + rng.Below(2); k > 0 && !edb.empty(); --k) {
+        std::string fact = edb[rng.Below(edb.size())];
+        StrAppend(batch, fact, "\n");
+        removed.push_back(fact);
+      }
+      if (rng.Below(3) == 0) StrAppend(batch, "e(n99, n98).\n");
+      status = service.RemoveFacts(batch);
+    } else {
+      // Add facts of e and b in one batch, duplicates included, through
+      // AddFacts or a facts-only Load.
+      for (size_t k = 1 + rng.Below(3); k > 0; --k) {
+        std::string fact = random_fact();
+        StrAppend(batch, fact, "\n");
+        added.push_back(fact);
+      }
+      status = kind == 0 ? service.AddFacts(batch) : service.Load(batch);
+    }
+    SCOPED_TRACE(StrCat("write ", w, ": ", status.ToString(), "\n", batch));
+    EXPECT_EQ(service.snapshot()->version(), version + (status.ok() ? 1 : 0));
+    if (status.ok()) {
+      for (const std::string& fact : removed) {
+        auto it = std::find(edb.begin(), edb.end(), fact);
+        if (it != edb.end()) edb.erase(it);
+      }
+      edb.insert(edb.end(), added.begin(), added.end());
+    } else {
+      ++failed;
+    }
+
+    Session fresh;
+    fresh_session(fresh);
+    std::shared_ptr<const ModelSnapshot> snapshot = service.snapshot();
+    EXPECT_EQ(RenderModel(snapshot->factory(), snapshot->database()),
+              RenderModel(fresh.factory(), fresh.database()));
+    std::string why;
+    auto is_model = IsModel(fresh.factory(), fresh.catalog(), fresh.program(),
+                            fresh.database(), &why);
+    EXPECT_TRUE(is_model.ok() && *is_model) << why;
+    for (const Goal& goal : goals) {
+      auto got = snapshot->Query(goal.prepared, goal.options);
+      auto want = fresh.Query(goal.prepared.text());
+      EXPECT_TRUE(got.ok() && want.ok()) << goal.prepared.text();
+      if (!got.ok() || !want.ok()) continue;
+      std::vector<std::string> got_rows;
+      for (const Tuple& t : got->tuples) {
+        got_rows.push_back(FormatTuple(snapshot->factory(), t));
+      }
+      std::vector<std::string> want_rows;
+      for (const Tuple& t : want->tuples) {
+        want_rows.push_back(fresh.FormatTuple(t));
+      }
+      std::sort(got_rows.begin(), got_rows.end());
+      std::sort(want_rows.begin(), want_rows.end());
+      EXPECT_EQ(got_rows, want_rows)
+          << goal.prepared.text() << " " << ToString(goal.options.strategy);
+    }
+  }
+  EXPECT_EQ(service.stats().writes_rolled_back, failed);
+  return failed;
+}
+
+class WriteScriptSweep
+    : public ::testing::TestWithParam<std::tuple<Extras, uint64_t>> {};
+
+TEST_P(WriteScriptSweep, SnapshotsMatchAFreshSessionAfterEveryWrite) {
+  const auto [extras, seed] = GetParam();
+  ProgramGenerator generator(seed, extras);
+  // Only the write that trips max_facts fails.
+  EXPECT_EQ(CheckWriteScript(generator, seed), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, WriteScriptSweep,
+    ::testing::Combine(::testing::Values(Extras::kNone, Extras::kBuiltins,
+                                         Extras::kNegatedGroups,
+                                         Extras::kSetEnumerators),
+                       ::testing::Range(uint64_t{1}, uint64_t{17})));
 
 // The sweep above reaches the case it is for: under kMagic, the bound-first
 // goals of some seeds' programs store an enumerating prefix as a sup$

@@ -1400,8 +1400,9 @@ std::vector<std::string> ServiceAnswers(Service& service, const char* goal) {
 }
 
 // A failed maintenance pass is one error path for every mode: the write
-// reports the error, a Service keeps serving the previous snapshot, and the
-// next Session evaluation rebuilds a model equal to a scratch one.
+// reports the error, a Service keeps serving the previous snapshot and
+// undoes the write, and the next Session evaluation rebuilds a model equal
+// to a scratch one.
 TEST(Incremental, FailedMaintenanceInEveryModeRebuildsModel) {
   for (const FaultCase& c : kFaultCases) {
     const std::string where = std::string(c.mode) + " " + c.goal;
@@ -1468,6 +1469,12 @@ TEST(Incremental, FailedMaintenanceInEveryModeRebuildsModel) {
     EXPECT_EQ(write.code(), StatusCode::kResourceExhausted)
         << where << ": " << write;
     EXPECT_EQ(service.snapshot()->version(), version) << where;
+    EXPECT_EQ(ServiceAnswers(service, c.goal), answers) << where;
+    // The failed write was undone, so a write that fits the limit
+    // succeeds and publishes.
+    Status next = service.AddFacts("unrelated(1).");
+    EXPECT_TRUE(next.ok()) << where << ": " << next;
+    EXPECT_EQ(service.snapshot()->version(), version + 1) << where;
     EXPECT_EQ(ServiceAnswers(service, c.goal), answers) << where;
   }
 }

@@ -298,6 +298,92 @@ TEST(EdbOrder, CompactionKeepsTheSurvivorsInOrder) {
   EXPECT_EQ(RenderInOrder(session.factory(), result->tuples), want);
 }
 
+// Loaded and added facts are one EDB, in write order, whether or not an
+// Evaluate ran between the writes: p(X) answers a, b, c both ways.
+TEST(EdbOrder, IndependentOfEvaluateAcrossLoads) {
+  for (bool evaluate : {false, true}) {
+    Session session;
+    ASSERT_TRUE(session.Load("p(a). q(X) :- p(X).").ok());
+    if (evaluate) ASSERT_TRUE(session.Evaluate().ok());
+    ASSERT_TRUE(session.AddFacts("p(b).").ok());
+    if (evaluate) ASSERT_TRUE(session.Evaluate().ok());
+    ASSERT_TRUE(session.Load("p(c). r(X) :- q(X).").ok());
+    auto result = session.Query("p(X)");
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(RenderInOrder(session.factory(), result->tuples),
+              (std::vector<std::string>{"(a)", "(b)", "(c)"}))
+        << "evaluate=" << evaluate;
+  }
+}
+
+constexpr char kTcRules[] = R"(
+  tc(X, Y) :- e(X, Y).
+  tc(X, Y) :- tc(X, Z), e(Z, Y).
+)";
+
+// The tc answers of `service`, sorted.
+std::vector<std::string> TcAnswers(Service& service) {
+  auto result = service.Query("tc(X, Y)");
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return {};
+  return Render(service.snapshot()->factory(), result->tuples);
+}
+
+// A write whose evaluation trips max_facts is undone: the writer does not
+// keep its 12 edges, so the next writes, which fit, succeed and publish,
+// and the Service answers as a fresh one over the net EDB.
+TEST(Service, WriteThatTripsALimitIsUndone) {
+  EvalOptions limited;
+  limited.max_facts = 60;
+  Service service(limited);
+  ASSERT_TRUE(service.Load(StrCat("e(1, 2). e(2, 3).", kTcRules)).ok());
+  const uint64_t version = service.snapshot()->version();
+  std::string chain;
+  for (int i = 3; i < 15; ++i) chain += StrCat("e(", i, ", ", i + 1, "). ");
+  Status failed = service.AddFacts(chain);
+  EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted) << failed;
+  EXPECT_EQ(service.snapshot()->version(), version);
+  EXPECT_EQ(service.stats().writes_rolled_back, 1u);
+
+  ASSERT_TRUE(service.AddFacts("e(100, 101).").ok());
+  ASSERT_TRUE(service.RemoveFacts("e(1, 2).").ok());
+  EXPECT_EQ(service.snapshot()->version(), version + 2);
+  Service fresh(limited);
+  ASSERT_TRUE(fresh.Load(StrCat("e(2, 3). e(100, 101).", kTcRules)).ok());
+  EXPECT_EQ(TcAnswers(service), TcAnswers(fresh));
+  EXPECT_EQ(TcAnswers(service),
+            (std::vector<std::string>{"(100, 101)", "(2, 3)"}));
+}
+
+// A Load whose program is not admissible (r depends negatively on itself)
+// is undone, rule and flag alike: later writes succeed, and r, which no
+// rule defines any more, is extensional again.
+TEST(Service, InadmissibleLoadIsUndone) {
+  Service service;
+  ASSERT_TRUE(service.Load("p(a). q(a).").ok());
+  const uint64_t version = service.snapshot()->version();
+  EXPECT_FALSE(service.Load("r(X) :- p(X), !r(X).").ok());
+  EXPECT_EQ(service.snapshot()->version(), version);
+  EXPECT_EQ(service.stats().writes_rolled_back, 1u);
+
+  ASSERT_TRUE(service.AddFacts("p(b).").ok());
+  ASSERT_TRUE(service.Load("s(X) :- q(X).").ok());
+  EXPECT_EQ(service.snapshot()->version(), version + 2);
+  auto p = service.Query("p(X)");
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(Render(service.snapshot()->factory(), p->tuples),
+            (std::vector<std::string>{"(a)", "(b)"}));
+  auto s = service.Query("s(X)");
+  ASSERT_TRUE(s.ok()) << s.status();
+  EXPECT_EQ(Render(service.snapshot()->factory(), s->tuples),
+            (std::vector<std::string>{"(a)"}));
+  EXPECT_TRUE(service.RemoveFacts("r(a).").ok());
+  ASSERT_TRUE(service.AddFacts("r(a).").ok());
+  auto r = service.Query("r(X)");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->tuples.size(), 1u);
+}
+
 // Publish releases the retired snapshot after dropping the slot's lock: a
 // snapshot whose destructor waits for another thread's Acquire sees it
 // return. Were the destructor run under the lock, the wait would time out

@@ -2,6 +2,7 @@
 // formatting, stored queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -288,7 +289,7 @@ TEST(Session, LoadAfterWritesKeepsAddedFacts) {
   Session fresh;
   ASSERT_TRUE(fresh.Load("p(b). p(c). q(X) :- p(X). r(X) :- q(X).").ok());
   EXPECT_EQ(ModelOf(session), ModelOf(fresh));
-  EXPECT_EQ(session.ast().rules.size(), 3u);  // p(a), q's rule, r's rule
+  EXPECT_EQ(session.ast().rules.size(), 2u);  // q's rule, r's rule
 }
 
 // A fact added to an extensional predicate that later loaded text gives a
@@ -347,6 +348,91 @@ TEST(Session, LoadAfterRemovingLoadedFactsKeepsThemRemoved) {
   // One e(2, 3) occurrence is left on both sides.
   ASSERT_TRUE(session.RemoveFacts("e(2, 3).").ok());
   ASSERT_TRUE(fresh.RemoveFacts("e(2, 3).").ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+}
+
+// A removed loaded fact stays removed when its predicate later gains a
+// proper rule: the multiset it was erased from is never rebuilt from the
+// loaded text.
+TEST(Session, RemovedLoadedFactStaysRemovedWhenItsPredicateGainsARule) {
+  Session session;
+  ASSERT_TRUE(session.Load("b(a). b(z). s(X) :- b(X).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("b(z).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.Load("k(k). b(X) :- k(X).").ok());
+
+  Session fresh;
+  ASSERT_TRUE(fresh.Load("b(a). s(X) :- b(X). k(k). b(X) :- k(X).").ok());
+  auto answers = session.Query("s(X)");
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  std::vector<std::string> got;
+  for (const Tuple& tuple : answers->tuples) {
+    got.push_back(session.FormatTuple(tuple));
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"(a)", "(k)"}));
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+}
+
+// A written fact whose predicate later gains a proper rule is a program
+// fact, not an EDB row: the model keeps it when the rule's support for it
+// is removed and maintained away.
+TEST(Session, ProgramFactOutlivesItsRuleSupport) {
+  Session session;
+  ASSERT_TRUE(session.Load("base(a). base(x). s(X) :- base(X).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.AddFacts("t(x).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.Load("t(Z) :- base(Z).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  ASSERT_TRUE(session.RemoveFacts("base(x).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  EXPECT_EQ(session.incremental_evals(), 2u);
+
+  Session fresh;
+  ASSERT_TRUE(
+      fresh.Load("base(a). s(X) :- base(X). t(x). t(Z) :- base(Z).").ok());
+  EXPECT_EQ(ModelOf(session), ModelOf(fresh));
+}
+
+// DiscardWrites returns to the last successful Evaluate: loaded rules,
+// added and removed facts and stored queries are undone, the model the
+// writes touched is rebuilt, and the session answers as before them.
+TEST(Session, DiscardWritesReturnsToTheLastEvaluate) {
+  Session session;
+  ASSERT_TRUE(session.Load("e(1, 2). e(2, 3). e(2, 3).\n"
+                           "tc(X, Y) :- e(X, Y).\n"
+                           "tc(X, Y) :- tc(X, Z), e(Z, Y).\n")
+                  .ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  const auto before = ModelOf(session);
+  const size_t rules = session.ast().rules.size();
+
+  ASSERT_TRUE(session.AddFacts("e(3, 4). e(1, 2).").ok());
+  ASSERT_TRUE(session.RemoveFacts("e(2, 3). e(1, 2). e(1, 2).").ok());
+  ASSERT_TRUE(session.Load("u(X) :- tc(X, Y). ? u(X).").ok());
+  session.DiscardWrites();
+  EXPECT_EQ(session.ast().rules.size(), rules);
+  EXPECT_TRUE(session.stored_queries().empty());
+  EXPECT_EQ(ModelOf(session), before);
+
+  // The model a maintained write appended to is dropped, not patched.
+  ASSERT_TRUE(session.AddFacts("e(3, 4).").ok());
+  ASSERT_TRUE(session.RemoveFacts("e(1, 2).").ok());
+  const size_t full = session.full_evals();
+  session.DiscardWrites();
+  EXPECT_EQ(ModelOf(session), before);
+  EXPECT_EQ(session.full_evals(), full + 1);
+
+  // The multiset is back too: each removal cancels one restored
+  // occurrence.
+  ASSERT_TRUE(session.RemoveFacts("e(2, 3).").ok());
+  Session fresh;
+  ASSERT_TRUE(fresh.Load("e(1, 2). e(2, 3).\n"
+                         "tc(X, Y) :- e(X, Y).\n"
+                         "tc(X, Y) :- tc(X, Z), e(Z, Y).\n")
+                  .ok());
   EXPECT_EQ(ModelOf(session), ModelOf(fresh));
 }
 

@@ -14,8 +14,8 @@
 //                        the model incrementally
 //   :why f(a)            provenance tree of a derived fact
 //   :plan p/2            cost-based join orders for the predicate's rules
-//   :program             print the expanded (LDL1) program; facts entered
-//                        after the first query join the EDB (see :facts)
+//   :program             print the expanded (LDL1) rules and stored
+//                        queries; ground facts live in the EDB (see :facts)
 //   :warnings            §7 finiteness warnings
 //   :strategy [name]     query strategy: model, magic, magic-sup, topdown
 //   :rewrite goal        the rules the current magic :strategy rewrites
@@ -513,9 +513,8 @@ bool HandleLine(ReplState& state, const std::string& raw) {
     RunQuery(state, goal);
     return true;
   }
-  // AddFacts keeps the materialized model alive when the line is pure EDB
-  // facts (the next query maintains it incrementally); anything else falls
-  // back to Load() semantics inside.
+  // A line of plain EDB facts keeps the materialized model alive (the next
+  // query maintains it incrementally); anything else re-analyzes.
   ldl::Status status = state.session.AddFacts(line);
   if (!status.ok()) {
     Fail(state, status.ToString());
