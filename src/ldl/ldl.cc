@@ -201,11 +201,11 @@ void Session::DiscardWrites() {
     if (it->second.empty()) edb_index_.erase(it);
   }
   edb_facts_.resize(edb_mark_);
+  edb_tail_tombstones_ = 0;
   // Then the erased slots come back, latest erasure first, so each fact's
   // occurrences return to their order.
   for (auto it = erased_.rbegin(); it != erased_.rend(); ++it) {
     const auto [pos, pred] = *it;
-    if (pos >= edb_mark_) continue;
     edb_facts_[pos].first = pred;
     edb_index_[edb_facts_[pos]].push_back(pos);
     --edb_tombstones_;
@@ -217,16 +217,23 @@ void Session::DiscardWrites() {
   ast_.rules.erase(ast_.rules.begin() + ast_rules_mark_, ast_.rules.end());
   ast_.queries.erase(ast_.queries.begin() + ast_queries_mark_,
                      ast_.queries.end());
-  if (ast_changed || analysis_epoch_ != analysis_epoch_mark_) {
-    analyzed_ = false;
-    evaluated_ = false;
-  }
   // Rows a write appended to the live model cannot be taken back out.
   if (std::find(pending_changed_.begin(), pending_changed_.end(), true) !=
       pending_changed_.end()) {
     evaluated_ = false;
   }
   ClearPendingDelta();
+  if (ast_changed || analysis_epoch_ != analysis_epoch_mark_) {
+    // Re-analyze at once rather than on next use: the discarded rules'
+    // lowering flagged their heads has_rules in the catalog, which
+    // published snapshots read when they compile a magic query, and only
+    // an analysis of the restored program clears them. It analyzed at the
+    // mark, so it analyzes again; should it not, analyzed_ stays false and
+    // the next write reports the error.
+    analyzed_ = false;
+    evaluated_ = false;
+    if (Analyze().ok()) analysis_epoch_mark_ = analysis_epoch_;
+  }
 }
 
 void Session::InvalidateModel() {
@@ -356,26 +363,36 @@ bool Session::EraseEdbFact(const std::pair<PredId, Tuple>& fact) {
   // Tombstone the slot instead of moving another fact into it: the other
   // facts keep their order, so answer order does not depend on whether a
   // model existed when the fact went.
-  erased_.emplace_back(pos, edb_facts_[pos].first);
   edb_facts_[pos].first = kInvalidPred;
   ++edb_tombstones_;
+  if (pos < edb_mark_) {
+    erased_.emplace_back(pos, fact.first);
+    return true;
+  }
+  // DiscardWrites() drops every slot written since the mark, erased or
+  // not, so those need no log and compact by the relations' dead-row rule
+  // as they die: a session that never evaluates stays bounded by its net
+  // EDB too.
+  if (WorthCompacting(++edb_tail_tombstones_, edb_facts_.size() - edb_mark_)) {
+    CompactEdbFacts(edb_mark_);
+  }
   return true;
 }
 
-void Session::CompactEdbFacts() {
-  std::vector<size_t> moved_to(edb_facts_.size());
-  size_t live = 0;
-  for (size_t i = 0; i < edb_facts_.size(); ++i) {
+void Session::CompactEdbFacts(size_t from) {
+  size_t live = from;
+  for (size_t i = from; i < edb_facts_.size(); ++i) {
     if (edb_facts_[i].first == kInvalidPred) continue;
-    moved_to[i] = live;
-    if (live != i) edb_facts_[live] = std::move(edb_facts_[i]);
+    if (live != i) {
+      edb_facts_[live] = std::move(edb_facts_[i]);
+      std::vector<size_t>& positions = edb_index_.find(edb_facts_[live])->second;
+      *std::find(positions.begin(), positions.end(), i) = live;
+    }
     ++live;
   }
+  edb_tombstones_ -= edb_facts_.size() - live;
+  edb_tail_tombstones_ = 0;
   edb_facts_.resize(live);
-  for (auto& [fact, positions] : edb_index_) {
-    for (size_t& pos : positions) pos = moved_to[pos];
-  }
-  edb_tombstones_ = 0;
 }
 
 void Session::SeedEdb(Database* db) const {
@@ -387,8 +404,9 @@ void Session::SeedEdb(Database* db) const {
 }
 
 void Session::CommitWrites() {
-  if (WorthCompacting(edb_tombstones_, edb_facts_.size())) CompactEdbFacts();
+  if (WorthCompacting(edb_tombstones_, edb_facts_.size())) CompactEdbFacts(0);
   erased_.clear();
+  edb_tail_tombstones_ = 0;
   edb_mark_ = edb_facts_.size();
   ast_rules_mark_ = ast_.rules.size();
   ast_queries_mark_ = ast_.queries.size();

@@ -284,10 +284,11 @@ class Session {
   // successful Evaluate() (since construction if there was none): ast()
   // and the EDB multiset return to what they held then, erased facts
   // included, and the pending delta is dropped. A model those writes
-  // appended rows to is dropped (the next Evaluate() rebuilds it), and the
-  // next use re-analyzes when they changed the analysis. ldl::Service calls
-  // it when a write or its evaluation fails, so a failed write leaves the
-  // writer as it was.
+  // appended rows to is dropped (the next Evaluate() rebuilds it). When
+  // they changed the analysis, the restored program is re-analyzed at once
+  // (dropping the model), which also takes back the has_rules flags their
+  // rules set in the catalog. ldl::Service calls it when a write or its
+  // evaluation fails, so a failed write leaves the writer as it was.
   void DiscardWrites();
 
   // Drops the materialized model (analysis stays valid); the next
@@ -403,6 +404,8 @@ class Session {
   uint64_t analysis_epoch() const { return analysis_epoch_; }
 
  private:
+  friend class SessionTestPeer;  // tests/session_test.cc
+
   Status EnsureAnalyzed();
   Status EnsureEvaluated(const EvalOptions& options);
   StatusOr<LiteralIr> ParseGoal(std::string_view goal_text);
@@ -424,11 +427,13 @@ class Session {
   // edb_facts_ mutation helpers that keep edb_index_ consistent.
   void AppendEdbFact(PredId pred, const Tuple& tuple);
   // Erases the latest occurrence of `fact`, leaving a tombstone in its
-  // slot so the other facts keep their order, and logs it for
-  // DiscardWrites(). False when there was none.
+  // slot so the other facts keep their order. A slot below the mark is
+  // logged for DiscardWrites(); the slots past it compact by the dead-row
+  // rule. False when there was none.
   bool EraseEdbFact(const std::pair<PredId, Tuple>& fact);
-  // Drops edb_facts_'s tombstones, keeping the live facts' order.
-  void CompactEdbFacts();
+  // Drops edb_facts_'s tombstones from position `from` on, keeping the
+  // live facts' order.
+  void CompactEdbFacts(size_t from);
   // Adds the EDB to `db`: the multiset's live facts of predicates without
   // proper rules (Analyze() made the others program facts).
   void SeedEdb(Database* db) const;
@@ -460,10 +465,13 @@ class Session {
   // The EDB multiset: every ground fact written, loaded or added, minus
   // the occurrences RemoveFacts() cancelled, in write order. An erased
   // fact's slot keeps its tuple under a tombstone predicate (kInvalidPred)
-  // that readers skip, until a successful Evaluate() compacts them by the
-  // relations' dead-row rule.
+  // that readers skip, until it is compacted by the relations' dead-row
+  // rule: after a successful Evaluate(), or as soon as the rule holds for
+  // the slots written since the last one (DiscardWrites() never needs
+  // those back).
   std::vector<std::pair<PredId, Tuple>> edb_facts_;
   size_t edb_tombstones_ = 0;
+  size_t edb_tail_tombstones_ = 0;  // those past edb_mark_
   std::vector<PredId> edb_preds_;
   Stratification stratification_;
   std::unique_ptr<Database> db_;
@@ -493,8 +501,9 @@ class Session {
   std::unordered_map<std::pair<PredId, Tuple>, std::vector<size_t>, EdbFactHash>
       edb_index_;
   // What DiscardWrites() returns to, taken by CommitWrites(): the sizes of
-  // edb_facts_ and ast_, the analysis epoch, and the slots erased since
-  // (position, predicate), in erasure order.
+  // edb_facts_ and ast_, the analysis epoch, and the slots below
+  // edb_mark_ erased since (position, predicate), in erasure order -- at
+  // most edb_mark_ of them, as an erased slot is never erased again.
   size_t edb_mark_ = 0;
   size_t ast_rules_mark_ = 0;
   size_t ast_queries_mark_ = 0;

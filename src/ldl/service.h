@@ -16,8 +16,9 @@
 //     update is a pure EDB delta) and atomically publishes a fresh
 //     snapshot. A failed write -- a parse or analysis error, or an
 //     evaluation that trips a limit -- publishes nothing and leaves the
-//     writer as it was (Session::DiscardWrites): readers keep the last
-//     good model, and the next write starts from it.
+//     writer as it was (Session::DiscardWrites), down to the catalog's
+//     has_rules flags that a snapshot's first magic query of a shape reads:
+//     readers keep the last good model, and the next write starts from it.
 //   * Query/Prepare run concurrently with each other and with writes.
 //     Readers never block writers and writes never block readers: a reader
 //     holds whichever snapshot was current when it started and keeps it

@@ -384,6 +384,42 @@ TEST(Service, InadmissibleLoadIsUndone) {
   EXPECT_EQ(r->tuples.size(), 1u);
 }
 
+// A failed write takes back the has_rules flag its rule set on r, before
+// any later write: the published snapshot compiles magic queries against
+// the live catalog, and a flag left on r would adorn the stored facts r(a)
+// as derived and answer s(a) with nothing. The first failure is in the
+// analysis (r is not admissible), the second in the evaluation of a
+// program whose analysis succeeded (r's rule derives past max_facts).
+TEST(Service, FailedWriteLeavesNoRuleFlagForMagicQueries) {
+  EvalOptions limited;
+  limited.max_facts = 60;
+  std::string chain;
+  for (int i = 3; i < 15; ++i) chain += StrCat("e(", i, ", ", i + 1, "). ");
+  const std::string failing_writes[] = {
+      "r(X) :- p(X), !r(X).",
+      StrCat(chain, "r(X) :- tc(X, Y)."),
+  };
+  for (const std::string& failing : failing_writes) {
+    SCOPED_TRACE(failing);
+    Service service(limited);
+    ASSERT_TRUE(service.Load(StrCat("e(1, 2). e(2, 3). r(a). s(X) :- r(X).",
+                                    kTcRules))
+                    .ok());
+    const uint64_t version = service.snapshot()->version();
+    EXPECT_FALSE(service.Load(failing).ok());
+    EXPECT_EQ(service.snapshot()->version(), version);
+    for (QueryStrategy strategy :
+         {QueryStrategy::kMagic, QueryStrategy::kMagicSupplementary,
+          QueryStrategy::kTopDown, QueryStrategy::kModel}) {
+      QueryOptions options;
+      options.strategy = strategy;
+      auto s = service.Query("s(a)", options);
+      ASSERT_TRUE(s.ok()) << s.status();
+      EXPECT_EQ(s->tuples.size(), 1u) << ToString(strategy);
+    }
+  }
+}
+
 // Publish releases the retired snapshot after dropping the slot's lock: a
 // snapshot whose destructor waits for another thread's Acquire sees it
 // return. Were the destructor run under the lock, the wait would time out

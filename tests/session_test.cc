@@ -11,6 +11,16 @@
 #include "ldl/ldl.h"
 
 namespace ldl {
+
+// Reads what no public accessor shows: the EDB list's slot count,
+// tombstones included.
+class SessionTestPeer {
+ public:
+  static size_t EdbSlots(const Session& session) {
+    return session.edb_facts_.size();
+  }
+};
+
 namespace {
 
 // The evaluated model as text, predicate name -> sorted facts (comparable
@@ -250,28 +260,68 @@ TEST(Session, LastEvalStatsPopulated) {
 
 // Facts written through AddFacts live in the EDB multiset, not the AST, and
 // removing them leaves no cancellation behind: a long run of fresh writes
-// leaves the loaded program where it was.
+// leaves the loaded program where it was. The EDB list keeps a removed
+// fact's slot only while DiscardWrites() could need it back, so it stays
+// bounded by the net EDB too, also in a session that never evaluates and
+// only answers magic queries (slots written since the last Evaluate()
+// compact on their own).
 TEST(Session, AddRemoveCyclesDoNotGrowTheProgram) {
-  Session session;
-  ASSERT_TRUE(session
-                  .Load("anc(X, Y) :- parent(X, Y).\n"
-                        "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n"
-                        "parent(a, b).")
-                  .ok());
-  ASSERT_TRUE(session.Evaluate().ok());
-  const size_t loaded_rules = session.ast().rules.size();
-  for (int i = 0; i < 10000; ++i) {
-    const std::string fact = StrCat("parent(b, leaf", i, ").");
-    ASSERT_TRUE(session.AddFacts(fact).ok());
-    ASSERT_TRUE(session.Evaluate().ok());
-    ASSERT_TRUE(session.RemoveFacts(fact).ok());
-    ASSERT_TRUE(session.Evaluate().ok());
+  for (bool evaluate : {true, false}) {
+    SCOPED_TRACE(evaluate ? "Evaluate after each write" : "magic queries only");
+    Session session;
+    ASSERT_TRUE(session
+                    .Load("anc(X, Y) :- parent(X, Y).\n"
+                          "anc(X, Y) :- parent(X, Z), anc(Z, Y).\n"
+                          "parent(a, b).")
+                    .ok());
+    if (evaluate) ASSERT_TRUE(session.Evaluate().ok());
+    const size_t loaded_rules = session.ast().rules.size();
+    QueryOptions magic;
+    magic.strategy = QueryStrategy::kMagic;
+    for (int i = 0; i < (evaluate ? 10000 : 2000); ++i) {
+      const std::string fact = StrCat("parent(b, leaf", i, ").");
+      ASSERT_TRUE(session.AddFacts(fact).ok());
+      if (evaluate) {
+        ASSERT_TRUE(session.Evaluate().ok());
+      } else {
+        auto grown = session.Query("anc(a, X)", magic);
+        ASSERT_TRUE(grown.ok()) << grown.status();
+        ASSERT_EQ(grown->tuples.size(), 2u);
+      }
+      ASSERT_TRUE(session.RemoveFacts(fact).ok());
+      if (evaluate) ASSERT_TRUE(session.Evaluate().ok());
+    }
+    EXPECT_EQ(session.ast().rules.size(), loaded_rules);
+    EXPECT_EQ(session.full_evals(), evaluate ? 1u : 0u);
+    EXPECT_LE(SessionTestPeer::EdbSlots(session), 1u + 64u);
+    auto result = session.Query("anc(a, X)");
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->tuples.size(), 1u);
   }
-  EXPECT_EQ(session.ast().rules.size(), loaded_rules);
-  EXPECT_EQ(session.full_evals(), 1u);
-  auto result = session.Query("anc(a, X)");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->tuples.size(), 1u);
+}
+
+// Predicate ids follow registration: a written ground fact registers its
+// predicate when it is written, a rule's predicates when the analysis
+// lowers it. So a batch's facts take ids before its rules' predicates
+// (q's rule precedes p(a) in the text, yet p gets the lower id), and
+// programs that list their facts first keep text order. Stratification and
+// the REPL's :preds and :strata list predicates in id order.
+TEST(Session, PredIdsFollowWriteOrder) {
+  auto id = [](const Session& session, const char* name) {
+    return session.catalog().Find(std::string_view(name), 1);
+  };
+  Session rules_first;
+  ASSERT_TRUE(rules_first.Load("q(X) :- p(X). r(X) :- q(X). p(a).").ok());
+  ASSERT_TRUE(rules_first.Analyze().ok());
+  EXPECT_LT(id(rules_first, "p"), id(rules_first, "q"));
+  EXPECT_LT(id(rules_first, "q"), id(rules_first, "r"));
+
+  Session facts_first;
+  ASSERT_TRUE(facts_first.Load("s(b). p(a). q(X) :- p(X). r(X) :- q(X).").ok());
+  ASSERT_TRUE(facts_first.Analyze().ok());
+  EXPECT_LT(id(facts_first, "s"), id(facts_first, "p"));
+  EXPECT_LT(id(facts_first, "p"), id(facts_first, "q"));
+  EXPECT_LT(id(facts_first, "q"), id(facts_first, "r"));
 }
 
 // A Load after incremental writes re-analyzes; the facts AddFacts committed
